@@ -168,7 +168,7 @@ def cmd_train_fresh(args) -> int:
     cfg = _apply_growth_overrides(run.growth, args)
     ds = load_dataset(args.dataset)
     train, test = split_train_test(ds, run.test_fraction, run.split_seed)
-    net, trace = train_fresh(train, test, cfg, threads=args.threads)
+    net, trace = train_fresh(train, test, cfg)
     save_network(net, args.out_checkpoint)
     export_trace(trace, args.out_trace, format="structured")
     print(f"status={trace.status} accuracy={trace.best_test_accuracy:.4f} "
@@ -184,14 +184,14 @@ def cmd_train_exp(args) -> int:
     seed = load_network(args.seed_checkpoint)
     ds = load_dataset(args.dataset)
     if args.one_loop_only:
-        net = one_loop_adapt(seed, ds, threads=args.threads)
+        net = one_loop_adapt(seed, ds)
         save_network(net, args.out_checkpoint)
-        report = evaluate(net, ds, threads=args.threads)
+        report = evaluate(net, ds)
         print(f"status=OneLoop accuracy={report.accuracy:.4f} "
               f"hidden={net.n_hidden}")
         return EXIT_OK
     train, test = split_train_test(ds, run.test_fraction, run.split_seed)
-    net, trace = train_experienced(seed, train, test, cfg, threads=args.threads)
+    net, trace = train_experienced(seed, train, test, cfg)
     save_network(net, args.out_checkpoint)
     export_trace(trace, args.out_trace, format="structured")
     print(f"status={trace.status} accuracy={trace.best_test_accuracy:.4f} "
@@ -205,7 +205,7 @@ def cmd_eval(args) -> int:
     _require_file(args.dataset, "dataset file")
     net = load_network(args.checkpoint)
     ds = load_dataset(args.dataset)
-    report = evaluate(net, ds, threads=args.threads)
+    report = evaluate(net, ds)
     text = report_to_text(report, net.categories)
     if args.out_report:
         atomic_write_text(args.out_report, text)
@@ -254,7 +254,8 @@ def build_parser() -> argparse.ArgumentParser:
         p.add_argument("--config", default=None,
                        help="JSON config file (default: built-in defaults)")
         p.add_argument("--threads", type=int, default=1,
-                       help="parallel candidate evaluation cap (default 1)")
+                       help="accepted for compatibility; results and speed "
+                            "do not depend on it (default 1)")
 
     p = sub.add_parser("gen-data", help="generate a nested synthetic family")
     p.add_argument("--config", default=None, help="JSON config file")
@@ -316,6 +317,10 @@ def main(argv=None) -> int:
             and not args.out_trace:
         print("error: ConfigError: --out-trace is required unless "
               "--one-loop-only", file=sys.stderr)
+        return EXIT_CONFIG
+    if getattr(args, "threads", 1) < 1:
+        print(f"error: ConfigError: --threads must be >= 1, got {args.threads}",
+              file=sys.stderr)
         return EXIT_CONFIG
     try:
         return args.func(args)

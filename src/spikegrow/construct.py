@@ -11,7 +11,6 @@ certificate maximizer.
 
 from __future__ import annotations
 
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 from typing import Optional
 
@@ -110,25 +109,21 @@ def candidate_features(
     c: Candidate, ds: LabeledDataset, params: LifParams
 ) -> np.ndarray:
     """Per-sample firing rate of one candidate over the whole dataset."""
-    if c.w.shape != (ds.d,):
-        raise ShapeError(
-            f"candidate has {c.w.shape[0]} weights, dataset has {ds.d} channels"
-        )
     return batch_rate_features(ds.spike_tensor(), c.w, c.v, params)
 
 
-def pool_features(candidates, ds, params, threads: int = 1):
-    """Evaluate a pool's features, optionally fanning out across threads.
+def pool_features(candidates, ds, params):
+    """Evaluate a whole pool in one batched pass over the dataset.
 
-    The result order follows the candidate order, so any schedule yields
-    the same downstream selection.
+    Returns (candidate, feature) pairs in pool order; each feature equals
+    `candidate_features` of its candidate.
     """
-    if threads <= 1 or len(candidates) <= 1:
-        feats = [candidate_features(c, ds, params) for c in candidates]
-    else:
-        with ThreadPoolExecutor(max_workers=threads) as pool:
-            feats = list(pool.map(lambda c: candidate_features(c, ds, params), candidates))
-    return list(zip(candidates, feats))
+    W = np.stack([c.w for c in candidates])
+    V = np.array([c.v for c in candidates])
+    H = batch_rate_features(ds.spike_tensor(), W, V, params)
+    # Contiguous rows, not strided column views, so the certificate's dot
+    # products see the same vectors a lone candidate's feature gives.
+    return list(zip(candidates, np.ascontiguousarray(H.T)))
 
 
 def xi_index(E: np.ndarray, h: np.ndarray, sigma: float) -> float:
@@ -182,7 +177,6 @@ def grow_one(
     cfg: PruningConfig,
     params: LifParams,
     rng,
-    threads: int = 1,
 ) -> GrowOutcome:
     """One full recruitment attempt with sigma relaxation and range growth.
 
@@ -196,7 +190,7 @@ def grow_one(
         scale = cfg.weight_scale * cfg.lambda_growth**k
         sigma = 1.0 - (1.0 - cfg.sigma0) / 2.0**k
         pool = sample_candidates(cfg, ds.d, rng, weight_scale=scale)
-        selection = select_best(pool_features(pool, ds, params, threads), E, sigma)
+        selection = select_best(pool_features(pool, ds, params), E, sigma)
         if selection is not None:
             return GrowOutcome(selection, sigma, k + 1)
     return GrowOutcome(None, sigma, cfg.sigma_relax_steps + 1)

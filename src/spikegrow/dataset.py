@@ -21,7 +21,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from ._util import atomic_write_text
+from ._util import atomic_write_bytes
 from .errors import ConfigError, DataFormatError, ShapeError
 
 FORMAT_VERSION = 1
@@ -71,6 +71,7 @@ class LabeledDataset:
         self.T = int(T)
         self.dt_ms = float(dt_ms)
         self._tensor = None
+        self._fingerprint = None
         if len(set(self.categories)) != len(self.categories):
             raise ConfigError("categories must be distinct")
         cat_set = set(self.categories)
@@ -255,11 +256,18 @@ def dataset_to_text(ds: LabeledDataset) -> str:
 
 
 def dataset_fingerprint(ds: LabeledDataset) -> str:
-    return hashlib.sha256(dataset_to_text(ds).encode("utf-8")).hexdigest()
+    """sha256 of the canonical serialized form; computed once per dataset."""
+    if ds._fingerprint is None:
+        payload = dataset_to_text(ds).encode("utf-8")
+        ds._fingerprint = hashlib.sha256(payload).hexdigest()
+    return ds._fingerprint
 
 
 def save_dataset(ds: LabeledDataset, path: str) -> None:
-    atomic_write_text(path, dataset_to_text(ds))
+    """Write the canonical form; its sha256 becomes the dataset's fingerprint."""
+    payload = dataset_to_text(ds).encode("utf-8")
+    atomic_write_bytes(path, payload)
+    ds._fingerprint = hashlib.sha256(payload).hexdigest()
 
 
 def _parse_header(line: str, offset: int) -> dict:

@@ -33,7 +33,7 @@ class EvalReport:
     predictions: np.ndarray  # per-sample predicted category index
 
 
-def evaluate(net: Network, ds: LabeledDataset, threads: int = 1) -> EvalReport:
+def evaluate(net: Network, ds: LabeledDataset) -> EvalReport:
     """Predict every sample with frozen weights and tally the confusion table."""
     if ds.d != net.d:
         raise ConfigError(f"dataset has {ds.d} channels, network expects {net.d}")
@@ -42,7 +42,7 @@ def evaluate(net: Network, ds: LabeledDataset, threads: int = 1) -> EvalReport:
             "dataset categories must be a prefix of the network's categories"
         )
     m = net.m
-    predictions = net.predict_dataset(ds, threads)
+    predictions = net.predict_dataset(ds)
     truth = ds.label_indices()
     confusion = np.zeros((m, m), dtype=np.int64)
     np.add.at(confusion, (truth, predictions), 1)
@@ -60,10 +60,9 @@ def space_complexity(net: Network) -> int:
     return n * (net.d + 1) + n * net.m
 
 
-def feature_export(net: Network, ds: LabeledDataset, path: str,
-                   threads: int = 1) -> None:
+def feature_export(net: Network, ds: LabeledDataset, path: str) -> None:
     """Raw per-sample hidden-feature table (N x n CSV) for external tooling."""
-    H = net.features(ds, threads)
+    H = net.features(ds)
     buf = io.StringIO()
     writer = csv.writer(buf, lineterminator="\n")
     writer.writerow([f"h{j}" for j in range(net.n_hidden)])

@@ -13,7 +13,6 @@ import hashlib
 import json
 import struct
 import time
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -149,26 +148,15 @@ class Network:
     def m(self) -> int:
         return len(self.categories)
 
-    def features(self, ds: LabeledDataset, threads: int = 1) -> np.ndarray:
+    def features(self, ds: LabeledDataset) -> np.ndarray:
         """Rate-feature table of this network's hidden units on a dataset."""
         if ds.d != self.d:
             raise ConfigError(f"dataset has {ds.d} channels, network expects {self.d}")
-        if not self.hidden:
-            return np.zeros((len(ds), 0))
-        tensor = ds.spike_tensor()
-        if threads <= 1 or len(self.hidden) <= 1:
-            cols = [batch_rate_features(tensor, h.w, h.v, self.lif)
-                    for h in self.hidden]
-        else:
-            with ThreadPoolExecutor(max_workers=threads) as pool:
-                cols = list(pool.map(
-                    lambda h: batch_rate_features(tensor, h.w, h.v, self.lif),
-                    self.hidden))
-        return np.column_stack(cols)
+        return _unit_features(self.hidden, ds.spike_tensor(), self.lif)
 
-    def predict_dataset(self, ds: LabeledDataset, threads: int = 1) -> np.ndarray:
+    def predict_dataset(self, ds: LabeledDataset) -> np.ndarray:
         """Predicted category index per sample."""
-        return predict_batch(self.features(ds, threads), self.beta)
+        return predict_batch(self.features(ds), self.beta)
 
     def __eq__(self, other) -> bool:
         return (
@@ -181,6 +169,16 @@ class Network:
             and self.frozen_prefix == other.frozen_prefix
             and self.lineage == other.lineage
         )
+
+
+def _unit_features(hidden, tensor: np.ndarray, lif: LifParams) -> np.ndarray:
+    """(N, n) rate features of hidden units on an (N, d, T) tensor, in one
+    batched pass."""
+    if not hidden:
+        return np.zeros((len(tensor), 0))
+    W = np.stack([h.w for h in hidden])
+    V = np.array([h.v for h in hidden])
+    return batch_rate_features(tensor, W, V, lif)
 
 
 def _check_pair(train: LabeledDataset, test: LabeledDataset) -> None:
@@ -201,7 +199,7 @@ def _fit(H, F):
 
 
 def _grow(hidden, frozen_prefix, train, test, cfg: GrowthConfig, lif: LifParams,
-          lineage, kind: str, threads: int = 1):
+          lineage, kind: str):
     """Shared growth loop; `hidden` is the (possibly empty) inherited prefix."""
     _check_pair(train, test)
     hidden = list(hidden)
@@ -209,16 +207,9 @@ def _grow(hidden, frozen_prefix, train, test, cfg: GrowthConfig, lif: LifParams,
     F = encode_targets(train)
     train_labels = train.label_indices()
     test_labels = test.label_indices()
-    train_tensor = train.spike_tensor()
     test_tensor = test.spike_tensor()
-
-    def feature_column(neuron, tensor):
-        return batch_rate_features(tensor, neuron.w, neuron.v, lif)
-
-    H_train = (np.column_stack([feature_column(h, train_tensor) for h in hidden])
-               if hidden else np.zeros((len(train), 0)))
-    H_test = (np.column_stack([feature_column(h, test_tensor) for h in hidden])
-              if hidden else np.zeros((len(test), 0)))
+    H_train = _unit_features(hidden, train.spike_tensor(), lif)
+    H_test = _unit_features(hidden, test_tensor, lif)
 
     beta = _fit(H_train, F)
     res = residual(H_train, beta, F)
@@ -244,7 +235,7 @@ def _grow(hidden, frozen_prefix, train, test, cfg: GrowthConfig, lif: LifParams,
         if len(hidden) >= cfg.max_hidden:
             status = STATUS_MAX_HIDDEN
             break
-        outcome = grow_one(res.E, train, cfg.pruning, lif, rng, threads)
+        outcome = grow_one(res.E, train, cfg.pruning, lif, rng)
         if outcome.saturated:
             status = STATUS_SATURATED
             break
@@ -254,7 +245,8 @@ def _grow(hidden, frozen_prefix, train, test, cfg: GrowthConfig, lif: LifParams,
         step += 1
         prev_sq = res.sq_norm
         H_train = np.column_stack([H_train, sel.feature])
-        H_test = np.column_stack([H_test, feature_column(neuron, test_tensor)])
+        H_test = np.column_stack(
+            [H_test, _unit_features([neuron], test_tensor, lif)])
         beta = _fit(H_train, F)
         res = residual(H_train, beta, F)
         bound = outcome.sigma_used * prev_sq
@@ -311,10 +303,9 @@ def _grow(hidden, frozen_prefix, train, test, cfg: GrowthConfig, lif: LifParams,
 
 
 def train_fresh(train: LabeledDataset, test: LabeledDataset,
-                cfg: GrowthConfig, threads: int = 1):
+                cfg: GrowthConfig):
     """Grow a classifier from scratch on a dataset pair."""
-    net, trace = _grow([], 0, train, test, cfg, cfg.lif, [], "fresh",
-                       threads=threads)
+    net, trace = _grow([], 0, train, test, cfg, cfg.lif, [], "fresh")
     if trace.status == STATUS_SATURATED and not trace.records:
         raise DegenerateDataError(
             "no candidate neuron produced any spikes on this dataset"
@@ -333,13 +324,12 @@ def _check_lineage(seed: Network, enlarged: LabeledDataset) -> None:
         )
 
 
-def one_loop_adapt(seed: Network, enlarged: LabeledDataset,
-                   threads: int = 1) -> Network:
+def one_loop_adapt(seed: Network, enlarged: LabeledDataset) -> Network:
     """Expand the output layer to the enlarged category set, freezing all
     hidden weights, and refit the output weights only."""
     _check_lineage(seed, enlarged)
     F = encode_targets(enlarged)
-    H = seed.features(enlarged, threads)
+    H = seed.features(enlarged)
     beta = _fit(H, F)
     entry = {
         "kind": "one_loop",
@@ -353,8 +343,7 @@ def one_loop_adapt(seed: Network, enlarged: LabeledDataset,
 
 
 def train_experienced(seed: Network, enlarged_train: LabeledDataset,
-                      enlarged_test: LabeledDataset, cfg: GrowthConfig,
-                      threads: int = 1):
+                      enlarged_test: LabeledDataset, cfg: GrowthConfig):
     """One-loop adapt a seed, then resume growth on the enlarged data.
 
     The inherited hidden units stay frozen; only new units and the output
@@ -362,10 +351,10 @@ def train_experienced(seed: Network, enlarged_train: LabeledDataset,
     keep their meaning.
     """
     _check_lineage(seed, enlarged_train)
-    adapted = one_loop_adapt(seed, enlarged_train, threads)
+    adapted = one_loop_adapt(seed, enlarged_train)
     net, trace = _grow(adapted.hidden, adapted.frozen_prefix, enlarged_train,
                        enlarged_test, cfg, seed.lif, adapted.lineage,
-                       "experienced", threads=threads)
+                       "experienced")
     for before, after in zip(seed.hidden, net.hidden):
         if before != after:
             raise InvariantError("frozen hidden weights were modified")
@@ -402,10 +391,6 @@ def network_to_bytes(net: Network) -> bytes:
 
 def save_network(net: Network, path: str) -> None:
     atomic_write_bytes(path, network_to_bytes(net))
-
-
-def network_fingerprint(net: Network) -> str:
-    return hashlib.sha256(network_to_bytes(net)).hexdigest()
 
 
 class _Reader:

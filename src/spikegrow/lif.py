@@ -97,6 +97,42 @@ def lif_step(state: NeuronState, drive: float, params: LifParams):
     return NeuronState(i_new, u_new, spike), spike
 
 
+def _pool_weights(w, v, d: int):
+    """A pool's (P, d) weights and (P,) feedback, or one neuron's (d,)
+    weights and scalar feedback, as (P, d) and (P,) arrays."""
+    W = np.asarray(w, dtype=np.float64)
+    V = np.asarray(v, dtype=np.float64)
+    if W.ndim not in (1, 2) or W.shape[-1] != d or V.shape != W.shape[:-1]:
+        raise ShapeError(
+            f"weights {W.shape} and feedback {V.shape} do not fit {d} channels"
+        )
+    return W.reshape(-1, d), V.reshape(-1)
+
+
+def _lif_raster(x: np.ndarray, W: np.ndarray, V: np.ndarray,
+                params: LifParams) -> np.ndarray:
+    """Spike raster of P neurons over an (N, d, T) batch, from the zero state.
+
+    `W` holds the (P, d) input weights and `V` the (P,) self-feedback
+    weights. Returns the (N, T, P) bool raster. Every spike train and rate
+    feature comes from this one loop over time.
+    """
+    N, _, T = x.shape
+    syn, mem, theta = params.syn_decay, params.mem_decay, params.theta
+    WT = W.T
+    i = np.zeros((N, W.shape[0]))
+    u = np.zeros_like(i)
+    s = np.zeros_like(i)
+    raster = np.empty((N, T, W.shape[0]), dtype=bool)
+    for t in range(T):
+        i_new = syn * i + x[:, :, t] @ WT + V * s
+        u_new = mem * u + i - s
+        np.greater_equal(u_new, theta, out=raster[:, t])
+        s = raster[:, t].astype(np.float64)
+        i, u = i_new, u_new
+    return raster
+
+
 def simulate_neuron(x, w, v: float, params: LifParams) -> SpikeTrain:
     """Run one hidden neuron over a d-channel input block of length T.
 
@@ -104,59 +140,30 @@ def simulate_neuron(x, w, v: float, params: LifParams) -> SpikeTrain:
     `v` the self-feedback weight. Starts from the all-zero state.
     """
     x = np.asarray(x, dtype=np.float64)
-    w = np.asarray(w, dtype=np.float64)
-    if x.ndim != 2:
-        raise ShapeError(f"input block must be (d, T), got shape {x.shape}")
-    if w.shape != (x.shape[0],):
-        raise ShapeError(
-            f"weight count {w.shape} does not match channel count {x.shape[0]}"
-        )
-    T = x.shape[1]
-    feedforward = w @ x  # (T,)
-    syn, mem, theta = params.syn_decay, params.mem_decay, params.theta
-    i = u = 0.0
-    s = 0
-    out = np.zeros(T, dtype=np.uint8)
-    for t in range(T):
-        i_new = syn * i + feedforward[t] + v * s
-        u_new = mem * u + i - s
-        s = 1 if u_new >= theta else 0
-        i, u = i_new, u_new
-        out[t] = s
-    return SpikeTrain(out)
+    if x.ndim != 2 or np.ndim(w) != 1:
+        raise ShapeError(f"need a (d, T) input block and (d,) weights, "
+                         f"got {x.shape} and {np.shape(w)}")
+    W, V = _pool_weights(w, v, x.shape[0])
+    return SpikeTrain(_lif_raster(x[None], W, V, params)[0, :, 0])
 
 
-def batch_rate_features(x, w, v: float, params: LifParams) -> np.ndarray:
-    """Mean firing rate of one candidate neuron over a batch of samples.
+def batch_rate_features(x, w, v, params: LifParams) -> np.ndarray:
+    """Mean firing rates of one neuron or a pool of P neurons over a batch.
 
-    `x` is an (N, d, T) array of input spikes. Equivalent to running
-    `simulate_neuron` per sample and taking each train's firing rate, but
-    vectorized over the batch.
+    `x` is an (N, d, T) array of input spikes. With `w` of shape (d,) and a
+    scalar `v` the result is (N,); with `w` of shape (P, d) and `v` of shape
+    (P,) it is (N, P), column k being neuron k's rates. Each rate equals
+    the firing rate of `simulate_neuron` on that sample.
     """
     x = np.asarray(x, dtype=np.float64)
-    w = np.asarray(w, dtype=np.float64)
     if x.ndim != 3:
         raise ShapeError(f"batch must be (N, d, T), got shape {x.shape}")
-    if w.shape != (x.shape[1],):
-        raise ShapeError(
-            f"weight count {w.shape} does not match channel count {x.shape[1]}"
-        )
-    N, _, T = x.shape
+    W, V = _pool_weights(w, v, x.shape[1])
+    T = x.shape[2]
     if T == 0:
         raise ValueError("cannot compute a firing rate over zero time steps")
-    feedforward = np.tensordot(x, w, axes=([1], [0]))  # (N, T)
-    syn, mem, theta = params.syn_decay, params.mem_decay, params.theta
-    i = np.zeros(N)
-    u = np.zeros(N)
-    s = np.zeros(N)
-    counts = np.zeros(N)
-    for t in range(T):
-        i_new = syn * i + feedforward[:, t] + v * s
-        u_new = mem * u + i - s
-        s = (u_new >= theta).astype(np.float64)
-        counts += s
-        i, u = i_new, u_new
-    return counts / T
+    rates = _lif_raster(x, W, V, params).sum(axis=1) / T
+    return rates[:, 0] if np.ndim(w) == 1 else rates
 
 
 def rate_feature(s: SpikeTrain) -> float:

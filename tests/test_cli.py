@@ -96,6 +96,16 @@ class TestTrainFresh:
             for r in json.loads(p.read_text())["records"]]
         assert strip(workdir / "a.trace") == strip(workdir / "b.trace")
 
+    @pytest.mark.parametrize("threads", ["0", "-1"])
+    def test_nonpositive_threads_exit_2(self, generated, workdir, capsys,
+                                        threads):
+        assert main(["train-fresh", "--config", generated,
+                     "--dataset", "data/stage-2.ds", "--threads", threads,
+                     "--out-checkpoint", "t.net", "--out-trace", "t.trace"]) == 2
+        err = capsys.readouterr().err
+        assert "--threads" in err and "Traceback" not in err
+        assert not (workdir / "t.net").exists()
+
 
 class TestTrainExp:
     def test_one_loop_only_keeps_hidden_count(self, generated, workdir):

@@ -85,13 +85,14 @@ class TestCandidateFeatures:
             assert h[i] == sum(spikes) / len(spikes)
 
     def test_thread_fanout_matches_serial(self, tiny_dataset):
+        # The batched pool pass gives each candidate exactly the feature it
+        # gets when evaluated alone, in pool order.
         cfg = PruningConfig(pool_size=8)
         pool = sample_candidates(cfg, tiny_dataset.d, np.random.default_rng(6))
-        serial = pool_features(pool, tiny_dataset, PARAMS, threads=1)
-        parallel = pool_features(pool, tiny_dataset, PARAMS, threads=4)
-        for (ca, ha), (cb, hb) in zip(serial, parallel):
-            assert ca is cb
-            assert np.array_equal(ha, hb)
+        pairs = pool_features(pool, tiny_dataset, PARAMS)
+        assert [c for c, _ in pairs] == pool
+        for c, h in pairs:
+            assert np.array_equal(h, candidate_features(c, tiny_dataset, PARAMS))
 
 
 class TestXiIndex:
@@ -218,13 +219,15 @@ class TestGrowOne:
         assert out.rounds_used == cfg.sigma_relax_steps + 1
 
     def test_deterministic_across_thread_counts(self, tiny_dataset):
+        # Same rng state, same outcome; the winner's feature is the one it
+        # gets when evaluated alone.
         from spikegrow import encode_targets
         E = encode_targets(tiny_dataset)
         cfg = PruningConfig(pool_size=16)
-        a = grow_one(E, tiny_dataset, cfg, PARAMS,
-                     np.random.default_rng(3), threads=1)
-        b = grow_one(E, tiny_dataset, cfg, PARAMS,
-                     np.random.default_rng(3), threads=8)
+        a = grow_one(E, tiny_dataset, cfg, PARAMS, np.random.default_rng(3))
+        b = grow_one(E, tiny_dataset, cfg, PARAMS, np.random.default_rng(3))
         assert a.sigma_used == b.sigma_used
         assert np.array_equal(a.selection.winner.w, b.selection.winner.w)
         assert np.array_equal(a.selection.feature, b.selection.feature)
+        alone = candidate_features(a.selection.winner, tiny_dataset, PARAMS)
+        assert np.array_equal(a.selection.feature, alone)

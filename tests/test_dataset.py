@@ -1,3 +1,5 @@
+import hashlib
+
 import numpy as np
 import pytest
 
@@ -170,6 +172,27 @@ class TestSerialization:
     def test_fingerprint_stable(self, tmp_path):
         ds = make_dataset(seed=3)
         assert dataset_fingerprint(ds) == dataset_fingerprint(ds)
+
+    def test_fingerprint_is_saved_file_digest_computed_once(self, tmp_path,
+                                                              monkeypatch):
+        import spikegrow.dataset as dataset_module
+        calls = []
+        to_text = dataset_module.dataset_to_text
+        monkeypatch.setattr(dataset_module, "dataset_to_text",
+                            lambda ds: calls.append(ds) or to_text(ds))
+        ds = make_dataset(seed=4)
+        p = tmp_path / "f.ds"
+        save_dataset(ds, str(p))
+        digest = hashlib.sha256(p.read_bytes()).hexdigest()
+        assert dataset_fingerprint(ds) == digest
+        assert dataset_fingerprint(ds) == digest
+        assert len(calls) == 1
+        # An equal dataset that was never saved serializes once, to the
+        # same digest.
+        twin = make_dataset(seed=4)
+        assert dataset_fingerprint(twin) == digest
+        assert dataset_fingerprint(twin) == digest
+        assert len(calls) == 2
 
     def test_tampered_header_rejected(self, tmp_path):
         ds = make_dataset()

@@ -22,12 +22,8 @@ from spikegrow import (
     train_experienced,
     train_fresh,
 )
-from spikegrow.learner import (
-    STATUS_TARGET,
-    HiddenNeuron,
-    Network,
-    network_to_bytes,
-)
+from spikegrow.learner import STATUS_TARGET, HiddenNeuron, Network
+from spikegrow.lif import batch_rate_features
 from spikegrow.readout import fit_output_weights
 
 
@@ -98,11 +94,18 @@ class TestTrainFresh:
         assert [r.sq_norm for r in t1.records] == [r.sq_norm for r in t2.records]
 
     def test_thread_count_does_not_change_result(self, two_class_family):
+        # The batched feature table equals the per-unit single-neuron
+        # columns, so a network's features do not depend on how its units
+        # are grouped.
         ds = two_class_family.stages[0]
         train, test = split_train_test(ds, 0.2, 7)
-        n1, _ = train_fresh(train, test, quick_cfg(), threads=1)
-        n8, _ = train_fresh(train, test, quick_cfg(), threads=8)
-        assert network_to_bytes(n1) == network_to_bytes(n8)
+        net, _ = train_fresh(train, test, quick_cfg())
+        assert net.n_hidden > 1
+        H = net.features(test)
+        tensor = test.spike_tensor()
+        for j, h in enumerate(net.hidden):
+            column = batch_rate_features(tensor, h.w, h.v, net.lif)
+            assert np.array_equal(H[:, j], column)
 
     def test_degenerate_data_raises(self):
         ds = make_dataset(n_per_cat=3, n_cats=2, d=3, T=6)

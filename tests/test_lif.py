@@ -123,6 +123,38 @@ class TestBatchRateFeatures:
                   for i in range(7)]
         assert batched.tolist() == single
 
+    def test_pool_matches_oracle_per_sample_and_neuron(self):
+        rng = np.random.default_rng(5)
+        N, d, T, P = 6, 3, 18, 5
+        x = (rng.random((N, d, T)) < 0.4).astype(np.uint8)
+        W = rng.uniform(-1.5, 1.5, (P, d))
+        W[2] = 0.0  # a silent neuron
+        V = rng.uniform(-1, 1, P)
+        H = batch_rate_features(x, W, V, PARAMS)
+        assert H.shape == (N, P)
+        assert not H[:, 2].any()
+        assert H.any()
+        for n in range(N):
+            for k in range(P):
+                spikes = lif_unroll(x[n].tolist(), W[k].tolist(), float(V[k]),
+                                    1.0, 5.0, 10.0, 1.0)
+                assert H[n, k] == sum(spikes) / T
+        for k in range(P):
+            assert np.array_equal(H[:, k],
+                                  batch_rate_features(x, W[k], V[k], PARAMS))
+
+    @pytest.mark.parametrize("w_shape, v_shape", [
+        ((3,), ()),       # one neuron, wrong d
+        ((4, 3), (4,)),   # pool, wrong d
+        ((4, 2), (3,)),   # pool, wrong feedback length
+        ((4, 2), ()),     # pool, scalar feedback
+        ((2,), (1,)),     # one neuron, vector feedback
+    ])
+    def test_shape_errors(self, w_shape, v_shape):
+        x = np.zeros((5, 2, 7))
+        with pytest.raises(ShapeError):
+            batch_rate_features(x, np.ones(w_shape), np.zeros(v_shape), PARAMS)
+
     def test_all_in_unit_interval(self):
         rng = np.random.default_rng(2)
         x = (rng.random((10, 4, 20)) < 0.5).astype(np.uint8)
