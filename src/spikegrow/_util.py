@@ -20,3 +20,8 @@ def atomic_write_bytes(path: str, payload: bytes) -> None:
 
 def atomic_write_text(path: str, text: str) -> None:
     atomic_write_bytes(path, text.encode("utf-8"))
+
+
+def is_int(value) -> bool:
+    """True for a JSON integer; bools are ints in Python but not here."""
+    return isinstance(value, int) and not isinstance(value, bool)

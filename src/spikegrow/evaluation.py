@@ -9,7 +9,7 @@ from dataclasses import dataclass, fields
 
 import numpy as np
 
-from ._util import atomic_write_text
+from ._util import atomic_write_text, is_int
 from .dataset import LabeledDataset
 from .errors import ConfigError, DataFormatError
 from .learner import (
@@ -21,6 +21,11 @@ from .learner import (
 
 TRACE_VERSION = 1
 TRACE_COLUMNS = [f.name for f in fields(TraceRecord)]
+_COUNT_COLUMNS = {"neuron_count", "retries_used"}
+
+
+def _is_count(value) -> bool:
+    return is_int(value) and value >= 0
 
 
 @dataclass(frozen=True)
@@ -105,14 +110,41 @@ def load_trace(path: str) -> TrainingTrace:
     with open(path, "r", encoding="utf-8") as fh:
         try:
             doc = json.load(fh)
-        except json.JSONDecodeError as exc:
+        except (json.JSONDecodeError, UnicodeDecodeError) as exc:
             raise DataFormatError(f"malformed trace file {path}: {exc}") from None
+    if not isinstance(doc, dict):
+        raise DataFormatError(f"trace file {path} must hold a JSON object")
     if doc.get("trace_version") != TRACE_VERSION:
         raise DataFormatError(
             f"unsupported trace version {doc.get('trace_version')!r} in {path}"
         )
-    records = [TraceRecord(**{c: rec[c] for c in TRACE_COLUMNS})
-               for rec in doc["records"]]
+    missing = [k for k in ("status", "initial_neurons", "records")
+               if k not in doc]
+    if missing:
+        raise DataFormatError(f"trace file {path} lacks {missing}")
+    if not isinstance(doc["status"], str) \
+            or not _is_count(doc["initial_neurons"]) \
+            or not isinstance(doc["records"], list):
+        raise DataFormatError(
+            f"trace file {path}: status must be a string, initial_neurons "
+            f"a non-negative integer and records a list"
+        )
+    records = []
+    for k, rec in enumerate(doc["records"]):
+        if not isinstance(rec, dict):
+            raise DataFormatError(f"trace record {k} in {path} is not an object")
+        missing = [c for c in TRACE_COLUMNS if c not in rec]
+        if missing:
+            raise DataFormatError(f"trace record {k} in {path} lacks {missing}")
+        for c in TRACE_COLUMNS:
+            ok = _is_count(rec[c]) if c in _COUNT_COLUMNS else \
+                isinstance(rec[c], (int, float)) and not isinstance(rec[c], bool)
+            if not ok:
+                raise DataFormatError(
+                    f"trace record {k} in {path}: {c} = {rec[c]!r} is not a "
+                    f"{'count' if c in _COUNT_COLUMNS else 'number'}"
+                )
+        records.append(TraceRecord(**{c: rec[c] for c in TRACE_COLUMNS}))
     return TrainingTrace(records=records, status=doc["status"],
                          initial_neurons=doc["initial_neurons"])
 

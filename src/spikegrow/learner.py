@@ -11,13 +11,14 @@ from __future__ import annotations
 
 import hashlib
 import json
+import math
 import struct
 import time
 from dataclasses import dataclass, field
 
 import numpy as np
 
-from ._util import atomic_write_bytes
+from ._util import atomic_write_bytes, is_int
 from .construct import PruningConfig, grow_one
 from .dataset import LabeledDataset, dataset_fingerprint, encode_targets
 from .errors import (
@@ -29,7 +30,15 @@ from .errors import (
     LineageError,
 )
 from .lif import LifParams, batch_rate_features
-from .readout import fit_output_weights, predict_batch, residual
+# `residual` is no longer called here; it stays bound in this module because
+# the benchmark tracer (benchmarks/tracer.py) wraps it at this binding.
+from .readout import (  # noqa: F401
+    ResidualState,
+    fit_output_weights,
+    orthonormal_direction,
+    predict_batch,
+    residual,
+)
 
 CHECKPOINT_MAGIC = b"SPIKEGROW-NET 1\n"
 CHECKPOINT_VERSION = 1
@@ -192,15 +201,68 @@ def _accuracy(H, beta, label_idx) -> float:
     return float(np.mean(predict_batch(H, beta) == label_idx))
 
 
+def _fitted_accuracy(F, E, label_idx) -> float:
+    """Accuracy of the least-squares fit read off its residual: F - E is the
+    fitted output H @ beta, so no beta is needed."""
+    return float(np.mean(np.argmax(F - E, axis=1) == label_idx))
+
+
 def _fit(H, F):
     if H.shape[1] == 0:
         return np.zeros((0, F.shape[1]))
     return fit_output_weights(H, F)
 
 
+class _Columns:
+    """An (N, n) table appended to one column at a time, written in place.
+
+    Capacity doubles when full, so n appends copy O(N n) in all rather than
+    the O(N n^2) of rebuilding the table on every append. Column-major
+    storage keeps each column contiguous and leaves the unused capacity in
+    pages that are never touched.
+    """
+
+    def __init__(self, rows: int):
+        self._buf = np.empty((rows, 16), order="F")
+        self.n = 0
+
+    def append(self, columns: np.ndarray) -> None:
+        """Append one (N,) column or an (N, k) block of columns."""
+        columns = np.asarray(columns, dtype=np.float64).reshape(
+            len(self._buf), -1)
+        end = self.n + columns.shape[1]
+        if end > self._buf.shape[1]:
+            grown = np.empty((len(self._buf), max(end, 2 * self._buf.shape[1])),
+                             order="F")
+            grown[:, :self.n] = self.table
+            self._buf = grown
+        self._buf[:, self.n:end] = columns
+        self.n = end
+
+    @property
+    def table(self) -> np.ndarray:
+        return self._buf[:, :self.n]
+
+
+def _project_out(Q: _Columns, res: ResidualState, h) -> ResidualState:
+    """Least-squares residual after feature column h joins the table whose
+    orthonormal basis Q holds; a column already in span(Q) changes nothing."""
+    q = orthonormal_direction(Q.table, h)
+    if q is None:
+        return res
+    Q.append(q)
+    E = res.E - np.outer(q, q @ res.E)
+    return ResidualState(E, float(np.sum(E * E)))
+
+
 def _grow(hidden, frozen_prefix, train, test, cfg: GrowthConfig, lif: LifParams,
           lineage, kind: str):
-    """Shared growth loop; `hidden` is the (possibly empty) inherited prefix."""
+    """Shared growth loop; `hidden` is the (possibly empty) inherited prefix.
+
+    The residual is kept by orthogonal projection, one column per unit, so a
+    step costs O(N (n + m)) instead of a least-squares refit. The output
+    weights are solved only on eval steps and for the returned snapshot.
+    """
     _check_pair(train, test)
     hidden = list(hidden)
     n0 = len(hidden)
@@ -208,13 +270,16 @@ def _grow(hidden, frozen_prefix, train, test, cfg: GrowthConfig, lif: LifParams,
     train_labels = train.label_indices()
     test_labels = test.label_indices()
     test_tensor = test.spike_tensor()
-    H_train = _unit_features(hidden, train.spike_tensor(), lif)
-    H_test = _unit_features(hidden, test_tensor, lif)
+    H_train, Q = _Columns(len(train)), _Columns(len(train))
+    H_test = _Columns(len(test))
+    H_train.append(_unit_features(hidden, train.spike_tensor(), lif))
+    H_test.append(_unit_features(hidden, test_tensor, lif))
 
-    beta = _fit(H_train, F)
-    res = residual(H_train, beta, F)
-    train_acc = _accuracy(H_train, beta, train_labels)
-    test_acc = _accuracy(H_test, beta, test_labels)
+    res = ResidualState(F, float(np.sum(F * F)))
+    for h in H_train.table.T:
+        res = _project_out(Q, res, h)
+    train_acc = _fitted_accuracy(F, res.E, train_labels)
+    test_acc = _accuracy(H_test.table, _fit(H_train.table, F), test_labels)
 
     best_test = test_acc if n0 > 0 else -1.0
     best_n = n0
@@ -244,11 +309,9 @@ def _grow(hidden, frozen_prefix, train, test, cfg: GrowthConfig, lif: LifParams,
         hidden.append(neuron)
         step += 1
         prev_sq = res.sq_norm
-        H_train = np.column_stack([H_train, sel.feature])
-        H_test = np.column_stack(
-            [H_test, _unit_features([neuron], test_tensor, lif)])
-        beta = _fit(H_train, F)
-        res = residual(H_train, beta, F)
+        H_train.append(sel.feature)
+        H_test.append(_unit_features([neuron], test_tensor, lif))
+        res = _project_out(Q, res, sel.feature)
         bound = outcome.sigma_used * prev_sq
         if res.sq_norm > bound * (1.0 + _CERT_RTOL) + 1e-30:
             raise InvariantError(
@@ -257,13 +320,14 @@ def _grow(hidden, frozen_prefix, train, test, cfg: GrowthConfig, lif: LifParams,
             )
         if res.sq_norm >= prev_sq:
             raise InvariantError("squared residual failed to decrease")
-        train_acc = _accuracy(H_train, beta, train_labels)
+        train_acc = _fitted_accuracy(F, res.E, train_labels)
 
         reached = train_acc >= cfg.target_train_accuracy
         do_eval = reached or (step % cfg.eval_every == 0) \
             or len(hidden) >= cfg.max_hidden
         if do_eval:
-            test_acc = _accuracy(H_test, beta, test_labels)
+            beta = _fit(H_train.table, F)
+            test_acc = _accuracy(H_test.table, beta, test_labels)
             if test_acc > best_test:
                 best_test = test_acc
                 best_n = len(hidden)
@@ -288,7 +352,7 @@ def _grow(hidden, frozen_prefix, train, test, cfg: GrowthConfig, lif: LifParams,
     # modified after acceptance, so truncation + refit reproduces it.
     best_n = max(best_n, frozen_prefix)
     best_hidden = hidden[:best_n]
-    best_beta = _fit(H_train[:, :best_n], F)
+    best_beta = _fit(H_train.table[:, :best_n], F)
     trace = TrainingTrace(records=records, status=status, initial_neurons=n0)
     entry = {
         "kind": kind,
@@ -408,6 +472,58 @@ class _Reader:
         return chunk
 
 
+_HEADER_KEYS = {"format_version", "d", "lif", "n_hidden", "frozen_prefix",
+                "m", "categories", "lineage"}
+_LIF_KEYS = {"dt", "tau_syn", "tau_mem", "theta"}
+
+
+def _check_header(header) -> None:
+    """Raise DataFormatError unless a checkpoint header has every key, no
+    other, and values of the types and ranges a saved network writes."""
+    if not isinstance(header, dict):
+        raise DataFormatError("checkpoint header must be a JSON object")
+    if header.get("format_version") != CHECKPOINT_VERSION:
+        raise DataFormatError(
+            f"unsupported checkpoint version {header.get('format_version')!r}"
+        )
+    if header.keys() != _HEADER_KEYS:
+        missing = sorted(_HEADER_KEYS - header.keys())
+        unknown = sorted(header.keys() - _HEADER_KEYS)
+        raise DataFormatError(
+            f"checkpoint header keys: missing {missing}, unknown {unknown}"
+        )
+    for key in ("d", "n_hidden", "frozen_prefix", "m"):
+        if not is_int(header[key]) or header[key] < 0:
+            raise DataFormatError(
+                f"checkpoint header {key} must be a non-negative integer, "
+                f"got {header[key]!r}"
+            )
+    if header["frozen_prefix"] > header["n_hidden"]:
+        raise DataFormatError(
+            f"checkpoint frozen_prefix {header['frozen_prefix']} exceeds "
+            f"n_hidden {header['n_hidden']}"
+        )
+    lif = header["lif"]
+    if not isinstance(lif, dict) or lif.keys() != _LIF_KEYS or not all(
+            isinstance(v, (int, float)) and not isinstance(v, bool)
+            and math.isfinite(v) for v in lif.values()):
+        raise DataFormatError(
+            f"checkpoint lif must hold exactly the finite numbers "
+            f"{sorted(_LIF_KEYS)}, got {lif!r}"
+        )
+    categories = header["categories"]
+    if not isinstance(categories, list) or len(categories) != header["m"] \
+            or not all(isinstance(c, str) or is_int(c) for c in categories) \
+            or len(set(categories)) != len(categories):
+        raise DataFormatError(
+            f"checkpoint categories must be {header['m']} distinct integers "
+            f"or strings, got {categories!r}"
+        )
+    if not isinstance(header["lineage"], list) \
+            or not all(isinstance(e, dict) for e in header["lineage"]):
+        raise DataFormatError("checkpoint lineage must be a list of objects")
+
+
 def load_network(path: str) -> Network:
     with open(path, "rb") as fh:
         blob = fh.read()
@@ -419,10 +535,11 @@ def load_network(path: str) -> Network:
         header = json.loads(r.take(header_len, "header").decode("utf-8"))
     except (json.JSONDecodeError, UnicodeDecodeError) as exc:
         raise DataFormatError(f"malformed checkpoint header: {exc}") from None
-    if header.get("format_version") != CHECKPOINT_VERSION:
-        raise DataFormatError(
-            f"unsupported checkpoint version {header.get('format_version')!r}"
-        )
+    _check_header(header)
+    try:
+        lif = LifParams(**header["lif"])
+    except ValueError as exc:
+        raise DataFormatError(f"invalid checkpoint lif: {exc}") from None
     n, d, m = header["n_hidden"], header["d"], header["m"]
     arrays = []
     for name, shape in (("weights", (n, d)), ("feedback", (n,)),
@@ -439,7 +556,6 @@ def load_network(path: str) -> Network:
             raise ChecksumError(f"{name} section failed its checksum")
         arrays.append(np.frombuffer(payload, dtype="<f8").reshape(shape))
     W, V, beta = arrays
-    lif = LifParams(**header["lif"])
     hidden = [HiddenNeuron(W[i], float(V[i])) for i in range(n)]
     return Network(d, lif, hidden, beta, header["categories"],
                    frozen_prefix=header["frozen_prefix"],

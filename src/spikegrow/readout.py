@@ -37,6 +37,30 @@ def fit_output_weights(H: np.ndarray, F: np.ndarray) -> np.ndarray:
     return beta
 
 
+def orthonormal_direction(Q: np.ndarray, h: np.ndarray):
+    """Unit vector along the part of column h orthogonal to span(Q), or None.
+
+    Q (N, k) has orthonormal columns. Classical Gram-Schmidt with one
+    reorthogonalisation pass ("twice is enough": Daniel, Gragg, Kaufman &
+    Stewart, Math. Comp. 1976) keeps the new direction orthogonal to
+    working precision. A remainder of at most SVD_CUTOFF * ||h|| means h
+    already lies in span(Q); it adds no direction (None), as lstsq's rcond
+    would drop it. Appending the returned q to Q and updating a residual
+    E <- E - q (q^T E) gives the least-squares residual of the enlarged
+    feature table at O(N (k + m)) cost, with no refit.
+    """
+    h = np.asarray(h, dtype=np.float64)
+    if h.ndim != 1 or Q.shape[0] != h.shape[0]:
+        raise ShapeError(f"basis {Q.shape} and column {h.shape} disagree")
+    h_norm = float(np.sqrt(h @ h))
+    r = h - Q @ (Q.T @ h)
+    r -= Q @ (Q.T @ r)
+    r_norm = float(np.sqrt(r @ r))
+    if r_norm <= SVD_CUTOFF * h_norm:
+        return None
+    return r / r_norm
+
+
 def residual(H: np.ndarray, beta: np.ndarray, F: np.ndarray) -> ResidualState:
     """Residual F - H @ beta with its squared norm."""
     H = np.asarray(H, dtype=np.float64)

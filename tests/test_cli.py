@@ -1,10 +1,22 @@
 import json
 import os
+import struct
 
+import numpy as np
 import pytest
 
+from spikegrow import LifParams
 from spikegrow.cli import main
-from spikegrow.learner import load_network
+from spikegrow.evaluation import trace_to_text
+from spikegrow.learner import (
+    CHECKPOINT_MAGIC,
+    HiddenNeuron,
+    Network,
+    TraceRecord,
+    TrainingTrace,
+    load_network,
+    network_to_bytes,
+)
 
 
 @pytest.fixture
@@ -198,6 +210,69 @@ class TestCompare:
         assert len(lines) == 3
         elapsed = [float(l.split(",")[4]) for l in lines[1:]]
         assert elapsed == sorted(elapsed)
+
+
+def checkpoint_with_header(edit) -> bytes:
+    """A valid two-unit checkpoint whose JSON header `edit` has changed."""
+    net = Network(3, LifParams(), [HiddenNeuron(np.ones(3), 0.5),
+                                   HiddenNeuron(-np.ones(3), 0.25)],
+                  np.eye(2), ["a", "b"], frozen_prefix=1)
+    blob = network_to_bytes(net)
+    start = len(CHECKPOINT_MAGIC) + 4
+    (length,) = struct.unpack("<I", blob[len(CHECKPOINT_MAGIC):start])
+    header = json.loads(blob[start:start + length])
+    edit(header)
+    new = json.dumps(header, sort_keys=True).encode("utf-8")
+    return CHECKPOINT_MAGIC + struct.pack("<I", len(new)) + new \
+        + blob[start + length:]
+
+
+class TestMalformedCheckpointHeader:
+    @pytest.mark.parametrize("edit", [
+        lambda h: h.pop("categories"),
+        lambda h: h.update(n_hidden=2.0),
+        lambda h: h.update(lif={"dt": 1.0}),
+        lambda h: h.update(frozen_prefix=3),
+        lambda h: h.update(extra=1),
+        lambda h: h["lif"].update(theta=0.0),
+        lambda h: h["lif"].update(tau_mem=float("nan")),
+        lambda h: h.update(categories=["a", "a"]),
+    ], ids=["missing-categories", "float-n-hidden", "partial-lif",
+            "frozen-prefix-over-n-hidden", "unknown-key", "zero-theta",
+            "nan-tau", "duplicate-categories"])
+    def test_inspect_exit_3(self, workdir, capsys, edit):
+        (workdir / "bad.net").write_bytes(checkpoint_with_header(edit))
+        assert main(["inspect", "--checkpoint", "bad.net"]) == 3
+        assert "DataFormatError" in capsys.readouterr().err
+
+    def test_unedited_header_loads(self, workdir):
+        (workdir / "ok.net").write_bytes(checkpoint_with_header(lambda h: h))
+        assert load_network("ok.net").frozen_prefix == 1
+
+
+class TestMalformedTrace:
+    def _doc(self):
+        trace = TrainingTrace([TraceRecord(1, 2.0, 0.5, 0.5, 0.1, 0.999, 0)],
+                              "MaxHidden")
+        return json.loads(trace_to_text(trace, "structured"))
+
+    @pytest.mark.parametrize("edit", [
+        lambda d: d["records"][0].pop("sq_norm"),
+        lambda d: d.pop("status"),
+        lambda d: d["records"][0].update(elapsed_seconds="0.1"),
+        lambda d: d["records"][0].update(neuron_count=1.5),
+    ], ids=["record-missing-column", "missing-status", "string-seconds",
+            "float-neuron-count"])
+    def test_compare_exit_3(self, workdir, capsys, edit):
+        doc = self._doc()
+        edit(doc)
+        (workdir / "t.trace").write_text(json.dumps(doc))
+        assert main(["compare", "t.trace"]) == 3
+        assert "DataFormatError" in capsys.readouterr().err
+
+    def test_valid_trace_compares(self, workdir):
+        (workdir / "t.trace").write_text(json.dumps(self._doc()))
+        assert main(["compare", "t.trace"]) == 0
 
 
 class TestHelp:

@@ -22,9 +22,16 @@ from spikegrow import (
     train_experienced,
     train_fresh,
 )
-from spikegrow.learner import STATUS_TARGET, HiddenNeuron, Network
+import spikegrow.learner
+from spikegrow.learner import (
+    _CERT_RTOL,
+    STATUS_MAX_HIDDEN,
+    STATUS_TARGET,
+    HiddenNeuron,
+    Network,
+)
 from spikegrow.lif import batch_rate_features
-from spikegrow.readout import fit_output_weights
+from spikegrow.readout import fit_output_weights, residual
 
 
 def quick_cfg(**kwargs):
@@ -134,6 +141,115 @@ class TestTrainFresh:
         from spikegrow import evaluate
         assert evaluate(net, test).accuracy == pytest.approx(
             max(r.test_accuracy for r in trace.records))
+
+
+def record_growth(monkeypatch):
+    """Wrap the learner's `grow_one`; returns the list of (E, outcome) pairs
+    it saw, E copied at the call."""
+    calls = []
+    original = spikegrow.learner.grow_one
+
+    def wrapped(E, *args, **kwargs):
+        outcome = original(E, *args, **kwargs)
+        calls.append((np.array(E, copy=True), outcome))
+        return outcome
+
+    monkeypatch.setattr(spikegrow.learner, "grow_one", wrapped)
+    return calls
+
+
+def lstsq_residual(H, F):
+    if H.shape[1] == 0:
+        return residual(H, np.zeros((0, F.shape[1])), F)
+    return residual(H, fit_output_weights(H, F), F)
+
+
+def check_against_lstsq(calls, trace, H_prefix, F):
+    """Every residual the growth loop used or recorded equals the
+    least-squares residual of the feature table at that step."""
+    grown = [o.selection.feature for _, o in calls if not o.saturated]
+    H = np.column_stack([H_prefix] + [h[:, None] for h in grown])
+    n0 = H_prefix.shape[1]
+    for k, (E, _) in enumerate(calls):
+        np.testing.assert_allclose(E, lstsq_residual(H[:, :n0 + k], F).E,
+                                   rtol=0, atol=1e-9)
+    assert len(trace.records) == len(grown)
+    for rec in trace.records:
+        expected = lstsq_residual(H[:, :rec.neuron_count], F).sq_norm
+        assert rec.sq_norm == pytest.approx(expected, rel=1e-9)
+
+
+class TestIncrementalResidual:
+    def test_equals_least_squares_residual(self, monkeypatch,
+                                           two_class_family):
+        ds = two_class_family.stages[0]
+        train, test = split_train_test(ds, 0.2, 7)
+        calls = record_growth(monkeypatch)
+        _, trace = train_fresh(train, test, quick_cfg(eval_every=1))
+        assert len(trace.records) > 1
+        F = encode_targets(train)
+        check_against_lstsq(calls, trace, np.zeros((len(train), 0)), F)
+
+    def test_realised_gain_at_least_certified(self, monkeypatch):
+        _, (tr10, te10) = nested_splits()
+        calls = record_growth(monkeypatch)
+        _, trace = train_fresh(tr10, te10, quick_cfg(max_hidden=60,
+                                                     patience=100))
+        assert len(trace.records) > 10
+        for (E, outcome), rec in zip(calls, trace.records):
+            prev_sq = float(np.sum(E * E))
+            certified = outcome.selection.error_gain
+            assert prev_sq - rec.sq_norm >= certified * (1 - _CERT_RTOL)
+
+    def test_repeated_seed_unit_matches_least_squares(self, monkeypatch):
+        (tr5, te5), (tr10, te10) = nested_splits()
+        cfg = quick_cfg(target_train_accuracy=0.9, max_hidden=150)
+        grown, _ = train_fresh(tr5, te5, cfg)
+        hidden = grown.hidden + [grown.hidden[0]]
+        H5 = Network(grown.d, grown.lif, hidden,
+                     np.zeros((len(hidden), grown.m)), grown.categories
+                     ).features(tr5)
+        seed = Network(grown.d, grown.lif, hidden,
+                       fit_output_weights(H5, encode_targets(tr5)),
+                       grown.categories, lineage=grown.lineage)
+        calls = record_growth(monkeypatch)
+        directions = []
+        original = spikegrow.learner.orthonormal_direction
+
+        def recorded(Q, h):
+            directions.append(original(Q, h))
+            return directions[-1]
+
+        monkeypatch.setattr(spikegrow.learner, "orthonormal_direction",
+                            recorded)
+        net, trace = train_experienced(seed, tr10, te10, cfg)
+        assert net.hidden[:len(hidden)] == hidden
+        # The repeated unit adds no direction; every other unit adds one.
+        assert [q is None for q in directions[:len(hidden)]] == \
+            [False] * grown.n_hidden + [True]
+        assert calls and trace.records
+        check_against_lstsq(calls, trace, seed.features(tr10),
+                            encode_targets(tr10))
+
+    def test_readout_solved_only_on_eval_steps(self, monkeypatch):
+        """The count of least-squares solves in a fresh run is the tier-1
+        image of the benchmark's `readout.fit_calls`: one per eval step
+        plus the refit of the returned snapshot, never one per step."""
+        _, (tr10, te10) = nested_splits()
+        calls = []
+        original = spikegrow.learner.fit_output_weights
+
+        def counted(H, F):
+            calls.append(H.shape[1])
+            return original(H, F)
+
+        monkeypatch.setattr(spikegrow.learner, "fit_output_weights", counted)
+        _, trace = train_fresh(tr10, te10, quick_cfg(
+            eval_every=5, max_hidden=23, patience=100))
+        assert trace.status == STATUS_MAX_HIDDEN
+        # Eval steps 5, 10, 15, 20 and the last (23), then the snapshot.
+        assert calls[:5] == [5, 10, 15, 20, 23]
+        assert len(calls) == 6
 
 
 class TestOneLoopAdapt:

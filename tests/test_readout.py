@@ -3,7 +3,7 @@ import pytest
 
 from oracles import normal_equations_lstsq, single_unit_update_sq_norm
 from spikegrow import ShapeError, fit_output_weights, predict, residual
-from spikegrow.readout import predict_batch
+from spikegrow.readout import orthonormal_direction, predict_batch
 
 
 class TestFitOutputWeights:
@@ -78,6 +78,46 @@ class TestFitOutputWeights:
         H2 = np.column_stack([H, h])
         full = residual(H2, fit_output_weights(H2, F), F).sq_norm
         assert full <= predicted * (1 + 1e-9) + 1e-12
+
+
+class TestOrthonormalDirection:
+    def test_unit_and_orthogonal_to_basis(self):
+        rng = np.random.default_rng(9)
+        Q, _ = np.linalg.qr(rng.normal(size=(15, 4)))
+        q = orthonormal_direction(Q, rng.normal(size=15))
+        assert np.linalg.norm(q) == pytest.approx(1.0)
+        assert np.allclose(Q.T @ q, 0.0, atol=1e-14)
+
+    def test_dependent_and_zero_columns_add_nothing(self):
+        rng = np.random.default_rng(10)
+        Q, _ = np.linalg.qr(rng.normal(size=(15, 4)))
+        assert orthonormal_direction(Q, Q @ rng.normal(size=4)) is None
+        assert orthonormal_direction(Q, np.zeros(15)) is None
+        assert orthonormal_direction(np.zeros((15, 0)), np.zeros(15)) is None
+
+    def test_projection_gives_least_squares_residual(self):
+        # Rank-deficient: column 3 repeats column 1, column 5 is zero.
+        rng = np.random.default_rng(11)
+        H = rng.uniform(0, 1, size=(20, 6))
+        H[:, 3] = H[:, 1]
+        H[:, 5] = 0.0
+        F = rng.normal(size=(20, 3))
+        Q, E = np.zeros((20, 0)), F
+        for j in range(6):
+            q = orthonormal_direction(Q, H[:, j])
+            assert (q is None) == (j in (3, 5))
+            if q is not None:
+                Q = np.column_stack([Q, q])
+                E = E - np.outer(q, q @ E)
+            fit = residual(H[:, :j + 1],
+                           fit_output_weights(H[:, :j + 1], F), F)
+            assert np.allclose(E, fit.E, rtol=0, atol=1e-12)
+
+    def test_shape_mismatch(self):
+        with pytest.raises(ShapeError):
+            orthonormal_direction(np.zeros((5, 1)), np.ones(4))
+        with pytest.raises(ShapeError):
+            orthonormal_direction(np.zeros((5, 1)), np.ones((5, 1)))
 
 
 class TestResidual:
