@@ -333,7 +333,7 @@ def main(argv=None) -> int:
     except InvariantError as exc:
         print(f"error: InvariantError: {exc}", file=sys.stderr)
         return EXIT_INTERNAL
-    except SpikegrowError as exc:
+    except (SpikegrowError, OSError) as exc:
         print(f"error: {type(exc).__name__}: {exc}", file=sys.stderr)
         return EXIT_CONFIG
 

@@ -8,20 +8,22 @@ are nested: every sample of an earlier stage is literally a member of every
 later stage.
 
 File format (version 1, line oriented): a JSON header line
-{"format_version": 1, "d", "T", "dt_ms", "n_samples", "categories"}
-followed by one JSON line per sample {"label_index", "spikes"} where
-"spikes" lists, per channel, the ascending spike time indices in [0, T).
+{"format_version": 1, "d", "T", "dt_ms", "n_samples", "categories"}, then
+one JSON line per sample {"label_index", "spikes"}, "spikes" listing each
+channel's ascending spike times in [0, T). Only the canonical bytes load.
 """
 
 from __future__ import annotations
 
 import hashlib
 import json
+import math
 from dataclasses import dataclass
+from itertools import chain
 
 import numpy as np
 
-from ._util import atomic_write_bytes
+from ._util import atomic_write_bytes, is_int
 from .errors import ConfigError, DataFormatError, ShapeError
 
 FORMAT_VERSION = 1
@@ -235,23 +237,26 @@ def encode_targets(ds: LabeledDataset) -> np.ndarray:
     return F
 
 
+def _header_line(d, T, dt_ms, n_samples, categories) -> str:
+    return json.dumps({"format_version": FORMAT_VERSION, "d": d, "T": T,
+                       "dt_ms": float(dt_ms), "n_samples": n_samples,
+                       "categories": list(categories)}, sort_keys=True)
+
+
+def _sample_line(label_index: int, block: np.ndarray) -> str:
+    """The one serialiser of a sample line (`str` of a list of ints is JSON)."""
+    channel, times = np.nonzero(block)
+    ends = np.cumsum(np.bincount(channel, minlength=len(block))).tolist()
+    times = times.tolist()
+    spikes = [times[a:b] for a, b in zip([0] + ends, ends)]
+    return f'{{"label_index": {label_index}, "spikes": {spikes}}}'
+
+
 def dataset_to_text(ds: LabeledDataset) -> str:
     """Canonical serialized form; also the basis of dataset fingerprints."""
-    header = {
-        "format_version": FORMAT_VERSION,
-        "d": ds.d,
-        "T": ds.T,
-        "dt_ms": ds.dt_ms,
-        "n_samples": len(ds),
-        "categories": list(ds.categories),
-    }
-    pos = {c: i for i, c in enumerate(ds.categories)}
-    lines = [json.dumps(header, sort_keys=True)]
-    for s in ds.samples:
-        spikes = [np.flatnonzero(ch).tolist() for ch in s.channels]
-        lines.append(
-            json.dumps({"label_index": pos[s.label], "spikes": spikes}, sort_keys=True)
-        )
+    lines = [_header_line(ds.d, ds.T, ds.dt_ms, len(ds), ds.categories)]
+    lines += map(_sample_line, ds.label_indices().tolist(),
+                 [s.channels for s in ds.samples])
     return "\n".join(lines) + "\n"
 
 
@@ -270,72 +275,66 @@ def save_dataset(ds: LabeledDataset, path: str) -> None:
     ds._fingerprint = hashlib.sha256(payload).hexdigest()
 
 
-def _parse_header(line: str, offset: int) -> dict:
+def _parse_header(raw: bytes):
+    """(d, T, dt_ms, n_samples, categories) of a canonical header line; the
+    values are checked before anything is sized or indexed by them."""
     try:
+        line = raw.decode("utf-8")
         header = json.loads(line)
-    except json.JSONDecodeError as exc:
-        raise DataFormatError(f"malformed header at byte {offset}: {exc}") from None
-    if not isinstance(header, dict):
-        raise DataFormatError(f"malformed header at byte {offset}: not an object")
-    version = header.get("format_version")
-    if version != FORMAT_VERSION:
-        raise DataFormatError(
-            f"unsupported format version {version!r} at byte {offset}"
-        )
-    required = {"d", "T", "dt_ms", "n_samples", "categories"}
-    missing = required - header.keys()
-    if missing:
-        raise DataFormatError(
-            f"header missing fields {sorted(missing)} at byte {offset}"
-        )
-    return header
+    except (ValueError, RecursionError) as exc:  # ValueError: bad UTF-8 or JSON
+        raise DataFormatError(f"malformed header at byte 0: {exc}") from None
+    if not isinstance(header, dict) or header.get("format_version") != FORMAT_VERSION:
+        raise DataFormatError("malformed header at byte 0: not an object of "
+                              f"format_version {FORMAT_VERSION}")
+    d, T, dt_ms, n_samples, categories = (
+        header.get(k) for k in ("d", "T", "dt_ms", "n_samples", "categories"))
+    if not (is_int(d) and is_int(T) and is_int(n_samples) and min(d, T) >= 1
+            and n_samples >= 0 and isinstance(dt_ms, float) and math.isfinite(dt_ms)
+            and isinstance(categories, list)
+            and all(isinstance(c, str) or is_int(c) for c in categories)
+            and len(set(categories)) == len(categories)):
+        raise DataFormatError("malformed header at byte 0: d and T must be positive "
+                              "integers, n_samples a non-negative integer, dt_ms a "
+                              "finite float and categories distinct ints or strings")
+    if _header_line(d, T, dt_ms, n_samples, categories) + "\n" != line:
+        raise DataFormatError("header at byte 0 is not in canonical form")
+    return d, T, dt_ms, n_samples, categories
 
 
 def load_dataset(path: str) -> LabeledDataset:
-    with open(path, "r", encoding="utf-8") as fh:
-        text = fh.read()
-    lines = text.splitlines()
-    if not lines:
-        raise DataFormatError("malformed header at byte 0: empty file")
-    header = _parse_header(lines[0], 0)
-    d, T = header["d"], header["T"]
-    n_samples = header["n_samples"]
-    categories = header["categories"]
-    if not (isinstance(d, int) and isinstance(T, int) and d >= 1 and T >= 1):
-        raise DataFormatError("malformed header at byte 0: bad d or T")
-
-    samples = []
-    offset = len(lines[0]) + 1
-    for k in range(1, n_samples + 1):
-        if k >= len(lines) or not lines[k].strip():
-            raise DataFormatError(
-                f"truncated sample block at byte {offset}: "
-                f"expected {n_samples} samples, found {k - 1}"
-            )
-        try:
-            rec = json.loads(lines[k])
-            label_index = rec["label_index"]
-            spikes = rec["spikes"]
-        except (json.JSONDecodeError, KeyError, TypeError) as exc:
-            raise DataFormatError(
-                f"malformed sample record at byte {offset}: {exc}"
-            ) from None
-        if not (0 <= label_index < len(categories)):
-            raise DataFormatError(
-                f"label index {label_index} out of range at byte {offset}"
-            )
-        if len(spikes) != d:
-            raise DataFormatError(
-                f"sample has {len(spikes)} channels, expected {d}, at byte {offset}"
-            )
-        block = np.zeros((d, T), dtype=np.uint8)
-        for ch, times in enumerate(spikes):
-            times = np.asarray(times, dtype=np.int64)
-            if times.size and (times.min() < 0 or times.max() >= T):
+    """Read a .ds file line by line; only the exact bytes `save_dataset`
+    writes load: each sample line is parsed into its (d, T) block, which must
+    serialise back to that line. The file's sha256 becomes the fingerprint."""
+    with open(path, "rb") as fh:
+        raw = fh.readline()
+        digest = hashlib.sha256(raw)
+        d, T, dt_ms, n_samples, categories = _parse_header(raw)
+        pos = {c: i for i, c in enumerate(categories)}
+        samples = []
+        for k in range(n_samples):
+            offset, raw = fh.tell(), fh.readline()
+            if not raw:
+                raise DataFormatError(f"truncated sample block at byte {offset}: "
+                                      f"expected {n_samples} samples, found {k}")
+            digest.update(raw)
+            try:
+                line = raw.decode("utf-8")
+                rec = json.loads(line)
+                label = categories[rec["label_index"]]
+                block = np.zeros((d, T), dtype=np.uint8)
+                block[np.repeat(np.arange(d), [len(t) for t in rec["spikes"]]),
+                      np.fromiter(chain.from_iterable(rec["spikes"]), np.intp)] = 1
+            except (KeyError, TypeError, ValueError, IndexError, OverflowError,
+                    RecursionError, MemoryError) as exc:
                 raise DataFormatError(
-                    f"spike time out of [0, {T}) at byte {offset}"
-                )
-            block[ch, times] = 1
-        samples.append(LabeledSample(block, categories[label_index]))
-        offset += len(lines[k]) + 1
-    return LabeledDataset(samples, categories, d, T, header["dt_ms"])
+                    f"malformed sample record at byte {offset}: {exc}") from None
+            if _sample_line(pos[label], block) + "\n" != line:
+                raise DataFormatError(
+                    f"sample record at byte {offset} is not in canonical form")
+            samples.append(LabeledSample(block, label))
+        if fh.read(1):
+            raise DataFormatError(f"data after the last of {n_samples} samples at "
+                                  f"byte {fh.tell() - 1}")
+    ds = LabeledDataset(samples, categories, d, T, dt_ms)
+    ds._fingerprint = digest.hexdigest()
+    return ds

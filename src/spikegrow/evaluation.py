@@ -98,11 +98,7 @@ def trace_to_text(trace: TrainingTrace, format: str = "table") -> str:
 
 def export_trace(trace: TrainingTrace, path: str, format: str = "table") -> None:
     """Persist a trace; 'table' is a fixed-header CSV, 'structured' is JSON."""
-    text = trace_to_text(trace, format)
-    try:
-        atomic_write_text(path, text)
-    except OSError as exc:
-        raise OSError(f"cannot write trace to {path}: {exc}") from exc
+    atomic_write_text(path, trace_to_text(trace, format))
 
 
 def load_trace(path: str) -> TrainingTrace:

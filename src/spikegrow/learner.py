@@ -279,7 +279,8 @@ def _grow(hidden, frozen_prefix, train, test, cfg: GrowthConfig, lif: LifParams,
     for h in H_train.table.T:
         res = _project_out(Q, res, h)
     train_acc = _fitted_accuracy(F, res.E, train_labels)
-    test_acc = _accuracy(H_test.table, _fit(H_train.table, F), test_labels)
+    best_beta = _fit(H_train.table, F)
+    test_acc = _accuracy(H_test.table, best_beta, test_labels)
 
     best_test = test_acc if n0 > 0 else -1.0
     best_n = n0
@@ -293,7 +294,6 @@ def _grow(hidden, frozen_prefix, train, test, cfg: GrowthConfig, lif: LifParams,
     if train_acc >= cfg.target_train_accuracy:
         status = STATUS_TARGET
         best_test = max(best_test, test_acc)
-        best_n = n0
 
     step = 0
     while status is None:
@@ -330,7 +330,7 @@ def _grow(hidden, frozen_prefix, train, test, cfg: GrowthConfig, lif: LifParams,
             test_acc = _accuracy(H_test.table, beta, test_labels)
             if test_acc > best_test:
                 best_test = test_acc
-                best_n = len(hidden)
+                best_n, best_beta = len(hidden), beta
                 evals_since_best = 0
             else:
                 evals_since_best += 1
@@ -349,10 +349,9 @@ def _grow(hidden, frozen_prefix, train, test, cfg: GrowthConfig, lif: LifParams,
             status = STATUS_PATIENCE
 
     # Return the best-test-accuracy snapshot: hidden weights are never
-    # modified after acceptance, so truncation + refit reproduces it.
-    best_n = max(best_n, frozen_prefix)
+    # modified after acceptance, so truncation reproduces it with the output
+    # weights solved at the eval step that set best_n.
     best_hidden = hidden[:best_n]
-    best_beta = _fit(H_train.table[:, :best_n], F)
     trace = TrainingTrace(records=records, status=status, initial_neurons=n0)
     entry = {
         "kind": kind,
@@ -388,22 +387,25 @@ def _check_lineage(seed: Network, enlarged: LabeledDataset) -> None:
         )
 
 
-def one_loop_adapt(seed: Network, enlarged: LabeledDataset) -> Network:
-    """Expand the output layer to the enlarged category set, freezing all
-    hidden weights, and refit the output weights only."""
-    _check_lineage(seed, enlarged)
-    F = encode_targets(enlarged)
-    H = seed.features(enlarged)
-    beta = _fit(H, F)
-    entry = {
+def _one_loop_lineage(seed: Network, enlarged: LabeledDataset) -> list:
+    """The seed's lineage plus the entry of its one-loop adaptation."""
+    return seed.lineage + [{
         "kind": "one_loop",
         "fingerprint": dataset_fingerprint(enlarged),
         "n_hidden_before": seed.n_hidden,
         "n_hidden_after": seed.n_hidden,
         "status": "OneLoop",
-    }
+    }]
+
+
+def one_loop_adapt(seed: Network, enlarged: LabeledDataset) -> Network:
+    """Expand the output layer to the enlarged category set, freezing all
+    hidden weights, and refit the output weights only."""
+    _check_lineage(seed, enlarged)
+    beta = _fit(seed.features(enlarged), encode_targets(enlarged))
     return Network(seed.d, seed.lif, seed.hidden, beta, enlarged.categories,
-                   frozen_prefix=seed.n_hidden, lineage=seed.lineage + [entry])
+                   frozen_prefix=seed.n_hidden,
+                   lineage=_one_loop_lineage(seed, enlarged))
 
 
 def train_experienced(seed: Network, enlarged_train: LabeledDataset,
@@ -412,13 +414,13 @@ def train_experienced(seed: Network, enlarged_train: LabeledDataset,
 
     The inherited hidden units stay frozen; only new units and the output
     weights change. LIF constants come from the seed so inherited features
-    keep their meaning.
+    keep their meaning. The one-loop fit is growth's initial fit, so it is
+    recorded in the lineage but not solved twice.
     """
     _check_lineage(seed, enlarged_train)
-    adapted = one_loop_adapt(seed, enlarged_train)
-    net, trace = _grow(adapted.hidden, adapted.frozen_prefix, enlarged_train,
-                       enlarged_test, cfg, seed.lif, adapted.lineage,
-                       "experienced")
+    net, trace = _grow(seed.hidden, seed.n_hidden, enlarged_train,
+                       enlarged_test, cfg, seed.lif,
+                       _one_loop_lineage(seed, enlarged_train), "experienced")
     for before, after in zip(seed.hidden, net.hidden):
         if before != after:
             raise InvariantError("frozen hidden weights were modified")

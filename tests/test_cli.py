@@ -1,5 +1,6 @@
 import json
 import os
+import re
 import struct
 
 import numpy as np
@@ -273,6 +274,80 @@ class TestMalformedTrace:
     def test_valid_trace_compares(self, workdir):
         (workdir / "t.trace").write_text(json.dumps(self._doc()))
         assert main(["compare", "t.trace"]) == 0
+
+
+def _record_edit(k, edit):
+    """A byte edit of a saved .ds that applies `edit` to sample record k
+    (1-based line index; -2 is the last record) and re-dumps it as JSON."""
+    def apply(blob):
+        lines = blob.split(b"\n")
+        rec = json.loads(lines[k])
+        edit(rec)
+        lines[k] = json.dumps(rec, sort_keys=True).encode("utf-8")
+        return b"\n".join(lines)
+    return apply
+
+
+def _float_time(rec):
+    times = next(t for t in rec["spikes"] if t)
+    times[0] = float(times[0])
+
+
+def _unsorted_times(rec):
+    next(t for t in rec["spikes"] if len(t) > 1).reverse()
+
+
+def _float_label(rec):
+    rec["label_index"] = float(rec["label_index"])
+
+
+class TestMalformedDataset:
+    @pytest.mark.parametrize("edit", [
+        lambda b: b.replace(b'"spikes"', b'"spikes\xff"', 1),
+        lambda b: b.replace(b'"n_samples": 20', b'"n_samples": "20"'),
+        lambda b: b.replace(b'"categories": [0, 1]', b'"categories": [0, 0]'),
+        _record_edit(1, _float_time),
+        _record_edit(1, _unsorted_times),
+        lambda b: b + b.split(b"\n")[-2] + b"\n",
+        lambda b: b.replace(b"\n", b"\r\n"),
+        _record_edit(-2, _float_label),
+        lambda b: b.replace(b'"d": 8', b'"d": 8, "x": 0'),
+    ], ids=["non-utf8", "string-n-samples", "duplicate-categories",
+            "float-spike-time", "unsorted-times", "trailing-record", "crlf",
+            "float-label-index", "extra-header-key"])
+    def test_exit_3_names_byte_offset(self, generated, workdir, capsys, edit):
+        blob = (workdir / "data" / "stage-2.ds").read_bytes()
+        bad = edit(blob)
+        assert bad != blob
+        (workdir / "bad.ds").write_bytes(bad)
+        capsys.readouterr()
+        rc = main(["train-fresh", "--config", generated, "--dataset", "bad.ds",
+                   "--out-checkpoint", "x.net", "--out-trace", "x.trace"])
+        err = capsys.readouterr().err
+        assert rc == 3
+        assert re.fullmatch(r"error: DataFormatError: .*\bbyte \d+\b.*\n", err)
+        assert "Traceback" not in err
+
+
+class TestBadPaths:
+    @pytest.mark.parametrize("argv", [
+        ["train-fresh", "--dataset", "data/stage-2.ds", "--max-hidden", "2",
+         "--out-checkpoint", "missing/x.net", "--out-trace", "x.trace"],
+        ["train-fresh", "--dataset", "data/stage-2.ds", "--max-hidden", "2",
+         "--out-checkpoint", "x.net", "--out-trace", "missing/x.trace"],
+        ["eval", "--checkpoint", "seed.net", "--dataset", "data"],
+        ["gen-data", "--out-dir", "seed.net"],
+    ], ids=["checkpoint-in-missing-dir", "trace-in-missing-dir",
+            "dataset-is-directory", "out-dir-is-file"])
+    def test_exit_2_one_error_line(self, generated, workdir, capsys, argv):
+        (workdir / "seed.net").write_bytes(network_to_bytes(
+            Network(8, LifParams(), [HiddenNeuron(np.ones(8), 0.5)],
+                    np.ones((1, 2)), [0, 1])))
+        capsys.readouterr()
+        assert main(argv) == 2
+        err = capsys.readouterr().err
+        assert re.fullmatch(r"error: [A-Za-z]+Error: .*\n", err)
+        assert "Traceback" not in err
 
 
 class TestHelp:

@@ -2,6 +2,8 @@ import hashlib
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from conftest import make_dataset
 from oracles import spike_count_classifier_accuracy
@@ -194,6 +196,16 @@ class TestSerialization:
         assert dataset_fingerprint(twin) == digest
         assert len(calls) == 2
 
+    def test_loaded_fingerprint_is_file_digest(self, tmp_path, monkeypatch):
+        import spikegrow.dataset as dataset_module
+        p = tmp_path / "l.ds"
+        save_dataset(make_dataset(seed=5), str(p))
+        monkeypatch.setattr(dataset_module, "dataset_to_text", lambda ds:
+                            pytest.fail("a loaded dataset was serialised"))
+        back = load_dataset(str(p))
+        assert dataset_fingerprint(back) == hashlib.sha256(
+            p.read_bytes()).hexdigest()
+
     def test_tampered_header_rejected(self, tmp_path):
         ds = make_dataset()
         p = tmp_path / "t.ds"
@@ -238,3 +250,38 @@ class TestSerialization:
     def test_canonical_text_is_deterministic(self):
         ds = make_dataset(seed=8)
         assert dataset_to_text(ds) == dataset_to_text(ds)
+
+
+_MUTATION_BYTE = st.one_of(st.sampled_from(list(b'0123456789[], "-.e\n\r')),
+                           st.integers(0, 255))
+
+
+@settings(max_examples=150, deadline=None)
+@given(data=st.data())
+def test_mutated_file_round_trips_or_is_rejected(tmp_path_factory, data):
+    """Byte edits, insertions, deletions and truncations of a valid file:
+    the loader returns a dataset that serialises to exactly the mutated
+    bytes, or raises DataFormatError, and never anything else."""
+    valid = dataset_to_text(make_dataset(n_per_cat=2, n_cats=2, d=3, T=6,
+                                         seed=1)).encode("utf-8")
+    blob = bytearray(valid)
+    for _ in range(data.draw(st.integers(1, 3))):
+        kind = data.draw(st.sampled_from(["edit", "insert", "delete", "cut"]))
+        pos = data.draw(st.integers(0, len(blob)))
+        if kind == "edit" and pos < len(blob):
+            blob[pos] = data.draw(_MUTATION_BYTE)
+        elif kind == "insert":
+            blob[pos:pos] = bytes(data.draw(st.lists(_MUTATION_BYTE, min_size=1,
+                                                     max_size=4)))
+        elif kind == "delete":
+            del blob[pos:pos + data.draw(st.integers(1, 4))]
+        elif kind == "cut":
+            del blob[pos:]
+    p = tmp_path_factory.getbasetemp() / "mutated.ds"
+    p.write_bytes(blob)
+    try:
+        ds = load_dataset(str(p))
+    except DataFormatError:
+        return
+    assert dataset_to_text(ds).encode("utf-8") == bytes(blob)
+    assert dataset_fingerprint(ds) == hashlib.sha256(blob).hexdigest()

@@ -23,6 +23,7 @@ from spikegrow import (
     train_fresh,
 )
 import spikegrow.learner
+from spikegrow.dataset import dataset_fingerprint
 from spikegrow.learner import (
     _CERT_RTOL,
     STATUS_MAX_HIDDEN,
@@ -233,8 +234,9 @@ class TestIncrementalResidual:
 
     def test_readout_solved_only_on_eval_steps(self, monkeypatch):
         """The count of least-squares solves in a fresh run is the tier-1
-        image of the benchmark's `readout.fit_calls`: one per eval step
-        plus the refit of the returned snapshot, never one per step."""
+        image of the benchmark's `readout.fit_calls`: one per eval step,
+        never one per step; the returned snapshot reuses its eval step's
+        solve."""
         _, (tr10, te10) = nested_splits()
         calls = []
         original = spikegrow.learner.fit_output_weights
@@ -247,9 +249,8 @@ class TestIncrementalResidual:
         _, trace = train_fresh(tr10, te10, quick_cfg(
             eval_every=5, max_hidden=23, patience=100))
         assert trace.status == STATUS_MAX_HIDDEN
-        # Eval steps 5, 10, 15, 20 and the last (23), then the snapshot.
-        assert calls[:5] == [5, 10, 15, 20, 23]
-        assert len(calls) == 6
+        # Eval steps 5, 10, 15, 20 and the last (23); no snapshot refit.
+        assert calls == [5, 10, 15, 20, 23]
 
 
 class TestOneLoopAdapt:
@@ -317,6 +318,28 @@ class TestTrainExperienced:
         assert trace.initial_neurons == seed.n_hidden
         if trace.records:
             assert trace.records[0].neuron_count == seed.n_hidden + 1
+
+    def test_one_loop_lineage_without_second_solve(self, monkeypatch):
+        """The one-loop step is recorded in the lineage, and its fit of the
+        inherited table is growth's initial fit, not a second solve."""
+        (tr5, te5), (tr10, te10) = nested_splits()
+        cfg = quick_cfg(target_train_accuracy=0.9, max_hidden=60,
+                        eval_every=5)
+        seed, _ = train_fresh(tr5, te5, cfg)
+        assert seed.n_hidden > 0
+        widths = []
+        original = spikegrow.learner.fit_output_weights
+
+        def counted(H, F):
+            widths.append(H.shape[1])
+            return original(H, F)
+
+        monkeypatch.setattr(spikegrow.learner, "fit_output_weights", counted)
+        net, _ = train_experienced(seed, tr10, te10, cfg)
+        assert [e["kind"] for e in net.lineage] == [
+            "fresh", "one_loop", "experienced"]
+        assert net.lineage[1]["fingerprint"] == dataset_fingerprint(tr10)
+        assert widths.count(seed.n_hidden) == 1
 
     def test_chained_freeze_transitivity(self):
         cfg_gen = GeneratorConfig(d=12, T=20, categories=9,
