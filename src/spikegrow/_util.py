@@ -5,16 +5,22 @@ import tempfile
 
 
 def atomic_write_bytes(path: str, payload: bytes) -> None:
-    """Write a file via temp-file + rename so readers never see partial output."""
+    """Write a file via temp-file + rename so readers never see partial output.
+
+    An OSError names `path`, not the temp file the user never asked for.
+    """
     directory = os.path.dirname(os.path.abspath(path)) or "."
-    fd, tmp = tempfile.mkstemp(dir=directory, prefix=".tmp-")
+    tmp = None
     try:
+        fd, tmp = tempfile.mkstemp(dir=directory, prefix=".tmp-")
         with os.fdopen(fd, "wb") as fh:
             fh.write(payload)
         os.replace(tmp, path)
-    except BaseException:
-        if os.path.exists(tmp):
+    except BaseException as exc:
+        if tmp is not None and os.path.exists(tmp):
             os.unlink(tmp)
+        if isinstance(exc, OSError) and exc.errno is not None:
+            raise type(exc)(exc.errno, exc.strerror, path) from None
         raise
 
 

@@ -91,18 +91,16 @@ class GrowOutcome:
 
 
 def sample_candidates(cfg: PruningConfig, d: int, rng, weight_scale=None):
-    """Draw a fresh candidate pool; consumes the rng serially per candidate.
+    """Draw a fresh candidate pool in one rng call.
 
-    Draw order (w then v per candidate) makes a larger pool share its
-    prefix with a smaller one drawn from the same rng state.
+    Row p of the (pool_size, d + 1) draw holds candidate p's weights, then
+    its feedback: the values a serial w-then-v draw per candidate gives, so
+    a larger pool shares its prefix with a smaller one drawn from the same
+    rng state.
     """
     scale = cfg.weight_scale if weight_scale is None else weight_scale
-    pool = []
-    for p in range(cfg.pool_size):
-        w = rng.uniform(-scale, scale, size=d)
-        v = float(rng.uniform(-scale, scale))
-        pool.append(Candidate(w, v, p))
-    return pool
+    rows = rng.uniform(-scale, scale, size=(cfg.pool_size, d + 1))
+    return [Candidate(row[:d], float(row[d]), p) for p, row in enumerate(rows)]
 
 
 def candidate_features(
@@ -126,6 +124,30 @@ def pool_features(candidates, ds, params):
     return list(zip(candidates, np.ascontiguousarray(H.T)))
 
 
+def _residual_norm(E, sigma):
+    """The residual as a float (N, m) array and its squared norm, after
+    checking it and the contraction target."""
+    E = np.asarray(E, dtype=np.float64)
+    if E.ndim != 2:
+        raise ShapeError(f"residual must be an (N, m) array, got {E.shape}")
+    if not (0.0 < sigma < 1.0):
+        raise ConfigError("sigma must lie strictly in (0, 1)")
+    return E, float(np.sum(E * E))
+
+
+def _xi(E, ee, h, sigma):
+    """The certificate of feature h against residual E with ||E||^2 = ee,
+    or None for a silent (all-zero) feature."""
+    h = np.asarray(h, dtype=np.float64)
+    if h.shape != (E.shape[0],):
+        raise ShapeError(f"residual {E.shape} and feature {h.shape} disagree")
+    hh = float(h @ h)
+    if hh == 0.0:
+        return None
+    proj = E.T @ h  # (m,)
+    return float((proj @ proj) / hh - (1.0 - sigma) * ee)
+
+
 def xi_index(E: np.ndarray, h: np.ndarray, sigma: float) -> float:
     """Convergence certificate of a candidate feature against the residual.
 
@@ -133,17 +155,11 @@ def xi_index(E: np.ndarray, h: np.ndarray, sigma: float) -> float:
     xi >= 0 certifies that appending the candidate with its optimal
     per-column weight leaves ||E_new||^2 <= sigma * ||E||^2.
     """
-    E = np.asarray(E, dtype=np.float64)
-    h = np.asarray(h, dtype=np.float64)
-    if E.ndim != 2 or h.shape != (E.shape[0],):
-        raise ShapeError(f"residual {E.shape} and feature {h.shape} disagree")
-    if not (0.0 < sigma < 1.0):
-        raise ConfigError("sigma must lie strictly in (0, 1)")
-    hh = float(h @ h)
-    if hh == 0.0:
+    E, ee = _residual_norm(E, sigma)
+    xi = _xi(E, ee, h, sigma)
+    if xi is None:
         raise ValueError("silent candidate: feature vector is identically zero")
-    proj = E.T @ h  # (m,)
-    return float((proj @ proj) / hh - (1.0 - sigma) * np.sum(E * E))
+    return xi
 
 
 def select_best(pool_with_features, E, sigma) -> Optional[SelectionResult]:
@@ -151,24 +167,23 @@ def select_best(pool_with_features, E, sigma) -> Optional[SelectionResult]:
 
     Candidates with a zero feature vector or a negative certificate are
     skipped; ties break toward the lowest pool index. Returns None when no
-    candidate qualifies.
+    candidate qualifies. The residual and sigma are checked, and ||E||^2
+    computed, once per pool.
     """
     if not pool_with_features:
         raise ConfigError("candidate pool must be nonempty")
+    E, ee = _residual_norm(E, sigma)
     best = None
     for c, h in pool_with_features:
-        if float(h @ h) == 0.0:
-            continue
-        xi = xi_index(E, h, sigma)
-        if xi < 0.0:
+        xi = _xi(E, ee, h, sigma)
+        if xi is None or xi < 0.0:
             continue
         if best is None or xi > best[0]:
             best = (xi, c, h)
     if best is None:
         return None
     xi, c, h = best
-    gain = xi + (1.0 - sigma) * float(np.sum(np.asarray(E) ** 2))
-    return SelectionResult(c, xi, h, gain)
+    return SelectionResult(c, xi, h, xi + (1.0 - sigma) * ee)
 
 
 def grow_one(

@@ -99,14 +99,21 @@ class LabeledDataset:
         return np.array([pos[s.label] for s in self.samples], dtype=np.intp)
 
     def spike_tensor(self) -> np.ndarray:
-        """All samples stacked as an (N, d, T) float array; cached."""
+        """All samples stacked as a read-only (N, d, T) float array; cached.
+
+        The array is a view of a time-major (T, N, d) buffer, so that
+        `transpose(2, 0, 1)` of it, the layout the LIF kernel steps
+        through, is C-contiguous and needs no copy.
+        """
         if self._tensor is None:
             if self.samples:
-                t = np.stack([s.channels for s in self.samples]).astype(np.float64)
+                stacked = np.stack([s.channels for s in self.samples])
+                t = np.ascontiguousarray(stacked.transpose(2, 0, 1),
+                                         dtype=np.float64)
             else:
-                t = np.zeros((0, self.d, self.T))
+                t = np.zeros((self.T, 0, self.d))
             t.setflags(write=False)
-            self._tensor = t
+            self._tensor = t.transpose(1, 2, 0)
         return self._tensor
 
     def __eq__(self, other) -> bool:

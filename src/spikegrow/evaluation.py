@@ -106,7 +106,8 @@ def load_trace(path: str) -> TrainingTrace:
     with open(path, "r", encoding="utf-8") as fh:
         try:
             doc = json.load(fh)
-        except (json.JSONDecodeError, UnicodeDecodeError) as exc:
+        except (json.JSONDecodeError, UnicodeDecodeError,
+                RecursionError) as exc:
             raise DataFormatError(f"malformed trace file {path}: {exc}") from None
     if not isinstance(doc, dict):
         raise DataFormatError(f"trace file {path} must hold a JSON object")

@@ -535,7 +535,7 @@ def load_network(path: str) -> Network:
     (header_len,) = struct.unpack("<I", r.take(4, "header length"))
     try:
         header = json.loads(r.take(header_len, "header").decode("utf-8"))
-    except (json.JSONDecodeError, UnicodeDecodeError) as exc:
+    except (json.JSONDecodeError, UnicodeDecodeError, RecursionError) as exc:
         raise DataFormatError(f"malformed checkpoint header: {exc}") from None
     _check_header(header)
     try:

@@ -114,22 +114,38 @@ def _lif_raster(x: np.ndarray, W: np.ndarray, V: np.ndarray,
     """Spike raster of P neurons over an (N, d, T) batch, from the zero state.
 
     `W` holds the (P, d) input weights and `V` the (P,) self-feedback
-    weights. Returns the (N, T, P) bool raster. Every spike train and rate
+    weights. Returns the (T, N, P) bool raster. Every spike train and rate
     feature comes from this one loop over time.
+
+    The loop reads the batch time-major: step t multiplies the contiguous
+    (N, d) slice `xt[t]`, which BLAS takes as it is. A dataset's cached
+    tensor is a view of a time-major buffer, so only batches built by the
+    caller are copied here. The state updates run in place and in the order
+    of the recurrence, so they round exactly as the formulas read.
     """
-    N, _, T = x.shape
+    xt = np.ascontiguousarray(x.transpose(2, 0, 1))
+    T, N, _ = xt.shape
     syn, mem, theta = params.syn_decay, params.mem_decay, params.theta
     WT = W.T
     i = np.zeros((N, W.shape[0]))
     u = np.zeros_like(i)
     s = np.zeros_like(i)
-    raster = np.empty((N, T, W.shape[0]), dtype=bool)
+    drive = np.empty_like(i)
+    feedback = np.empty_like(i)
+    raster = np.empty((T, N, W.shape[0]), dtype=bool)
     for t in range(T):
-        i_new = syn * i + x[:, :, t] @ WT + V * s
-        u_new = mem * u + i - s
-        np.greater_equal(u_new, theta, out=raster[:, t])
-        s = raster[:, t].astype(np.float64)
-        i, u = i_new, u_new
+        # u <- mem*u + i_prev - s reads i and s before they are overwritten.
+        u *= mem
+        u += i
+        u -= s
+        # i <- syn*i + drive + V*s
+        np.matmul(xt[t], WT, out=drive)
+        np.multiply(V, s, out=feedback)
+        i *= syn
+        i += drive
+        i += feedback
+        np.greater_equal(u, theta, out=raster[t])
+        s[...] = raster[t]
     return raster
 
 
@@ -144,7 +160,7 @@ def simulate_neuron(x, w, v: float, params: LifParams) -> SpikeTrain:
         raise ShapeError(f"need a (d, T) input block and (d,) weights, "
                          f"got {x.shape} and {np.shape(w)}")
     W, V = _pool_weights(w, v, x.shape[0])
-    return SpikeTrain(_lif_raster(x[None], W, V, params)[0, :, 0])
+    return SpikeTrain(_lif_raster(x[None], W, V, params)[:, 0, 0])
 
 
 def batch_rate_features(x, w, v, params: LifParams) -> np.ndarray:
@@ -162,7 +178,7 @@ def batch_rate_features(x, w, v, params: LifParams) -> np.ndarray:
     T = x.shape[2]
     if T == 0:
         raise ValueError("cannot compute a firing rate over zero time steps")
-    rates = _lif_raster(x, W, V, params).sum(axis=1) / T
+    rates = _lif_raster(x, W, V, params).sum(axis=0) / T
     return rates[:, 0] if np.ndim(w) == 1 else rates
 
 

@@ -3,6 +3,7 @@ from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import strategies as st
 
 sys.path.insert(0, str(Path(__file__).parent))
 
@@ -18,6 +19,29 @@ def make_dataset(n_per_cat=4, n_cats=3, d=4, T=10, seed=0):
             block = (rng.random((d, T)) < 0.3).astype(np.uint8)
             samples.append(LabeledSample(block, c))
     return LabeledDataset(samples, list(range(n_cats)), d, T)
+
+
+_MUTATION_BYTE = st.one_of(st.sampled_from(list(b'0123456789[], "-.e\n\r')),
+                           st.integers(0, 255))
+
+
+def mutated(data, valid: bytes) -> bytes:
+    """`valid` after 1-3 byte edits, insertions, deletions or truncations
+    drawn from a hypothesis `data` strategy."""
+    blob = bytearray(valid)
+    for _ in range(data.draw(st.integers(1, 3))):
+        kind = data.draw(st.sampled_from(["edit", "insert", "delete", "cut"]))
+        pos = data.draw(st.integers(0, len(blob)))
+        if kind == "edit" and pos < len(blob):
+            blob[pos] = data.draw(_MUTATION_BYTE)
+        elif kind == "insert":
+            blob[pos:pos] = bytes(data.draw(st.lists(_MUTATION_BYTE, min_size=1,
+                                                     max_size=4)))
+        elif kind == "delete":
+            del blob[pos:pos + data.draw(st.integers(1, 4))]
+        elif kind == "cut":
+            del blob[pos:]
+    return bytes(blob)
 
 
 @pytest.fixture

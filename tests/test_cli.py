@@ -1,14 +1,19 @@
+import io
 import json
 import os
 import re
 import struct
+from contextlib import redirect_stderr, redirect_stdout
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from spikegrow import LifParams
+from conftest import mutated
+from spikegrow import DataFormatError, LifParams
 from spikegrow.cli import main
-from spikegrow.evaluation import trace_to_text
+from spikegrow.evaluation import load_trace, trace_to_text
 from spikegrow.learner import (
     CHECKPOINT_MAGIC,
     HiddenNeuron,
@@ -213,34 +218,52 @@ class TestCompare:
         assert elapsed == sorted(elapsed)
 
 
-def checkpoint_with_header(edit) -> bytes:
-    """A valid two-unit checkpoint whose JSON header `edit` has changed."""
+# A JSON text nested deeper than the parser's recursion limit.
+_DEEP = "[" * 100_000 + "]" * 100_000
+
+
+def _json_edit(edit):
+    """A text edit that applies `edit` to the parsed JSON document and
+    re-dumps it."""
+    def apply(text):
+        doc = json.loads(text)
+        edit(doc)
+        return json.dumps(doc, sort_keys=True)
+    return apply
+
+
+def _valid_checkpoint() -> bytes:
     net = Network(3, LifParams(), [HiddenNeuron(np.ones(3), 0.5),
                                    HiddenNeuron(-np.ones(3), 0.25)],
                   np.eye(2), ["a", "b"], frozen_prefix=1)
-    blob = network_to_bytes(net)
+    return network_to_bytes(net)
+
+
+def checkpoint_with_header(edit) -> bytes:
+    """A valid two-unit checkpoint whose JSON header text `edit` has
+    changed."""
+    blob = _valid_checkpoint()
     start = len(CHECKPOINT_MAGIC) + 4
     (length,) = struct.unpack("<I", blob[len(CHECKPOINT_MAGIC):start])
-    header = json.loads(blob[start:start + length])
-    edit(header)
-    new = json.dumps(header, sort_keys=True).encode("utf-8")
+    new = edit(blob[start:start + length].decode("utf-8")).encode("utf-8")
     return CHECKPOINT_MAGIC + struct.pack("<I", len(new)) + new \
         + blob[start + length:]
 
 
 class TestMalformedCheckpointHeader:
     @pytest.mark.parametrize("edit", [
-        lambda h: h.pop("categories"),
-        lambda h: h.update(n_hidden=2.0),
-        lambda h: h.update(lif={"dt": 1.0}),
-        lambda h: h.update(frozen_prefix=3),
-        lambda h: h.update(extra=1),
-        lambda h: h["lif"].update(theta=0.0),
-        lambda h: h["lif"].update(tau_mem=float("nan")),
-        lambda h: h.update(categories=["a", "a"]),
+        _json_edit(lambda h: h.pop("categories")),
+        _json_edit(lambda h: h.update(n_hidden=2.0)),
+        _json_edit(lambda h: h.update(lif={"dt": 1.0})),
+        _json_edit(lambda h: h.update(frozen_prefix=3)),
+        _json_edit(lambda h: h.update(extra=1)),
+        _json_edit(lambda h: h["lif"].update(theta=0.0)),
+        _json_edit(lambda h: h["lif"].update(tau_mem=float("nan"))),
+        _json_edit(lambda h: h.update(categories=["a", "a"])),
+        lambda text: _DEEP,
     ], ids=["missing-categories", "float-n-hidden", "partial-lif",
             "frozen-prefix-over-n-hidden", "unknown-key", "zero-theta",
-            "nan-tau", "duplicate-categories"])
+            "nan-tau", "duplicate-categories", "nested-100000-deep"])
     def test_inspect_exit_3(self, workdir, capsys, edit):
         (workdir / "bad.net").write_bytes(checkpoint_with_header(edit))
         assert main(["inspect", "--checkpoint", "bad.net"]) == 3
@@ -251,29 +274,68 @@ class TestMalformedCheckpointHeader:
         assert load_network("ok.net").frozen_prefix == 1
 
 
-class TestMalformedTrace:
-    def _doc(self):
-        trace = TrainingTrace([TraceRecord(1, 2.0, 0.5, 0.5, 0.1, 0.999, 0)],
-                              "MaxHidden")
-        return json.loads(trace_to_text(trace, "structured"))
+def _valid_trace() -> str:
+    trace = TrainingTrace([TraceRecord(1, 2.0, 0.5, 0.5, 0.1, 0.999, 0),
+                           TraceRecord(2, 1.5, 0.75, 0.5, 0.2, 0.9995, 1)],
+                          "MaxHidden")
+    return trace_to_text(trace, "structured")
 
+
+class TestMalformedTrace:
     @pytest.mark.parametrize("edit", [
-        lambda d: d["records"][0].pop("sq_norm"),
-        lambda d: d.pop("status"),
-        lambda d: d["records"][0].update(elapsed_seconds="0.1"),
-        lambda d: d["records"][0].update(neuron_count=1.5),
+        _json_edit(lambda d: d["records"][0].pop("sq_norm")),
+        _json_edit(lambda d: d.pop("status")),
+        _json_edit(lambda d: d["records"][0].update(elapsed_seconds="0.1")),
+        _json_edit(lambda d: d["records"][0].update(neuron_count=1.5)),
+        lambda text: '{"trace_version": 1, "x": %s}' % _DEEP,
     ], ids=["record-missing-column", "missing-status", "string-seconds",
-            "float-neuron-count"])
+            "float-neuron-count", "nested-100000-deep"])
     def test_compare_exit_3(self, workdir, capsys, edit):
-        doc = self._doc()
-        edit(doc)
-        (workdir / "t.trace").write_text(json.dumps(doc))
+        (workdir / "t.trace").write_text(edit(_valid_trace()))
         assert main(["compare", "t.trace"]) == 3
         assert "DataFormatError" in capsys.readouterr().err
 
     def test_valid_trace_compares(self, workdir):
-        (workdir / "t.trace").write_text(json.dumps(self._doc()))
+        (workdir / "t.trace").write_text(_valid_trace())
         assert main(["compare", "t.trace"]) == 0
+
+
+def _cli_exit(argv) -> int:
+    """Exit code of the CLI with its output swallowed; an exception that
+    escapes `main` fails the calling test."""
+    with redirect_stdout(io.StringIO()), redirect_stderr(io.StringIO()):
+        return main(argv)
+
+
+@settings(max_examples=100, deadline=None)
+@given(data=st.data())
+def test_mutated_checkpoint_loads_or_is_rejected(tmp_path_factory, data):
+    """1-3 byte edits, insertions, deletions and truncations of a valid
+    checkpoint: it loads or raises DataFormatError, and `inspect` exits 0
+    or 3 to match."""
+    p = tmp_path_factory.getbasetemp() / "mutated.net"
+    p.write_bytes(mutated(data, _valid_checkpoint()))
+    try:
+        load_network(str(p))
+        expected = 0
+    except DataFormatError:
+        expected = 3
+    assert _cli_exit(["inspect", "--checkpoint", str(p)]) == expected
+
+
+@settings(max_examples=100, deadline=None)
+@given(data=st.data())
+def test_mutated_trace_loads_or_is_rejected(tmp_path_factory, data):
+    """The same mutations of a valid structured trace: it loads or raises
+    DataFormatError, and `compare` exits 0 or 3 to match."""
+    p = tmp_path_factory.getbasetemp() / "mutated.trace"
+    p.write_bytes(mutated(data, _valid_trace().encode("utf-8")))
+    try:
+        load_trace(str(p))
+        expected = 0
+    except DataFormatError:
+        expected = 3
+    assert _cli_exit(["compare", str(p)]) == expected
 
 
 def _record_edit(k, edit):
@@ -330,16 +392,19 @@ class TestMalformedDataset:
 
 
 class TestBadPaths:
-    @pytest.mark.parametrize("argv", [
-        ["train-fresh", "--dataset", "data/stage-2.ds", "--max-hidden", "2",
-         "--out-checkpoint", "missing/x.net", "--out-trace", "x.trace"],
-        ["train-fresh", "--dataset", "data/stage-2.ds", "--max-hidden", "2",
-         "--out-checkpoint", "x.net", "--out-trace", "missing/x.trace"],
-        ["eval", "--checkpoint", "seed.net", "--dataset", "data"],
-        ["gen-data", "--out-dir", "seed.net"],
+    @pytest.mark.parametrize("argv, path", [
+        (["train-fresh", "--dataset", "data/stage-2.ds", "--max-hidden", "2",
+          "--out-checkpoint", "missing/x.net", "--out-trace", "x.trace"],
+         "missing/x.net"),
+        (["train-fresh", "--dataset", "data/stage-2.ds", "--max-hidden", "2",
+          "--out-checkpoint", "x.net", "--out-trace", "missing/x.trace"],
+         "missing/x.trace"),
+        (["eval", "--checkpoint", "seed.net", "--dataset", "data"], "data"),
+        (["gen-data", "--out-dir", "seed.net"], "seed.net"),
     ], ids=["checkpoint-in-missing-dir", "trace-in-missing-dir",
             "dataset-is-directory", "out-dir-is-file"])
-    def test_exit_2_one_error_line(self, generated, workdir, capsys, argv):
+    def test_exit_2_one_error_line(self, generated, workdir, capsys, argv,
+                                   path):
         (workdir / "seed.net").write_bytes(network_to_bytes(
             Network(8, LifParams(), [HiddenNeuron(np.ones(8), 0.5)],
                     np.ones((1, 2)), [0, 1])))
@@ -348,6 +413,7 @@ class TestBadPaths:
         err = capsys.readouterr().err
         assert re.fullmatch(r"error: [A-Za-z]+Error: .*\n", err)
         assert "Traceback" not in err
+        assert repr(path) in err and ".tmp-" not in err
 
 
 class TestHelp:

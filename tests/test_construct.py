@@ -52,6 +52,18 @@ class TestSampleCandidates:
         for ca, cb in zip(small, large):
             assert np.array_equal(ca.w, cb.w) and ca.v == cb.v
 
+    def test_one_draw_equals_serial_draws(self):
+        """The pool's one (P, d + 1) draw gives the values, and leaves the
+        rng state, of drawing w then v candidate by candidate."""
+        cfg = PruningConfig(pool_size=7)
+        rng, ref = np.random.default_rng(13), np.random.default_rng(13)
+        pool = sample_candidates(cfg, 4, rng, weight_scale=0.6)
+        for c in pool:
+            w = ref.uniform(-0.6, 0.6, size=4)
+            v = float(ref.uniform(-0.6, 0.6))
+            assert np.array_equal(c.w, w) and c.v == v
+        assert rng.bit_generator.state == ref.bit_generator.state
+
     def test_uniform_moments(self):
         cfg = PruningConfig(pool_size=2000, weight_scale=1.0)
         pool = sample_candidates(cfg, 50, np.random.default_rng(11))
@@ -195,6 +207,21 @@ class TestSelectBest:
         assert sel.error_gain == pytest.approx(sel.xi + (1 - sigma) * 2.0)
         assert sel.error_gain > 0
 
+
+    def test_winner_scores_equal_xi_index_exactly(self, tiny_dataset):
+        from spikegrow import encode_targets
+        E = encode_targets(tiny_dataset) - 0.3
+        sigma = 0.99
+        pool = pool_features(
+            sample_candidates(PruningConfig(pool_size=30), tiny_dataset.d,
+                              np.random.default_rng(4)),
+            tiny_dataset, PARAMS)
+        sel = select_best(pool, E, sigma)
+        assert sel is not None
+        xis = [xi_index(E, h, sigma) for _, h in pool if h.any()]
+        assert sel.xi == xi_index(E, sel.feature, sigma) == max(xis)
+        assert sel.error_gain == sel.xi + (1.0 - sigma) * float(
+            np.sum(np.asarray(E) ** 2))
 
 class TestGrowOne:
     def test_first_round_success_uses_sigma0(self, tiny_dataset):

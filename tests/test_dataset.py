@@ -5,7 +5,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from conftest import make_dataset
+from conftest import make_dataset, mutated
 from oracles import spike_count_classifier_accuracy
 from spikegrow import (
     ConfigError,
@@ -252,10 +252,6 @@ class TestSerialization:
         assert dataset_to_text(ds) == dataset_to_text(ds)
 
 
-_MUTATION_BYTE = st.one_of(st.sampled_from(list(b'0123456789[], "-.e\n\r')),
-                           st.integers(0, 255))
-
-
 @settings(max_examples=150, deadline=None)
 @given(data=st.data())
 def test_mutated_file_round_trips_or_is_rejected(tmp_path_factory, data):
@@ -264,19 +260,7 @@ def test_mutated_file_round_trips_or_is_rejected(tmp_path_factory, data):
     bytes, or raises DataFormatError, and never anything else."""
     valid = dataset_to_text(make_dataset(n_per_cat=2, n_cats=2, d=3, T=6,
                                          seed=1)).encode("utf-8")
-    blob = bytearray(valid)
-    for _ in range(data.draw(st.integers(1, 3))):
-        kind = data.draw(st.sampled_from(["edit", "insert", "delete", "cut"]))
-        pos = data.draw(st.integers(0, len(blob)))
-        if kind == "edit" and pos < len(blob):
-            blob[pos] = data.draw(_MUTATION_BYTE)
-        elif kind == "insert":
-            blob[pos:pos] = bytes(data.draw(st.lists(_MUTATION_BYTE, min_size=1,
-                                                     max_size=4)))
-        elif kind == "delete":
-            del blob[pos:pos + data.draw(st.integers(1, 4))]
-        elif kind == "cut":
-            del blob[pos:]
+    blob = mutated(data, valid)
     p = tmp_path_factory.getbasetemp() / "mutated.ds"
     p.write_bytes(blob)
     try:

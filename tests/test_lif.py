@@ -6,7 +6,14 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from oracles import lif_unroll
-from spikegrow import LifParams, NeuronState, ShapeError, SpikeTrain
+from spikegrow import (
+    GeneratorConfig,
+    LifParams,
+    NeuronState,
+    ShapeError,
+    SpikeTrain,
+    generate_family,
+)
 from spikegrow.lif import batch_rate_features, lif_step, rate_feature, simulate_neuron
 
 PARAMS = LifParams(dt=1.0, tau_syn=5.0, tau_mem=10.0, theta=1.0)
@@ -161,6 +168,40 @@ class TestBatchRateFeatures:
         h = batch_rate_features(x, rng.uniform(-2, 2, 4), 0.5, PARAMS)
         assert np.all((h >= 0.0) & (h <= 1.0))
 
+
+class TestTimeMajorLayout:
+    """The cached tensor is a view of a time-major buffer, and the kernel
+    gives the same rates on it as on a plain C-ordered batch."""
+
+    @pytest.fixture(scope="class", params=[(32, 10), (64, 25)],
+                    ids=["capacity", "lineage"])
+    def dataset(self, request):
+        d, T = request.param
+        cfg = GeneratorConfig(d=d, T=T, categories=4,
+                              samples_per_category=200, rng_seed=2)
+        return generate_family(cfg, [4]).stages[0]
+
+    def test_tensor_is_read_only_n_d_t_view(self, dataset):
+        t = dataset.spike_tensor()
+        assert t.shape == (len(dataset), dataset.d, dataset.T)
+        assert dataset.spike_tensor() is t
+        assert np.array_equal(t, np.stack([s.channels for s in dataset.samples]))
+        assert not t.flags.writeable
+        with pytest.raises(ValueError):
+            t[0, 0, 0] = 1.0
+        assert t.transpose(2, 0, 1).flags.c_contiguous
+
+    @pytest.mark.parametrize("P", [1, 2, 10, 50])
+    def test_cached_tensor_equals_c_ordered_copy(self, dataset, P):
+        rng = np.random.default_rng(P)
+        W = rng.uniform(-1, 1, (P, dataset.d))
+        V = rng.uniform(-1, 1, P)
+        cached = dataset.spike_tensor()
+        plain = np.array(cached, order="C")
+        assert plain.flags.c_contiguous
+        H = batch_rate_features(cached, W, V, PARAMS)
+        assert H.any()
+        assert np.array_equal(H, batch_rate_features(plain, W, V, PARAMS))
 
 class TestRateFeature:
     def test_all_zero(self):
