@@ -16,6 +16,7 @@ from .dataset import (
     LabeledDataset,
     LabeledSample,
     NestedFamily,
+    SplitConfig,
     encode_targets,
     generate_family,
     load_dataset,

@@ -12,12 +12,13 @@ import argparse
 import json
 import os
 import sys
-from dataclasses import dataclass
+from dataclasses import dataclass, fields, replace
 
 from ._util import atomic_write_text
 from .construct import PruningConfig
 from .dataset import (
     GeneratorConfig,
+    SplitConfig,
     dataset_fingerprint,
     generate_family,
     load_dataset,
@@ -56,15 +57,9 @@ EXIT_CONFIG = 2
 EXIT_DATA = 3
 EXIT_INTERNAL = 4
 
-_GROWTH_KEYS = {"target_train_accuracy", "max_hidden", "patience",
-                "eval_every", "rng_seed"}
-_PRUNING_KEYS = {"pool_size", "weight_scale", "sigma0", "sigma_relax_steps",
-                 "lambda_growth"}
-_LIF_KEYS = {"dt", "tau_syn", "tau_mem", "theta"}
-_GENERATOR_KEYS = {"d", "T", "categories", "samples_per_category", "base_rate",
-                   "separation", "jitter", "rng_seed", "dt_ms", "stages"}
-_SPLIT_KEYS = {"test_fraction", "seed"}
-_TOP_KEYS = {"generator", "growth", "pruning", "lif", "split"}
+# Config section -> the dataclass whose fields are its keys.
+_SECTIONS = {"generator": GeneratorConfig, "growth": GrowthConfig,
+             "pruning": PruningConfig, "lif": LifParams, "split": SplitConfig}
 
 
 @dataclass
@@ -72,11 +67,12 @@ class RunConfig:
     generator: GeneratorConfig
     stages: list
     growth: GrowthConfig
-    test_fraction: float
-    split_seed: int
+    split: SplitConfig
 
 
-def _check_keys(section: dict, allowed: set, where: str) -> None:
+def _check_keys(section, allowed: set, where: str) -> None:
+    if not isinstance(section, dict):
+        raise ConfigError(f"{where} must be a JSON object, got {section!r}")
     unknown = set(section) - allowed
     if unknown:
         raise ConfigError(f"unknown key(s) {sorted(unknown)} in {where}")
@@ -86,53 +82,33 @@ def load_run_config(path: str | None) -> RunConfig:
     """Read and validate a config file; every field has a default."""
     doc = {}
     if path is not None:
-        if not os.path.exists(path):
-            raise ConfigError(f"config file not found: {path}")
-        with open(path, "r", encoding="utf-8") as fh:
-            try:
-                doc = json.load(fh)
-            except json.JSONDecodeError as exc:
-                raise ConfigError(f"config is not valid JSON: {exc}") from None
-    if not isinstance(doc, dict):
-        raise ConfigError("config root must be a JSON object")
-    _check_keys(doc, _TOP_KEYS, "config root")
-    gen_sec = dict(doc.get("generator", {}))
-    _check_keys(gen_sec, _GENERATOR_KEYS, "generator section")
-    stages = gen_sec.pop("stages", [5, 10, 15, 20])
-    growth_sec = dict(doc.get("growth", {}))
-    _check_keys(growth_sec, _GROWTH_KEYS, "growth section")
-    pruning_sec = dict(doc.get("pruning", {}))
-    _check_keys(pruning_sec, _PRUNING_KEYS, "pruning section")
-    lif_sec = dict(doc.get("lif", {}))
-    _check_keys(lif_sec, _LIF_KEYS, "lif section")
-    split_sec = dict(doc.get("split", {}))
-    _check_keys(split_sec, _SPLIT_KEYS, "split section")
-    try:
-        generator = GeneratorConfig(**gen_sec)
-        lif = LifParams(**lif_sec)
-        pruning = PruningConfig(**pruning_sec)
-        growth = GrowthConfig(pruning=pruning, lif=lif, **growth_sec)
-    except (TypeError, ValueError) as exc:
-        raise ConfigError(str(exc)) from None
-    return RunConfig(
-        generator=generator,
-        stages=list(stages),
-        growth=growth,
-        test_fraction=float(split_sec.get("test_fraction", 0.2)),
-        split_seed=int(split_sec.get("seed", 0)),
-    )
+        _require_file(path, "config file")
+        try:
+            with open(path, "rb") as fh:
+                doc = json.loads(fh.read().decode("utf-8"))
+        except (ValueError, RecursionError) as exc:  # bad UTF-8 or JSON
+            raise ConfigError(f"config {path} is not valid JSON: {exc}") from None
+    _check_keys(doc, set(_SECTIONS), "config root")
+    for name, cls in _SECTIONS.items():
+        # growth.pruning and growth.lif are set in their own sections.
+        allowed = {f.name for f in fields(cls)} - set(_SECTIONS)
+        _check_keys(doc.setdefault(name, {}), allowed | {"stages"}
+                    if cls is GeneratorConfig else allowed, f"{name} section")
+    stages = doc["generator"].pop("stages", [5, 10, 15, 20])
+    if not isinstance(stages, list):
+        raise ConfigError(f"generator.stages must be a list, got {stages!r}")
+    growth = GrowthConfig(pruning=PruningConfig(**doc["pruning"]),
+                          lif=LifParams(**doc["lif"]), **doc["growth"])
+    return RunConfig(GeneratorConfig(**doc["generator"]), stages, growth,
+                     SplitConfig(**doc["split"]))
 
 
-def _apply_growth_overrides(cfg: GrowthConfig, args) -> GrowthConfig:
-    if getattr(args, "max_hidden", None) is not None:
-        cfg.max_hidden = args.max_hidden
-    if getattr(args, "target", None) is not None:
-        cfg.target_train_accuracy = args.target
-    if getattr(args, "seed", None) is not None:
-        cfg.rng_seed = args.seed
-    # Re-run validation with overrides applied.
-    cfg.__post_init__()
-    return cfg
+def _growth_config(run: RunConfig, args) -> GrowthConfig:
+    """The config's growth settings with --max-hidden/--target/--seed applied
+    and checked again."""
+    flags = {"max_hidden": args.max_hidden, "rng_seed": args.seed,
+             "target_train_accuracy": args.target}
+    return replace(run.growth, **{k: v for k, v in flags.items() if v is not None})
 
 
 def _require_file(path: str, what: str) -> None:
@@ -165,9 +141,9 @@ def cmd_gen_data(args) -> int:
 def cmd_train_fresh(args) -> int:
     _require_file(args.dataset, "dataset file")
     run = load_run_config(args.config)
-    cfg = _apply_growth_overrides(run.growth, args)
+    cfg = _growth_config(run, args)
     ds = load_dataset(args.dataset)
-    train, test = split_train_test(ds, run.test_fraction, run.split_seed)
+    train, test = split_train_test(ds, run.split.test_fraction, run.split.seed)
     net, trace = train_fresh(train, test, cfg)
     save_network(net, args.out_checkpoint)
     export_trace(trace, args.out_trace, format="structured")
@@ -177,10 +153,12 @@ def cmd_train_fresh(args) -> int:
 
 
 def cmd_train_exp(args) -> int:
+    if not args.one_loop_only and not args.out_trace:
+        raise ConfigError("--out-trace is required unless --one-loop-only")
     _require_file(args.seed_checkpoint, "seed checkpoint")
     _require_file(args.dataset, "dataset file")
     run = load_run_config(args.config)
-    cfg = _apply_growth_overrides(run.growth, args)
+    cfg = _growth_config(run, args)
     seed = load_network(args.seed_checkpoint)
     ds = load_dataset(args.dataset)
     if args.one_loop_only:
@@ -190,7 +168,7 @@ def cmd_train_exp(args) -> int:
         print(f"status=OneLoop accuracy={report.accuracy:.4f} "
               f"hidden={net.n_hidden}")
         return EXIT_OK
-    train, test = split_train_test(ds, run.test_fraction, run.split_seed)
+    train, test = split_train_test(ds, run.split.test_fraction, run.split.seed)
     net, trace = train_experienced(seed, train, test, cfg)
     save_network(net, args.out_checkpoint)
     export_trace(trace, args.out_trace, format="structured")
@@ -313,16 +291,9 @@ def build_parser() -> argparse.ArgumentParser:
 def main(argv=None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
-    if args.command == "train-exp" and not args.one_loop_only \
-            and not args.out_trace:
-        print("error: ConfigError: --out-trace is required unless "
-              "--one-loop-only", file=sys.stderr)
-        return EXIT_CONFIG
-    if getattr(args, "threads", 1) < 1:
-        print(f"error: ConfigError: --threads must be >= 1, got {args.threads}",
-              file=sys.stderr)
-        return EXIT_CONFIG
     try:
+        if getattr(args, "threads", 1) < 1:
+            raise ConfigError(f"--threads must be >= 1, got {args.threads}")
         return args.func(args)
     except ConfigError as exc:
         print(f"error: ConfigError: {exc}", file=sys.stderr)

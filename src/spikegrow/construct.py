@@ -16,6 +16,7 @@ from typing import Optional
 
 import numpy as np
 
+from ._util import check_settings, setting
 from .dataset import LabeledDataset
 from .errors import ConfigError, ShapeError
 from .lif import LifParams, batch_rate_features
@@ -48,23 +49,14 @@ class PruningConfig:
     lambda_growth: multiplicative weight-range escalation per retry round.
     """
 
-    pool_size: int = 50
-    weight_scale: float = 1.0
-    sigma0: float = 0.999
-    sigma_relax_steps: int = 8
-    lambda_growth: float = 1.0
+    pool_size: int = setting(50, ge=1)
+    weight_scale: float = setting(1.0, gt=0.0)
+    sigma0: float = setting(0.999, gt=0.0, lt=1.0)
+    sigma_relax_steps: int = setting(8, ge=0)
+    lambda_growth: float = setting(1.0, ge=1.0)
 
     def __post_init__(self):
-        if self.pool_size < 1:
-            raise ConfigError("pool_size must be >= 1")
-        if self.weight_scale <= 0:
-            raise ConfigError("weight_scale must be positive")
-        if not (0.0 < self.sigma0 < 1.0):
-            raise ConfigError("sigma0 must lie strictly in (0, 1)")
-        if self.sigma_relax_steps < 0:
-            raise ConfigError("sigma_relax_steps must be >= 0")
-        if self.lambda_growth < 1.0:
-            raise ConfigError("lambda_growth must be >= 1")
+        check_settings(self, "pruning")
 
 
 @dataclass(frozen=True)

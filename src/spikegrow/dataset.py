@@ -23,7 +23,7 @@ from itertools import chain
 
 import numpy as np
 
-from ._util import atomic_write_bytes, is_int
+from ._util import atomic_write_bytes, check_settings, is_int, setting
 from .errors import ConfigError, DataFormatError, ShapeError
 
 FORMAT_VERSION = 1
@@ -143,23 +143,18 @@ class NestedFamily:
 
 @dataclass(frozen=True)
 class GeneratorConfig:
-    d: int = 64
-    T: int = 25
-    categories: int = 20
-    samples_per_category: int = 200
-    base_rate: float = 0.2
-    separation: float = 0.5
-    jitter: float = 0.1
-    rng_seed: int = 0
+    d: int = setting(64, ge=1)
+    T: int = setting(25, ge=1)
+    categories: int = setting(20, ge=1)
+    samples_per_category: int = setting(200, ge=1)
+    base_rate: float = setting(0.2, gt=0.0, lt=1.0)
+    separation: float = setting(0.5, ge=0.0, le=1.0)
+    jitter: float = setting(0.1, ge=0.0, le=1.0)
+    rng_seed: int = setting(0, ge=0)
     dt_ms: float = 1.0
 
     def __post_init__(self):
-        if not (0.0 < self.base_rate < 1.0):
-            raise ConfigError("base_rate must lie strictly in (0, 1)")
-        if not (0.0 <= self.separation <= 1.0 and 0.0 <= self.jitter <= 1.0):
-            raise ConfigError("separation and jitter must lie in [0, 1]")
-        if min(self.d, self.T, self.categories, self.samples_per_category) < 1:
-            raise ConfigError("d, T, categories and samples_per_category must be >= 1")
+        check_settings(self, "generator")
 
 
 def generate_family(config: GeneratorConfig, stage_sizes) -> NestedFamily:
@@ -171,13 +166,12 @@ def generate_family(config: GeneratorConfig, stage_sizes) -> NestedFamily:
     Bernoulli spikes. Fully determined by config.rng_seed.
     """
     stage_sizes = list(stage_sizes)
-    if not stage_sizes:
-        raise ConfigError("at least one stage size is required")
-    if any(b <= a for a, b in zip(stage_sizes, stage_sizes[1:])):
-        raise ConfigError("stage_sizes must be strictly increasing")
-    if stage_sizes[0] < 1 or stage_sizes[-1] > config.categories:
+    if not stage_sizes or not all(is_int(size) for size in stage_sizes) \
+            or any(b <= a for a, b in zip(stage_sizes, stage_sizes[1:])) \
+            or stage_sizes[0] < 1 or stage_sizes[-1] > config.categories:
         raise ConfigError(
-            f"stage sizes must lie in [1, {config.categories}], got {stage_sizes}"
+            "stage sizes (generator.stages) must be strictly increasing "
+            f"integers in [1, {config.categories}], got {stage_sizes}"
         )
 
     rng = np.random.default_rng(config.rng_seed)
@@ -207,10 +201,18 @@ def generate_family(config: GeneratorConfig, stage_sizes) -> NestedFamily:
     return NestedFamily(tuple(stages))
 
 
+@dataclass(frozen=True)
+class SplitConfig:
+    test_fraction: float = setting(0.2, gt=0.0, lt=1.0)
+    seed: int = setting(0, ge=0)
+
+    def __post_init__(self):
+        check_settings(self, "split")
+
+
 def split_train_test(ds: LabeledDataset, test_fraction: float, seed: int):
     """Deterministic stratified split into disjoint train and test datasets."""
-    if not (0.0 < test_fraction < 1.0):
-        raise ConfigError("test_fraction must lie strictly in (0, 1)")
+    SplitConfig(test_fraction, seed)  # checks both
     rng = np.random.default_rng(seed)
     by_label: dict = {c: [] for c in ds.categories}
     for idx, s in enumerate(ds.samples):

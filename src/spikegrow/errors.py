@@ -5,7 +5,7 @@ class SpikegrowError(Exception):
     """Base class for all toolkit errors."""
 
 
-class ConfigError(SpikegrowError):
+class ConfigError(SpikegrowError, ValueError):
     """Invalid configuration value, unknown key, or bad combination of knobs."""
 
 

@@ -46,6 +46,8 @@ def evaluate(net: Network, ds: LabeledDataset) -> EvalReport:
         raise ConfigError(
             "dataset categories must be a prefix of the network's categories"
         )
+    if len(ds) == 0:
+        raise ConfigError("cannot evaluate an empty dataset")
     m = net.m
     predictions = net.predict_dataset(ds)
     truth = ds.label_indices()
@@ -159,7 +161,12 @@ class ComparisonRow:
 @dataclass(frozen=True)
 class ComparisonReport:
     rows: tuple  # sorted by elapsed_seconds ascending
-    fastest_to_target: str | None
+    fastest_index: int | None  # first row whose run reached its target
+
+    @property
+    def fastest_to_target(self) -> str | None:
+        k = self.fastest_index
+        return None if k is None else self.rows[k].label
 
 
 def compare_runs(traces) -> ComparisonReport:
@@ -178,7 +185,7 @@ def compare_runs(traces) -> ComparisonReport:
             status=trace.status,
         ))
     rows.sort(key=lambda r: r.elapsed_seconds)
-    fastest = next((r.label for r in rows if r.status == STATUS_TARGET), None)
+    fastest = next((k for k, r in enumerate(rows) if r.status == STATUS_TARGET), None)
     return ComparisonReport(tuple(rows), fastest)
 
 
@@ -187,10 +194,10 @@ def comparison_to_text(report: ComparisonReport) -> str:
     writer = csv.writer(buf, lineterminator="\n")
     writer.writerow(["label", "accuracy", "n_hidden", "added_neurons",
                      "elapsed_seconds", "status", "fastest_to_target"])
-    for r in report.rows:
+    for k, r in enumerate(report.rows):
         writer.writerow([r.label, repr(r.accuracy), r.n_hidden, r.added_neurons,
                          repr(r.elapsed_seconds), r.status,
-                         "yes" if r.label == report.fastest_to_target else ""])
+                         "yes" if k == report.fastest_index else ""])
     return buf.getvalue()
 
 

@@ -11,14 +11,13 @@ from __future__ import annotations
 
 import hashlib
 import json
-import math
 import struct
 import time
-from dataclasses import dataclass, field
+from dataclasses import asdict, dataclass, field, fields
 
 import numpy as np
 
-from ._util import atomic_write_bytes, is_int
+from ._util import atomic_write_bytes, check_settings, is_int, setting
 from .construct import PruningConfig, grow_one
 from .dataset import LabeledDataset, dataset_fingerprint, encode_targets
 from .errors import (
@@ -74,23 +73,16 @@ class HiddenNeuron:
 
 @dataclass
 class GrowthConfig:
-    target_train_accuracy: float = 0.99
-    max_hidden: int = 500
-    patience: int = 10
-    eval_every: int = 5
+    target_train_accuracy: float = setting(0.99, gt=0.0, le=1.0)
+    max_hidden: int = setting(500, ge=1)
+    patience: int = setting(10, ge=1)
+    eval_every: int = setting(5, ge=1)
     pruning: PruningConfig = field(default_factory=PruningConfig)
     lif: LifParams = field(default_factory=LifParams)
-    rng_seed: int = 0
+    rng_seed: int = setting(0, ge=0)
 
     def __post_init__(self):
-        if not (0.0 < self.target_train_accuracy <= 1.0):
-            raise ConfigError("target_train_accuracy must lie in (0, 1]")
-        if self.max_hidden < 1:
-            raise ConfigError("max_hidden must be >= 1")
-        if self.patience < 1:
-            raise ConfigError("patience must be >= 1")
-        if self.eval_every < 1:
-            raise ConfigError("eval_every must be >= 1")
+        check_settings(self, "growth")
 
 
 @dataclass(frozen=True)
@@ -437,8 +429,7 @@ def network_to_bytes(net: Network) -> bytes:
     header = {
         "format_version": CHECKPOINT_VERSION,
         "d": net.d,
-        "lif": {"dt": net.lif.dt, "tau_syn": net.lif.tau_syn,
-                "tau_mem": net.lif.tau_mem, "theta": net.lif.theta},
+        "lif": asdict(net.lif),
         "n_hidden": net.n_hidden,
         "frozen_prefix": net.frozen_prefix,
         "m": net.m,
@@ -476,7 +467,6 @@ class _Reader:
 
 _HEADER_KEYS = {"format_version", "d", "lif", "n_hidden", "frozen_prefix",
                 "m", "categories", "lineage"}
-_LIF_KEYS = {"dt", "tau_syn", "tau_mem", "theta"}
 
 
 def _check_header(header) -> None:
@@ -505,13 +495,10 @@ def _check_header(header) -> None:
             f"checkpoint frozen_prefix {header['frozen_prefix']} exceeds "
             f"n_hidden {header['n_hidden']}"
         )
-    lif = header["lif"]
-    if not isinstance(lif, dict) or lif.keys() != _LIF_KEYS or not all(
-            isinstance(v, (int, float)) and not isinstance(v, bool)
-            and math.isfinite(v) for v in lif.values()):
+    lif, lif_keys = header["lif"], {f.name for f in fields(LifParams)}
+    if not isinstance(lif, dict) or lif.keys() != lif_keys:
         raise DataFormatError(
-            f"checkpoint lif must hold exactly the finite numbers "
-            f"{sorted(_LIF_KEYS)}, got {lif!r}"
+            f"checkpoint lif must hold exactly {sorted(lif_keys)}, got {lif!r}"
         )
     categories = header["categories"]
     if not isinstance(categories, list) or len(categories) != header["m"] \

@@ -18,6 +18,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from ._util import check_settings, setting
 from .errors import ShapeError
 
 
@@ -25,16 +26,13 @@ from .errors import ShapeError
 class LifParams:
     """Shared neuron constants. Times in milliseconds, threshold dimensionless."""
 
-    dt: float = 1.0
-    tau_syn: float = 5.0
-    tau_mem: float = 10.0
-    theta: float = 1.0
+    dt: float = setting(1.0, gt=0.0)
+    tau_syn: float = setting(5.0, gt=0.0)
+    tau_mem: float = setting(10.0, gt=0.0)
+    theta: float = setting(1.0, gt=0.0)
 
     def __post_init__(self):
-        if self.dt <= 0 or self.tau_syn <= 0 or self.tau_mem <= 0:
-            raise ValueError("dt, tau_syn and tau_mem must all be positive")
-        if self.theta <= 0:
-            raise ValueError("theta must be positive")
+        check_settings(self, "lif")
 
     @property
     def syn_decay(self) -> float:

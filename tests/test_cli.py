@@ -11,9 +11,9 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from conftest import mutated
-from spikegrow import DataFormatError, LifParams
+from spikegrow import DataFormatError, LabeledDataset, LifParams, save_dataset
 from spikegrow.cli import main
-from spikegrow.evaluation import load_trace, trace_to_text
+from spikegrow.evaluation import export_trace, load_trace, trace_to_text
 from spikegrow.learner import (
     CHECKPOINT_MAGIC,
     HiddenNeuron,
@@ -77,6 +77,91 @@ class TestGenData:
                      "--out-dir", "out"]) == 2
         assert not (workdir / "out" / "manifest.json").exists()
         assert "error:" in capsys.readouterr().err
+
+
+# Config files that are malformed or hold a value of the wrong type or range,
+# with what the one error line must name: `section.key`, the section, or the
+# file.
+_BAD_CONFIGS = [
+    ("growth-not-object", '{"growth": 5}', "growth section"),
+    ("generator-null", '{"generator": null}', "generator section"),
+    ("non-utf8", b'{"lif": {"theta": "\xff"}}', "cfg.json"),
+    ("nested-100000-deep", "[" * 100_000, "cfg.json"),
+    ("split-seed-string", '{"split": {"seed": "x"}}', "split.seed"),
+    ("pool-size-float", '{"pruning": {"pool_size": 2.5}}', "pruning.pool_size"),
+    ("d-float", '{"generator": {"d": 2.5}}', "generator.d"),
+    ("stages-int", '{"generator": {"stages": 5}}', "generator.stages"),
+    ("stages-string", '{"generator": {"stages": ["a"]}}', "generator.stages"),
+    ("stages-float", '{"generator": {"stages": [2.5]}}', "generator.stages"),
+    ("growth-seed-negative", '{"growth": {"rng_seed": -1}}', "growth.rng_seed"),
+    ("growth-seed-float", '{"growth": {"rng_seed": 2.5}}', "growth.rng_seed"),
+    ("generator-seed-negative", '{"generator": {"rng_seed": -1}}',
+     "generator.rng_seed"),
+    ("test-fraction-string", '{"split": {"test_fraction": "0.2"}}',
+     "split.test_fraction"),
+    ("split-seed-float", '{"split": {"seed": 1.7}}', "split.seed"),
+    ("eval-every-float", '{"growth": {"eval_every": 2.5}}', "growth.eval_every"),
+    ("max-hidden-bool", '{"growth": {"max_hidden": true}}', "growth.max_hidden"),
+    ("theta-bool", '{"lif": {"theta": true}}', "lif.theta"),
+    ("samples-bool", '{"generator": {"samples_per_category": true}}',
+     "generator.samples_per_category"),
+    ("lambda-infinity", '{"pruning": {"lambda_growth": Infinity}}',
+     "pruning.lambda_growth"),
+    ("categories-float", '{"generator": {"categories": 2.0}}',
+     "generator.categories"),
+    ("dt-ms-string", '{"generator": {"dt_ms": "1"}}', "generator.dt_ms"),
+    ("theta-string", '{"lif": {"theta": "1"}}', "lif.theta"),
+    ("max-hidden-string", '{"growth": {"max_hidden": "5"}}', "growth.max_hidden"),
+    ("sigma0-null", '{"pruning": {"sigma0": null}}', "pruning.sigma0"),
+    ("T-string", '{"generator": {"T": "3"}}', "generator.T"),
+]
+
+# Stage sizes are checked where they are used: by gen-data.
+_BAD_CONFIG_RUNS = [
+    pytest.param(command, text, named, id=f"{command}-{name}")
+    for name, text, named in _BAD_CONFIGS
+    for command in ("gen-data", "train-fresh")
+    if command == "gen-data" or not name.startswith("stages")
+]
+
+
+class TestBadConfig:
+    @staticmethod
+    def _assert_one_config_error(capsys, named):
+        err = capsys.readouterr().err
+        assert re.fullmatch(r"error: ConfigError: [^\n]*\n", err), err
+        assert named in err
+
+    @pytest.mark.parametrize("command, text, named", _BAD_CONFIG_RUNS)
+    def test_exit_2_one_error_line(self, workdir, capsys, command, text,
+                                   named):
+        cfg = workdir / "cfg.json"
+        if isinstance(text, bytes):
+            cfg.write_bytes(text)
+        else:
+            cfg.write_text(text)
+        # The dataset is never read: the config is rejected first.
+        (workdir / "x.ds").write_text("")
+        argv = {"gen-data": ["--out-dir", "out"],
+                "train-fresh": ["--dataset", "x.ds", "--out-checkpoint",
+                                "x.net", "--out-trace", "x.trace"]}[command]
+        assert main([command, "--config", str(cfg), *argv]) == 2
+        self._assert_one_config_error(capsys, named)
+        assert sorted(p.name for p in workdir.iterdir()) == ["cfg.json", "x.ds"]
+
+    @pytest.mark.parametrize("flag, value, named", [
+        ("--target", "2", "growth.target_train_accuracy"),
+        ("--max-hidden", "0", "growth.max_hidden"),
+        ("--seed", "-1", "growth.rng_seed"),
+    ])
+    def test_bad_override_exit_2(self, generated, workdir, capsys, flag,
+                                 value, named):
+        capsys.readouterr()
+        assert main(["train-fresh", "--config", generated,
+                     "--dataset", "data/stage-2.ds", flag, value,
+                     "--out-checkpoint", "x.net", "--out-trace", "x.trace"]) == 2
+        self._assert_one_config_error(capsys, named)
+        assert not (workdir / "x.net").exists()
 
 
 class TestTrainFresh:
@@ -191,6 +276,17 @@ class TestEvalAndInspect:
         assert "frozen_prefix=0" in out
         assert "d=8" in out
 
+    def test_eval_empty_dataset_exit_2(self, workdir, capsys):
+        (workdir / "seed.net").write_bytes(network_to_bytes(
+            Network(8, LifParams(), [HiddenNeuron(np.ones(8), 0.5)],
+                    np.ones((1, 2)), [0, 1])))
+        save_dataset(LabeledDataset([], [0, 1], 8, 20), "empty.ds")
+        assert main(["eval", "--checkpoint", "seed.net",
+                     "--dataset", "empty.ds", "--out-report", "r.json"]) == 2
+        err = capsys.readouterr().err
+        assert re.fullmatch(r"error: ConfigError: .*empty dataset.*\n", err)
+        assert not (workdir / "r.json").exists()
+
     def test_inspect_experienced_frozen_prefix(self, trained, capsys, workdir):
         seed_n = load_network("f.net").n_hidden
         assert main(["train-exp", "--config", trained,
@@ -216,6 +312,19 @@ class TestCompare:
         assert len(lines) == 3
         elapsed = [float(l.split(",")[4]) for l in lines[1:]]
         assert elapsed == sorted(elapsed)
+
+    def test_duplicate_basenames_mark_one_row(self, workdir, capsys):
+        # Both files are named f.trace; the faster run missed its target.
+        for tag, status, elapsed in (("a", "Patience", 0.1),
+                                     ("b", "TargetReached", 0.2)):
+            (workdir / tag).mkdir()
+            trace = TrainingTrace(
+                [TraceRecord(1, 1.0, 1.0, 1.0, elapsed, 0.999, 0)], status)
+            export_trace(trace, str(workdir / tag / "f.trace"), "structured")
+        assert main(["compare", "a/f.trace", "b/f.trace"]) == 0
+        rows = capsys.readouterr().out.splitlines()[1:]
+        assert [r.split(",")[5] for r in rows] == ["Patience", "TargetReached"]
+        assert [r.split(",")[6] for r in rows] == ["", "yes"]
 
 
 # A JSON text nested deeper than the parser's recursion limit.
@@ -272,6 +381,24 @@ class TestMalformedCheckpointHeader:
     def test_unedited_header_loads(self, workdir):
         (workdir / "ok.net").write_bytes(checkpoint_with_header(lambda h: h))
         assert load_network("ok.net").frozen_prefix == 1
+
+    @pytest.mark.parametrize("theta", [True, "1", None, -1.0, 10**400],
+                             ids=["bool", "string", "null", "negative",
+                                  "huge-int"])
+    def test_lif_value_rejected_by_lif_params(self, workdir, capsys, theta):
+        edit = _json_edit(lambda h: h["lif"].update(theta=theta))
+        (workdir / "bad.net").write_bytes(checkpoint_with_header(edit))
+        assert main(["inspect", "--checkpoint", "bad.net"]) == 3
+        err = capsys.readouterr().err
+        assert re.fullmatch(r"error: DataFormatError: .*lif\.theta.*\n", err)
+
+    def test_int_lif_value_keeps_its_bytes(self, workdir):
+        edit = _json_edit(lambda h: h["lif"].update(theta=1))
+        blob = checkpoint_with_header(edit)
+        (workdir / "int.net").write_bytes(blob)
+        net = load_network("int.net")
+        assert type(net.lif.theta) is int
+        assert network_to_bytes(net) == blob
 
 
 def _valid_trace() -> str:
