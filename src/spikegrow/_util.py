@@ -44,6 +44,12 @@ def is_finite_number(value) -> bool:
         and abs(value) <= sys.float_info.max
 
 
+# The upper bound of every size or count setting. Any product of two such
+# settings times 8 bytes stays inside numpy's array-size limit, so a setting
+# too large for the machine ends in MemoryError, not in a ValueError from
+# deep inside numpy.
+SIZE_MAX = 2**30 - 1
+
 # Field annotation -> (value check, what the value must be).
 _KINDS = {"int": (is_int, "an integer"),
           "float": (is_finite_number, "a finite number")}

@@ -19,6 +19,7 @@ from .construct import PruningConfig
 from .dataset import (
     GeneratorConfig,
     SplitConfig,
+    check_stage_sizes,
     dataset_fingerprint,
     generate_family,
     load_dataset,
@@ -99,8 +100,9 @@ def load_run_config(path: str | None) -> RunConfig:
         raise ConfigError(f"generator.stages must be a list, got {stages!r}")
     growth = GrowthConfig(pruning=PruningConfig(**doc["pruning"]),
                           lif=LifParams(**doc["lif"]), **doc["growth"])
-    return RunConfig(GeneratorConfig(**doc["generator"]), stages, growth,
-                     SplitConfig(**doc["split"]))
+    generator = GeneratorConfig(**doc["generator"])
+    check_stage_sizes(stages, generator.categories)
+    return RunConfig(generator, stages, growth, SplitConfig(**doc["split"]))
 
 
 def _growth_config(run: RunConfig, args) -> GrowthConfig:
@@ -306,6 +308,10 @@ def main(argv=None) -> int:
         return EXIT_INTERNAL
     except (SpikegrowError, OSError) as exc:
         print(f"error: {type(exc).__name__}: {exc}", file=sys.stderr)
+        return EXIT_CONFIG
+    except MemoryError as exc:
+        # A size setting within its range but too large for this machine.
+        print(f"error: MemoryError: {exc}", file=sys.stderr)
         return EXIT_CONFIG
 
 

@@ -16,7 +16,7 @@ from typing import Optional
 
 import numpy as np
 
-from ._util import check_settings, setting
+from ._util import SIZE_MAX, check_settings, setting
 from .dataset import LabeledDataset
 from .errors import ConfigError, ShapeError
 from .lif import LifParams, batch_rate_features
@@ -49,10 +49,10 @@ class PruningConfig:
     lambda_growth: multiplicative weight-range escalation per retry round.
     """
 
-    pool_size: int = setting(50, ge=1)
+    pool_size: int = setting(50, ge=1, le=SIZE_MAX)
     weight_scale: float = setting(1.0, gt=0.0)
     sigma0: float = setting(0.999, gt=0.0, lt=1.0)
-    sigma_relax_steps: int = setting(8, ge=0)
+    sigma_relax_steps: int = setting(8, ge=0, le=SIZE_MAX)
     lambda_growth: float = setting(1.0, ge=1.0)
 
     def __post_init__(self):

@@ -23,7 +23,13 @@ from itertools import chain
 
 import numpy as np
 
-from ._util import atomic_write_bytes, check_settings, is_int, setting
+from ._util import (
+    SIZE_MAX,
+    atomic_write_bytes,
+    check_settings,
+    is_int,
+    setting,
+)
 from .errors import ConfigError, DataFormatError, ShapeError
 
 FORMAT_VERSION = 1
@@ -143,10 +149,10 @@ class NestedFamily:
 
 @dataclass(frozen=True)
 class GeneratorConfig:
-    d: int = setting(64, ge=1)
-    T: int = setting(25, ge=1)
-    categories: int = setting(20, ge=1)
-    samples_per_category: int = setting(200, ge=1)
+    d: int = setting(64, ge=1, le=SIZE_MAX)
+    T: int = setting(25, ge=1, le=SIZE_MAX)
+    categories: int = setting(20, ge=1, le=SIZE_MAX)
+    samples_per_category: int = setting(200, ge=1, le=SIZE_MAX)
     base_rate: float = setting(0.2, gt=0.0, lt=1.0)
     separation: float = setting(0.5, ge=0.0, le=1.0)
     jitter: float = setting(0.1, ge=0.0, le=1.0)
@@ -157,6 +163,20 @@ class GeneratorConfig:
         check_settings(self, "generator")
 
 
+def check_stage_sizes(stage_sizes, categories: int) -> list:
+    """The stage sizes as a list; ConfigError naming generator.stages unless
+    they are strictly increasing integers in [1, categories]."""
+    stage_sizes = list(stage_sizes)
+    if not stage_sizes or not all(is_int(size) for size in stage_sizes) \
+            or any(b <= a for a, b in zip(stage_sizes, stage_sizes[1:])) \
+            or stage_sizes[0] < 1 or stage_sizes[-1] > categories:
+        raise ConfigError(
+            "stage sizes (generator.stages) must be strictly increasing "
+            f"integers in [1, {categories}], got {stage_sizes}"
+        )
+    return stage_sizes
+
+
 def generate_family(config: GeneratorConfig, stage_sizes) -> NestedFamily:
     """Build nested synthetic datasets, one stage per requested category count.
 
@@ -165,15 +185,7 @@ def generate_family(config: GeneratorConfig, stage_sizes) -> NestedFamily:
     each sample perturbs that profile by jitter and draws independent
     Bernoulli spikes. Fully determined by config.rng_seed.
     """
-    stage_sizes = list(stage_sizes)
-    if not stage_sizes or not all(is_int(size) for size in stage_sizes) \
-            or any(b <= a for a, b in zip(stage_sizes, stage_sizes[1:])) \
-            or stage_sizes[0] < 1 or stage_sizes[-1] > config.categories:
-        raise ConfigError(
-            "stage sizes (generator.stages) must be strictly increasing "
-            f"integers in [1, {config.categories}], got {stage_sizes}"
-        )
-
+    stage_sizes = check_stage_sizes(stage_sizes, config.categories)
     rng = np.random.default_rng(config.rng_seed)
     d, T = config.d, config.T
     per_category: list[list[LabeledSample]] = []

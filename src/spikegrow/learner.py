@@ -17,7 +17,13 @@ from dataclasses import asdict, dataclass, field, fields
 
 import numpy as np
 
-from ._util import atomic_write_bytes, check_settings, is_int, setting
+from ._util import (
+    SIZE_MAX,
+    atomic_write_bytes,
+    check_settings,
+    is_int,
+    setting,
+)
 from .construct import PruningConfig, grow_one
 from .dataset import LabeledDataset, dataset_fingerprint, encode_targets
 from .errors import (
@@ -37,6 +43,7 @@ from .readout import (  # noqa: F401
     orthonormal_direction,
     predict_batch,
     residual,
+    triangular_output_weights,
 )
 
 CHECKPOINT_MAGIC = b"SPIKEGROW-NET 1\n"
@@ -74,9 +81,9 @@ class HiddenNeuron:
 @dataclass
 class GrowthConfig:
     target_train_accuracy: float = setting(0.99, gt=0.0, le=1.0)
-    max_hidden: int = setting(500, ge=1)
-    patience: int = setting(10, ge=1)
-    eval_every: int = setting(5, ge=1)
+    max_hidden: int = setting(500, ge=1, le=SIZE_MAX)
+    patience: int = setting(10, ge=1, le=SIZE_MAX)
+    eval_every: int = setting(5, ge=1, le=SIZE_MAX)
     pruning: PruningConfig = field(default_factory=PruningConfig)
     lif: LifParams = field(default_factory=LifParams)
     rng_seed: int = setting(0, ge=0)
@@ -236,15 +243,50 @@ class _Columns:
         return self._buf[:, :self.n]
 
 
-def _project_out(Q: _Columns, res: ResidualState, h) -> ResidualState:
-    """Least-squares residual after feature column h joins the table whose
-    orthonormal basis Q holds; a column already in span(Q) changes nothing."""
-    q = orthonormal_direction(Q.table, h)
-    if q is None:
-        return res
-    Q.append(q)
-    E = res.E - np.outer(q, q @ res.E)
-    return ResidualState(E, float(np.sum(E * E)))
+class _QR:
+    """Thin QR factors H = Q R of a feature table that grows one column at a
+    time, with c = Q^T F, so the table's least-squares output weights are
+    R^{-1} c (Golub & Van Loan, Matrix Computations, 4th ed., sec. 6.5).
+
+    Q is a _Columns table. R and c are written in place into buffers whose
+    capacity doubles when full, so an eval step solves by back-substitution
+    instead of refitting. A column already in span(Q) adds no row to R,
+    which then no longer solves for the whole table: `dependent` is set,
+    and output weights come from lstsq from then on.
+    """
+
+    def __init__(self, F: np.ndarray):
+        self.Q = _Columns(len(F))
+        self._R = np.zeros((16, 16))
+        self._c = np.zeros((16, F.shape[1]))
+        self.dependent = False
+
+    def project_out(self, res: ResidualState, h) -> ResidualState:
+        """Least-squares residual after feature column h joins the table; a
+        column already in span(Q) changes nothing."""
+        k = self.Q.n
+        if k == len(self._R):
+            R, c = np.zeros((2 * k, 2 * k)), np.zeros((2 * k, self._c.shape[1]))
+            R[:k, :k], c[:k] = self._R, self._c
+            self._R, self._c = R, c
+        q = orthonormal_direction(self.Q.table, h, out=self._R[:k + 1, k])
+        if q is None:
+            self.dependent = True
+            return res
+        self.Q.append(q)
+        # q is orthogonal to the old basis, so q^T E equals c's new row q^T F.
+        self._c[k] = q @ res.E
+        E = res.E - np.outer(q, self._c[k])
+        return ResidualState(E, float(np.sum(E * E)))
+
+    def output_weights(self, H: np.ndarray, F: np.ndarray) -> np.ndarray:
+        """Least-squares output weights of the table H so far: R^{-1} c, or
+        lstsq's minimum-norm solution where a column was dependent or R is
+        too ill-conditioned to back-substitute."""
+        n = self.Q.n
+        beta = None if self.dependent else \
+            triangular_output_weights(self._R[:n, :n], self._c[:n])
+        return _fit(H, F) if beta is None else beta
 
 
 def _grow(hidden, frozen_prefix, train, test, cfg: GrowthConfig, lif: LifParams,
@@ -252,8 +294,10 @@ def _grow(hidden, frozen_prefix, train, test, cfg: GrowthConfig, lif: LifParams,
     """Shared growth loop; `hidden` is the (possibly empty) inherited prefix.
 
     The residual is kept by orthogonal projection, one column per unit, so a
-    step costs O(N (n + m)) instead of a least-squares refit. The output
-    weights are solved only on eval steps and for the returned snapshot.
+    step costs O(N (n + m)) instead of a least-squares refit. Test features
+    and output weights are computed only on eval steps; the weights there
+    come from the QR factors the projection builds, and lstsq runs once,
+    for the returned snapshot.
     """
     _check_pair(train, test)
     hidden = list(hidden)
@@ -262,18 +306,19 @@ def _grow(hidden, frozen_prefix, train, test, cfg: GrowthConfig, lif: LifParams,
     train_labels = train.label_indices()
     test_labels = test.label_indices()
     test_tensor = test.spike_tensor()
-    H_train, Q = _Columns(len(train)), _Columns(len(train))
-    H_test = _Columns(len(test))
+    H_train, H_test, qr = _Columns(len(train)), _Columns(len(test)), _QR(F)
     H_train.append(_unit_features(hidden, train.spike_tensor(), lif))
-    H_test.append(_unit_features(hidden, test_tensor, lif))
+
+    def test_accuracy() -> float:
+        H_test.append(_unit_features(hidden[H_test.n:], test_tensor, lif))
+        beta = qr.output_weights(H_train.table, F)
+        return _accuracy(H_test.table, beta, test_labels)
 
     res = ResidualState(F, float(np.sum(F * F)))
     for h in H_train.table.T:
-        res = _project_out(Q, res, h)
+        res = qr.project_out(res, h)
     train_acc = _fitted_accuracy(F, res.E, train_labels)
-    best_beta = _fit(H_train.table, F)
-    test_acc = _accuracy(H_test.table, best_beta, test_labels)
-
+    test_acc = test_accuracy()
     best_test = test_acc if n0 > 0 else -1.0
     best_n = n0
     evals_since_best = 0
@@ -302,8 +347,7 @@ def _grow(hidden, frozen_prefix, train, test, cfg: GrowthConfig, lif: LifParams,
         step += 1
         prev_sq = res.sq_norm
         H_train.append(sel.feature)
-        H_test.append(_unit_features([neuron], test_tensor, lif))
-        res = _project_out(Q, res, sel.feature)
+        res = qr.project_out(res, sel.feature)
         bound = outcome.sigma_used * prev_sq
         if res.sq_norm > bound * (1.0 + _CERT_RTOL) + 1e-30:
             raise InvariantError(
@@ -318,11 +362,10 @@ def _grow(hidden, frozen_prefix, train, test, cfg: GrowthConfig, lif: LifParams,
         do_eval = reached or (step % cfg.eval_every == 0) \
             or len(hidden) >= cfg.max_hidden
         if do_eval:
-            beta = _fit(H_train.table, F)
-            test_acc = _accuracy(H_test.table, beta, test_labels)
+            test_acc = test_accuracy()
             if test_acc > best_test:
                 best_test = test_acc
-                best_n, best_beta = len(hidden), beta
+                best_n = len(hidden)
                 evals_since_best = 0
             else:
                 evals_since_best += 1
@@ -341,9 +384,10 @@ def _grow(hidden, frozen_prefix, train, test, cfg: GrowthConfig, lif: LifParams,
             status = STATUS_PATIENCE
 
     # Return the best-test-accuracy snapshot: hidden weights are never
-    # modified after acceptance, so truncation reproduces it with the output
-    # weights solved at the eval step that set best_n.
+    # modified after acceptance, so truncation reproduces it. Its output
+    # weights are lstsq's, so checkpoints do not depend on the QR path.
     best_hidden = hidden[:best_n]
+    best_beta = _fit(H_train.table[:, :best_n], F)
     trace = TrainingTrace(records=records, status=status, initial_neurons=n0)
     entry = {
         "kind": kind,

@@ -1,4 +1,5 @@
-"""Linear readout: minimum-norm least-squares output weights and residuals."""
+"""Linear readout: least-squares output weights, from lstsq or from the QR
+factors growth builds, and residuals."""
 
 from __future__ import annotations
 
@@ -37,7 +38,7 @@ def fit_output_weights(H: np.ndarray, F: np.ndarray) -> np.ndarray:
     return beta
 
 
-def orthonormal_direction(Q: np.ndarray, h: np.ndarray):
+def orthonormal_direction(Q: np.ndarray, h: np.ndarray, out=None):
     """Unit vector along the part of column h orthogonal to span(Q), or None.
 
     Q (N, k) has orthonormal columns. Classical Gram-Schmidt with one
@@ -48,17 +49,50 @@ def orthonormal_direction(Q: np.ndarray, h: np.ndarray):
     would drop it. Appending the returned q to Q and updating a residual
     E <- E - q (q^T E) gives the least-squares residual of the enlarged
     feature table at O(N (k + m)) cost, with no refit.
+
+    If given, `out` (k + 1,) receives h's coordinates in the basis [Q, q]:
+    the coefficients Q^T h + Q^T r of both passes, then ||r||. That is the
+    new column of R in the thin QR factorization H = Q R that appending
+    columns this way builds (Golub & Van Loan, Matrix Computations, 4th
+    ed., sec. 6.5).
     """
     h = np.asarray(h, dtype=np.float64)
     if h.ndim != 1 or Q.shape[0] != h.shape[0]:
         raise ShapeError(f"basis {Q.shape} and column {h.shape} disagree")
     h_norm = float(np.sqrt(h @ h))
-    r = h - Q @ (Q.T @ h)
-    r -= Q @ (Q.T @ r)
+    first = Q.T @ h
+    r = h - Q @ first
+    second = Q.T @ r
+    r -= Q @ second
     r_norm = float(np.sqrt(r @ r))
+    if out is not None:
+        out[:-1] = first + second
+        out[-1] = r_norm
     if r_norm <= SVD_CUTOFF * h_norm:
         return None
     return r / r_norm
+
+
+def triangular_output_weights(R: np.ndarray, c: np.ndarray):
+    """Least-squares output weights beta = R^{-1} c from the thin QR factors
+    H = Q R and c = Q^T F, by back-substitution at O(n^2 m).
+
+    Returns None when R's diagonal spans more than 1 / SVD_CUTOFF: there
+    lstsq's rcond may cut a direction, and its minimum-norm solution then
+    differs from R^{-1} c.
+    """
+    n = len(R)
+    if R.shape != (n, n) or c.ndim != 2 or len(c) != n:
+        raise ShapeError(f"triangular factor {R.shape} and c {c.shape} disagree")
+    beta = np.empty_like(c, dtype=np.float64)
+    if n == 0:
+        return beta
+    diagonal = np.abs(np.diagonal(R))
+    if diagonal.min() <= SVD_CUTOFF * diagonal.max():
+        return None
+    for j in range(n - 1, -1, -1):
+        beta[j] = (c[j] - R[j, j + 1:] @ beta[j + 1:]) / R[j, j]
+    return beta
 
 
 def residual(H: np.ndarray, beta: np.ndarray, F: np.ndarray) -> ResidualState:

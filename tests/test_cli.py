@@ -12,6 +12,7 @@ from hypothesis import strategies as st
 
 from conftest import mutated
 from spikegrow import DataFormatError, LabeledDataset, LifParams, save_dataset
+import spikegrow.cli
 from spikegrow.cli import main
 from spikegrow.evaluation import export_trace, load_trace, trace_to_text
 from spikegrow.learner import (
@@ -93,6 +94,13 @@ _BAD_CONFIGS = [
     ("stages-int", '{"generator": {"stages": 5}}', "generator.stages"),
     ("stages-string", '{"generator": {"stages": ["a"]}}', "generator.stages"),
     ("stages-float", '{"generator": {"stages": [2.5]}}', "generator.stages"),
+    ("stages-empty", '{"generator": {"stages": []}}', "generator.stages"),
+    ("stages-beyond-categories", '{"generator": {"categories": 4}}',
+     "generator.stages"),
+    ("pool-size-huge", '{"pruning": {"pool_size": 1000000000000}}',
+     "pruning.pool_size"),
+    ("d-huge", '{"generator": {"d": 1000000000000000000000000000000}}',
+     "generator.d"),
     ("growth-seed-negative", '{"growth": {"rng_seed": -1}}', "growth.rng_seed"),
     ("growth-seed-float", '{"growth": {"rng_seed": 2.5}}', "growth.rng_seed"),
     ("generator-seed-negative", '{"generator": {"rng_seed": -1}}',
@@ -116,12 +124,10 @@ _BAD_CONFIGS = [
     ("T-string", '{"generator": {"T": "3"}}', "generator.T"),
 ]
 
-# Stage sizes are checked where they are used: by gen-data.
 _BAD_CONFIG_RUNS = [
     pytest.param(command, text, named, id=f"{command}-{name}")
     for name, text, named in _BAD_CONFIGS
     for command in ("gen-data", "train-fresh")
-    if command == "gen-data" or not name.startswith("stages")
 ]
 
 
@@ -161,6 +167,24 @@ class TestBadConfig:
                      "--dataset", "data/stage-2.ds", flag, value,
                      "--out-checkpoint", "x.net", "--out-trace", "x.trace"]) == 2
         self._assert_one_config_error(capsys, named)
+        assert not (workdir / "x.net").exists()
+
+    def test_out_of_memory_exit_2(self, generated, workdir, capsys,
+                                  monkeypatch):
+        """A size within its range but too large for the machine: numpy's
+        MemoryError, which names the array, is the one error line."""
+        def too_large(*args):
+            raise MemoryError("Unable to allocate 512. GiB for an array with "
+                              "shape (64, 1073741823) and data type float64")
+
+        monkeypatch.setattr(spikegrow.cli, "train_fresh", too_large)
+        capsys.readouterr()
+        assert main(["train-fresh", "--config", generated,
+                     "--dataset", "data/stage-2.ds",
+                     "--out-checkpoint", "x.net", "--out-trace", "x.trace"]) == 2
+        err = capsys.readouterr().err
+        assert re.fullmatch(r"error: MemoryError: Unable to allocate [^\n]*\n",
+                            err), err
         assert not (workdir / "x.net").exists()
 
 

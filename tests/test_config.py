@@ -17,6 +17,7 @@ from spikegrow import (
     PruningConfig,
     SplitConfig,
 )
+from spikegrow._util import SIZE_MAX
 from spikegrow.cli import RunConfig, load_run_config
 
 # Config section -> (dataclass, one int field, one float field).
@@ -73,6 +74,25 @@ class TestDeclaredSettings:
         assert getattr(cls(**{key: 0}), key) == 0
         with pytest.raises(ConfigError, match=r">= 0"):
             cls(**{key: -1})
+
+    @pytest.mark.parametrize("cls, key", [
+        (GeneratorConfig, "d"), (GeneratorConfig, "T"),
+        (GeneratorConfig, "categories"),
+        (GeneratorConfig, "samples_per_category"),
+        (GrowthConfig, "max_hidden"), (GrowthConfig, "patience"),
+        (GrowthConfig, "eval_every"), (PruningConfig, "pool_size"),
+        (PruningConfig, "sigma_relax_steps")])
+    def test_sizes_stop_at_size_max(self, cls, key):
+        assert getattr(cls(**{key: SIZE_MAX}), key) == SIZE_MAX
+        for value in (SIZE_MAX + 1, 10**30):
+            with pytest.raises(ConfigError, match=rf"<= {SIZE_MAX}, got"):
+                cls(**{key: value})
+
+    @pytest.mark.parametrize("cls, key", [
+        (GrowthConfig, "rng_seed"), (GeneratorConfig, "rng_seed"),
+        (SplitConfig, "seed")])
+    def test_seeds_have_no_upper_bound(self, cls, key):
+        assert getattr(cls(**{key: 10**30}), key) == 10**30
 
     def test_config_error_is_a_value_error(self):
         with pytest.raises(ValueError):

@@ -30,9 +30,16 @@ from spikegrow.learner import (
     STATUS_TARGET,
     HiddenNeuron,
     Network,
+    _QR,
+    _unit_features,
 )
 from spikegrow.lif import batch_rate_features
-from spikegrow.readout import fit_output_weights, residual
+from spikegrow.readout import (
+    ResidualState,
+    fit_output_weights,
+    predict_batch,
+    residual,
+)
 
 
 def quick_cfg(**kwargs):
@@ -135,6 +142,22 @@ class TestTrainFresh:
         net, _ = train_fresh(train, test, quick_cfg(max_hidden=1))
         assert net.n_hidden <= 1
 
+    def test_batched_test_features_match_per_unit(self):
+        """Growth computes test features in one batch per eval step; its
+        columns equal those of one unit at a time bit for bit."""
+        (tr5, te5), _ = nested_splits()
+        net, _ = train_fresh(tr5, te5, quick_cfg(max_hidden=60,
+                                                 patience=100))
+        assert net.n_hidden > 10
+        tensor = te5.spike_tensor()
+        one_by_one = np.column_stack([_unit_features([h], tensor, net.lif)
+                                      for h in net.hidden])
+        for batch in (5, 7, net.n_hidden):
+            batched = np.column_stack([
+                _unit_features(net.hidden[i:i + batch], tensor, net.lif)
+                for i in range(0, net.n_hidden, batch)])
+            assert batched.tobytes() == one_by_one.tobytes()
+
     def test_best_model_return(self, two_class_family):
         ds = two_class_family.stages[0]
         train, test = split_train_test(ds, 0.2, 7)
@@ -159,10 +182,14 @@ def record_growth(monkeypatch):
     return calls
 
 
-def lstsq_residual(H, F):
+def lstsq_weights(H, F):
     if H.shape[1] == 0:
-        return residual(H, np.zeros((0, F.shape[1])), F)
-    return residual(H, fit_output_weights(H, F), F)
+        return np.zeros((0, F.shape[1]))
+    return fit_output_weights(H, F)
+
+
+def lstsq_residual(H, F):
+    return residual(H, lstsq_weights(H, F), F)
 
 
 def check_against_lstsq(calls, trace, H_prefix, F):
@@ -178,6 +205,30 @@ def check_against_lstsq(calls, trace, H_prefix, F):
     for rec in trace.records:
         expected = lstsq_residual(H[:, :rec.neuron_count], F).sq_norm
         assert rec.sq_norm == pytest.approx(expected, rel=1e-9)
+
+
+def check_test_accuracy(calls, trace, prefix, train, test):
+    """Every record's test accuracy (eval_every=1, so every step is an eval
+    step) equals that of lstsq's output weights at the record's width."""
+    grown = [o.selection for _, o in calls if not o.saturated]
+    hidden = list(prefix) + [HiddenNeuron(s.winner.w, s.winner.v)
+                             for s in grown]
+
+    def features(units, ds):
+        return Network(ds.d, LifParams(), units,
+                       np.zeros((len(units), ds.n_categories)),
+                       ds.categories).features(ds)
+
+    H_train = np.column_stack([features(prefix, train)]
+                              + [s.feature[:, None] for s in grown])
+    H_test = features(hidden, test)
+    F, labels = encode_targets(train), test.label_indices()
+    assert len(trace.records) == len(grown)
+    for rec in trace.records:
+        n = rec.neuron_count
+        beta = lstsq_weights(H_train[:, :n], F)
+        assert rec.test_accuracy == np.mean(
+            predict_batch(H_test[:, :n], beta) == labels)
 
 
 class TestIncrementalResidual:
@@ -217,8 +268,8 @@ class TestIncrementalResidual:
         directions = []
         original = spikegrow.learner.orthonormal_direction
 
-        def recorded(Q, h):
-            directions.append(original(Q, h))
+        def recorded(Q, h, **kwargs):
+            directions.append(original(Q, h, **kwargs))
             return directions[-1]
 
         monkeypatch.setattr(spikegrow.learner, "orthonormal_direction",
@@ -231,26 +282,76 @@ class TestIncrementalResidual:
         assert calls and trace.records
         check_against_lstsq(calls, trace, seed.features(tr10),
                             encode_targets(tr10))
+        # The repeated unit makes R miss a column, so every eval step falls
+        # back to lstsq, and reads the same test accuracy as it.
+        check_test_accuracy(calls, trace, hidden, tr10, te10)
+
+    @pytest.mark.parametrize("stage", [0, 1])
+    def test_fresh_test_accuracy_matches_least_squares(self, monkeypatch,
+                                                       stage):
+        split = nested_splits()[stage]
+        calls = record_growth(monkeypatch)
+        _, trace = train_fresh(*split, quick_cfg(max_hidden=60, patience=100))
+        assert len(trace.records) > 10
+        check_test_accuracy(calls, trace, [], *split)
+
+    def test_experienced_test_accuracy_matches_least_squares(self,
+                                                             monkeypatch):
+        (tr5, te5), (tr10, te10) = nested_splits()
+        cfg = quick_cfg(target_train_accuracy=0.9, max_hidden=150)
+        seed, _ = train_fresh(tr5, te5, cfg)
+        calls = record_growth(monkeypatch)
+        _, trace = train_experienced(seed, tr10, te10, cfg)
+        assert seed.n_hidden > 0 and trace.records
+        check_test_accuracy(calls, trace, seed.hidden, tr10, te10)
+
+    def test_dependent_column_falls_back_to_lstsq(self):
+        rng = np.random.default_rng(12)
+        H = rng.uniform(0, 1, size=(30, 5))
+        H[:, 3] = H[:, 1]
+        F = rng.normal(size=(30, 2))
+        qr = _QR(F)
+        res = ResidualState(F, float(np.sum(F * F)))
+        for j in range(5):
+            res = qr.project_out(res, H[:, j])
+            beta = qr.output_weights(H[:, :j + 1], F)
+            if j < 3:
+                np.testing.assert_allclose(
+                    beta, fit_output_weights(H[:, :j + 1], F),
+                    rtol=0, atol=1e-10)
+            else:
+                assert qr.dependent
+                assert np.array_equal(beta,
+                                      fit_output_weights(H[:, :j + 1], F))
 
     def test_readout_solved_only_on_eval_steps(self, monkeypatch):
         """The count of least-squares solves in a fresh run is the tier-1
-        image of the benchmark's `readout.fit_calls`: one per eval step,
-        never one per step; the returned snapshot reuses its eval step's
-        solve."""
+        image of the benchmark's `readout.fit_calls`: one per run, for the
+        returned snapshot. Eval steps, and only they, back-substitute on
+        the growth loop's QR factors; no step refits."""
         _, (tr10, te10) = nested_splits()
-        calls = []
+        calls, solves = [], []
         original = spikegrow.learner.fit_output_weights
+        back_substitute = spikegrow.learner.triangular_output_weights
 
         def counted(H, F):
             calls.append(H.shape[1])
             return original(H, F)
 
+        def counted_solve(R, c):
+            solves.append(len(R))
+            return back_substitute(R, c)
+
         monkeypatch.setattr(spikegrow.learner, "fit_output_weights", counted)
-        _, trace = train_fresh(tr10, te10, quick_cfg(
+        monkeypatch.setattr(spikegrow.learner, "triangular_output_weights",
+                            counted_solve)
+        net, trace = train_fresh(tr10, te10, quick_cfg(
             eval_every=5, max_hidden=23, patience=100))
         assert trace.status == STATUS_MAX_HIDDEN
-        # Eval steps 5, 10, 15, 20 and the last (23); no snapshot refit.
-        assert calls == [5, 10, 15, 20, 23]
+        # The initial (empty) table, eval steps 5, 10, 15, 20 and the last
+        # (23); one lstsq, at the returned snapshot's width.
+        assert solves == [0, 5, 10, 15, 20, 23]
+        assert calls == [net.n_hidden]
 
 
 class TestOneLoopAdapt:
@@ -321,7 +422,9 @@ class TestTrainExperienced:
 
     def test_one_loop_lineage_without_second_solve(self, monkeypatch):
         """The one-loop step is recorded in the lineage, and its fit of the
-        inherited table is growth's initial fit, not a second solve."""
+        inherited table is growth's initial fit, not a second solve: lstsq
+        runs once, for the returned snapshot, so at most once at the
+        inherited width."""
         (tr5, te5), (tr10, te10) = nested_splits()
         cfg = quick_cfg(target_train_accuracy=0.9, max_hidden=60,
                         eval_every=5)
@@ -339,7 +442,8 @@ class TestTrainExperienced:
         assert [e["kind"] for e in net.lineage] == [
             "fresh", "one_loop", "experienced"]
         assert net.lineage[1]["fingerprint"] == dataset_fingerprint(tr10)
-        assert widths.count(seed.n_hidden) == 1
+        assert widths == [net.n_hidden]
+        assert widths.count(seed.n_hidden) <= 1
 
     def test_chained_freeze_transitivity(self):
         cfg_gen = GeneratorConfig(d=12, T=20, categories=9,

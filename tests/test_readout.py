@@ -3,7 +3,12 @@ import pytest
 
 from oracles import normal_equations_lstsq, single_unit_update_sq_norm
 from spikegrow import ShapeError, fit_output_weights, predict, residual
-from spikegrow.readout import orthonormal_direction, predict_batch
+from spikegrow.readout import (
+    SVD_CUTOFF,
+    orthonormal_direction,
+    predict_batch,
+    triangular_output_weights,
+)
 
 
 class TestFitOutputWeights:
@@ -118,6 +123,58 @@ class TestOrthonormalDirection:
             orthonormal_direction(np.zeros((5, 1)), np.ones(4))
         with pytest.raises(ShapeError):
             orthonormal_direction(np.zeros((5, 1)), np.ones((5, 1)))
+
+
+def grown_factors(H, F):
+    """Q, R and c = Q^T F as growth accumulates them, one column of H at a
+    time; H must have full column rank."""
+    N, n = H.shape
+    Q, R, c = np.zeros((N, 0)), np.zeros((n, n)), np.zeros((n, F.shape[1]))
+    for k in range(n):
+        q = orthonormal_direction(Q, H[:, k], out=R[:k + 1, k])
+        c[k] = q @ F
+        Q = np.column_stack([Q, q])
+    return Q, R, c
+
+
+class TestTriangularOutputWeights:
+    def test_growth_factors_match_lstsq(self):
+        rng = np.random.default_rng(12)
+        for _ in range(10):
+            N, n, m = 40, int(rng.integers(1, 12)), int(rng.integers(1, 5))
+            H = rng.uniform(0, 1, size=(N, n))
+            F = rng.normal(size=(N, m))
+            Q, R, c = grown_factors(H, F)
+            np.testing.assert_allclose(Q @ R, H, rtol=0, atol=1e-12)
+            assert np.array_equal(R, np.triu(R))
+            np.testing.assert_allclose(triangular_output_weights(R, c),
+                                       fit_output_weights(H, F),
+                                       rtol=1e-10, atol=1e-10)
+
+    def test_out_leaves_direction_unchanged(self):
+        rng = np.random.default_rng(13)
+        Q, _ = np.linalg.qr(rng.normal(size=(15, 4)))
+        h = rng.normal(size=15)
+        out = np.empty(5)
+        assert orthonormal_direction(Q, h, out=out).tobytes() == \
+            orthonormal_direction(Q, h).tobytes()
+        assert orthonormal_direction(Q, Q[:, 0], out=out) is None
+
+    def test_empty_table_gives_empty_weights(self):
+        beta = triangular_output_weights(np.zeros((0, 0)), np.zeros((0, 3)))
+        assert beta.shape == (0, 3)
+
+    def test_ill_conditioned_factor_defers_to_lstsq(self):
+        R = np.array([[1.0, 0.5], [0.0, SVD_CUTOFF]])
+        assert triangular_output_weights(R, np.ones((2, 1))) is None
+        R[1, 1] = 10 * SVD_CUTOFF
+        assert triangular_output_weights(R, np.ones((2, 1))) is not None
+
+    def test_shape_mismatch(self):
+        with pytest.raises(ShapeError):
+            triangular_output_weights(np.eye(3), np.ones((2, 1)))
+        with pytest.raises(ShapeError):
+            triangular_output_weights(np.ones((3, 2)), np.ones((3, 1)))
 
 
 class TestResidual:
