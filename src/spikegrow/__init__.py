@@ -14,7 +14,6 @@ from .construct import (
 from .dataset import (
     GeneratorConfig,
     LabeledDataset,
-    LabeledSample,
     NestedFamily,
     SplitConfig,
     encode_targets,

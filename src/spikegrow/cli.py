@@ -144,8 +144,8 @@ def cmd_train_fresh(args) -> int:
     _require_file(args.dataset, "dataset file")
     run = load_run_config(args.config)
     cfg = _growth_config(run, args)
-    ds = load_dataset(args.dataset)
-    train, test = split_train_test(ds, run.split.test_fraction, run.split.seed)
+    train, test = split_train_test(load_dataset(args.dataset),
+                                   run.split.test_fraction, run.split.seed)
     net, trace = train_fresh(train, test, cfg)
     save_network(net, args.out_checkpoint)
     export_trace(trace, args.out_trace, format="structured")
@@ -171,6 +171,7 @@ def cmd_train_exp(args) -> int:
               f"hidden={net.n_hidden}")
         return EXIT_OK
     train, test = split_train_test(ds, run.split.test_fraction, run.split.seed)
+    del ds  # the split copied its rows
     net, trace = train_experienced(seed, train, test, cfg)
     save_network(net, args.out_checkpoint)
     export_trace(trace, args.out_trace, format="structured")

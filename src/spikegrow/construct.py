@@ -189,15 +189,22 @@ def grow_one(
 
     Round k samples a pool at weight range weight_scale*lambda_growth**k and
     contraction target 1 - (1 - sigma0)/2**k; the first round that yields a
-    qualifying candidate wins. After sigma_relax_steps + 1 fruitless rounds
-    the attempt saturates.
+    qualifying candidate wins. The attempt saturates after sigma_relax_steps
+    + 1 fruitless rounds, or once the target rounds to 1.0 or the weight
+    range 2*scale overflows.
     """
-    sigma = cfg.sigma0
+    sigma, rounds = cfg.sigma0, 0
     for k in range(cfg.sigma_relax_steps + 1):
-        scale = cfg.weight_scale * cfg.lambda_growth**k
-        sigma = 1.0 - (1.0 - cfg.sigma0) / 2.0**k
+        try:
+            scale = cfg.weight_scale * cfg.lambda_growth**k
+        except OverflowError:
+            break
+        relaxed = 1.0 - (1.0 - cfg.sigma0) / 2.0**k
+        if relaxed >= 1.0 or not np.isfinite(2.0 * scale):
+            break
+        sigma, rounds = relaxed, k + 1
         pool = sample_candidates(cfg, ds.d, rng, weight_scale=scale)
         selection = select_best(pool_features(pool, ds, params), E, sigma)
         if selection is not None:
-            return GrowOutcome(selection, sigma, k + 1)
-    return GrowOutcome(None, sigma, cfg.sigma_relax_steps + 1)
+            return GrowOutcome(selection, sigma, rounds)
+    return GrowOutcome(None, sigma, rounds)

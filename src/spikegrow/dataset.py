@@ -1,11 +1,11 @@
 """Spike-train datasets: synthetic generator, nesting, splitting, serialization.
 
-A dataset holds N labeled samples, each a (d, T) block of binary spike
-trains. The synthetic generator draws one per-channel Bernoulli rate profile
-per category and realizes independent spike rasters around it, so class
-information lives in the per-channel firing statistics. Families of datasets
-are nested: every sample of an earlier stage is literally a member of every
-later stage.
+A dataset holds N labeled samples as two columns: an (N, d, T) array of
+binary spike blocks and an (N,) array of category indices. The synthetic
+generator draws one per-channel Bernoulli rate profile per category and
+realizes independent spike rasters around it, so class information lives in
+the per-channel firing statistics. Families of datasets are nested: every
+earlier stage is a prefix of the rows of every later stage.
 
 File format (version 1, line oriented): a JSON header line
 {"format_version": 1, "d", "T", "dt_ms", "n_samples", "categories"}, then
@@ -39,85 +39,57 @@ FORMAT_VERSION = 1
 _RATE_EPS = 1e-9
 
 
-@dataclass(frozen=True)
-class LabeledSample:
-    """One d-channel spike block with its category label."""
-
-    channels: np.ndarray  # (d, T) uint8
-    label: int
-
-    def __post_init__(self):
-        arr = np.asarray(self.channels, dtype=np.uint8)
-        if arr.ndim != 2:
-            raise ShapeError("sample channels must form a (d, T) array")
-        arr.setflags(write=False)
-        object.__setattr__(self, "channels", arr)
-
-    @property
-    def d(self) -> int:
-        return self.channels.shape[0]
-
-    @property
-    def T(self) -> int:
-        return self.channels.shape[1]
-
-    def __eq__(self, other) -> bool:
-        return (
-            isinstance(other, LabeledSample)
-            and self.label == other.label
-            and np.array_equal(self.channels, other.channels)
-        )
+def _zeros(shape, dtype=np.uint8) -> np.ndarray:
+    """np.zeros, with MemoryError also when numpy cannot even size the array."""
+    try:
+        return np.zeros(shape, dtype=dtype)
+    except ValueError as exc:  # array is too big / maximum dimension exceeded
+        raise MemoryError(str(exc)) from None
 
 
 class LabeledDataset:
-    """An immutable collection of samples over an ordered category list."""
+    """An immutable dataset over an ordered category list: an (N, d, T) uint8
+    array of spike blocks and an (N,) array of indices into the categories."""
 
-    def __init__(self, samples, categories, d, T, dt_ms=1.0):
-        self.samples = list(samples)
+    def __init__(self, spikes, label_index, categories, dt_ms=1.0):
+        self.spikes = np.asarray(spikes, dtype=np.uint8).view()
+        self.label_index = np.asarray(label_index, dtype=np.intp).view()
+        self.spikes.setflags(write=False)
+        self.label_index.setflags(write=False)
         self.categories = list(categories)
-        self.d = int(d)
-        self.T = int(T)
         self.dt_ms = float(dt_ms)
         self._tensor = None
         self._fingerprint = None
         if len(set(self.categories)) != len(self.categories):
             raise ConfigError("categories must be distinct")
-        cat_set = set(self.categories)
-        for k, s in enumerate(self.samples):
-            if s.channels.shape != (self.d, self.T):
-                raise ShapeError(
-                    f"sample {k} has shape {s.channels.shape}, "
-                    f"expected {(self.d, self.T)}"
-                )
-            if s.label not in cat_set:
-                raise ConfigError(f"sample {k} label {s.label} not in categories")
+        if self.spikes.ndim != 3 or self.label_index.shape != self.spikes.shape[:1]:
+            raise ShapeError(f"spikes {self.spikes.shape} must be (N, d, T) with "
+                             f"N the length of label_index {self.label_index.shape}")
+        _, self.d, self.T = self.spikes.shape
+        if np.any((self.label_index < 0) | (self.label_index >= self.n_categories)):
+            raise ConfigError(f"label indices must lie in [0, {self.n_categories})")
 
     def __len__(self) -> int:
-        return len(self.samples)
+        return len(self.spikes)
 
     @property
     def n_categories(self) -> int:
         return len(self.categories)
 
     def label_indices(self) -> np.ndarray:
-        """Per-sample index into the ordered category list."""
-        pos = {c: i for i, c in enumerate(self.categories)}
-        return np.array([pos[s.label] for s in self.samples], dtype=np.intp)
+        """Per-sample index into the ordered category list (read-only)."""
+        return self.label_index
 
     def spike_tensor(self) -> np.ndarray:
-        """All samples stacked as a read-only (N, d, T) float array; cached.
+        """The spike blocks as a read-only (N, d, T) float array; cached.
 
         The array is a view of a time-major (T, N, d) buffer, so that
         `transpose(2, 0, 1)` of it, the layout the LIF kernel steps
         through, is C-contiguous and needs no copy.
         """
         if self._tensor is None:
-            if self.samples:
-                stacked = np.stack([s.channels for s in self.samples])
-                t = np.ascontiguousarray(stacked.transpose(2, 0, 1),
-                                         dtype=np.float64)
-            else:
-                t = np.zeros((self.T, 0, self.d))
+            t = np.ascontiguousarray(self.spikes.transpose(2, 0, 1),
+                                     dtype=np.float64)
             t.setflags(write=False)
             self._tensor = t.transpose(1, 2, 0)
         return self._tensor
@@ -126,8 +98,9 @@ class LabeledDataset:
         return (
             isinstance(other, LabeledDataset)
             and self.categories == other.categories
-            and (self.d, self.T, self.dt_ms) == (other.d, other.T, other.dt_ms)
-            and self.samples == other.samples
+            and self.dt_ms == other.dt_ms
+            and np.array_equal(self.spikes, other.spikes)
+            and np.array_equal(self.label_index, other.label_index)
         )
 
 
@@ -187,8 +160,9 @@ def generate_family(config: GeneratorConfig, stage_sizes) -> NestedFamily:
     """
     stage_sizes = check_stage_sizes(stage_sizes, config.categories)
     rng = np.random.default_rng(config.rng_seed)
-    d, T = config.d, config.T
-    per_category: list[list[LabeledSample]] = []
+    d, T, n = config.d, config.T, config.samples_per_category
+    # Samples are ordered by category, so each stage is a prefix of the last.
+    spikes = _zeros((stage_sizes[-1] * n, d, T))
     for cat in range(stage_sizes[-1]):
         signs = rng.integers(0, 2, size=d) * 2 - 1
         profile = config.base_rate * (1.0 + signs * config.separation)
@@ -196,20 +170,13 @@ def generate_family(config: GeneratorConfig, stage_sizes) -> NestedFamily:
             raise ConfigError(
                 "category rate profile left (0, 1); reduce separation or base_rate"
             )
-        samples = []
-        for _ in range(config.samples_per_category):
+        for k in range(cat * n, (cat + 1) * n):
             perturbation = rng.uniform(-1.0, 1.0, size=d) * config.jitter * config.base_rate
             p = np.clip(profile + perturbation, _RATE_EPS, 1.0 - _RATE_EPS)
-            spikes = (rng.random((d, T)) < p[:, None]).astype(np.uint8)
-            samples.append(LabeledSample(spikes, cat))
-        per_category.append(samples)
-
-    stages = []
-    for size in stage_sizes:
-        samples = [s for cat in range(size) for s in per_category[cat]]
-        stages.append(
-            LabeledDataset(samples, list(range(size)), d, T, config.dt_ms)
-        )
+            spikes[k] = rng.random((d, T)) < p[:, None]
+    label_index = np.repeat(np.arange(stage_sizes[-1]), n)
+    stages = [LabeledDataset(spikes[:size * n], label_index[:size * n],
+                             range(size), config.dt_ms) for size in stage_sizes]
     return NestedFamily(tuple(stages))
 
 
@@ -226,27 +193,19 @@ def split_train_test(ds: LabeledDataset, test_fraction: float, seed: int):
     """Deterministic stratified split into disjoint train and test datasets."""
     SplitConfig(test_fraction, seed)  # checks both
     rng = np.random.default_rng(seed)
-    by_label: dict = {c: [] for c in ds.categories}
-    for idx, s in enumerate(ds.samples):
-        by_label[s.label].append(idx)
-    train_idx, test_idx = [], []
-    for c in ds.categories:
-        idxs = by_label[c]
+    is_test = np.zeros(len(ds), dtype=bool)
+    for i, c in enumerate(ds.categories):
+        idxs = np.flatnonzero(ds.label_index == i)
         if len(idxs) < 2:
             raise ConfigError(
                 f"category {c} has {len(idxs)} sample(s); need >= 2 to stratify"
             )
-        order = rng.permutation(len(idxs))
         n_test = int(round(test_fraction * len(idxs)))
         n_test = min(max(n_test, 1), len(idxs) - 1)
-        for k, o in enumerate(order):
-            (test_idx if k < n_test else train_idx).append(idxs[o])
-    train_idx.sort()
-    test_idx.sort()
-    mk = lambda idxs: LabeledDataset(
-        [ds.samples[i] for i in idxs], ds.categories, ds.d, ds.T, ds.dt_ms
-    )
-    return mk(train_idx), mk(test_idx)
+        is_test[rng.permutation(idxs)[:n_test]] = True
+    mk = lambda rows: LabeledDataset(ds.spikes[rows], ds.label_index[rows],
+                                     ds.categories, ds.dt_ms)
+    return mk(~is_test), mk(is_test)
 
 
 def encode_targets(ds: LabeledDataset) -> np.ndarray:
@@ -276,8 +235,7 @@ def _sample_line(label_index: int, block: np.ndarray) -> str:
 def dataset_to_text(ds: LabeledDataset) -> str:
     """Canonical serialized form; also the basis of dataset fingerprints."""
     lines = [_header_line(ds.d, ds.T, ds.dt_ms, len(ds), ds.categories)]
-    lines += map(_sample_line, ds.label_indices().tolist(),
-                 [s.channels for s in ds.samples])
+    lines += map(_sample_line, ds.label_index.tolist(), ds.spikes)
     return "\n".join(lines) + "\n"
 
 
@@ -324,14 +282,20 @@ def _parse_header(raw: bytes):
 
 def load_dataset(path: str) -> LabeledDataset:
     """Read a .ds file line by line; only the exact bytes `save_dataset`
-    writes load: each sample line is parsed into its (d, T) block, which must
-    serialise back to that line. The file's sha256 becomes the fingerprint."""
+    writes load: each sample line is parsed into its row of the spike array,
+    which must serialise back to that line. The file's sha256 becomes the
+    fingerprint."""
     with open(path, "rb") as fh:
         raw = fh.readline()
         digest = hashlib.sha256(raw)
         d, T, dt_ms, n_samples, categories = _parse_header(raw)
-        pos = {c: i for i, c in enumerate(categories)}
-        samples = []
+        try:
+            spikes = _zeros((n_samples, d, T))
+            label_index = _zeros(n_samples, dtype=np.intp)
+        except MemoryError as exc:
+            raise DataFormatError(f"header at byte 0: {n_samples} samples of "
+                                  f"({d}, {T}) spikes cannot be allocated: "
+                                  f"{exc}") from None
         for k in range(n_samples):
             offset, raw = fh.tell(), fh.readline()
             if not raw:
@@ -341,21 +305,21 @@ def load_dataset(path: str) -> LabeledDataset:
             try:
                 line = raw.decode("utf-8")
                 rec = json.loads(line)
-                label = categories[rec["label_index"]]
-                block = np.zeros((d, T), dtype=np.uint8)
-                block[np.repeat(np.arange(d), [len(t) for t in rec["spikes"]]),
-                      np.fromiter(chain.from_iterable(rec["spikes"]), np.intp)] = 1
+                # Indexing a range rejects an index >= m; a negative one
+                # fails the canonical check.
+                label_index[k] = range(len(categories))[rec["label_index"]]
+                spikes[k][np.repeat(np.arange(d), [len(t) for t in rec["spikes"]]),
+                          np.fromiter(chain.from_iterable(rec["spikes"]), np.intp)] = 1
             except (KeyError, TypeError, ValueError, IndexError, OverflowError,
                     RecursionError, MemoryError) as exc:
                 raise DataFormatError(
                     f"malformed sample record at byte {offset}: {exc}") from None
-            if _sample_line(pos[label], block) + "\n" != line:
+            if _sample_line(label_index[k], spikes[k]) + "\n" != line:
                 raise DataFormatError(
                     f"sample record at byte {offset} is not in canonical form")
-            samples.append(LabeledSample(block, label))
         if fh.read(1):
             raise DataFormatError(f"data after the last of {n_samples} samples at "
                                   f"byte {fh.tell() - 1}")
-    ds = LabeledDataset(samples, categories, d, T, dt_ms)
+    ds = LabeledDataset(spikes, label_index, categories, dt_ms)
     ds._fingerprint = digest.hexdigest()
     return ds

@@ -7,18 +7,15 @@ from hypothesis import strategies as st
 
 sys.path.insert(0, str(Path(__file__).parent))
 
-from spikegrow import GeneratorConfig, LabeledDataset, LabeledSample, generate_family
+from spikegrow import GeneratorConfig, LabeledDataset, generate_family
 
 
 def make_dataset(n_per_cat=4, n_cats=3, d=4, T=10, seed=0):
     """Small random dataset for structural tests."""
     rng = np.random.default_rng(seed)
-    samples = []
-    for c in range(n_cats):
-        for _ in range(n_per_cat):
-            block = (rng.random((d, T)) < 0.3).astype(np.uint8)
-            samples.append(LabeledSample(block, c))
-    return LabeledDataset(samples, list(range(n_cats)), d, T)
+    spikes = (rng.random((n_cats * n_per_cat, d, T)) < 0.3).astype(np.uint8)
+    label_index = np.repeat(np.arange(n_cats), n_per_cat)
+    return LabeledDataset(spikes, label_index, list(range(n_cats)))
 
 
 _MUTATION_BYTE = st.one_of(st.sampled_from(list(b'0123456789[], "-.e\n\r')),

@@ -187,8 +187,42 @@ class TestBadConfig:
                             err), err
         assert not (workdir / "x.net").exists()
 
+    @pytest.mark.parametrize("generator", [
+        {"d": 2**20, "T": 2**20, "samples_per_category": 2**10},
+        {"d": 2**30 - 1, "T": 2**30 - 1, "samples_per_category": 2**30 - 1},
+    ], ids=["beyond-memory", "beyond-numpy-size"])
+    def test_family_too_large_exit_2(self, workdir, capsys, generator):
+        """Every size within its range, their product too large: the family
+        is allocated before any sample is drawn, and fails at once."""
+        cfg = write_config(workdir / "cfg.json", generator=dict(
+            generator, categories=4, stages=[4]))
+        assert main(["gen-data", "--config", cfg, "--out-dir", "out"]) == 2
+        err = capsys.readouterr().err
+        assert re.fullmatch(r"error: MemoryError: [^\n]*\n", err), err
+        assert not (workdir / "out" / "manifest.json").exists()
+
 
 class TestTrainFresh:
+    @pytest.mark.parametrize("pruning", [
+        {"pool_size": 1, "weight_scale": 1e-300, "sigma_relax_steps": 2000},
+        {"pool_size": 1, "weight_scale": 1e-300, "lambda_growth": 1e200,
+         "sigma_relax_steps": 3},
+    ], ids=["sigma-reaches-one", "weight-range-overflows"])
+    def test_silent_schedule_exit_3(self, workdir, capsys, pruning):
+        """Round schedules that run past sigma = 1.0 or past the largest
+        float saturate: a run whose every pool is silent is degenerate."""
+        cfg = write_config(workdir / "cfg.json", pruning=pruning, generator={
+            "d": 4, "T": 20, "categories": 2, "samples_per_category": 5,
+            "stages": [2]})
+        assert main(["gen-data", "--config", cfg, "--out-dir", "data"]) == 0
+        capsys.readouterr()
+        assert main(["train-fresh", "--config", cfg,
+                     "--dataset", "data/stage-2.ds",
+                     "--out-checkpoint", "x.net", "--out-trace", "x.trace"]) == 3
+        err = capsys.readouterr().err
+        assert re.fullmatch(r"error: DegenerateDataError: [^\n]*\n", err), err
+        assert not (workdir / "x.net").exists()
+
     def test_end_to_end(self, generated, workdir):
         rc = main(["train-fresh", "--config", generated,
                    "--dataset", "data/stage-2.ds",
@@ -304,7 +338,7 @@ class TestEvalAndInspect:
         (workdir / "seed.net").write_bytes(network_to_bytes(
             Network(8, LifParams(), [HiddenNeuron(np.ones(8), 0.5)],
                     np.ones((1, 2)), [0, 1])))
-        save_dataset(LabeledDataset([], [0, 1], 8, 20), "empty.ds")
+        save_dataset(LabeledDataset(np.zeros((0, 8, 20)), [], [0, 1]), "empty.ds")
         assert main(["eval", "--checkpoint", "seed.net",
                      "--dataset", "empty.ds", "--out-report", "r.json"]) == 2
         err = capsys.readouterr().err
@@ -525,9 +559,12 @@ class TestMalformedDataset:
         lambda b: b.replace(b"\n", b"\r\n"),
         _record_edit(-2, _float_label),
         lambda b: b.replace(b'"d": 8', b'"d": 8, "x": 0'),
+        lambda b: b.replace(b'"n_samples": 20', b'"n_samples": %d' % 10**12),
+        lambda b: b.replace(b'"n_samples": 20', b'"n_samples": %d' % 10**18),
     ], ids=["non-utf8", "string-n-samples", "duplicate-categories",
             "float-spike-time", "unsorted-times", "trailing-record", "crlf",
-            "float-label-index", "extra-header-key"])
+            "float-label-index", "extra-header-key", "n-samples-1e12",
+            "n-samples-1e18"])
     def test_exit_3_names_byte_offset(self, generated, workdir, capsys, edit):
         blob = (workdir / "data" / "stage-2.ds").read_bytes()
         bad = edit(blob)

@@ -90,8 +90,8 @@ class TestCandidateFeatures:
         w = rng.uniform(-1, 1, tiny_dataset.d)
         c = Candidate(w, 0.3, 0)
         h = candidate_features(c, tiny_dataset, PARAMS)
-        for i, s in enumerate(tiny_dataset.samples):
-            spikes = lif_unroll(s.channels.tolist(), w.tolist(), 0.3,
+        for i, block in enumerate(tiny_dataset.spikes):
+            spikes = lif_unroll(block.tolist(), w.tolist(), 0.3,
                                 PARAMS.dt, PARAMS.tau_syn, PARAMS.tau_mem,
                                 PARAMS.theta)
             assert h[i] == sum(spikes) / len(spikes)
@@ -244,6 +244,37 @@ class TestGrowOne:
                        np.random.default_rng(1))
         assert out.saturated
         assert out.rounds_used == cfg.sigma_relax_steps + 1
+
+    def test_saturates_before_sigma_rounds_to_one(self):
+        # A schedule long enough that 1 - (1 - sigma0)/2**k rounds to 1.0:
+        # the attempt ends at the last round whose target is below 1.0.
+        ds = make_dataset(n_per_cat=2, n_cats=2, d=3, T=6)
+        from spikegrow import encode_targets
+        from spikegrow._util import SIZE_MAX
+        cfg = PruningConfig(pool_size=1, sigma_relax_steps=SIZE_MAX)
+        out = grow_one(encode_targets(ds), ds, cfg, LifParams(theta=1e9),
+                       np.random.default_rng(1))
+        k = out.rounds_used - 1
+        assert out.saturated and out.sigma_used < 1.0
+        assert out.sigma_used == 1.0 - (1.0 - cfg.sigma0) / 2.0**k
+        assert 1.0 - (1.0 - cfg.sigma0) / 2.0**(k + 1) == 1.0
+
+    @pytest.mark.parametrize("weight_scale, lambda_growth, rounds", [
+        (1e-300, 1e200, 2),  # lambda_growth**2 overflows
+        (1e300, 10.0, 8),  # 2 * 1e308 is inf
+        (1e308, 1.0, 0),  # the first range is already inf
+    ])
+    def test_saturates_once_weight_range_leaves_floats(self, weight_scale,
+                                                       lambda_growth, rounds):
+        # No input spikes: every pool is silent, whatever its weights.
+        from spikegrow import LabeledDataset, encode_targets
+        ds = LabeledDataset(np.zeros((4, 3, 6)), [0, 0, 1, 1], [0, 1])
+        cfg = PruningConfig(pool_size=1, weight_scale=weight_scale,
+                            lambda_growth=lambda_growth, sigma_relax_steps=20)
+        out = grow_one(encode_targets(ds), ds, cfg, PARAMS,
+                       np.random.default_rng(1))
+        assert out.saturated
+        assert out.rounds_used == rounds
 
     def test_deterministic_across_thread_counts(self, tiny_dataset):
         # Same rng state, same outcome; the winner's feature is the one it

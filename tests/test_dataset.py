@@ -11,6 +11,8 @@ from spikegrow import (
     ConfigError,
     DataFormatError,
     GeneratorConfig,
+    LabeledDataset,
+    ShapeError,
     encode_targets,
     generate_family,
     load_dataset,
@@ -30,6 +32,65 @@ class TestGeneratorConfig:
             GeneratorConfig(**kwargs)
 
 
+class TestColumns:
+    @pytest.mark.parametrize("label_index, error", [
+        ([0, 1, -1], ConfigError),
+        ([0, 1, 2], ConfigError),
+        ([0, 1], ShapeError),
+        ([[0], [1], [1]], ShapeError),
+    ], ids=["negative-label", "label-beyond-categories", "fewer-labels",
+            "2d-labels"])
+    def test_bad_columns_rejected(self, label_index, error):
+        with pytest.raises(error):
+            LabeledDataset(np.zeros((3, 2, 5)), label_index, ["a", "b"])
+
+    def test_bad_spike_shape_and_duplicate_categories_rejected(self):
+        with pytest.raises(ShapeError):
+            LabeledDataset(np.zeros((3, 10)), [0, 1, 1], ["a", "b"])
+        with pytest.raises(ConfigError, match="distinct"):
+            LabeledDataset(np.zeros((3, 2, 5)), [0, 1, 1], ["a", "a"])
+
+    def test_columns_are_read_only(self, tiny_dataset):
+        with pytest.raises(ValueError):
+            tiny_dataset.spikes[0, 0, 0] = 1
+        with pytest.raises(ValueError):
+            tiny_dataset.label_indices()[0] = 1
+
+    def test_empty_keeps_d_and_t(self):
+        ds = LabeledDataset(np.zeros((0, 6, 9)), [], [0, 1])
+        assert (len(ds), ds.d, ds.T) == (0, 6, 9)
+        assert ds.spike_tensor().shape == (0, 6, 9)
+
+
+class TestPinnedBytes:
+    """sha256 of the canonical text of a generated family and of a split,
+    recorded before the columnar dataset: a reordered rng draw or a changed
+    split selection changes them."""
+
+    CFG = GeneratorConfig(d=6, T=9, categories=4, samples_per_category=5,
+                          rng_seed=11)
+
+    def test_generated_stages(self):
+        fam = generate_family(self.CFG, [2, 4])
+        assert [_sha(dataset_to_text(s)) for s in fam.stages] == [
+            "55cf5524bd853f95def6f86e835a3da215fed853fb5580ae81e041f0179de475",
+            "c0033013d982052f9ab01d4f4bf9001fb1acb9fbaba6d439b33221172644fa2e",
+        ]
+
+    def test_split(self):
+        ds = generate_family(self.CFG, [2, 4]).stages[1]
+        train, test = split_train_test(ds, 0.3, 7)
+        assert (len(train), len(test)) == (12, 8)
+        assert _sha(dataset_to_text(train)) == \
+            "60aea41366fd712aff0ff478099f39f24b48fd6129c9f65e6425cb0d775fae0d"
+        assert _sha(dataset_to_text(test)) == \
+            "89e97e7e90baf7e8ff29bc487035d8b685cc15daf1e8739ca3aa7166b00a2e3f"
+
+
+def _sha(text: str) -> str:
+    return hashlib.sha256(text.encode("utf-8")).hexdigest()
+
+
 class TestGenerateFamily:
     def test_paper_scale_topology(self):
         cfg = GeneratorConfig(d=64, T=25, categories=20,
@@ -43,14 +104,16 @@ class TestGenerateFamily:
         fam = generate_family(cfg, [5])
         (stage,) = fam.stages
         assert len(stage) == 5
-        assert sorted(s.label for s in stage.samples) == [0, 1, 2, 3, 4]
+        assert sorted(stage.label_indices().tolist()) == [0, 1, 2, 3, 4]
 
     def test_nesting_is_literal_membership(self):
         cfg = GeneratorConfig(d=6, T=8, categories=6, samples_per_category=3,
                               rng_seed=4)
         fam = generate_family(cfg, [2, 4, 6])
         for a, b in zip(fam.stages, fam.stages[1:]):
-            assert b.samples[: len(a)] == a.samples
+            assert np.array_equal(b.spikes[: len(a)], a.spikes)
+            assert np.array_equal(b.label_indices()[: len(a)], a.label_indices())
+            assert np.shares_memory(a.spikes, b.spikes)  # a view, not a copy
 
     def test_determinism(self):
         cfg = GeneratorConfig(d=5, T=7, categories=3, samples_per_category=4,
@@ -107,9 +170,9 @@ class TestSplit:
     def test_stratified_counts(self):
         ds = make_dataset(n_per_cat=10, n_cats=3)
         train, test = split_train_test(ds, 0.2, 0)
-        for c in ds.categories:
-            assert sum(s.label == c for s in train.samples) == 8
-            assert sum(s.label == c for s in test.samples) == 2
+        for i in range(ds.n_categories):
+            assert np.sum(train.label_indices() == i) == 8
+            assert np.sum(test.label_indices() == i) == 2
 
     def test_deterministic(self):
         ds = make_dataset(n_per_cat=6, n_cats=2)
@@ -120,9 +183,10 @@ class TestSplit:
     def test_union_and_disjointness(self):
         ds = make_dataset(n_per_cat=7, n_cats=3, seed=9)
         train, test = split_train_test(ds, 0.3, 5)
-        ids = lambda d: {id(s) for s in d.samples}
-        assert ids(train) | ids(test) == ids(ds)
-        assert not (ids(train) & ids(test))
+        # Train and test rows, as (block, label) pairs, partition the rows.
+        rows = lambda d: sorted(zip(map(bytes, d.spikes),
+                                    d.label_indices().tolist()))
+        assert rows(ds) == sorted(rows(train) + rows(test))
 
     def test_small_category_rejected(self):
         ds = make_dataset(n_per_cat=1, n_cats=2)
@@ -149,8 +213,7 @@ class TestEncodeTargets:
 
     def test_column_sums_are_category_counts(self, tiny_dataset):
         F = encode_targets(tiny_dataset)
-        counts = [sum(s.label == c for s in tiny_dataset.samples)
-                  for c in tiny_dataset.categories]
+        counts = np.bincount(tiny_dataset.label_indices()).tolist()
         assert F.sum(axis=0).tolist() == counts
 
 
@@ -223,6 +286,16 @@ class TestSerialization:
         text = p.read_text().replace('"format_version": 1', '"format_version": 9')
         p.write_text(text)
         with pytest.raises(DataFormatError, match="version"):
+            load_dataset(str(p))
+
+    @pytest.mark.parametrize("n_samples", [10**12, 10**18])
+    def test_unallocatable_header_rejected(self, tmp_path, n_samples):
+        p = tmp_path / "h.ds"
+        save_dataset(make_dataset(d=64, T=25), str(p))
+        p.write_bytes(p.read_bytes().replace(
+            b'"n_samples": 12', b'"n_samples": %d' % n_samples))
+        with pytest.raises(DataFormatError,
+                           match="header at byte 0: .* cannot be allocated"):
             load_dataset(str(p))
 
     def test_truncated_samples_rejected(self, tmp_path):

@@ -185,7 +185,7 @@ class TestTimeMajorLayout:
         t = dataset.spike_tensor()
         assert t.shape == (len(dataset), dataset.d, dataset.T)
         assert dataset.spike_tensor() is t
-        assert np.array_equal(t, np.stack([s.channels for s in dataset.samples]))
+        assert np.array_equal(t, dataset.spikes)
         assert not t.flags.writeable
         with pytest.raises(ValueError):
             t[0, 0, 0] = 1.0
