@@ -188,10 +188,11 @@ def grow_one(
     """One full recruitment attempt with sigma relaxation and range growth.
 
     Round k samples a pool at weight range weight_scale*lambda_growth**k and
-    contraction target 1 - (1 - sigma0)/2**k; the first round that yields a
-    qualifying candidate wins. The attempt saturates after sigma_relax_steps
-    + 1 fruitless rounds, or once the target rounds to 1.0 or the weight
-    range 2*scale overflows.
+    contraction target 1 - (1 - sigma0)/2**k; round 0 uses sigma0 itself,
+    which that expression rounds to 0.0 for sigma0 below 1.1e-16. The first
+    round that yields a qualifying candidate wins. The attempt saturates
+    after sigma_relax_steps + 1 fruitless rounds, or once the target rounds
+    to 1.0 or the weight range 2*scale overflows.
     """
     sigma, rounds = cfg.sigma0, 0
     for k in range(cfg.sigma_relax_steps + 1):
@@ -199,7 +200,7 @@ def grow_one(
             scale = cfg.weight_scale * cfg.lambda_growth**k
         except OverflowError:
             break
-        relaxed = 1.0 - (1.0 - cfg.sigma0) / 2.0**k
+        relaxed = 1.0 - (1.0 - cfg.sigma0) / 2.0**k if k else cfg.sigma0
         if relaxed >= 1.0 or not np.isfinite(2.0 * scale):
             break
         sigma, rounds = relaxed, k + 1

@@ -19,7 +19,8 @@ import hashlib
 import json
 import math
 from dataclasses import dataclass
-from itertools import chain
+from functools import lru_cache
+from itertools import islice
 
 import numpy as np
 
@@ -37,6 +38,13 @@ FORMAT_VERSION = 1
 # Sample-level Bernoulli probabilities are clamped to this open interval;
 # category profiles that would leave it are rejected outright.
 _RATE_EPS = 1e-9
+
+# Sample lines are serialised, hashed and verified this many at a time, so
+# the codec's temporaries are bounded by one block, not by the file.
+_BLOCK = 256
+
+# A digit run longer than this is out of range: no allocatable T reaches it.
+_MAX_DIGITS = 18
 
 
 def _zeros(shape, dtype=np.uint8) -> np.ndarray:
@@ -223,33 +231,82 @@ def _header_line(d, T, dt_ms, n_samples, categories) -> str:
                        "categories": list(categories)}, sort_keys=True)
 
 
-def _sample_line(label_index: int, block: np.ndarray) -> str:
-    """The one serialiser of a sample line (`str` of a list of ints is JSON)."""
-    channel, times = np.nonzero(block)
-    ends = np.cumsum(np.bincount(channel, minlength=len(block))).tolist()
-    times = times.tolist()
-    spikes = [times[a:b] for a, b in zip([0] + ends, ends)]
-    return f'{{"label_index": {label_index}, "spikes": {spikes}}}'
+@lru_cache(maxsize=4)
+def _token_table(T: int) -> np.ndarray:
+    """The tokens of a sample line with spike times in [0, T), one W-byte
+    item each, W a power of two, zero-padded: item t is "t" (a channel's
+    first time), T "], [" (between channels), T + 1 + t ", t" and 2T + 1
+    "]]}\n" (the end of a line)."""
+    digits = len(str(T - 1))
+    width = 1 << (digits + 1).bit_length()  # >= digits + 2 and >= 4
+    times = np.arange(T).astype(f"S{digits}").view(np.uint8).reshape(T, digits)
+    words = np.zeros((2 * T + 2, width), dtype=np.uint8)
+    words[:T, :digits] = times
+    words[T + 1:2 * T + 1, :2] = np.frombuffer(b", ", np.uint8)
+    words[T + 1:2 * T + 1, 2:digits + 2] = times
+    words[[T, 2 * T + 1], :4] = np.frombuffer(b"], []]}\n", np.uint8).reshape(2, 4)
+    words.setflags(write=False)  # one cached table serves every caller
+    return words.view(f"V{width}").ravel()
+
+
+def _sample_lines(spikes: np.ndarray, label_index: np.ndarray) -> bytes:
+    """The canonical lines of a block of samples, `spikes` (k, d, T) and
+    `label_index` (k,): each is {"label_index": L, "spikes": S}, S being
+    `str` of the list of each channel's ascending spike times.
+
+    In a (k, d, T + 1) grid whose last column marks channel ends, every
+    nonzero cell is one token; a spike is first in its channel exactly when
+    the token before it is a channel end.
+    """
+    k, d, T = spikes.shape
+    if k == 0:
+        return b""
+    grid = np.empty((k, d, T + 1), dtype=bool)
+    grid[:, :, :T] = spikes
+    grid[:, :, T] = True
+    ids = np.flatnonzero(grid) % (T + 1)
+    spike = ids < T
+    ids[1:] += (T + 1) * (spike[1:] & spike[:-1])
+    ids[np.flatnonzero(~spike)[d - 1::d]] = 2 * T + 1
+    tokens = _token_table(T)[ids].view(np.uint8)
+    bodies = tokens[tokens != 0].tobytes().splitlines(keepends=True)
+    labels = label_index.tolist()
+    prefixes = {label: b'{"label_index": %d, "spikes": [[' % label
+                for label in set(labels)}
+    parts = [None] * (2 * k)
+    parts[0::2] = [prefixes[label] for label in labels]
+    parts[1::2] = bodies
+    return b"".join(parts)
+
+
+def _canonical_chunks(ds: LabeledDataset):
+    """The canonical bytes of `ds`: its header line, then its sample lines
+    in blocks of _BLOCK."""
+    yield (_header_line(ds.d, ds.T, ds.dt_ms, len(ds), ds.categories)
+           + "\n").encode("ascii")
+    for a in range(0, len(ds), _BLOCK):
+        yield _sample_lines(ds.spikes[a:a + _BLOCK], ds.label_index[a:a + _BLOCK])
 
 
 def dataset_to_text(ds: LabeledDataset) -> str:
     """Canonical serialized form; also the basis of dataset fingerprints."""
-    lines = [_header_line(ds.d, ds.T, ds.dt_ms, len(ds), ds.categories)]
-    lines += map(_sample_line, ds.label_index.tolist(), ds.spikes)
-    return "\n".join(lines) + "\n"
+    return b"".join(_canonical_chunks(ds)).decode("ascii")
 
 
 def dataset_fingerprint(ds: LabeledDataset) -> str:
-    """sha256 of the canonical serialized form; computed once per dataset."""
+    """sha256 of the canonical serialized form, hashed block by block;
+    computed once per dataset."""
     if ds._fingerprint is None:
-        payload = dataset_to_text(ds).encode("utf-8")
-        ds._fingerprint = hashlib.sha256(payload).hexdigest()
+        digest = hashlib.sha256()
+        for chunk in _canonical_chunks(ds):
+            digest.update(chunk)
+        ds._fingerprint = digest.hexdigest()
     return ds._fingerprint
 
 
 def save_dataset(ds: LabeledDataset, path: str) -> None:
     """Write the canonical form; its sha256 becomes the dataset's fingerprint."""
-    payload = dataset_to_text(ds).encode("utf-8")
+    payload = b"".join(_canonical_chunks(ds))
     atomic_write_bytes(path, payload)
     ds._fingerprint = hashlib.sha256(payload).hexdigest()
 
@@ -280,11 +337,57 @@ def _parse_header(raw: bytes):
     return d, T, dt_ms, n_samples, categories
 
 
+def _parse_lines(buf: bytes, stops: np.ndarray, spikes: np.ndarray,
+                 label_index: np.ndarray, m: int) -> np.ndarray:
+    """Scatter the lines of `buf`, ending at `stops`, into the rows of
+    `spikes` (k, d, T) and `label_index` (k,).
+
+    Each run of digits is a number: the first of a line is its label index,
+    each later one a spike time in the channel that the count of "]" before
+    it on the line names. Returns a flag per line that has no number, or a
+    number out of range. A canonical line parses to the row it was written
+    from; any other line to a row whose canonical line differs from it.
+    """
+    k, d, T = spikes.shape
+    text = np.frombuffer(buf + b"\n", np.uint8)  # the "\n" ends every run
+    digits = text - 48  # wraps around for every byte that is not a digit
+    edges = np.flatnonzero(np.diff(digits < 10, prepend=False))
+    starts, width = edges[0::2], edges[1::2] - edges[0::2]
+
+    def preceding(marks):
+        """How many of the sorted byte positions `marks` lie at or before
+        each run's start."""
+        at = np.searchsorted(starts, marks)
+        return np.bincount(at, minlength=len(starts) + 1).cumsum()[:-1]
+
+    line = preceding(stops)
+    closes = np.flatnonzero(text == ord("]"))
+    line_starts = np.concatenate([[0], stops[:-1]])
+    channel = preceding(closes) - np.searchsorted(closes, line_starts)[line]
+    value = np.zeros(len(starts), dtype=np.int64)
+    for j in range(min(width.max(initial=0), _MAX_DIGITS)):
+        digit = digits.take(starts + j, mode="clip")
+        value = np.where(width > j, 10 * value + digit, value)
+    first = np.ones(len(starts), dtype=bool)
+    first[1:] = line[1:] != line[:-1]
+    bad = (width > _MAX_DIGITS) | np.where(first, value >= m,
+                                           (value >= T) | (channel >= d))
+    flagged = np.ones(k, dtype=bool)
+    flagged[line[first]] = False
+    flagged[line[bad]] = True
+    label = first & ~bad
+    label_index[line[label]] = value[label]
+    spike = ~first & ~bad
+    spikes[line[spike], channel[spike], value[spike]] = 1
+    return flagged
+
+
 def load_dataset(path: str) -> LabeledDataset:
-    """Read a .ds file line by line; only the exact bytes `save_dataset`
-    writes load: each sample line is parsed into its row of the spike array,
-    which must serialise back to that line. The file's sha256 becomes the
-    fingerprint."""
+    """Read a .ds file in blocks of _BLOCK lines; only the exact bytes
+    `save_dataset` writes load: each block is parsed into its rows of the
+    spike array, which must serialise back to the block's bytes. A bad
+    line is named by its byte offset, the first in file order. The file's
+    sha256 becomes the fingerprint."""
     with open(path, "rb") as fh:
         raw = fh.readline()
         digest = hashlib.sha256(raw)
@@ -296,30 +399,46 @@ def load_dataset(path: str) -> LabeledDataset:
             raise DataFormatError(f"header at byte 0: {n_samples} samples of "
                                   f"({d}, {T}) spikes cannot be allocated: "
                                   f"{exc}") from None
-        for k in range(n_samples):
-            offset, raw = fh.tell(), fh.readline()
-            if not raw:
+        offset = len(raw)
+        for row in range(0, n_samples, _BLOCK):
+            want = min(_BLOCK, n_samples - row)
+            lines = list(islice(fh, want))
+            buf = b"".join(lines)
+            digest.update(buf)
+            rows = slice(row, row + len(lines))
+            stops = np.cumsum([len(line) for line in lines], dtype=np.intp)
+            flagged = _parse_lines(buf, stops, spikes[rows], label_index[rows],
+                                   len(categories))
+            canonical = _sample_lines(spikes[rows], label_index[rows])
+            if canonical != buf or flagged.any():
+                _reject_line(buf, canonical, stops, flagged, offset)
+            offset += len(buf)
+            if len(lines) < want:
                 raise DataFormatError(f"truncated sample block at byte {offset}: "
-                                      f"expected {n_samples} samples, found {k}")
-            digest.update(raw)
-            try:
-                line = raw.decode("utf-8")
-                rec = json.loads(line)
-                # Indexing a range rejects an index >= m; a negative one
-                # fails the canonical check.
-                label_index[k] = range(len(categories))[rec["label_index"]]
-                spikes[k][np.repeat(np.arange(d), [len(t) for t in rec["spikes"]]),
-                          np.fromiter(chain.from_iterable(rec["spikes"]), np.intp)] = 1
-            except (KeyError, TypeError, ValueError, IndexError, OverflowError,
-                    RecursionError, MemoryError) as exc:
-                raise DataFormatError(
-                    f"malformed sample record at byte {offset}: {exc}") from None
-            if _sample_line(label_index[k], spikes[k]) + "\n" != line:
-                raise DataFormatError(
-                    f"sample record at byte {offset} is not in canonical form")
+                                      f"expected {n_samples} samples, found "
+                                      f"{row + len(lines)}")
         if fh.read(1):
             raise DataFormatError(f"data after the last of {n_samples} samples at "
-                                  f"byte {fh.tell() - 1}")
+                                  f"byte {offset}")
     ds = LabeledDataset(spikes, label_index, categories, dt_ms)
     ds._fingerprint = digest.hexdigest()
     return ds
+
+
+def _reject_line(buf: bytes, canonical: bytes, stops: np.ndarray,
+                 flagged: np.ndarray, offset: int):
+    """Raise DataFormatError for the first bad line of a block read at
+    `offset`: the first flagged line, or the line holding the first byte in
+    which `buf` and its canonical form differ, whichever comes first."""
+    n = min(len(buf), len(canonical))
+    differ = np.flatnonzero(np.frombuffer(buf, np.uint8, n)
+                            != np.frombuffer(canonical, np.uint8, n))
+    at = differ[0] if len(differ) else n
+    line = min(int(np.searchsorted(stops, at, side="right")), len(stops) - 1)
+    first_flagged = int(np.argmax(flagged)) if flagged.any() else len(stops)
+    start = offset + int(np.concatenate([[0], stops])[min(line, first_flagged)])
+    if first_flagged <= line:
+        raise DataFormatError(
+            f"malformed sample record at byte {start}: it lacks a label index, "
+            f"or a label index, channel or spike time is out of range")
+    raise DataFormatError(f"sample record at byte {start} is not in canonical form")

@@ -297,7 +297,8 @@ def _grow(hidden, frozen_prefix, train, test, cfg: GrowthConfig, lif: LifParams,
     step costs O(N (n + m)) instead of a least-squares refit. Test features
     and output weights are computed only on eval steps; the weights there
     come from the QR factors the projection builds, and lstsq runs once,
-    for the returned snapshot.
+    for the returned snapshot. Also returns the number of pools the
+    saturating attempt drew (None unless the run saturated).
     """
     _check_pair(train, test)
     hidden = list(hidden)
@@ -326,6 +327,7 @@ def _grow(hidden, frozen_prefix, train, test, cfg: GrowthConfig, lif: LifParams,
     rng = np.random.default_rng(cfg.rng_seed)
     records = []
     status = None
+    saturated_rounds = None
     t0 = time.perf_counter()
 
     if train_acc >= cfg.target_train_accuracy:
@@ -339,7 +341,7 @@ def _grow(hidden, frozen_prefix, train, test, cfg: GrowthConfig, lif: LifParams,
             break
         outcome = grow_one(res.E, train, cfg.pruning, lif, rng)
         if outcome.saturated:
-            status = STATUS_SATURATED
+            status, saturated_rounds = STATUS_SATURATED, outcome.rounds_used
             break
         sel = outcome.selection
         neuron = HiddenNeuron(sel.winner.w, sel.winner.v)
@@ -398,13 +400,20 @@ def _grow(hidden, frozen_prefix, train, test, cfg: GrowthConfig, lif: LifParams,
     }
     net = Network(train.d, lif, best_hidden, best_beta, train.categories,
                   frozen_prefix=frozen_prefix, lineage=lineage + [entry])
-    return net, trace
+    return net, trace, saturated_rounds
 
 
 def train_fresh(train: LabeledDataset, test: LabeledDataset,
                 cfg: GrowthConfig):
     """Grow a classifier from scratch on a dataset pair."""
-    net, trace = _grow([], 0, train, test, cfg, cfg.lif, [], "fresh")
+    net, trace, saturated_rounds = _grow([], 0, train, test, cfg, cfg.lif, [],
+                                         "fresh")
+    if saturated_rounds == 0:
+        raise DegenerateDataError(
+            "no candidate pool was drawn: the weight range 2 * "
+            "pruning.weight_scale * pruning.lambda_growth**k overflows at "
+            "round 0; lower pruning.weight_scale"
+        )
     if trace.status == STATUS_SATURATED and not trace.records:
         raise DegenerateDataError(
             "no candidate neuron produced any spikes on this dataset"
@@ -454,9 +463,9 @@ def train_experienced(seed: Network, enlarged_train: LabeledDataset,
     recorded in the lineage but not solved twice.
     """
     _check_lineage(seed, enlarged_train)
-    net, trace = _grow(seed.hidden, seed.n_hidden, enlarged_train,
-                       enlarged_test, cfg, seed.lif,
-                       _one_loop_lineage(seed, enlarged_train), "experienced")
+    net, trace, _ = _grow(seed.hidden, seed.n_hidden, enlarged_train,
+                          enlarged_test, cfg, seed.lif,
+                          _one_loop_lineage(seed, enlarged_train), "experienced")
     for before, after in zip(seed.hidden, net.hidden):
         if before != after:
             raise InvariantError("frozen hidden weights were modified")

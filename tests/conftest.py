@@ -1,13 +1,36 @@
 import sys
+import warnings
 from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import settings
 from hypothesis import strategies as st
 
 sys.path.insert(0, str(Path(__file__).parent))
 
 from spikegrow import GeneratorConfig, LabeledDataset, generate_family
+
+# A failing property prints a blob that `@reproduce_failure` replays; every
+# other setting, max_examples included, stays hypothesis's default.
+settings.register_profile("spikegrow", print_blob=True)
+settings.load_profile("spikegrow")
+
+
+@pytest.hookimpl(tryfirst=True)
+def pytest_runtest_makereport(item, call):
+    """Import hypothesis's failing-example patch writer before its plugin
+    does, with DeprecationWarning ignored: the import (libcst, then
+    mypy_extensions) warns, and under `filterwarnings = error` the plugin's
+    report of a failing property became an INTERNALERROR that ended the
+    session before the failure and its blob were printed."""
+    if getattr(item, "_hypothesis_failing_examples", None):
+        with warnings.catch_warnings():
+            warnings.simplefilter("ignore", DeprecationWarning)
+            try:
+                import hypothesis.extra._patching  # noqa: F401
+            except ImportError:
+                pass
 
 
 def make_dataset(n_per_cat=4, n_cats=3, d=4, T=10, seed=0):

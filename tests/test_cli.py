@@ -223,6 +223,33 @@ class TestTrainFresh:
         assert re.fullmatch(r"error: DegenerateDataError: [^\n]*\n", err), err
         assert not (workdir / "x.net").exists()
 
+    def _train_tiny(self, workdir, pruning) -> int:
+        cfg = write_config(workdir / "cfg.json", pruning=pruning, generator={
+            "d": 4, "T": 20, "categories": 2, "samples_per_category": 5,
+            "stages": [2]})
+        assert main(["gen-data", "--config", cfg, "--out-dir", "data"]) == 0
+        return main(["train-fresh", "--config", cfg,
+                     "--dataset", "data/stage-2.ds",
+                     "--out-checkpoint", "x.net", "--out-trace", "x.trace"])
+
+    def test_tiny_sigma0_trains(self, workdir, capsys):
+        """A round-0 target below 1.1e-16 is sigma0 itself, not the 0.0
+        that 1 - (1 - sigma0) rounds to; later rounds relax it."""
+        assert self._train_tiny(workdir, {"sigma0": 1e-300}) == 0
+        assert capsys.readouterr().err == ""
+        records = json.loads((workdir / "x.trace").read_text())["records"]
+        assert records and records[0]["retries_used"] >= 1
+
+    def test_weight_range_overflow_at_round_0_exit_3(self, workdir, capsys):
+        """No pool can be drawn at all: the message names the setting, not
+        silent candidates."""
+        capsys.readouterr()
+        assert self._train_tiny(workdir, {"weight_scale": 1e308}) == 3
+        err = capsys.readouterr().err
+        assert re.fullmatch(r"error: DegenerateDataError: [^\n]*\n", err), err
+        assert "pruning.weight_scale" in err and "spikes" not in err
+        assert not (workdir / "x.net").exists()
+
     def test_end_to_end(self, generated, workdir):
         rc = main(["train-fresh", "--config", generated,
                    "--dataset", "data/stage-2.ds",
@@ -485,11 +512,12 @@ class TestMalformedTrace:
         assert main(["compare", "t.trace"]) == 0
 
 
-def _cli_exit(argv) -> int:
-    """Exit code of the CLI with its output swallowed; an exception that
+def _cli_run(argv) -> tuple:
+    """Exit code and stderr of the CLI, stdout swallowed; an exception that
     escapes `main` fails the calling test."""
-    with redirect_stdout(io.StringIO()), redirect_stderr(io.StringIO()):
-        return main(argv)
+    err = io.StringIO()
+    with redirect_stdout(io.StringIO()), redirect_stderr(err):
+        return main(argv), err.getvalue()
 
 
 @settings(max_examples=100, deadline=None)
@@ -497,30 +525,31 @@ def _cli_exit(argv) -> int:
 def test_mutated_checkpoint_loads_or_is_rejected(tmp_path_factory, data):
     """1-3 byte edits, insertions, deletions and truncations of a valid
     checkpoint: it loads or raises DataFormatError, and `inspect` exits 0
-    or 3 to match."""
+    or 3 to match, printing the loader's message (and so its byte offset)."""
     p = tmp_path_factory.getbasetemp() / "mutated.net"
     p.write_bytes(mutated(data, _valid_checkpoint()))
     try:
         load_network(str(p))
-        expected = 0
-    except DataFormatError:
-        expected = 3
-    assert _cli_exit(["inspect", "--checkpoint", str(p)]) == expected
+        expected = (0, "")
+    except DataFormatError as exc:
+        expected = (3, f"error: {type(exc).__name__}: {exc}\n")
+    assert _cli_run(["inspect", "--checkpoint", str(p)]) == expected
 
 
 @settings(max_examples=100, deadline=None)
 @given(data=st.data())
 def test_mutated_trace_loads_or_is_rejected(tmp_path_factory, data):
     """The same mutations of a valid structured trace: it loads or raises
-    DataFormatError, and `compare` exits 0 or 3 to match."""
+    DataFormatError, and `compare` exits 0 or 3 to match, printing the
+    loader's message."""
     p = tmp_path_factory.getbasetemp() / "mutated.trace"
     p.write_bytes(mutated(data, _valid_trace().encode("utf-8")))
     try:
         load_trace(str(p))
-        expected = 0
-    except DataFormatError:
-        expected = 3
-    assert _cli_exit(["compare", str(p)]) == expected
+        expected = (0, "")
+    except DataFormatError as exc:
+        expected = (3, f"error: {type(exc).__name__}: {exc}\n")
+    assert _cli_run(["compare", str(p)]) == expected
 
 
 def _record_edit(k, edit):

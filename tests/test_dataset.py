@@ -1,10 +1,12 @@
 import hashlib
+import re
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import oracles
 from conftest import make_dataset, mutated
 from oracles import spike_count_classifier_accuracy
 from spikegrow import (
@@ -19,7 +21,7 @@ from spikegrow import (
     save_dataset,
     split_train_test,
 )
-from spikegrow.dataset import dataset_fingerprint, dataset_to_text
+from spikegrow.dataset import _BLOCK, dataset_fingerprint, dataset_to_text
 
 
 class TestGeneratorConfig:
@@ -242,9 +244,9 @@ class TestSerialization:
                                                               monkeypatch):
         import spikegrow.dataset as dataset_module
         calls = []
-        to_text = dataset_module.dataset_to_text
-        monkeypatch.setattr(dataset_module, "dataset_to_text",
-                            lambda ds: calls.append(ds) or to_text(ds))
+        chunks = dataset_module._canonical_chunks
+        monkeypatch.setattr(dataset_module, "_canonical_chunks",
+                            lambda ds: calls.append(ds) or chunks(ds))
         ds = make_dataset(seed=4)
         p = tmp_path / "f.ds"
         save_dataset(ds, str(p))
@@ -263,8 +265,9 @@ class TestSerialization:
         import spikegrow.dataset as dataset_module
         p = tmp_path / "l.ds"
         save_dataset(make_dataset(seed=5), str(p))
-        monkeypatch.setattr(dataset_module, "dataset_to_text", lambda ds:
-                            pytest.fail("a loaded dataset was serialised"))
+        for name in ("dataset_to_text", "_canonical_chunks"):
+            monkeypatch.setattr(dataset_module, name, lambda ds:
+                                pytest.fail("a loaded dataset was serialised"))
         back = load_dataset(str(p))
         assert dataset_fingerprint(back) == hashlib.sha256(
             p.read_bytes()).hexdigest()
@@ -338,7 +341,40 @@ def test_mutated_file_round_trips_or_is_rejected(tmp_path_factory, data):
     p.write_bytes(blob)
     try:
         ds = load_dataset(str(p))
-    except DataFormatError:
+    except DataFormatError as exc:
+        # The per-line reference loader rejects it too, at the same line.
+        with pytest.raises(DataFormatError) as reference:
+            oracles.load_dataset(str(p))
+        assert _byte_offset(exc) == _byte_offset(reference.value)
         return
+    assert oracles.load_dataset(str(p)) == ds
     assert dataset_to_text(ds).encode("utf-8") == bytes(blob)
     assert dataset_fingerprint(ds) == hashlib.sha256(blob).hexdigest()
+
+
+def _byte_offset(exc: DataFormatError) -> int:
+    return int(re.search(r"\bbyte (\d+)\b", str(exc)).group(1))
+
+
+@settings(max_examples=50, deadline=None)
+@given(n=st.sampled_from([0, 1, _BLOCK - 1, _BLOCK, _BLOCK + 1]) | st.integers(0, 5),
+       d=st.integers(1, 4),
+       T=st.integers(1, 12) | st.sampled_from([1000, 1500]),
+       m=st.integers(1, 40),
+       density=st.sampled_from([0.0, 0.05, 0.5, 1.0]),
+       seed=st.integers(0, 2**32 - 1))
+def test_block_codec_matches_per_line_reference(tmp_path_factory, n, d, T, m,
+                                                density, seed):
+    """The block codec writes the reference's bytes and reads them back, on
+    files of up to two blocks, long trains, multi-digit labels and rows with
+    an empty and a full channel."""
+    rng = np.random.default_rng(seed)
+    spikes = rng.random((n, d, T)) < density
+    spikes[np.arange(n), rng.integers(0, d, n)] = False
+    spikes[np.arange(n), rng.integers(0, d, n)] = True
+    ds = LabeledDataset(spikes, rng.integers(0, m, n), list(range(m)))
+    text = dataset_to_text(ds)
+    assert text == oracles.dataset_text(ds)
+    p = tmp_path_factory.getbasetemp() / "codec.ds"
+    p.write_text(text)
+    assert load_dataset(str(p)) == ds
