@@ -98,12 +98,14 @@ def sample_candidates(cfg: PruningConfig, d: int, rng, weight_scale=None):
 def candidate_features(
     c: Candidate, ds: LabeledDataset, params: LifParams
 ) -> np.ndarray:
-    """Per-sample firing rate of one candidate over the whole dataset."""
-    return batch_rate_features(ds.spike_tensor(), c.w, c.v, params)
+    """Per-sample firing rate of one candidate over the whole dataset, in
+    one kernel pass over its uint8 spikes."""
+    return batch_rate_features(ds.spikes, c.w, c.v, params)
 
 
 def pool_features(candidates, ds, params):
-    """Evaluate a whole pool in one batched pass over the dataset.
+    """Evaluate a whole pool in one batched pass over the dataset's cached
+    float64 tensor, which every pool of a growth run re-reads.
 
     Returns (candidate, feature) pairs in pool order; each feature equals
     `candidate_features` of its candidate.

@@ -89,11 +89,16 @@ class LabeledDataset:
         return self.label_index
 
     def spike_tensor(self) -> np.ndarray:
-        """The spike blocks as a read-only (N, d, T) float array; cached.
+        """The spike blocks as a read-only (N, d, T) float64 array; cached.
 
-        The array is a view of a time-major (T, N, d) buffer, so that
-        `transpose(2, 0, 1)` of it, the layout the LIF kernel steps
-        through, is C-contiguous and needs no copy.
+        The LIF kernel reads `spikes` (uint8) as they are, casting one time
+        step at a time, so a pass that reads the dataset once needs no float
+        copy. Growth calls this for the training set alone: every candidate
+        pool re-reads it, and one cast up front is cheaper than one per
+        pool. The array is a view of a time-major (T, N, d) buffer, so that
+        `transpose(2, 0, 1)` of it, the layout the kernel steps through, is
+        C-contiguous and needs no copy. It takes eight times the memory of
+        `spikes`.
         """
         if self._tensor is None:
             t = np.ascontiguousarray(self.spikes.transpose(2, 0, 1),
@@ -165,6 +170,10 @@ def generate_family(config: GeneratorConfig, stage_sizes) -> NestedFamily:
     up or down by separation*base_rate with a random sign per channel);
     each sample perturbs that profile by jitter and draws independent
     Bernoulli spikes. Fully determined by config.rng_seed.
+
+    A sample's draws are d uniform perturbations, then its d * T spike
+    draws, so a block of samples is one (rows, d + d * T) draw, taken
+    _BLOCK rows at a time.
     """
     stage_sizes = check_stage_sizes(stage_sizes, config.categories)
     rng = np.random.default_rng(config.rng_seed)
@@ -178,10 +187,14 @@ def generate_family(config: GeneratorConfig, stage_sizes) -> NestedFamily:
             raise ConfigError(
                 "category rate profile left (0, 1); reduce separation or base_rate"
             )
-        for k in range(cat * n, (cat + 1) * n):
-            perturbation = rng.uniform(-1.0, 1.0, size=d) * config.jitter * config.base_rate
+        for a in range(cat * n, (cat + 1) * n, _BLOCK):
+            b = min(a + _BLOCK, (cat + 1) * n)
+            u = rng.random((b - a, d + d * T))
+            # rng.uniform(-1, 1)'s own arithmetic on the same doubles, so the
+            # datasets (and their pinned bytes) match a per-sample draw.
+            perturbation = (-1.0 + 2.0 * u[:, :d]) * config.jitter * config.base_rate
             p = np.clip(profile + perturbation, _RATE_EPS, 1.0 - _RATE_EPS)
-            spikes[k] = rng.random((d, T)) < p[:, None]
+            spikes[a:b] = u[:, d:].reshape(b - a, d, T) < p[:, :, None]
     label_index = np.repeat(np.arange(stage_sizes[-1]), n)
     stages = [LabeledDataset(spikes[:size * n], label_index[:size * n],
                              range(size), config.dt_ms) for size in stage_sizes]

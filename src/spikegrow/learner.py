@@ -157,10 +157,11 @@ class Network:
         return len(self.categories)
 
     def features(self, ds: LabeledDataset) -> np.ndarray:
-        """Rate-feature table of this network's hidden units on a dataset."""
+        """Rate-feature table of this network's hidden units on a dataset,
+        in one kernel pass over its uint8 spikes (no float copy is cached)."""
         if ds.d != self.d:
             raise ConfigError(f"dataset has {ds.d} channels, network expects {self.d}")
-        return _unit_features(self.hidden, ds.spike_tensor(), self.lif)
+        return _unit_features(self.hidden, ds.spikes, self.lif)
 
     def predict_dataset(self, ds: LabeledDataset) -> np.ndarray:
         """Predicted category index per sample."""
@@ -179,14 +180,14 @@ class Network:
         )
 
 
-def _unit_features(hidden, tensor: np.ndarray, lif: LifParams) -> np.ndarray:
-    """(N, n) rate features of hidden units on an (N, d, T) tensor, in one
+def _unit_features(hidden, x: np.ndarray, lif: LifParams) -> np.ndarray:
+    """(N, n) rate features of hidden units on an (N, d, T) batch, in one
     batched pass."""
     if not hidden:
-        return np.zeros((len(tensor), 0))
+        return np.zeros((len(x), 0))
     W = np.stack([h.w for h in hidden])
     V = np.array([h.v for h in hidden])
-    return batch_rate_features(tensor, W, V, lif)
+    return batch_rate_features(x, W, V, lif)
 
 
 def _check_pair(train: LabeledDataset, test: LabeledDataset) -> None:
@@ -299,6 +300,9 @@ def _grow(hidden, frozen_prefix, train, test, cfg: GrowthConfig, lif: LifParams,
     come from the QR factors the projection builds, and lstsq runs once,
     for the returned snapshot. Also returns the number of pools the
     saturating attempt drew (None unless the run saturated).
+
+    Only the training set, which every candidate pool re-reads, is cast to
+    its cached float64 tensor; test features are read from the uint8 spikes.
     """
     _check_pair(train, test)
     hidden = list(hidden)
@@ -306,12 +310,11 @@ def _grow(hidden, frozen_prefix, train, test, cfg: GrowthConfig, lif: LifParams,
     F = encode_targets(train)
     train_labels = train.label_indices()
     test_labels = test.label_indices()
-    test_tensor = test.spike_tensor()
     H_train, H_test, qr = _Columns(len(train)), _Columns(len(test)), _QR(F)
     H_train.append(_unit_features(hidden, train.spike_tensor(), lif))
 
     def test_accuracy() -> float:
-        H_test.append(_unit_features(hidden[H_test.n:], test_tensor, lif))
+        H_test.append(_unit_features(hidden[H_test.n:], test.spikes, lif))
         beta = qr.output_weights(H_train.table, F)
         return _accuracy(H_test.table, beta, test_labels)
 

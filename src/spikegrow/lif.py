@@ -115,13 +115,19 @@ def _lif_raster(x: np.ndarray, W: np.ndarray, V: np.ndarray,
     weights. Returns the (T, N, P) bool raster. Every spike train and rate
     feature comes from this one loop over time.
 
-    The loop reads the batch time-major: step t multiplies the contiguous
-    (N, d) slice `xt[t]`, which BLAS takes as it is. A dataset's cached
-    tensor is a view of a time-major buffer, so only batches built by the
-    caller are copied here. The state updates run in place and in the order
-    of the recurrence, so they round exactly as the formulas read.
+    Step t multiplies the (N, d) slice of time t. A uint8 batch is read as
+    it is: matmul casts each strided slice to one contiguous float64 (N, d)
+    block for BLAS, so no float copy of the whole batch is made. A float64
+    batch is read time-major from contiguous slices; a dataset's cached
+    tensor is a view of a time-major buffer, so only float batches built by
+    the caller are copied here. Either way BLAS multiplies the same float64
+    values (spikes cast exactly), so the rates are the same. The state
+    updates run in place and in the order of the recurrence, so they round
+    exactly as the formulas read.
     """
-    xt = np.ascontiguousarray(x.transpose(2, 0, 1))
+    xt = x.transpose(2, 0, 1)
+    if x.dtype != np.uint8:
+        xt = np.ascontiguousarray(xt)
     T, N, _ = xt.shape
     syn, mem, theta = params.syn_decay, params.mem_decay, params.theta
     WT = W.T
@@ -164,12 +170,15 @@ def simulate_neuron(x, w, v: float, params: LifParams) -> SpikeTrain:
 def batch_rate_features(x, w, v, params: LifParams) -> np.ndarray:
     """Mean firing rates of one neuron or a pool of P neurons over a batch.
 
-    `x` is an (N, d, T) array of input spikes. With `w` of shape (d,) and a
-    scalar `v` the result is (N,); with `w` of shape (P, d) and `v` of shape
-    (P,) it is (N, P), column k being neuron k's rates. Each rate equals
-    the firing rate of `simulate_neuron` on that sample.
+    `x` is an (N, d, T) array of input spikes. A uint8 array, such as a
+    dataset's `spikes`, is read as it is, one time step at a time; anything
+    else is taken as float64. With `w` of shape (d,) and a scalar `v` the
+    result is (N,); with `w` of shape (P, d) and `v` of shape (P,) it is
+    (N, P), column k being neuron k's rates. Each rate equals the firing
+    rate of `simulate_neuron` on that sample.
     """
-    x = np.asarray(x, dtype=np.float64)
+    if not (isinstance(x, np.ndarray) and x.dtype == np.uint8):
+        x = np.asarray(x, dtype=np.float64)
     if x.ndim != 3:
         raise ShapeError(f"batch must be (N, d, T), got shape {x.shape}")
     W, V = _pool_weights(w, v, x.shape[1])

@@ -13,6 +13,9 @@ from .errors import ShapeError
 # rank deficiency is expected (duplicate or near-silent hidden units).
 SVD_CUTOFF = 1e-10
 
+# Rows per block of the blocked back-substitution.
+_SOLVE_BLOCK = 64
+
 
 @dataclass(frozen=True)
 class ResidualState:
@@ -77,6 +80,12 @@ def triangular_output_weights(R: np.ndarray, c: np.ndarray):
     """Least-squares output weights beta = R^{-1} c from the thin QR factors
     H = Q R and c = Q^T F, by back-substitution at O(n^2 m).
 
+    Rows are solved from the bottom up in blocks of _SOLVE_BLOCK: each
+    block's right-hand side is reduced by the rows already solved in one
+    product, and its own triangle is solved by LAPACK. Partial pivoting
+    never swaps rows of an upper-triangular block with a nonzero diagonal,
+    so this is back-substitution, not a refactorisation.
+
     Returns None when R's diagonal spans more than 1 / SVD_CUTOFF: there
     lstsq's rcond may cut a direction, and its minimum-norm solution then
     differs from R^{-1} c.
@@ -90,8 +99,10 @@ def triangular_output_weights(R: np.ndarray, c: np.ndarray):
     diagonal = np.abs(np.diagonal(R))
     if diagonal.min() <= SVD_CUTOFF * diagonal.max():
         return None
-    for j in range(n - 1, -1, -1):
-        beta[j] = (c[j] - R[j, j + 1:] @ beta[j + 1:]) / R[j, j]
+    for hi in range(n, 0, -_SOLVE_BLOCK):
+        lo = max(hi - _SOLVE_BLOCK, 0)
+        beta[lo:hi] = np.linalg.solve(R[lo:hi, lo:hi],
+                                      c[lo:hi] - R[lo:hi, hi:] @ beta[hi:])
     return beta
 
 

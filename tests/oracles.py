@@ -11,8 +11,14 @@ from itertools import chain
 
 import numpy as np
 
-from spikegrow import DataFormatError, LabeledDataset
-from spikegrow.dataset import _header_line, _parse_header, _zeros
+from spikegrow import ConfigError, DataFormatError, LabeledDataset
+from spikegrow.dataset import (
+    _RATE_EPS,
+    _header_line,
+    _parse_header,
+    _zeros,
+    check_stage_sizes,
+)
 
 
 def lif_unroll(x, w, v, dt, tau_syn, tau_mem, theta):
@@ -67,6 +73,37 @@ def spike_count_classifier_accuracy(train, test):
     beta, *_ = np.linalg.lstsq(counts(train), one_hot(train), rcond=None)
     pred = np.argmax(counts(test) @ beta, axis=1)
     return float(np.mean(pred == test.label_indices()))
+
+
+def back_substitution(R, c):
+    """beta = R^{-1} c for upper-triangular R, one row at a time from the
+    bottom (the row loop the blocked solve in spikegrow.readout replaced)."""
+    R = np.asarray(R, dtype=np.float64)
+    beta = np.empty_like(c, dtype=np.float64)
+    for j in range(len(R) - 1, -1, -1):
+        beta[j] = (c[j] - R[j, j + 1:] @ beta[j + 1:]) / R[j, j]
+    return beta
+
+
+def generated_columns(config, stage_sizes):
+    """The (spikes, label_index) columns of the last stage that
+    `generate_family` builds, drawn one sample at a time: a uniform
+    perturbation of the category profile, then the sample's spike draws
+    (the per-sample loop the block draw in spikegrow.dataset replaced)."""
+    stage_sizes = check_stage_sizes(stage_sizes, config.categories)
+    rng = np.random.default_rng(config.rng_seed)
+    d, T, n = config.d, config.T, config.samples_per_category
+    spikes = np.zeros((stage_sizes[-1] * n, d, T), dtype=np.uint8)
+    for cat in range(stage_sizes[-1]):
+        signs = rng.integers(0, 2, size=d) * 2 - 1
+        profile = config.base_rate * (1.0 + signs * config.separation)
+        if np.any(profile <= 0.0) or np.any(profile >= 1.0):
+            raise ConfigError("category rate profile left (0, 1)")
+        for k in range(cat * n, (cat + 1) * n):
+            perturbation = rng.uniform(-1.0, 1.0, size=d) * config.jitter * config.base_rate
+            p = np.clip(profile + perturbation, _RATE_EPS, 1.0 - _RATE_EPS)
+            spikes[k] = rng.random((d, T)) < p[:, None]
+    return spikes, np.repeat(np.arange(stage_sizes[-1]), n)
 
 
 def single_unit_update_sq_norm(E, h):

@@ -149,6 +149,27 @@ class TestGenerateFamily:
                               base_rate=0.6, separation=0.9)
         with pytest.raises(ConfigError):
             generate_family(cfg, [2])
+        with pytest.raises(ConfigError):
+            oracles.generated_columns(cfg, [2])
+
+    @pytest.mark.parametrize("seed", range(5))
+    @pytest.mark.parametrize("kw, stages", [
+        (dict(), [5, 10, 15, 20]),
+        (dict(d=32, T=10, categories=4, samples_per_category=100), [4]),
+        (dict(jitter=0.0, categories=3, samples_per_category=20), [1, 3]),
+        (dict(d=1, T=5, categories=3, samples_per_category=4), [2, 3]),
+        (dict(d=6, T=1, categories=3, samples_per_category=4), [3]),
+        (dict(d=4, T=6, categories=5, samples_per_category=1), [1, 5]),
+        (dict(d=3, T=4, categories=2, samples_per_category=2 * _BLOCK + 3),
+         [1, 2]),
+    ], ids=["default", "capacity", "no-jitter", "d1", "T1", "one-sample",
+            "blocks"])
+    def test_block_draw_matches_per_sample_reference(self, seed, kw, stages):
+        cfg = GeneratorConfig(rng_seed=seed, **kw)
+        spikes, label_index = oracles.generated_columns(cfg, stages)
+        last = generate_family(cfg, stages).stages[-1]
+        assert np.array_equal(last.spikes, spikes)
+        assert np.array_equal(last.label_index, label_index)
 
     def test_separation_monotonicity(self):
         # More separation must not hurt a plain linear spike-count

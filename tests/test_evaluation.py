@@ -1,15 +1,19 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 
 from conftest import make_dataset
 from spikegrow import (
     ConfigError,
+    GeneratorConfig,
     GrowthConfig,
     LifParams,
     PruningConfig,
     compare_runs,
     evaluate,
     export_trace,
+    generate_family,
     load_trace,
     space_complexity,
     split_train_test,
@@ -201,3 +205,36 @@ class TestFeatureExport:
         H = net.features(test)
         first = [float(x) for x in lines[1].split(",")]
         assert first == H[0].tolist()
+
+
+class TestMemory:
+    """A pass that reads a dataset once runs the kernel on its uint8 spikes
+    and never holds a float64 copy of them; growth casts its training set
+    alone, which every candidate pool re-reads."""
+
+    def test_evaluate_peak_below_one_float_copy(self):
+        cfg = GeneratorConfig(d=64, T=25, categories=5,
+                              samples_per_category=200, rng_seed=1)
+        ds = generate_family(cfg, [5]).stages[0]
+        assert (len(ds), ds.d, ds.T) == (1000, 64, 25)
+        rng = np.random.default_rng(2)
+        hidden = [HiddenNeuron(rng.uniform(-1, 1, ds.d), float(rng.uniform(-1, 1)))
+                  for _ in range(50)]
+        net = Network(ds.d, LifParams(), hidden,
+                      rng.normal(size=(50, ds.n_categories)), ds.categories)
+        tracemalloc.start()
+        try:
+            report = evaluate(net, ds)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert report.n_hidden == 50
+        assert peak < ds.spikes.size * 8
+        assert ds._tensor is None
+
+    def test_growth_casts_only_the_training_set(self, two_class_family):
+        net, _, train, test = trained_pair(two_class_family)
+        assert train._tensor is not None
+        assert test._tensor is None
+        evaluate(net, test)
+        assert test._tensor is None

@@ -171,7 +171,8 @@ class TestBatchRateFeatures:
 
 class TestTimeMajorLayout:
     """The cached tensor is a view of a time-major buffer, and the kernel
-    gives the same rates on it as on a plain C-ordered batch."""
+    gives the same rates on it as on a plain C-ordered batch, and on the
+    dataset's uint8 spikes, which it reads without a float copy."""
 
     @pytest.fixture(scope="class", params=[(32, 10), (64, 25)],
                     ids=["capacity", "lineage"])
@@ -202,6 +203,82 @@ class TestTimeMajorLayout:
         H = batch_rate_features(cached, W, V, PARAMS)
         assert H.any()
         assert np.array_equal(H, batch_rate_features(plain, W, V, PARAMS))
+
+    @pytest.mark.parametrize("P", [1, 2, 10, 50])
+    def test_uint8_spikes_equal_cached_tensor(self, dataset, P):
+        rng = np.random.default_rng(100 + P)
+        W = rng.uniform(-1, 1, (P, dataset.d))
+        V = rng.uniform(-1, 1, P)
+        assert dataset.spikes.dtype == np.uint8
+        H = batch_rate_features(dataset.spikes, W, V, PARAMS)
+        assert H.any()
+        assert H.tobytes() == \
+            batch_rate_features(dataset.spike_tensor(), W, V, PARAMS).tobytes()
+
+    @pytest.mark.parametrize("P", [1, 2, 10, 50])
+    def test_strided_uint8_view_equals_float_copy(self, dataset, P):
+        rng = np.random.default_rng(200 + P)
+        W = rng.uniform(-1, 1, (P, dataset.d))
+        V = rng.uniform(-1, 1, P)
+        rows = dataset.spikes[::3]  # a row subset: a non-contiguous view
+        assert not rows.flags.c_contiguous
+        assert np.shares_memory(rows, dataset.spikes)
+        H = batch_rate_features(rows, W, V, PARAMS)
+        assert H.any()
+        assert H.tobytes() == batch_rate_features(
+            rows.astype(np.float64), W, V, PARAMS).tobytes()
+        one = batch_rate_features(rows, W[0], V[0], PARAMS)
+        assert one.tobytes() == np.ascontiguousarray(H[:, 0]).tobytes()
+
+
+class TestKernelInputs:
+    """The kernel takes uint8 batches as they are and every other input as
+    float64; which inputs it accepts and rejects does not depend on that."""
+
+    def setup_method(self):
+        rng = np.random.default_rng(4)
+        self.x = (rng.random((6, 3, 12)) < 0.4).astype(np.uint8)
+        self.w = rng.uniform(-1.5, 1.5, (4, 3))
+        self.v = rng.uniform(-1, 1, 4)
+        self.expected = batch_rate_features(self.x.astype(np.float64),
+                                            self.w, self.v, PARAMS)
+        assert self.expected.any()
+
+    @pytest.mark.parametrize("convert", [
+        lambda x: x.tolist(),
+        lambda x: x.astype(float).tolist(),
+        lambda x: x.astype(bool),
+        lambda x: x.astype(np.int64),
+        lambda x: x.astype(np.float32),
+        lambda x: x,
+    ], ids=["int-list", "float-list", "bool", "int64", "float32", "uint8"])
+    def test_accepted_inputs_give_the_same_rates(self, convert):
+        got = batch_rate_features(convert(self.x), self.w, self.v, PARAMS)
+        assert got.dtype == np.float64
+        assert got.tobytes() == self.expected.tobytes()
+
+    @pytest.mark.parametrize("dtype", [np.uint8, np.float64])
+    @pytest.mark.parametrize("shape", [(3, 12), (6, 3, 12, 1), (12,)])
+    def test_bad_batch_shapes(self, dtype, shape):
+        with pytest.raises(ShapeError):
+            batch_rate_features(np.zeros(shape, dtype=dtype), self.w, self.v,
+                                PARAMS)
+
+    @pytest.mark.parametrize("dtype", [np.uint8, np.float64])
+    def test_wrong_channel_count(self, dtype):
+        with pytest.raises(ShapeError):
+            batch_rate_features(np.zeros((6, 2, 12), dtype=dtype), self.w,
+                                self.v, PARAMS)
+
+    @pytest.mark.parametrize("dtype", [np.uint8, np.float64])
+    def test_zero_time_steps(self, dtype):
+        with pytest.raises(ValueError, match="zero time steps"):
+            batch_rate_features(np.zeros((6, 3, 0), dtype=dtype), self.w,
+                                self.v, PARAMS)
+
+    def test_empty_batch(self):
+        for x in (np.zeros((0, 3, 12), dtype=np.uint8), np.zeros((0, 3, 12))):
+            assert batch_rate_features(x, self.w, self.v, PARAMS).shape == (0, 4)
 
 class TestRateFeature:
     def test_all_zero(self):

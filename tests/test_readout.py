@@ -1,7 +1,11 @@
 import numpy as np
 import pytest
 
-from oracles import normal_equations_lstsq, single_unit_update_sq_norm
+from oracles import (
+    back_substitution,
+    normal_equations_lstsq,
+    single_unit_update_sq_norm,
+)
 from spikegrow import ShapeError, fit_output_weights, predict, residual
 from spikegrow.readout import (
     SVD_CUTOFF,
@@ -159,6 +163,18 @@ class TestTriangularOutputWeights:
         assert orthonormal_direction(Q, h, out=out).tobytes() == \
             orthonormal_direction(Q, h).tobytes()
         assert orthonormal_direction(Q, Q[:, 0], out=out) is None
+
+    @pytest.mark.parametrize("n", [1, 63, 64, 65, 130, 400])
+    def test_blocked_solve_matches_row_loop(self, n):
+        rng = np.random.default_rng(n)
+        m = 5
+        _, R = np.linalg.qr(rng.normal(size=(2 * n + 10, n)))
+        c = rng.normal(size=(n, m))
+        beta = triangular_output_weights(R, c)
+        expected = back_substitution(R, c)
+        assert beta.shape == (n, m)
+        assert np.linalg.norm(beta - expected) <= \
+            1e-12 * np.linalg.norm(expected)
 
     def test_empty_table_gives_empty_weights(self):
         beta = triangular_output_weights(np.zeros((0, 0)), np.zeros((0, 3)))
