@@ -4,13 +4,17 @@ import operator
 import os
 import sys
 import tempfile
+from contextlib import contextmanager
 from dataclasses import field, fields
 
 from .errors import ConfigError
 
 
-def atomic_write_bytes(path: str, payload: bytes) -> None:
-    """Write a file via temp-file + rename so readers never see partial output.
+@contextmanager
+def atomic_writer(path: str):
+    """A binary file to stream `path`'s new bytes into. It replaces `path`
+    by rename when the block exits cleanly, so readers never see partial
+    output; on any error the temp file is removed and `path` is untouched.
 
     An OSError names `path`, not the temp file the user never asked for.
     """
@@ -19,7 +23,7 @@ def atomic_write_bytes(path: str, payload: bytes) -> None:
     try:
         fd, tmp = tempfile.mkstemp(dir=directory, prefix=".tmp-")
         with os.fdopen(fd, "wb") as fh:
-            fh.write(payload)
+            yield fh
         os.replace(tmp, path)
     except BaseException as exc:
         if tmp is not None and os.path.exists(tmp):
@@ -27,6 +31,12 @@ def atomic_write_bytes(path: str, payload: bytes) -> None:
         if isinstance(exc, OSError) and exc.errno is not None:
             raise type(exc)(exc.errno, exc.strerror, path) from None
         raise
+
+
+def atomic_write_bytes(path: str, payload: bytes) -> None:
+    """Write a whole file through `atomic_writer`."""
+    with atomic_writer(path) as fh:
+        fh.write(payload)
 
 
 def atomic_write_text(path: str, text: str) -> None:

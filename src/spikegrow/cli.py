@@ -123,16 +123,16 @@ def cmd_gen_data(args) -> int:
     stages = args.stages or run.stages
     family = generate_family(run.generator, stages)
     os.makedirs(args.out_dir, exist_ok=True)
-    manifest = {"stages": []}
-    for size, ds in zip(stages, family.stages):
-        path = os.path.join(args.out_dir, f"stage-{size}.ds")
-        save_dataset(ds, path)
-        manifest["stages"].append({
-            "categories": size,
-            "n_samples": len(ds),
-            "path": os.path.basename(path),
-            "sha256": dataset_fingerprint(ds),
-        })
+    names = [f"stage-{size}.ds" for size in stages]
+    # The stages are row prefixes of the last: one save serialises each row once.
+    save_dataset(list(family.stages),
+                 [os.path.join(args.out_dir, name) for name in names])
+    manifest = {"stages": [{
+        "categories": size,
+        "n_samples": len(ds),
+        "path": name,
+        "sha256": dataset_fingerprint(ds),
+    } for size, name, ds in zip(stages, names, family.stages)]}
     manifest_path = os.path.join(args.out_dir, "manifest.json")
     atomic_write_text(manifest_path, json.dumps(manifest, indent=1,
                                                 sort_keys=True) + "\n")

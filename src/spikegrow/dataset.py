@@ -18,6 +18,7 @@ from __future__ import annotations
 import hashlib
 import json
 import math
+from contextlib import ExitStack
 from dataclasses import dataclass
 from functools import lru_cache
 from itertools import islice
@@ -26,7 +27,7 @@ import numpy as np
 
 from ._util import (
     SIZE_MAX,
-    atomic_write_bytes,
+    atomic_writer,
     check_settings,
     is_int,
     setting,
@@ -42,6 +43,9 @@ _RATE_EPS = 1e-9
 # Sample lines are serialised, hashed and verified this many at a time, so
 # the codec's temporaries are bounded by one block, not by the file.
 _BLOCK = 256
+
+# Spike times of a T above this are written in groups of four digits.
+_GROUP = 10**4
 
 # A digit run longer than this is out of range: no allocatable T reaches it.
 _MAX_DIGITS = 18
@@ -246,10 +250,10 @@ def _header_line(d, T, dt_ms, n_samples, categories) -> str:
 
 @lru_cache(maxsize=4)
 def _token_table(T: int) -> np.ndarray:
-    """The tokens of a sample line with spike times in [0, T), one W-byte
-    item each, W a power of two, zero-padded: item t is "t" (a channel's
-    first time), T "], [" (between channels), T + 1 + t ", t" and 2T + 1
-    "]]}\n" (the end of a line)."""
+    """The tokens of a sample line with spike times in [0, T), T <= _GROUP,
+    one W-byte item each, W a power of two, zero-padded: item t is "t" (a
+    channel's first time), T "], [" (between channels), T + 1 + t ", t" and
+    2T + 1 "]]}\n" (the end of a line)."""
     digits = len(str(T - 1))
     width = 1 << (digits + 1).bit_length()  # >= digits + 2 and >= 4
     times = np.arange(T).astype(f"S{digits}").view(np.uint8).reshape(T, digits)
@@ -260,6 +264,39 @@ def _token_table(T: int) -> np.ndarray:
     words[[T, 2 * T + 1], :4] = np.frombuffer(b"], []]}\n", np.uint8).reshape(2, 4)
     words.setflags(write=False)  # one cached table serves every caller
     return words.view(f"V{width}").ravel()
+
+
+@lru_cache(maxsize=1)
+def _group_table() -> np.ndarray:
+    """(_GROUP, 2) items of 4 bytes: [g, 0] is "g" zero-padded (a time's
+    leading digit group), [g, 1] is "g" filled to four digits with "0"s (a
+    later group)."""
+    groups = np.arange(_GROUP).astype("S4")
+    table = np.stack([groups, np.char.zfill(groups, 4)], axis=1).view(np.uint32)
+    table.setflags(write=False)
+    return table
+
+
+def _tokens(ids: np.ndarray, T: int) -> np.ndarray:
+    """The zero-padded bytes, one row per token, of the tokens numbered
+    `ids` as in _token_table. Above T = _GROUP, where a table per time would
+    grow with T, a token is its separator, then its time's digits written
+    one 4-digit group at a time from _group_table."""
+    if T <= _GROUP:
+        return _token_table(T)[ids].view(np.uint8)
+    kind = np.searchsorted([T, T + 1, 2 * T + 1], ids, side="right")
+    gap = (kind == 1) | (kind == 3)
+    times = np.where(kind == 0, ids, ids - (T + 1))
+    times[gap] = 0
+    n_groups = -(-len(str(T - 1)) // 4)
+    out = np.empty((len(ids), 1 + n_groups), dtype=np.uint32)
+    out[:, 0] = np.frombuffer(b"\0\0\0\0], [, \0\0]]}\n", np.uint32)[kind]
+    for j in range(n_groups):
+        scale = _GROUP ** (n_groups - 1 - j)
+        out[:, 1 + j] = _group_table()[times // scale % _GROUP,
+                                       (times >= scale * _GROUP).view(np.int8)]
+        out[gap if scale == 1 else times < scale, 1 + j] = 0
+    return out.view(np.uint8)
 
 
 def _sample_lines(spikes: np.ndarray, label_index: np.ndarray) -> bytes:
@@ -281,8 +318,8 @@ def _sample_lines(spikes: np.ndarray, label_index: np.ndarray) -> bytes:
     spike = ids < T
     ids[1:] += (T + 1) * (spike[1:] & spike[:-1])
     ids[np.flatnonzero(~spike)[d - 1::d]] = 2 * T + 1
-    tokens = _token_table(T)[ids].view(np.uint8)
-    bodies = tokens[tokens != 0].tobytes().splitlines(keepends=True)
+    tokens = _tokens(ids, T)
+    bodies = tokens.tobytes().translate(None, b"\0").splitlines(keepends=True)
     labels = label_index.tolist()
     prefixes = {label: b'{"label_index": %d, "spikes": [[' % label
                 for label in set(labels)}
@@ -292,11 +329,15 @@ def _sample_lines(spikes: np.ndarray, label_index: np.ndarray) -> bytes:
     return b"".join(parts)
 
 
+def _header_bytes(ds: LabeledDataset) -> bytes:
+    return (_header_line(ds.d, ds.T, ds.dt_ms, len(ds), ds.categories)
+            + "\n").encode("ascii")
+
+
 def _canonical_chunks(ds: LabeledDataset):
     """The canonical bytes of `ds`: its header line, then its sample lines
     in blocks of _BLOCK."""
-    yield (_header_line(ds.d, ds.T, ds.dt_ms, len(ds), ds.categories)
-           + "\n").encode("ascii")
+    yield _header_bytes(ds)
     for a in range(0, len(ds), _BLOCK):
         yield _sample_lines(ds.spikes[a:a + _BLOCK], ds.label_index[a:a + _BLOCK])
 
@@ -317,11 +358,56 @@ def dataset_fingerprint(ds: LabeledDataset) -> str:
     return ds._fingerprint
 
 
-def save_dataset(ds: LabeledDataset, path: str) -> None:
-    """Write the canonical form; its sha256 becomes the dataset's fingerprint."""
-    payload = b"".join(_canonical_chunks(ds))
-    atomic_write_bytes(path, payload)
-    ds._fingerprint = hashlib.sha256(payload).hexdigest()
+def save_dataset(ds, path) -> None:
+    """Write the canonical form of `ds` to `path`, streamed block by block;
+    its sha256, taken as the bytes go out, becomes the fingerprint.
+
+    `ds` may also be a list of datasets, each holding a prefix of the rows
+    of the last (the stages of a generated family), and `path` a list of as
+    many paths. Each sample line is then serialised once, from the last
+    dataset, and written to every file whose rows cover it.
+    """
+    if isinstance(ds, LabeledDataset):
+        ds, path = [ds], [path]
+    if not ds or len(ds) != len(path):
+        raise ConfigError(f"{len(ds)} datasets for {len(path)} paths")
+    last = ds[-1]
+    for part in ds[:-1]:
+        if not _is_row_prefix(part, last):
+            raise ConfigError("each dataset saved together must hold a prefix "
+                              "of the rows of the last")
+    chunks = _canonical_chunks(last)
+    next(chunks)  # the last dataset's header; each file gets its own
+    with ExitStack() as stack:
+        files = [stack.enter_context(atomic_writer(p)) for p in path]
+        digests = [hashlib.sha256() for _ in ds]
+
+        def write(i, data):
+            files[i].write(data)
+            digests[i].update(data)
+
+        for i, part in enumerate(ds):
+            write(i, _header_bytes(part))
+        for a, lines in zip(range(0, len(last), _BLOCK), chunks):
+            for i, part in enumerate(ds):
+                rows = len(part) - a
+                if rows >= min(_BLOCK, len(last) - a):
+                    write(i, lines)
+                elif rows > 0:  # this dataset's last row falls in the block
+                    ends = np.flatnonzero(np.frombuffer(lines, np.uint8) == 10)
+                    write(i, memoryview(lines)[:ends[rows - 1] + 1])
+    for part, digest in zip(ds, digests):
+        part._fingerprint = digest.hexdigest()
+
+
+def _is_row_prefix(ds: LabeledDataset, of: LabeledDataset) -> bool:
+    """True when the rows of `ds` are the first len(ds) rows of `of`;
+    compared a block at a time, so no temporary the size of the data."""
+    head = of.spikes[:len(ds)]
+    return (ds.spikes.shape == head.shape
+            and np.array_equal(ds.label_index, of.label_index[:len(ds)])
+            and all(np.array_equal(ds.spikes[a:a + _BLOCK], head[a:a + _BLOCK])
+                    for a in range(0, len(ds), _BLOCK)))
 
 
 def _parse_header(raw: bytes):

@@ -1,3 +1,4 @@
+import hashlib
 import io
 import json
 import os
@@ -10,10 +11,20 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import oracles
 from conftest import mutated
-from spikegrow import DataFormatError, LabeledDataset, LifParams, save_dataset
+from spikegrow import (
+    DataFormatError,
+    GeneratorConfig,
+    LabeledDataset,
+    LifParams,
+    generate_family,
+    save_dataset,
+)
 import spikegrow.cli
+import spikegrow.dataset
 from spikegrow.cli import main
+from spikegrow.dataset import dataset_fingerprint
 from spikegrow.evaluation import export_trace, load_trace, trace_to_text
 from spikegrow.learner import (
     CHECKPOINT_MAGIC,
@@ -70,6 +81,41 @@ class TestGenData:
         m2 = json.loads((workdir / "data2" / "manifest.json").read_text())
         assert [s["sha256"] for s in m1["stages"]] == \
             [s["sha256"] for s in m2["stages"]]
+
+    @pytest.mark.parametrize("stages", [[1, 4, 5, 7], [3]],
+                             ids=["nested", "single-stage"])
+    def test_stage_files_are_reference_text(self, workdir, stages):
+        """With 64 samples per category, stage 1 ends inside the first
+        256-row block, stage 4 on a block boundary, stage 5 inside the next
+        block, where the last stage ends too."""
+        generator = {"d": 3, "T": 7, "categories": 7,
+                     "samples_per_category": 64, "rng_seed": 4}
+        cfg = write_config(workdir / "cfg.json",
+                           generator=dict(generator, stages=stages))
+        assert main(["gen-data", "--config", cfg, "--out-dir", "data"]) == 0
+        manifest = json.loads((workdir / "data" / "manifest.json").read_text())
+        family = generate_family(GeneratorConfig(**generator), stages)
+        assert [s["n_samples"] for s in manifest["stages"]] == \
+            [64 * size for size in stages]
+        for entry, ds in zip(manifest["stages"], family.stages, strict=True):
+            blob = (workdir / "data" / entry["path"]).read_bytes()
+            assert blob == oracles.dataset_text(ds).encode("ascii")
+            assert entry["sha256"] == hashlib.sha256(blob).hexdigest() \
+                == dataset_fingerprint(ds)
+
+    def test_each_row_serialised_once(self, workdir, monkeypatch):
+        """The default family's stages are row prefixes of the last, so its
+        4000 rows are serialised once, not once per stage that holds them."""
+        rows = []
+        lines = spikegrow.dataset._sample_lines
+        monkeypatch.setattr(spikegrow.dataset, "_sample_lines",
+                            lambda spikes, label_index: rows.append(len(spikes))
+                            or lines(spikes, label_index))
+        assert main(["gen-data", "--out-dir", "data"]) == 0
+        manifest = json.loads((workdir / "data" / "manifest.json").read_text())
+        assert [s["n_samples"] for s in manifest["stages"]] == \
+            [1000, 2000, 3000, 4000]
+        assert sum(rows) == 4000
 
     def test_unknown_config_key_exit_2(self, workdir, capsys):
         cfg = workdir / "bad.json"

@@ -1,5 +1,7 @@
+import errno
 import hashlib
 import re
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -21,7 +23,15 @@ from spikegrow import (
     save_dataset,
     split_train_test,
 )
-from spikegrow.dataset import _BLOCK, dataset_fingerprint, dataset_to_text
+import spikegrow.cli
+import spikegrow.dataset
+from spikegrow.dataset import (
+    _BLOCK,
+    _GROUP,
+    _tokens,
+    dataset_fingerprint,
+    dataset_to_text,
+)
 
 
 class TestGeneratorConfig:
@@ -348,6 +358,97 @@ class TestSerialization:
         ds = make_dataset(seed=8)
         assert dataset_to_text(ds) == dataset_to_text(ds)
 
+    def test_row_prefixes_saved_together(self, tmp_path):
+        ds = make_dataset(n_per_cat=100, n_cats=3, seed=6)
+        parts = [LabeledDataset(ds.spikes[:n], ds.label_index[:n], ds.categories)
+                 for n in (0, 1, 255, 256, 257, 299)] + [ds]
+        paths = [tmp_path / f"{i}.ds" for i in range(len(parts))]
+        save_dataset(parts, [str(p) for p in paths])
+        for part, path in zip(parts, paths):
+            blob = path.read_bytes()
+            assert blob == oracles.dataset_text(part).encode("ascii")
+            assert part._fingerprint == hashlib.sha256(blob).hexdigest()
+
+    @pytest.mark.parametrize("rows", [slice(1, 5), slice(0, 301)])
+    def test_not_a_row_prefix_rejected(self, tmp_path, rows):
+        ds = make_dataset(n_per_cat=100, n_cats=3, seed=6)
+        other = make_dataset(n_per_cat=101, n_cats=3, seed=6)
+        part = LabeledDataset(other.spikes[rows], other.label_index[rows],
+                              other.categories)
+        with pytest.raises(ConfigError, match="prefix of the rows"):
+            save_dataset([part, ds], [str(tmp_path / "a.ds"),
+                                      str(tmp_path / "b.ds")])
+        assert list(tmp_path.iterdir()) == []
+
+
+class TestSaveMemory:
+    """A save streams each block of lines to its files as it is made: it
+    holds no whole-file payload, and gen-data's stages share one
+    serialisation of their rows."""
+
+    def test_save_peak_below_file_size(self, tmp_path):
+        ds = generate_family(GeneratorConfig(rng_seed=1), [20]).stages[0]
+        assert (len(ds), ds.d, ds.T) == (4000, 64, 25)
+        p = tmp_path / "s.ds"
+        tracemalloc.start()
+        try:
+            save_dataset(ds, str(p))
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        # 0.57 of the 4.9 MiB file streamed, 2.0 when the file was joined.
+        assert peak < 0.75 * p.stat().st_size
+
+    def test_gen_data_peak_below_largest_file_size(self, tmp_path,
+                                                   monkeypatch):
+        generate = spikegrow.cli.generate_family
+        held = []
+
+        def generated(*args):
+            family = generate(*args)
+            tracemalloc.reset_peak()
+            held.append(tracemalloc.get_traced_memory()[0])
+            return family
+
+        monkeypatch.setattr(spikegrow.cli, "generate_family", generated)
+        tracemalloc.start()
+        try:
+            assert spikegrow.cli.main(["gen-data", "--out-dir",
+                                       str(tmp_path)]) == 0
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        # Above the generated family: 0.56 of the largest file streamed,
+        # 2.0 when each stage was saved alone.
+        assert peak - held[0] < 0.75 * (tmp_path / "stage-20.ds").stat().st_size
+
+    @pytest.mark.parametrize("error", [MemoryError(),
+                                       OSError(errno.ENOSPC, "No space left")])
+    def test_failed_save_leaves_no_temp_file(self, tmp_path, monkeypatch,
+                                             error):
+        ds = make_dataset(n_per_cat=200, n_cats=3, seed=7)
+        parts = [LabeledDataset(ds.spikes[:n], ds.label_index[:n], ds.categories)
+                 for n in (100, 300)] + [ds]
+        paths = [tmp_path / f"{i}.ds" for i in range(3)]
+        paths[2].write_bytes(b"old")
+        lines = spikegrow.dataset._sample_lines
+        blocks = []
+
+        def failing(spikes, label_index):
+            blocks.append(len(spikes))
+            if len(blocks) == 2:
+                raise error
+            return lines(spikes, label_index)
+
+        monkeypatch.setattr(spikegrow.dataset, "_sample_lines", failing)
+        with pytest.raises(type(error)) as raised:
+            save_dataset(parts, [str(p) for p in paths])
+        assert blocks == [_BLOCK, _BLOCK]
+        if isinstance(error, OSError):
+            assert raised.value.filename in [str(p) for p in paths]
+        assert sorted(p.name for p in tmp_path.iterdir()) == ["2.ds"]
+        assert paths[2].read_bytes() == b"old"
+
 
 @settings(max_examples=150, deadline=None)
 @given(data=st.data())
@@ -378,17 +479,22 @@ def _byte_offset(exc: DataFormatError) -> int:
 
 
 @settings(max_examples=50, deadline=None)
-@given(n=st.sampled_from([0, 1, _BLOCK - 1, _BLOCK, _BLOCK + 1]) | st.integers(0, 5),
+@given(shape=st.tuples(st.sampled_from([0, 1, _BLOCK - 1, _BLOCK, _BLOCK + 1])
+                       | st.integers(0, 5),
+                       st.integers(1, 12) | st.sampled_from([1000, 1500]))
+       | st.tuples(st.integers(0, 3),
+                   st.sampled_from([_GROUP, _GROUP + 1, 123457])),
        d=st.integers(1, 4),
-       T=st.integers(1, 12) | st.sampled_from([1000, 1500]),
        m=st.integers(1, 40),
        density=st.sampled_from([0.0, 0.05, 0.5, 1.0]),
        seed=st.integers(0, 2**32 - 1))
-def test_block_codec_matches_per_line_reference(tmp_path_factory, n, d, T, m,
+def test_block_codec_matches_per_line_reference(tmp_path_factory, shape, d, m,
                                                 density, seed):
     """The block codec writes the reference's bytes and reads them back, on
-    files of up to two blocks, long trains, multi-digit labels and rows with
-    an empty and a full channel."""
+    files of up to two blocks, long trains (above _GROUP, times are written
+    in 4-digit groups), multi-digit labels and rows with an empty and a full
+    channel."""
+    n, T = shape
     rng = np.random.default_rng(seed)
     spikes = rng.random((n, d, T)) < density
     spikes[np.arange(n), rng.integers(0, d, n)] = False
@@ -399,3 +505,18 @@ def test_block_codec_matches_per_line_reference(tmp_path_factory, n, d, T, m,
     p = tmp_path_factory.getbasetemp() / "codec.ds"
     p.write_text(text)
     assert load_dataset(str(p)) == ds
+
+
+@pytest.mark.parametrize("T", [2, _GROUP, _GROUP + 1, 123457, 10**8 + 7,
+                               2**30 - 1])
+def test_tokens_spell_each_time(T):
+    """Every token, from the table of T <= _GROUP or from 4-digit groups
+    above it, up to the largest T a generator setting allows."""
+    times = sorted({t for t in (0, 1, 9, 10, 99, 100, 9999, _GROUP, _GROUP + 1,
+                                10**5 + 3, 99999999, 10**8, 123456789, T - 1)
+                    if t < T})
+    ids = np.concatenate([times, [T], T + 1 + np.array(times), [2 * T + 1]])
+    rows = _tokens(ids, T).reshape(len(ids), -1)
+    tokens = [row[row != 0].tobytes() for row in rows]
+    assert tokens == [b"%d" % t for t in times] + [b"], ["] \
+        + [b", %d" % t for t in times] + [b"]]}\n"]

@@ -1,0 +1,185 @@
+"""Growth decisions pinned on four small runs.
+
+For each run: the units grown (`n_hidden`), the size of the returned
+best-test-accuracy snapshot (`best_n`) and the stop status, and per growth
+attempt the winner's pool index (None for a saturated attempt), the rounds
+it took, and the trace's train and test accuracy. A changed rng draw order,
+tie-break, sigma schedule or snapshot choice moves a pin.
+
+The pins are decisions, not checkpoint bytes: they survive last-bit BLAS
+differences between machines except on near-ties of the certificate. The
+benchmark's `outputs` check covers byte identity.
+"""
+
+import numpy as np
+import pytest
+
+import spikegrow.learner
+from spikegrow import (
+    GeneratorConfig,
+    GrowthConfig,
+    PruningConfig,
+    encode_targets,
+    generate_family,
+    split_train_test,
+    train_experienced,
+    train_fresh,
+)
+from spikegrow.learner import STATUS_SATURATED, Network
+from spikegrow.readout import fit_output_weights
+
+
+def _cfg(**kwargs):
+    defaults = dict(target_train_accuracy=1.0, max_hidden=40, eval_every=1,
+                    patience=4, pruning=PruningConfig(pool_size=30),
+                    rng_seed=3)
+    defaults.update(kwargs)
+    return GrowthConfig(**defaults)
+
+
+def _splits(stages, seed=11, **generator):
+    """(train, test) of each stage of a generated family."""
+    cfg = GeneratorConfig(**dict(dict(d=16, T=25, categories=10,
+                                      samples_per_category=40, separation=0.7,
+                                      rng_seed=seed), **generator))
+    return [split_train_test(s, 0.2, seed)
+            for s in generate_family(cfg, stages).stages]
+
+
+def fresh():
+    [(train, test)] = _splits([5])
+    return train_fresh(train, test, _cfg())
+
+
+def experienced():
+    """A fresh seed on five categories, grown on the enlarged ten."""
+    (tr5, te5), (tr10, te10) = _splits([5, 10])
+    seed, _ = train_fresh(tr5, te5, _cfg(max_hidden=12, patience=100))
+    return train_experienced(seed, tr10, te10, _cfg(max_hidden=30))
+
+
+def saturating():
+    """Two channels of three steps and a demanding sigma0: winners need
+    relaxed rounds until a whole schedule of pools certifies none, and
+    several pools hold tied winners."""
+    [(train, test)] = _splits([4], seed=2, d=2, T=3, categories=4,
+                              samples_per_category=10)
+    pruning = PruningConfig(pool_size=20, sigma0=0.95, sigma_relax_steps=4)
+    return train_fresh(train, test, _cfg(max_hidden=20, patience=100,
+                                         pruning=pruning, rng_seed=1))
+
+
+def repeated_unit():
+    """The seed of TestIncrementalResidual: a grown network plus a repeat
+    of its first unit, which adds no direction to the QR factors."""
+    (tr5, te5), (tr10, te10) = _splits([5, 10])
+    cfg = _cfg(target_train_accuracy=0.9, max_hidden=150, patience=10,
+               pruning=PruningConfig(pool_size=30))
+    grown, _ = train_fresh(tr5, te5, cfg)
+    hidden = grown.hidden + [grown.hidden[0]]
+    H5 = Network(grown.d, grown.lif, hidden,
+                 np.zeros((len(hidden), grown.m)), grown.categories
+                 ).features(tr5)
+    seed = Network(grown.d, grown.lif, hidden,
+                   fit_output_weights(H5, encode_targets(tr5)),
+                   grown.categories, lineage=grown.lineage)
+    return train_experienced(seed, tr10, te10, cfg)
+
+
+RUNS = {"fresh": fresh, "experienced": experienced, "saturating": saturating,
+        "repeated_unit": repeated_unit}
+
+
+def decisions(run, monkeypatch) -> dict:
+    """The pinned decisions of a run's last growth (a seed's own growth is
+    not pinned): a step is (pool_index, rounds_used, train_accuracy,
+    test_accuracy); a saturated attempt ends the steps as (None, rounds)."""
+    attempts = []
+    original = spikegrow.learner.grow_one
+
+    def recorded(*args, **kwargs):
+        outcome = original(*args, **kwargs)
+        attempts.append((None if outcome.saturated
+                         else outcome.selection.winner.pool_index,
+                         outcome.rounds_used))
+        return outcome
+
+    monkeypatch.setattr(spikegrow.learner, "grow_one", recorded)
+    net, trace = run()
+    # One attempt per record, then a saturated one or none; any earlier
+    # attempts grew the seed.
+    ours = attempts[len(attempts) - len(trace.records)
+                    - (trace.status == STATUS_SATURATED):]
+    steps = [(*attempt, rec.train_accuracy, rec.test_accuracy)
+             for attempt, rec in zip(ours, trace.records)]
+    return {"n_hidden": trace.final_neurons, "best_n": net.n_hidden,
+            "status": trace.status, "steps": steps + ours[len(steps):]}
+
+
+# Computed with the code as it stood when this file was added.
+PINS = {
+    "fresh": {
+        "n_hidden": 15, "best_n": 11, "status": "Patience",
+        "steps": [
+            (2, 1, 0.2, 0.2),
+            (25, 1, 0.39375, 0.4),
+            (1, 1, 0.70625, 0.725),
+            (18, 1, 0.8, 0.8),
+            (20, 1, 0.95, 0.925),
+            (10, 1, 0.98125, 0.95),
+            (9, 1, 0.9875, 0.95),
+            (26, 1, 0.9875, 0.95),
+            (12, 1, 0.99375, 0.95),
+            (4, 1, 0.99375, 0.975),
+            (14, 1, 0.99375, 1.0),
+            (12, 1, 0.99375, 1.0),
+            (11, 1, 0.99375, 1.0),
+            (11, 1, 0.99375, 1.0),
+            (2, 1, 0.99375, 0.975),
+        ],
+    },
+    "experienced": {
+        "n_hidden": 24, "best_n": 20, "status": "Patience",
+        "steps": [
+            (24, 1, 0.88125, 0.8875),
+            (9, 1, 0.903125, 0.925),
+            (24, 1, 0.9375, 0.95),
+            (24, 1, 0.9625, 0.9625),
+            (8, 1, 0.971875, 0.9625),
+            (11, 1, 0.971875, 0.9625),
+            (11, 1, 0.971875, 0.975),
+            (7, 1, 0.971875, 0.975),
+            (11, 1, 0.98125, 0.9875),
+            (27, 1, 0.984375, 0.9875),
+            (10, 1, 0.984375, 0.9875),
+            (12, 1, 0.984375, 0.975),
+            (3, 1, 0.9875, 0.975),
+        ],
+    },
+    "saturating": {
+        "n_hidden": 4, "best_n": 1, "status": "Saturated",
+        "steps": [
+            (8, 1, 0.34375, 0.125),
+            (0, 2, 0.40625, 0.0),
+            (12, 5, 0.4375, 0.125),
+            (9, 5, 0.4375, 0.125),
+            (None, 5),
+        ],
+    },
+    "repeated_unit": {
+        "n_hidden": 12, "best_n": 11, "status": "TargetReached",
+        "steps": [
+            (20, 1, 0.734375, 0.725),
+            (9, 1, 0.809375, 0.8),
+            (2, 1, 0.846875, 0.8125),
+            (6, 1, 0.875, 0.8375),
+            (8, 1, 0.89375, 0.8875),
+            (14, 1, 0.9, 0.8875),
+        ],
+    },
+}
+
+
+@pytest.mark.parametrize("name", RUNS)
+def test_growth_decisions_pinned(name, monkeypatch):
+    assert decisions(RUNS[name], monkeypatch) == PINS[name]
