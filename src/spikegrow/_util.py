@@ -1,13 +1,27 @@
 """Small shared helpers."""
 
+import errno
 import operator
 import os
 import sys
-import tempfile
 from contextlib import contextmanager
 from dataclasses import field, fields
 
 from .errors import ConfigError
+
+
+def _new_temp(directory: str):
+    """Create and open a fresh `.tmp-` file in `directory`. It gets the mode
+    a plain `open(path, "wb")` gives, 0o666 less the umask; the 0o600 of
+    `tempfile.mkstemp` would survive the rename."""
+    flags = os.O_WRONLY | os.O_CREAT | os.O_EXCL | getattr(os, "O_BINARY", 0)
+    for _ in range(100):
+        tmp = os.path.join(directory, f".tmp-{os.urandom(6).hex()}")
+        try:
+            return os.open(tmp, flags, 0o666), tmp
+        except FileExistsError:
+            continue
+    raise FileExistsError(errno.EEXIST, "no free temporary name", directory)
 
 
 @contextmanager
@@ -21,7 +35,7 @@ def atomic_writer(path: str):
     directory = os.path.dirname(os.path.abspath(path)) or "."
     tmp = None
     try:
-        fd, tmp = tempfile.mkstemp(dir=directory, prefix=".tmp-")
+        fd, tmp = _new_temp(directory)
         with os.fdopen(fd, "wb") as fh:
             yield fh
         os.replace(tmp, path)

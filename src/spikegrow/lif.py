@@ -121,33 +121,39 @@ def _lif_raster(x: np.ndarray, W: np.ndarray, V: np.ndarray,
     batch is read time-major from contiguous slices; a dataset's cached
     tensor is a view of a time-major buffer, so only float batches built by
     the caller are copied here. Either way BLAS multiplies the same float64
-    values (spikes cast exactly), so the rates are the same. The state
-    updates run in place and in the order of the recurrence, so they round
-    exactly as the formulas read.
+    values (spikes cast exactly), so the rates are the same.
+
+    The weights go to BLAS as one C-contiguous (d, P) block, copied once per
+    call. `W.T` itself is Fortran-ordered, or a strided view when W is a
+    column slice of a pool's draw, and at small P the GEMM on it costs
+    nearly twice as much; the products are the same. For the same reason of
+    short inner loops, the feedback weights are tiled to (N, P) once rather
+    than broadcast at every step. The state updates run in place and in the
+    order of the recurrence, so they round exactly as the formulas read.
     """
     xt = x.transpose(2, 0, 1)
     if x.dtype != np.uint8:
         xt = np.ascontiguousarray(xt)
     T, N, _ = xt.shape
     syn, mem, theta = params.syn_decay, params.mem_decay, params.theta
-    WT = W.T
+    WT = np.ascontiguousarray(W.T)
+    VN = np.tile(V, (N, 1))
     i = np.zeros((N, W.shape[0]))
     u = np.zeros_like(i)
     s = np.zeros_like(i)
     drive = np.empty_like(i)
-    feedback = np.empty_like(i)
     raster = np.empty((T, N, W.shape[0]), dtype=bool)
     for t in range(T):
         # u <- mem*u + i_prev - s reads i and s before they are overwritten.
         u *= mem
         u += i
         u -= s
-        # i <- syn*i + drive + V*s
+        # i <- syn*i + drive + V*s; s holds V*s until it is reloaded below.
         np.matmul(xt[t], WT, out=drive)
-        np.multiply(V, s, out=feedback)
+        s *= VN
         i *= syn
         i += drive
-        i += feedback
+        i += s
         np.greater_equal(u, theta, out=raster[t])
         s[...] = raster[t]
     return raster
@@ -185,7 +191,11 @@ def batch_rate_features(x, w, v, params: LifParams) -> np.ndarray:
     T = x.shape[2]
     if T == 0:
         raise ValueError("cannot compute a firing rate over zero time steps")
-    rates = _lif_raster(x, W, V, params).sum(axis=0) / T
+    # Count in the smallest unsigned type that holds T: numpy's default
+    # int64 sum of bools is several times slower.
+    counts = _lif_raster(x, W, V, params).view(np.uint8).sum(
+        axis=0, dtype=np.min_scalar_type(T))
+    rates = counts / T
     return rates[:, 0] if np.ndim(w) == 1 else rates
 
 

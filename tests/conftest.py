@@ -9,7 +9,15 @@ from hypothesis import strategies as st
 
 sys.path.insert(0, str(Path(__file__).parent))
 
-from spikegrow import GeneratorConfig, LabeledDataset, generate_family
+from spikegrow import (
+    GeneratorConfig,
+    GrowthConfig,
+    LabeledDataset,
+    PruningConfig,
+    generate_family,
+    split_train_test,
+    train_fresh,
+)
 
 # A failing property prints a blob that `@reproduce_failure` replays; every
 # other setting, max_examples included, stays hypothesis's default.
@@ -31,6 +39,20 @@ def pytest_runtest_makereport(item, call):
                 import hypothesis.extra._patching  # noqa: F401
             except ImportError:
                 pass
+
+
+def retrying_run():
+    """A fresh run to 20 units on pools of 10, on the `capacity` benchmark's
+    narrow, short trains. Its tight sigma0 makes most steps draw two to four
+    pools. Returns (net, trace)."""
+    gen = GeneratorConfig(d=32, T=10, categories=5, samples_per_category=40,
+                          separation=0.05, rng_seed=1)
+    (ds,) = generate_family(gen, [5]).stages
+    train, test = split_train_test(ds, 0.2, 1)
+    cfg = GrowthConfig(target_train_accuracy=1.0, max_hidden=20,
+                       patience=1000, rng_seed=1,
+                       pruning=PruningConfig(pool_size=10, sigma0=0.98))
+    return train_fresh(train, test, cfg)
 
 
 def make_dataset(n_per_cat=4, n_cats=3, d=4, T=10, seed=0):

@@ -3,6 +3,7 @@ import io
 import json
 import os
 import re
+import stat
 import struct
 from contextlib import redirect_stderr, redirect_stdout
 
@@ -34,6 +35,7 @@ from spikegrow.learner import (
     TrainingTrace,
     load_network,
     network_to_bytes,
+    save_network,
 )
 
 
@@ -677,6 +679,32 @@ class TestBadPaths:
         assert re.fullmatch(r"error: [A-Za-z]+Error: .*\n", err)
         assert "Traceback" not in err
         assert repr(path) in err and ".tmp-" not in err
+
+
+class TestFileModes:
+    """Every file spikegrow writes gets the mode a plain `open(path, "wb")`
+    gives, 0o666 less the umask, not that of the temp file it streamed
+    into."""
+
+    @pytest.mark.parametrize("umask", [0o022, 0o077], ids=["022", "077"])
+    def test_written_files_follow_umask(self, workdir, umask):
+        old = os.umask(umask)
+        try:
+            cfg = write_config(workdir / "cfg.json")
+            assert main(["gen-data", "--config", cfg, "--out-dir", "data"]) == 0
+            save_network(Network(8, LifParams(), [HiddenNeuron(np.ones(8), 0.5)],
+                                 np.ones((1, 2)), [0, 1]), "x.net")
+            export_trace(TrainingTrace(
+                [TraceRecord(1, 2.0, 0.5, 0.5, 0.1, 0.999, 0)], "MaxHidden"),
+                "x.trace")
+        finally:
+            os.umask(old)
+        written = [*(workdir / "data").iterdir(), workdir / "x.net",
+                   workdir / "x.trace"]
+        assert {p.name for p in written} == {
+            "manifest.json", "stage-2.ds", "stage-4.ds", "x.net", "x.trace"}
+        for path in written:
+            assert stat.S_IMODE(path.stat().st_mode) == 0o666 & ~umask, path
 
 
 class TestHelp:

@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from conftest import make_dataset
+from conftest import make_dataset, retrying_run
 from oracles import lif_unroll, single_unit_update_sq_norm
 from spikegrow import (
     Candidate,
@@ -97,13 +97,15 @@ class TestCandidateFeatures:
             assert h[i] == sum(spikes) / len(spikes)
 
     def test_thread_fanout_matches_serial(self, tiny_dataset):
-        # The batched pool pass gives each candidate exactly the feature it
-        # gets when evaluated alone, in pool order.
+        # The batched pass over a pool's draw gives each candidate exactly
+        # the feature it gets when evaluated alone, in pool order.
         cfg = PruningConfig(pool_size=8)
         pool = sample_candidates(cfg, tiny_dataset.d, np.random.default_rng(6))
-        pairs = pool_features(pool, tiny_dataset, PARAMS)
-        assert [c for c, _ in pairs] == pool
-        for c, h in pairs:
+        draw = np.random.default_rng(6).uniform(-1.0, 1.0,
+                                                (8, tiny_dataset.d + 1))
+        pairs = pool_features(draw, tiny_dataset, PARAMS)
+        assert [p for p, _ in pairs] == [c.pool_index for c in pool]
+        for c, (_, h) in zip(pool, pairs, strict=True):
             assert np.array_equal(h, candidate_features(c, tiny_dataset, PARAMS))
 
 
@@ -191,8 +193,8 @@ class TestSelectBest:
         E = encode_targets(tiny_dataset)
         rng1 = np.random.default_rng(21)
         rng2 = np.random.default_rng(21)
-        small = sample_candidates(PruningConfig(pool_size=5), tiny_dataset.d, rng1)
-        large = sample_candidates(PruningConfig(pool_size=20), tiny_dataset.d, rng2)
+        small = rng1.uniform(-1.0, 1.0, (5, tiny_dataset.d + 1))
+        large = rng2.uniform(-1.0, 1.0, (20, tiny_dataset.d + 1))
         sigma = 0.999
         s_sel = select_best(pool_features(small, tiny_dataset, PARAMS), E, sigma)
         l_sel = select_best(pool_features(large, tiny_dataset, PARAMS), E, sigma)
@@ -212,10 +214,9 @@ class TestSelectBest:
         from spikegrow import encode_targets
         E = encode_targets(tiny_dataset) - 0.3
         sigma = 0.99
-        pool = pool_features(
-            sample_candidates(PruningConfig(pool_size=30), tiny_dataset.d,
-                              np.random.default_rng(4)),
-            tiny_dataset, PARAMS)
+        draw = np.random.default_rng(4).uniform(-1.0, 1.0,
+                                                (30, tiny_dataset.d + 1))
+        pool = pool_features(draw, tiny_dataset, PARAMS)
         sel = select_best(pool, E, sigma)
         assert sel is not None
         xis = [xi_index(E, h, sigma) for _, h in pool if h.any()]
@@ -289,3 +290,15 @@ class TestGrowOne:
         assert np.array_equal(a.selection.feature, b.selection.feature)
         alone = candidate_features(a.selection.winner, tiny_dataset, PARAMS)
         assert np.array_equal(a.selection.feature, alone)
+
+
+def test_growth_builds_one_candidate_per_accepted_unit(monkeypatch):
+    """A pool is one array: growth makes a Candidate for each round's winner
+    only, not one per candidate drawn."""
+    built = []
+    post_init = Candidate.__post_init__
+    monkeypatch.setattr(Candidate, "__post_init__",
+                        lambda c: built.append(c.pool_index) or post_init(c))
+    _, trace = retrying_run()
+    assert sum(r.retries_used for r in trace.records) > 0
+    assert len(built) == len(trace.records) == 20

@@ -230,6 +230,25 @@ class TestTimeMajorLayout:
         one = batch_rate_features(rows, W[0], V[0], PARAMS)
         assert one.tobytes() == np.ascontiguousarray(H[:, 0]).tobytes()
 
+    @pytest.mark.parametrize("P", [1, 2, 10, 50])
+    def test_weight_layout_does_not_change_rates(self, dataset, P):
+        """The kernel hands BLAS one C-contiguous (d, P) weight block, so a
+        C-ordered (P, d) array, its Fortran-ordered copy and the column view
+        of a pool's (P, d + 1) draw give the same rates."""
+        draw = np.random.default_rng(300 + P).uniform(-1, 1, (P, dataset.d + 1))
+        view, V = draw[:, :-1], draw[:, -1]
+        W = np.ascontiguousarray(view)
+        fortran = np.asfortranarray(W)
+        assert fortran.flags.f_contiguous and np.shares_memory(view, draw)
+        assert P == 1 or not (fortran.flags.c_contiguous
+                              or view.flags.c_contiguous)
+        for x in (dataset.spike_tensor(), dataset.spikes):
+            H = batch_rate_features(x, W, np.ascontiguousarray(V), PARAMS)
+            assert H.any()
+            for weights in (fortran, view):
+                assert batch_rate_features(x, weights, V, PARAMS).tobytes() \
+                    == H.tobytes()
+
 
 class TestKernelInputs:
     """The kernel takes uint8 batches as they are and every other input as

@@ -5,6 +5,8 @@ would break traced benchmark runs; this test fails first."""
 import importlib.util
 from pathlib import Path
 
+from conftest import retrying_run
+
 TRACER = Path(__file__).resolve().parent.parent / "benchmarks" / "tracer.py"
 
 
@@ -21,3 +23,22 @@ def test_every_patch_target_is_bound():
     unbound = [f"{getattr(owner, '__name__', owner)}.{attr}"
                for owner, attr, *_ in patches if attr not in owner.__dict__]
     assert unbound == []
+
+
+def test_one_pool_span_pair_per_pool_drawn():
+    """The benchmark's per-layer counts read one `construct.pool_features`
+    and one `construct.select_best` span per pool drawn, each pool one
+    kernel pass over its 10 candidates."""
+    tracer = load_tracer().Tracer()
+    with tracer.patched():
+        _, trace = retrying_run()
+    pools = sum(r.retries_used + 1 for r in trace.records)
+    assert len(trace.records) == 20 and pools > 20
+    spans = {name: [s for s in tracer.spans if s.name == name]
+             for name in ("construct.pool_features", "construct.select_best",
+                          "lif.rate_features")}
+    assert len(spans["construct.pool_features"]) == pools
+    assert len(spans["construct.select_best"]) == pools
+    for pool in spans["construct.pool_features"]:
+        assert pool.info[0] == 10
+        assert [s.parent for s in spans["lif.rate_features"]].count(pool.id) == 1
