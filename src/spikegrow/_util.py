@@ -1,8 +1,8 @@
 """Small shared helpers."""
 
-import errno
 import operator
 import os
+import stat
 import sys
 from contextlib import contextmanager
 from dataclasses import field, fields
@@ -11,17 +11,16 @@ from .errors import ConfigError
 
 
 def _new_temp(directory: str):
-    """Create and open a fresh `.tmp-` file in `directory`. It gets the mode
-    a plain `open(path, "wb")` gives, 0o666 less the umask; the 0o600 of
-    `tempfile.mkstemp` would survive the rename."""
-    flags = os.O_WRONLY | os.O_CREAT | os.O_EXCL | getattr(os, "O_BINARY", 0)
+    """Create and open a fresh `.tmp-` file in `directory`, with the mode a
+    new file from `open(path, "wb")` gets, 0o666 less the umask; the 0o600
+    of `tempfile.mkstemp` would survive the rename."""
     for _ in range(100):
         tmp = os.path.join(directory, f".tmp-{os.urandom(6).hex()}")
         try:
-            return os.open(tmp, flags, 0o666), tmp
+            return open(tmp, "xb"), tmp
         except FileExistsError:
             continue
-    raise FileExistsError(errno.EEXIST, "no free temporary name", directory)
+    raise FileExistsError(f"no free temporary name in {directory}")
 
 
 @contextmanager
@@ -29,15 +28,20 @@ def atomic_writer(path: str):
     """A binary file to stream `path`'s new bytes into. It replaces `path`
     by rename when the block exits cleanly, so readers never see partial
     output; on any error the temp file is removed and `path` is untouched.
+    An existing `path` keeps its mode, as it would under `open(path, "wb")`.
 
     An OSError names `path`, not the temp file the user never asked for.
     """
     directory = os.path.dirname(os.path.abspath(path)) or "."
     tmp = None
     try:
-        fd, tmp = _new_temp(directory)
-        with os.fdopen(fd, "wb") as fh:
+        fh, tmp = _new_temp(directory)
+        with fh:
             yield fh
+        try:
+            os.chmod(tmp, stat.S_IMODE(os.stat(path).st_mode))
+        except FileNotFoundError:
+            pass
         os.replace(tmp, path)
     except BaseException as exc:
         if tmp is not None and os.path.exists(tmp):

@@ -12,7 +12,7 @@ certificate maximizer.
 from __future__ import annotations
 
 from dataclasses import dataclass, replace
-from typing import Optional
+from typing import Any, Optional
 
 import numpy as np
 
@@ -63,7 +63,7 @@ class PruningConfig:
 class SelectionResult:
     """A pool winner: its certificate value, feature vector and error gain."""
 
-    winner: Candidate
+    winner: Any  # select_best's key for it; the Candidate in a GrowOutcome
     xi: float
     feature: np.ndarray  # (N,) rate features on the training samples
     error_gain: float  # guaranteed squared-error reduction
@@ -83,36 +83,37 @@ class GrowOutcome:
 
 
 def _draw(cfg: PruningConfig, d: int, rng, scale: float) -> np.ndarray:
-    """A pool in one rng call: row p holds candidate p's weights, then its
-    feedback, the values of a serial w-then-v draw per candidate; so a
-    larger pool shares its prefix with a smaller one from the same state."""
+    """Draw a candidate pool in one rng call.
+
+    Row p of the (pool_size, d + 1) draw holds candidate p's weights, then
+    its feedback: the values a serial w-then-v draw per candidate gives, so
+    a larger pool shares its prefix with a smaller one drawn from the same
+    rng state.
+    """
     return rng.uniform(-scale, scale, size=(cfg.pool_size, d + 1))
-
-
-def _candidate(draw: np.ndarray, p: int) -> Candidate:
-    return Candidate(draw[p, :-1], float(draw[p, -1]), p)
 
 
 def sample_candidates(cfg: PruningConfig, d: int, rng, weight_scale=None):
     """Draw a fresh candidate pool as `grow_one` does, as Candidates."""
-    draw = _draw(cfg, d, rng, cfg.weight_scale if weight_scale is None
-                 else weight_scale)
-    return [_candidate(draw, p) for p in range(cfg.pool_size)]
+    scale = cfg.weight_scale if weight_scale is None else weight_scale
+    rows = _draw(cfg, d, rng, scale)
+    return [Candidate(row[:d], float(row[d]), p) for p, row in enumerate(rows)]
 
 
-def candidate_features(c: Candidate, ds: LabeledDataset,
-                       params: LifParams) -> np.ndarray:
-    """Per-sample firing rates of one candidate, from the uint8 spikes."""
+def candidate_features(
+    c: Candidate, ds: LabeledDataset, params: LifParams
+) -> np.ndarray:
+    """Per-sample firing rate of one candidate over the whole dataset, in
+    one kernel pass over its uint8 spikes."""
     return batch_rate_features(ds.spikes, c.w, c.v, params)
 
 
-def pool_features(draw: np.ndarray, ds: LabeledDataset, params: LifParams):
-    """Evaluate a pool's (P, d + 1) draw in one kernel pass over the
-    dataset's cached float64 tensor, which every pool of a growth run
-    re-reads; the draw's column views are the weights and feedback.
+def pool_features(draw, ds, params):
+    """Evaluate a pool's (P, d + 1) draw in one batched pass over the
+    dataset's cached float64 tensor, which every pool of a growth run re-reads.
 
-    Returns one (pool index, feature) pair per candidate in pool order; each
-    feature equals `candidate_features` of its candidate.
+    Returns (pool index, feature) pairs in pool order; each feature equals
+    `candidate_features` of its candidate.
     """
     H = batch_rate_features(ds.spike_tensor(), draw[:, :-1], draw[:, -1],
                             params)
@@ -122,7 +123,8 @@ def pool_features(draw: np.ndarray, ds: LabeledDataset, params: LifParams):
 
 
 def _residual_norm(E, sigma):
-    """E as a checked float (N, m) array and ||E||^2, after checking sigma."""
+    """The residual as a float (N, m) array and its squared norm, after
+    checking it and the contraction target."""
     E = np.asarray(E, dtype=np.float64)
     if E.ndim != 2:
         raise ShapeError(f"residual must be an (N, m) array, got {E.shape}")
@@ -132,7 +134,8 @@ def _residual_norm(E, sigma):
 
 
 def _xi(E, ee, h, sigma):
-    """The certificate of h against E with ||E||^2 = ee; None if h is 0."""
+    """The certificate of feature h against residual E with ||E||^2 = ee,
+    or None for a silent (all-zero) feature."""
     h = np.asarray(h, dtype=np.float64)
     if h.shape != (E.shape[0],):
         raise ShapeError(f"residual {E.shape} and feature {h.shape} disagree")
@@ -150,46 +153,53 @@ def xi_index(E: np.ndarray, h: np.ndarray, sigma: float) -> float:
     xi >= 0 certifies that appending the candidate with its optimal
     per-column weight leaves ||E_new||^2 <= sigma * ||E||^2.
     """
-    xi = _xi(*_residual_norm(E, sigma), h, sigma)
+    E, ee = _residual_norm(E, sigma)
+    xi = _xi(E, ee, h, sigma)
     if xi is None:
         raise ValueError("silent candidate: feature vector is identically zero")
     return xi
 
 
-def select_best(pool_with_features, E, sigma, ee=None):
-    """Pick the qualifying candidate with the largest certificate, as a
-    SelectionResult whose winner is the key paired with its feature.
+def select_best(pool_with_features, E, sigma) -> Optional[SelectionResult]:
+    """Pick the qualifying candidate with the largest certificate.
 
     Candidates with a zero feature vector or a negative certificate are
     skipped; ties break toward the lowest pool index. Returns None when no
-    candidate qualifies. E and sigma are checked and ||E||^2 computed here,
-    unless the caller has done so and passes that norm as `ee`.
+    candidate qualifies. The residual and sigma are checked, and ||E||^2
+    computed, once per pool.
     """
     if not pool_with_features:
         raise ConfigError("candidate pool must be nonempty")
-    if ee is None:
-        E, ee = _residual_norm(E, sigma)
-    scored = [(xi, key, h) for key, h in pool_with_features
-              if (xi := _xi(E, ee, h, sigma)) is not None and xi >= 0.0]
-    if not scored:
+    E, ee = _residual_norm(E, sigma)
+    best = None
+    for c, h in pool_with_features:
+        xi = _xi(E, ee, h, sigma)
+        if xi is None or xi < 0.0:
+            continue
+        if best is None or xi > best[0]:
+            best = (xi, c, h)
+    if best is None:
         return None
-    xi, key, h = max(scored, key=lambda s: s[0])  # the first of equals
-    return SelectionResult(key, xi, h, xi + (1.0 - sigma) * ee)
+    xi, c, h = best
+    return SelectionResult(c, xi, h, xi + (1.0 - sigma) * ee)
 
 
-def grow_one(E: np.ndarray, ds: LabeledDataset, cfg: PruningConfig,
-             params: LifParams, rng) -> GrowOutcome:
+def grow_one(
+    E: np.ndarray,
+    ds: LabeledDataset,
+    cfg: PruningConfig,
+    params: LifParams,
+    rng,
+) -> GrowOutcome:
     """One full recruitment attempt with sigma relaxation and range growth.
 
-    Round k draws a pool at weight range weight_scale*lambda_growth**k and
+    Round k samples a pool at weight range weight_scale*lambda_growth**k and
     contraction target 1 - (1 - sigma0)/2**k; round 0 uses sigma0 itself,
     which that expression rounds to 0.0 for sigma0 below 1.1e-16. The first
-    round with a qualifying candidate wins, and only its winner becomes a
-    Candidate. The attempt saturates after sigma_relax_steps + 1 fruitless
-    rounds, or once the target rounds to 1.0 or the weight range 2*scale
-    overflows. E is checked once: it is fixed, and targets lie in [sigma0, 1).
+    round that yields a qualifying candidate wins. The attempt saturates
+    after sigma_relax_steps + 1 fruitless rounds, or once the target rounds
+    to 1.0 or the weight range 2*scale overflows.
     """
-    E, ee = _residual_norm(E, cfg.sigma0)
     sigma, rounds = cfg.sigma0, 0
     for k in range(cfg.sigma_relax_steps + 1):
         try:
@@ -201,8 +211,9 @@ def grow_one(E: np.ndarray, ds: LabeledDataset, cfg: PruningConfig,
             break
         sigma, rounds = relaxed, k + 1
         draw = _draw(cfg, ds.d, rng, scale)
-        found = select_best(pool_features(draw, ds, params), E, sigma, ee=ee)
-        if found is not None:
-            winner = _candidate(draw, found.winner)
-            return GrowOutcome(replace(found, winner=winner), sigma, rounds)
+        selection = select_best(pool_features(draw, ds, params), E, sigma)
+        if selection is not None:
+            p = selection.winner
+            winner = Candidate(draw[p, :-1], float(draw[p, -1]), p)
+            return GrowOutcome(replace(selection, winner=winner), sigma, rounds)
     return GrowOutcome(None, sigma, rounds)

@@ -683,8 +683,8 @@ class TestBadPaths:
 
 class TestFileModes:
     """Every file spikegrow writes gets the mode a plain `open(path, "wb")`
-    gives, 0o666 less the umask, not that of the temp file it streamed
-    into."""
+    gives, not that of the temp file it streamed into: 0o666 less the umask
+    for a new file, and its own mode for a file it overwrites."""
 
     @pytest.mark.parametrize("umask", [0o022, 0o077], ids=["022", "077"])
     def test_written_files_follow_umask(self, workdir, umask):
@@ -705,6 +705,21 @@ class TestFileModes:
             "manifest.json", "stage-2.ds", "stage-4.ds", "x.net", "x.trace"}
         for path in written:
             assert stat.S_IMODE(path.stat().st_mode) == 0o666 & ~umask, path
+
+    @pytest.mark.parametrize("umask", [0o022, 0o077], ids=["022", "077"])
+    @pytest.mark.parametrize("mode", [0o600, 0o644, 0o640])
+    def test_overwritten_file_keeps_its_mode(self, workdir, umask, mode):
+        net = Network(8, LifParams(), [HiddenNeuron(np.ones(8), 0.5)],
+                      np.ones((1, 2)), [0, 1])
+        (workdir / "x.net").write_bytes(b"old")
+        os.chmod(workdir / "x.net", mode)
+        old = os.umask(umask)
+        try:
+            save_network(net, "x.net")
+        finally:
+            os.umask(old)
+        assert (workdir / "x.net").read_bytes() == network_to_bytes(net)
+        assert stat.S_IMODE((workdir / "x.net").stat().st_mode) == mode
 
 
 class TestHelp:
