@@ -135,15 +135,19 @@ def _residual_norm(E, sigma):
 
 def _xi(E, ee, h, sigma):
     """The certificate of feature h against residual E with ||E||^2 = ee,
-    or None for a silent (all-zero) feature."""
+    or None for a silent (all-zero) feature.
+
+    Runs once per candidate, so its products use `ndarray.dot`: the same
+    BLAS calls as `@`, with the same bits, at about 1 us less dispatch each.
+    """
     h = np.asarray(h, dtype=np.float64)
     if h.shape != (E.shape[0],):
         raise ShapeError(f"residual {E.shape} and feature {h.shape} disagree")
-    hh = float(h @ h)
+    hh = float(h.dot(h))
     if hh == 0.0:
         return None
-    proj = E.T @ h  # (m,)
-    return float((proj @ proj) / hh - (1.0 - sigma) * ee)
+    proj = E.T.dot(h)  # (m,)
+    return float(proj.dot(proj) / hh - (1.0 - sigma) * ee)
 
 
 def xi_index(E: np.ndarray, h: np.ndarray, sigma: float) -> float:

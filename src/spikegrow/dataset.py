@@ -95,14 +95,15 @@ class LabeledDataset:
     def spike_tensor(self) -> np.ndarray:
         """The spike blocks as a read-only (N, d, T) float64 array; cached.
 
-        The LIF kernel reads `spikes` (uint8) as they are, casting one time
-        step at a time, so a pass that reads the dataset once needs no float
-        copy. Growth calls this for the training set alone: every candidate
-        pool re-reads it, and one cast up front is cheaper than one per
-        pool. The array is a view of a time-major (T, N, d) buffer, so that
-        `transpose(2, 0, 1)` of it, the layout the kernel steps through, is
-        C-contiguous and needs no copy. It takes eight times the memory of
-        `spikes`.
+        The LIF kernel reads `spikes` (uint8) a block of rows at a time,
+        casting one time step of the block at a time, so a pass that reads
+        the dataset once needs no float copy. Growth calls this for the
+        training set alone: every candidate pool re-reads it, and one cast
+        up front is cheaper than one per pool. The array is a view of a
+        time-major (T, N, d) buffer, so that `transpose(2, 0, 1)` of it,
+        the layout the kernel steps through, is C-contiguous and the kernel
+        runs it as one block with no copy. It takes eight times the memory
+        of `spikes`.
         """
         if self._tensor is None:
             t = np.ascontiguousarray(self.spikes.transpose(2, 0, 1),
@@ -442,42 +443,62 @@ def _parse_lines(buf: bytes, stops: np.ndarray, spikes: np.ndarray,
     `spikes` (k, d, T) and `label_index` (k,).
 
     Each run of digits is a number: the first of a line is its label index,
-    each later one a spike time in the channel that the count of "]" before
-    it on the line names. Returns a flag per line that has no number, or a
-    number out of range. A canonical line parses to the row it was written
-    from; any other line to a row whose canonical line differs from it.
+    each later one a spike time. A time's channel is read off the bytes
+    between it and the number before it. A canonical line puts ", " (2
+    bytes) between two times of a channel, "], [" (4 bytes) for each
+    channel end crossed, and ', "spikes": [[' (14 bytes) after the label,
+    so the channel is the line's running sum of gap // 4, less 3. Returns a
+    flag per line that has no number, or a number or channel out of range;
+    only the numbers in range are written, each inside its own line's row.
+    A canonical line parses to the row it was written from; any other line
+    to a row whose canonical line differs from it.
+
+    Every temporary holds one item per run of digits, int32 wherever the
+    block's positions and flat spike indices fit (always, short of lines of
+    a billion spikes), and each is reused or dropped as soon as it is read.
     """
     k, d, T = spikes.shape
-    text = np.frombuffer(buf + b"\n", np.uint8)  # the "\n" ends every run
-    digits = text - 48  # wraps around for every byte that is not a digit
-    edges = np.flatnonzero(np.diff(digits < 10, prepend=False))
-    starts, width = edges[0::2], edges[1::2] - edges[0::2]
-
-    def preceding(marks):
-        """How many of the sorted byte positions `marks` lie at or before
-        each run's start."""
-        at = np.searchsorted(starts, marks)
-        return np.bincount(at, minlength=len(starts) + 1).cumsum()[:-1]
-
-    line = preceding(stops)
-    closes = np.flatnonzero(text == ord("]"))
-    line_starts = np.concatenate([[0], stops[:-1]])
-    channel = preceding(closes) - np.searchsorted(closes, line_starts)[line]
-    value = np.zeros(len(starts), dtype=np.int64)
-    for j in range(min(width.max(initial=0), _MAX_DIGITS)):
-        digit = digits.take(starts + j, mode="clip")
-        value = np.where(width > j, 10 * value + digit, value)
-    first = np.ones(len(starts), dtype=bool)
-    first[1:] = line[1:] != line[:-1]
-    bad = (width > _MAX_DIGITS) | np.where(first, value >= m,
-                                           (value >= T) | (channel >= d))
-    flagged = np.ones(k, dtype=bool)
-    flagged[line[first]] = False
+    # The "\n" ends every run; a byte that is not a digit wraps around to a
+    # "digit" of 10 or more.
+    digits = np.frombuffer(buf + b"\n", np.uint8) - 48
+    big = max(len(digits), k * d * T) > np.iinfo(np.int32).max
+    pos = np.intp if big else np.int32
+    edge = np.diff((digits < 10).view(np.int8), prepend=np.int8(0))
+    starts = np.flatnonzero(edge > 0).astype(pos)
+    gap = np.flatnonzero(edge < 0).astype(pos)  # the runs' ends, for now
+    del edge
+    width = gap - starts
+    gap[1:] = starts[1:] - gap[:-1]
+    gap[:1] = 0
+    # A line's runs are those from the first at or after its start up to
+    # the next line's first; that first run is its label.
+    first = np.searchsorted(starts, np.concatenate([[0], stops])[:-1])
+    count = np.diff(first, append=len(starts))
+    labelled = count > 0
+    first = first[labelled]
+    line = np.repeat(np.arange(k, dtype=pos), count)
+    channel = np.cumsum(gap >> 2, out=gap)
+    channel -= np.repeat(channel[first] + 3, count[labelled])
+    # A number wider than the widest in range is out of range (or has a
+    # leading zero); only the first `widest` digits are read.
+    widest = min(len(str(max(T, m) - 1)), _MAX_DIGITS)
+    value = digits[starts].astype(np.int64 if widest > 9 else pos)
+    for j in range(1, min(width.max(initial=0), widest)):
+        more = np.flatnonzero(width > j)
+        value[more] = 10 * value[more] + digits[starts[more] + j]
+    del digits, starts
+    bad = (width > widest) | (value >= T) | (channel < 0) | (channel >= d)
+    bad[first] = (width[first] > widest) | (value[first] >= m)
+    flagged = ~labelled
     flagged[line[bad]] = True
-    label = first & ~bad
+    label = first[~bad[first]]
     label_index[line[label]] = value[label]
-    spike = ~first & ~bad
-    spikes[line[spike], channel[spike], value[spike]] = 1
+    bad[first] = True  # a label is not a spike
+    flat = channel  # the flat index of each spike in the block
+    flat += line * d
+    flat *= T
+    flat += value
+    spikes.put(flat[~bad], 1)
     return flagged
 
 
@@ -506,16 +527,17 @@ def load_dataset(path: str) -> LabeledDataset:
             digest.update(buf)
             rows = slice(row, row + len(lines))
             stops = np.cumsum([len(line) for line in lines], dtype=np.intp)
+            del lines  # buf holds the same bytes
             flagged = _parse_lines(buf, stops, spikes[rows], label_index[rows],
                                    len(categories))
             canonical = _sample_lines(spikes[rows], label_index[rows])
             if canonical != buf or flagged.any():
                 _reject_line(buf, canonical, stops, flagged, offset)
             offset += len(buf)
-            if len(lines) < want:
+            if len(stops) < want:
                 raise DataFormatError(f"truncated sample block at byte {offset}: "
                                       f"expected {n_samples} samples, found "
-                                      f"{row + len(lines)}")
+                                      f"{row + len(stops)}")
         if fh.read(1):
             raise DataFormatError(f"data after the last of {n_samples} samples at "
                                   f"byte {offset}")

@@ -158,7 +158,9 @@ class Network:
 
     def features(self, ds: LabeledDataset) -> np.ndarray:
         """Rate-feature table of this network's hidden units on a dataset,
-        in one kernel pass over its uint8 spikes (no float copy is cached)."""
+        in one kernel pass over its uint8 spikes, a block of rows at a time:
+        no float copy is cached, and the kernel's memory is bounded by the
+        block, not by the dataset."""
         if ds.d != self.d:
             raise ConfigError(f"dataset has {ds.d} channels, network expects {self.d}")
         return _unit_features(self.hidden, ds.spikes, self.lif)
@@ -302,7 +304,8 @@ def _grow(hidden, frozen_prefix, train, test, cfg: GrowthConfig, lif: LifParams,
     saturating attempt drew (None unless the run saturated).
 
     Only the training set, which every candidate pool re-reads, is cast to
-    its cached float64 tensor; test features are read from the uint8 spikes.
+    its cached float64 tensor and run as one kernel block; test features are
+    read from the uint8 spikes, a block of rows at a time.
     """
     _check_pair(train, test)
     hidden = list(hidden)

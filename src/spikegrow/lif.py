@@ -21,6 +21,16 @@ import numpy as np
 from ._util import check_settings, setting
 from .errors import ShapeError
 
+# A uint8 batch runs through the kernel in blocks of max(1, CELLS // P)
+# rows, P the number of neurons, so that the kernel's (N, P) states, its
+# (T, N, P) raster and its (N, d) step cast are bounded by the block, not
+# by the batch: under 1 MB at d = 64, T = 25. Set by measurement (2 CPUs,
+# OpenBLAS, best of 20): at N = 4000, d = 64, T = 25, P = 50 a pass took
+# 32 ms at 8192 cells (163 rows), 29-35 ms at 16384-32768, 42 ms at 2048,
+# 64 ms at 1024, and 52 ms as one block; at N = 800 and P = 5 or 50 every
+# size from 4096 up was within 0.1 ms of one block.
+CELLS = 8192
+
 
 @dataclass(frozen=True)
 class LifParams:
@@ -107,21 +117,22 @@ def _pool_weights(w, v, d: int):
     return W.reshape(-1, d), V.reshape(-1)
 
 
-def _lif_raster(x: np.ndarray, W: np.ndarray, V: np.ndarray,
+def _lif_raster(xt: np.ndarray, W: np.ndarray, V: np.ndarray,
                 params: LifParams) -> np.ndarray:
-    """Spike raster of P neurons over an (N, d, T) batch, from the zero state.
+    """Spike raster of P neurons over a time-major (T, N, d) batch, from the
+    zero state.
 
-    `W` holds the (P, d) input weights and `V` the (P,) self-feedback
-    weights. Returns the (T, N, P) bool raster. Every spike train and rate
-    feature comes from this one loop over time.
+    `xt` is C-contiguous, float64 or uint8; `W` holds the (P, d) input
+    weights and `V` the (P,) self-feedback weights. Returns the (T, N, P)
+    bool raster. Every spike train and rate feature comes from this one loop
+    over time.
 
-    Step t multiplies the (N, d) slice of time t. A uint8 batch is read as
-    it is: matmul casts each strided slice to one contiguous float64 (N, d)
-    block for BLAS, so no float copy of the whole batch is made. A float64
-    batch is read time-major from contiguous slices; a dataset's cached
-    tensor is a view of a time-major buffer, so only float batches built by
-    the caller are copied here. Either way BLAS multiplies the same float64
-    values (spikes cast exactly), so the rates are the same.
+    Step t multiplies the contiguous (N, d) slice of time t. A float64 slice
+    goes to BLAS as it is. A uint8 slice is first cast with `np.copyto` into
+    one float64 (N, d) buffer, reused at every step: matmul on a uint8
+    operand casts it too, but at more than twice the cost of the copy and
+    the float GEMM together (240 us against 21 + 82 us at 800 x 64 times
+    64 x 50). The cast is exact, so BLAS multiplies the same values.
 
     The weights go to BLAS as one C-contiguous (d, P) block, copied once per
     call. `W.T` itself is Fortran-ordered, or a strided view when W is a
@@ -131,13 +142,11 @@ def _lif_raster(x: np.ndarray, W: np.ndarray, V: np.ndarray,
     than broadcast at every step. The state updates run in place and in the
     order of the recurrence, so they round exactly as the formulas read.
     """
-    xt = x.transpose(2, 0, 1)
-    if x.dtype != np.uint8:
-        xt = np.ascontiguousarray(xt)
-    T, N, _ = xt.shape
+    T, N, d = xt.shape
     syn, mem, theta = params.syn_decay, params.mem_decay, params.theta
     WT = np.ascontiguousarray(W.T)
     VN = np.tile(V, (N, 1))
+    cast = None if xt.dtype == np.float64 else np.empty((N, d))
     i = np.zeros((N, W.shape[0]))
     u = np.zeros_like(i)
     s = np.zeros_like(i)
@@ -149,7 +158,11 @@ def _lif_raster(x: np.ndarray, W: np.ndarray, V: np.ndarray,
         u += i
         u -= s
         # i <- syn*i + drive + V*s; s holds V*s until it is reloaded below.
-        np.matmul(xt[t], WT, out=drive)
+        step = xt[t]
+        if cast is not None:
+            np.copyto(cast, step)
+            step = cast
+        np.matmul(step, WT, out=drive)
         s *= VN
         i *= syn
         i += drive
@@ -170,31 +183,49 @@ def simulate_neuron(x, w, v: float, params: LifParams) -> SpikeTrain:
         raise ShapeError(f"need a (d, T) input block and (d,) weights, "
                          f"got {x.shape} and {np.shape(w)}")
     W, V = _pool_weights(w, v, x.shape[0])
-    return SpikeTrain(_lif_raster(x[None], W, V, params)[:, 0, 0])
+    xt = np.ascontiguousarray(x.T[:, None, :])  # (T, 1, d)
+    return SpikeTrain(_lif_raster(xt, W, V, params)[:, 0, 0])
 
 
 def batch_rate_features(x, w, v, params: LifParams) -> np.ndarray:
     """Mean firing rates of one neuron or a pool of P neurons over a batch.
 
-    `x` is an (N, d, T) array of input spikes. A uint8 array, such as a
-    dataset's `spikes`, is read as it is, one time step at a time; anything
-    else is taken as float64. With `w` of shape (d,) and a scalar `v` the
-    result is (N,); with `w` of shape (P, d) and `v` of shape (P,) it is
-    (N, P), column k being neuron k's rates. Each rate equals the firing
-    rate of `simulate_neuron` on that sample.
+    `x` is an (N, d, T) array of input spikes. With `w` of shape (d,) and a
+    scalar `v` the result is (N,); with `w` of shape (P, d) and `v` of
+    shape (P,) it is (N, P), column k being neuron k's rates. Each rate
+    equals the firing rate of `simulate_neuron` on that sample.
+
+    A uint8 array, such as a dataset's `spikes`, is read a block of
+    `max(1, CELLS // P)` rows at a time: each block is copied time-major
+    once, as uint8, run through the kernel alone and its spike counts
+    summed, so the kernel's memory is bounded by the block, not by N.
+    Anything else is taken as float64 and run as one block: a dataset's
+    cached `spike_tensor()`, which growth re-reads for every pool, is
+    already time-major and is not copied, and blocks of it ran slower at
+    growth's training sizes (6.6 against 5.8 ms at N = 800, P = 50).
+
+    BLAS may round a block's drive in the last bit unlike a whole batch's
+    (OpenBLAS picks its GEMM kernel by matrix size), so a spike could
+    differ only where a membrane potential lands within that rounding of
+    theta; none did over 30 pools of 50 units on the default stage-20 data
+    (150 million spike steps).
     """
     if not (isinstance(x, np.ndarray) and x.dtype == np.uint8):
         x = np.asarray(x, dtype=np.float64)
     if x.ndim != 3:
         raise ShapeError(f"batch must be (N, d, T), got shape {x.shape}")
     W, V = _pool_weights(w, v, x.shape[1])
-    T = x.shape[2]
+    N, _, T = x.shape
     if T == 0:
         raise ValueError("cannot compute a firing rate over zero time steps")
+    rows = max(1, CELLS // len(W)) if x.dtype == np.uint8 else max(1, N)
     # Count in the smallest unsigned type that holds T: numpy's default
     # int64 sum of bools is several times slower.
-    counts = _lif_raster(x, W, V, params).view(np.uint8).sum(
-        axis=0, dtype=np.min_scalar_type(T))
+    counts = np.empty((N, len(W)), dtype=np.min_scalar_type(T))
+    for a in range(0, N, rows):
+        xt = np.ascontiguousarray(x[a:a + rows].transpose(2, 0, 1))
+        np.sum(_lif_raster(xt, W, V, params).view(np.uint8), axis=0,
+               dtype=counts.dtype, out=counts[a:a + rows])
     rates = counts / T
     return rates[:, 0] if np.ndim(w) == 1 else rates
 

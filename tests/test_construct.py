@@ -14,7 +14,7 @@ from spikegrow import (
     select_best,
     xi_index,
 )
-from spikegrow.construct import pool_features
+from spikegrow.construct import _xi, pool_features
 
 PARAMS = LifParams()
 
@@ -152,6 +152,35 @@ class TestXiIndex:
                 assert new_sq <= bound * (1 + 1e-9) + 1e-12
             else:
                 assert new_sq > bound * (1 - 1e-9) - 1e-12
+
+    def test_dot_products_match_matmul_bit_for_bit(self):
+        """The certificate's `ndarray.dot` products give the bits of the
+        `@` form, on 10,000 rate features against residuals of N < 4000
+        rows and m < 30 columns (C- and Fortran-ordered)."""
+        def matmul_form(E, ee, h, sigma):
+            hh = float(h @ h)
+            if hh == 0.0:
+                return None
+            proj = E.T @ h
+            return float((proj @ proj) / hh - (1.0 - sigma) * ee)
+
+        rng = np.random.default_rng(13)
+        checked = 0
+        for case in range(40):
+            N, m = int(rng.integers(1, 4000)), int(rng.integers(1, 30))
+            T = int(rng.integers(1, 40))
+            E = rng.normal(size=(N, m))
+            if case % 4 == 3:
+                E = np.asfortranarray(E)
+            ee = float(np.sum(E * E))
+            sigma = float(rng.uniform(0.5, 0.999))
+            H = rng.integers(0, T + 1, size=(250, N)) / T
+            H[:: 50] = 0.0  # silent features
+            H[1::50] *= rng.random(N) < 0.05  # mostly silent ones
+            for h in H:
+                assert _xi(E, ee, h, sigma) == matmul_form(E, ee, h, sigma)
+            checked += len(H)
+        assert checked >= 10_000
 
 
 class TestSelectBest:

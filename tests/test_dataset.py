@@ -341,6 +341,17 @@ class TestSerialization:
         with pytest.raises(DataFormatError, match="truncated"):
             load_dataset(str(p))
 
+    @pytest.mark.parametrize("kept", [0, _BLOCK])
+    def test_truncated_at_a_block_boundary_rejected(self, tmp_path, kept):
+        ds = make_dataset(n_per_cat=100, n_cats=3, seed=4)
+        p = tmp_path / "tb.ds"
+        save_dataset(ds, str(p))
+        lines = p.read_bytes().splitlines(keepends=True)
+        p.write_bytes(b"".join(lines[:1 + kept]))
+        with pytest.raises(DataFormatError,
+                           match=f"truncated .* found {kept}$"):
+            load_dataset(str(p))
+
     def test_channel_count_mismatch_names_offset(self, tmp_path):
         ds = make_dataset(n_per_cat=1, n_cats=2)
         p = tmp_path / "c.ds"
@@ -448,6 +459,78 @@ class TestSaveMemory:
             assert raised.value.filename in [str(p) for p in paths]
         assert sorted(p.name for p in tmp_path.iterdir()) == ["2.ds"]
         assert paths[2].read_bytes() == b"old"
+
+
+class TestLoadMemory:
+    def test_load_peak_below_two_spike_arrays(self, tmp_path):
+        """A load holds the spike array it fills and one block's parse and
+        re-serialisation temporaries: 2.4 spike arrays with int64 parse
+        temporaries, 1.6 with int32 ones dropped as they are read."""
+        ds = generate_family(GeneratorConfig(rng_seed=1), [20]).stages[0]
+        assert (len(ds), ds.d, ds.T) == (4000, 64, 25)
+        p = tmp_path / "l.ds"
+        save_dataset(ds, str(p))
+        tracemalloc.start()
+        try:
+            back = load_dataset(str(p))
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert back == ds
+        assert peak < 2 * ds.spikes.nbytes
+
+
+# Sample lines of a (d, T, m) = (3, 12, 12) file, each loaded as the first,
+# the middle and the last of three lines. The first three are canonical.
+_LINES = {
+    "empty first channel": b'{"label_index": 1, "spikes": [[], [3, 11], [0]]}',
+    "empty last channel": b'{"label_index": 11, "spikes": [[2], [3, 11], []]}',
+    "every channel empty": b'{"label_index": 10, "spikes": [[], [], []]}',
+    "label with a leading zero": b'{"label_index": 01, "spikes": [[2], [3], [4]]}',
+    "time with a leading zero": b'{"label_index": 1, "spikes": [[02], [3], [4]]}',
+    "19-digit label": b'{"label_index": 1000000000000000001, "spikes": [[], [], []]}',
+    "22-digit time": b'{"label_index": 1, "spikes": [[], [1234567890123456789012], []]}',
+    "label out of range": b'{"label_index": 12, "spikes": [[2], [3], [4]]}',
+    "time out of range": b'{"label_index": 1, "spikes": [[2], [12], [4]]}',
+    "d + 1 channels": b'{"label_index": 1, "spikes": [[2], [3], [4], [5]]}',
+    "d - 1 channels": b'{"label_index": 1, "spikes": [[2], [3]]}',
+    "d - 1 channels, last empty": b'{"label_index": 1, "spikes": [[2], []]}',
+    "no label": b'{"label_index": , "spikes": [[2], [3], [4]]}',
+    "no label key": b'{"spikes": [[2], [3], [4]]}',
+    "no number": b'{"label_index": [], "spikes": [[], [], []]}',
+    "empty line": b"",
+    "unsorted times": b'{"label_index": 1, "spikes": [[4, 2], [3], [4]]}',
+    "no space after a comma": b'{"label_index": 1, "spikes": [[2,4], [3], [4]]}',
+}
+_CANONICAL = list(_LINES)[:3]
+
+
+@pytest.mark.parametrize("at", [0, 1, 2])
+@pytest.mark.parametrize("ending", [b"\n", b"\r\n"], ids=["LF", "CRLF"])
+@pytest.mark.parametrize("case", list(_LINES))
+def test_parser_cases_match_per_line_reference(tmp_path, case, ending, at):
+    """Each line loads as the per-line reference loads it, or both reject
+    it at its own byte offset; the lines around it are canonical."""
+    good = dataset_to_text(make_dataset(n_per_cat=1, n_cats=3, d=3, T=12,
+                                        seed=3)).encode("ascii").splitlines()
+    header = good[0].replace(b'"categories": [0, 1, 2]', b'"categories": [%s]'
+                             % b", ".join(b"%d" % c for c in range(12)))
+    lines = [line + b"\n" for line in good[1:]]
+    lines[at] = _LINES[case] + ending
+    blob = header + b"\n" + b"".join(lines)
+    p = tmp_path / "case.ds"
+    p.write_bytes(blob)
+    if case in _CANONICAL and ending == b"\n":
+        ds = load_dataset(str(p))
+        assert ds == oracles.load_dataset(str(p))
+        assert dataset_to_text(ds).encode("ascii") == blob
+        return
+    with pytest.raises(DataFormatError) as reference:
+        oracles.load_dataset(str(p))
+    with pytest.raises(DataFormatError) as raised:
+        load_dataset(str(p))
+    at_line = len(header) + 1 + sum(map(len, lines[:at]))
+    assert _byte_offset(raised.value) == _byte_offset(reference.value) == at_line
 
 
 @settings(max_examples=150, deadline=None)

@@ -31,6 +31,7 @@ from spikegrow.learner import (
     TraceRecord,
     TrainingTrace,
 )
+from spikegrow.lif import CELLS
 
 
 def trained_pair(two_class_family):
@@ -208,15 +209,19 @@ class TestFeatureExport:
 
 
 class TestMemory:
-    """A pass that reads a dataset once runs the kernel on its uint8 spikes
-    and never holds a float64 copy of them; growth casts its training set
-    alone, which every candidate pool re-reads."""
+    """A pass that reads a dataset once runs the kernel on its uint8 spikes,
+    a block of rows at a time, and never holds a float64 copy of them;
+    growth casts its training set alone, which every candidate pool
+    re-reads."""
 
-    def test_evaluate_peak_below_one_float_copy(self):
+    @staticmethod
+    def evaluate_peak(N):
+        """The dataset and evaluate's tracemalloc peak for a 50-unit
+        network on N samples of 64 x 25."""
         cfg = GeneratorConfig(d=64, T=25, categories=5,
-                              samples_per_category=200, rng_seed=1)
+                              samples_per_category=N // 5, rng_seed=1)
         ds = generate_family(cfg, [5]).stages[0]
-        assert (len(ds), ds.d, ds.T) == (1000, 64, 25)
+        assert (len(ds), ds.d, ds.T) == (N, 64, 25)
         rng = np.random.default_rng(2)
         hidden = [HiddenNeuron(rng.uniform(-1, 1, ds.d), float(rng.uniform(-1, 1)))
                   for _ in range(50)]
@@ -229,8 +234,24 @@ class TestMemory:
         finally:
             tracemalloc.stop()
         assert report.n_hidden == 50
-        assert peak < ds.spikes.size * 8
         assert ds._tensor is None
+        return ds, peak
+
+    def test_evaluate_peak_below_one_float_copy(self):
+        """Above the (N, n) float64 feature table, evaluate's peak does not
+        grow with N by as much as one kernel block's temporaries: the uint8
+        block, its float64 step cast, five (rows, P) float64 state arrays
+        and the (T, rows, P) raster. The whole-batch kernel took 10 MB more
+        at N = 4000 than at N = 1000."""
+        P, d, T = 50, 64, 25
+        rows = max(1, CELLS // P)
+        block = rows * (d * T + 8 * d + P * (T + 5 * 8))
+        above = {}
+        for N in (1000, 4000):
+            ds, peak = self.evaluate_peak(N)
+            assert peak < ds.spikes.size * 8
+            above[N] = peak - N * P * 8
+        assert abs(above[4000] - above[1000]) < block
 
     def test_growth_casts_only_the_training_set(self, two_class_family):
         net, _, train, test = trained_pair(two_class_family)

@@ -14,7 +14,13 @@ from spikegrow import (
     SpikeTrain,
     generate_family,
 )
-from spikegrow.lif import batch_rate_features, lif_step, rate_feature, simulate_neuron
+from spikegrow.lif import (
+    CELLS,
+    batch_rate_features,
+    lif_step,
+    rate_feature,
+    simulate_neuron,
+)
 
 PARAMS = LifParams(dt=1.0, tau_syn=5.0, tau_mem=10.0, theta=1.0)
 
@@ -248,6 +254,35 @@ class TestTimeMajorLayout:
             for weights in (fortran, view):
                 assert batch_rate_features(x, weights, V, PARAMS).tobytes() \
                     == H.tobytes()
+
+
+class TestRowBlocks:
+    """A uint8 batch runs through the kernel max(1, CELLS // P) rows at a
+    time; its rates equal those of the float64 tensor, which runs as one
+    block, byte for byte, whichever way N falls on the block edges."""
+
+    @pytest.mark.parametrize("P", [1, 10, CELLS + 1])
+    @pytest.mark.parametrize("blocks", ["0", "1", "rows-1", "rows", "rows+1",
+                                        "3rows+7"])
+    def test_blocked_uint8_equals_float_tensor(self, P, blocks):
+        rows = max(1, CELLS // P)
+        N = {"0": 0, "1": 1, "rows-1": rows - 1, "rows": rows,
+             "rows+1": rows + 1, "3rows+7": 3 * rows + 7}[blocks]
+        d, T = 4, 12
+        rng = np.random.default_rng(N * 31 + P)
+        x = (rng.random((N, d, T)) < 0.4).astype(np.uint8)
+        W = rng.uniform(-0.5, 1.5, (P, d))
+        V = rng.uniform(-1, 1, P)
+        if P > 1:
+            W[P // 2] = 0.0  # a silent unit
+        tensor = np.ascontiguousarray(x.transpose(2, 0, 1), dtype=np.float64)
+        H = batch_rate_features(x, W, V, PARAMS)
+        expected = batch_rate_features(tensor.transpose(1, 2, 0), W, V, PARAMS)
+        assert H.shape == (N, P)
+        assert H.tobytes() == expected.tobytes()
+        if N:
+            assert H.any()
+            assert P == 1 or not H[:, P // 2].any()
 
 
 class TestKernelInputs:
