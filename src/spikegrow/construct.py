@@ -110,7 +110,8 @@ def candidate_features(
 
 def pool_features(draw, ds, params):
     """Evaluate a pool's (P, d + 1) draw in one batched pass over the
-    dataset's cached float64 tensor, which every pool of a growth run re-reads.
+    dataset's cached time-major uint8 tensor, which every pool of a growth
+    run re-reads; its row blocks go to the kernel as views, not copies.
 
     Returns (pool index, feature) pairs in pool order; each feature equals
     `candidate_features` of its candidate.

@@ -93,21 +93,19 @@ class LabeledDataset:
         return self.label_index
 
     def spike_tensor(self) -> np.ndarray:
-        """The spike blocks as a read-only (N, d, T) float64 array; cached.
+        """The spike blocks as a read-only (N, d, T) uint8 array; cached.
 
-        The LIF kernel reads `spikes` (uint8) a block of rows at a time,
-        casting one time step of the block at a time, so a pass that reads
-        the dataset once needs no float copy. Growth calls this for the
-        training set alone: every candidate pool re-reads it, and one cast
-        up front is cheaper than one per pool. The array is a view of a
-        time-major (T, N, d) buffer, so that `transpose(2, 0, 1)` of it,
-        the layout the kernel steps through, is C-contiguous and the kernel
-        runs it as one block with no copy. It takes eight times the memory
-        of `spikes`.
+        The array is a view of a time-major (T, N, d) copy of `spikes`, so
+        that every time step of any row block, the (rows, d) slice the LIF
+        kernel multiplies, is already C-contiguous: the kernel runs the
+        tensor a block of rows at a time, like any uint8 batch, with no
+        copy per pass. Growth calls this for the training set alone, which
+        every candidate pool re-reads; a pass that reads a dataset once
+        passes `spikes` and copies one block at a time. It takes the memory
+        of `spikes` once more.
         """
         if self._tensor is None:
-            t = np.ascontiguousarray(self.spikes.transpose(2, 0, 1),
-                                     dtype=np.float64)
+            t = np.ascontiguousarray(self.spikes.transpose(2, 0, 1))
             t.setflags(write=False)
             self._tensor = t.transpose(1, 2, 0)
         return self._tensor

@@ -22,7 +22,9 @@ class ChecksumError(DataFormatError):
 
 
 class LineageError(SpikegrowError):
-    """A seed network and a dataset are incompatible for transfer learning."""
+    """A network and a dataset are incompatible: a seed for transfer
+    learning, or a checkpoint to evaluate, whose channel count or category
+    list does not fit the dataset's."""
 
 
 class DegenerateDataError(SpikegrowError):

@@ -11,7 +11,7 @@ import numpy as np
 
 from ._util import atomic_write_text, is_int
 from .dataset import LabeledDataset
-from .errors import ConfigError, DataFormatError
+from .errors import ConfigError, DataFormatError, LineageError
 from .learner import (
     STATUS_TARGET,
     Network,
@@ -41,9 +41,9 @@ class EvalReport:
 def evaluate(net: Network, ds: LabeledDataset) -> EvalReport:
     """Predict every sample with frozen weights and tally the confusion table."""
     if ds.d != net.d:
-        raise ConfigError(f"dataset has {ds.d} channels, network expects {net.d}")
+        raise LineageError(f"dataset has {ds.d} channels, network expects {net.d}")
     if net.categories[: ds.n_categories] != ds.categories:
-        raise ConfigError(
+        raise LineageError(
             "dataset categories must be a prefix of the network's categories"
         )
     if len(ds) == 0:

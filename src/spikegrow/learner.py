@@ -108,6 +108,10 @@ class TrainingTrace:
     records: list
     status: str
     initial_neurons: int = 0
+    # Test accuracy that growth measured for the network it returned, also
+    # when it added no unit. Trace files do not store it; a loaded trace
+    # reports the best of its records instead.
+    returned_test_accuracy: float | None = None
 
     @property
     def final_neurons(self) -> int:
@@ -119,6 +123,8 @@ class TrainingTrace:
 
     @property
     def best_test_accuracy(self) -> float:
+        if self.returned_test_accuracy is not None:
+            return self.returned_test_accuracy
         if not self.records:
             return 0.0
         return max(r.test_accuracy for r in self.records)
@@ -162,7 +168,8 @@ class Network:
         no float copy is cached, and the kernel's memory is bounded by the
         block, not by the dataset."""
         if ds.d != self.d:
-            raise ConfigError(f"dataset has {ds.d} channels, network expects {self.d}")
+            raise LineageError(
+                f"dataset has {ds.d} channels, network expects {self.d}")
         return _unit_features(self.hidden, ds.spikes, self.lif)
 
     def predict_dataset(self, ds: LabeledDataset) -> np.ndarray:
@@ -303,9 +310,10 @@ def _grow(hidden, frozen_prefix, train, test, cfg: GrowthConfig, lif: LifParams,
     for the returned snapshot. Also returns the number of pools the
     saturating attempt drew (None unless the run saturated).
 
-    Only the training set, which every candidate pool re-reads, is cast to
-    its cached float64 tensor and run as one kernel block; test features are
-    read from the uint8 spikes, a block of rows at a time.
+    Prefix columns and every candidate pool read the training set's cached
+    time-major uint8 tensor, whose row blocks the kernel takes as views;
+    test features are read from the uint8 spikes, one block of rows copied
+    at a time. Both run in the kernel's CELLS-sized row blocks.
     """
     _check_pair(train, test)
     hidden = list(hidden)
@@ -325,7 +333,7 @@ def _grow(hidden, frozen_prefix, train, test, cfg: GrowthConfig, lif: LifParams,
     for h in H_train.table.T:
         res = qr.project_out(res, h)
     train_acc = _fitted_accuracy(F, res.E, train_labels)
-    test_acc = test_accuracy()
+    test_acc = start_test = test_accuracy()
     best_test = test_acc if n0 > 0 else -1.0
     best_n = n0
     evals_since_best = 0
@@ -396,7 +404,10 @@ def _grow(hidden, frozen_prefix, train, test, cfg: GrowthConfig, lif: LifParams,
     # weights are lstsq's, so checkpoints do not depend on the QR path.
     best_hidden = hidden[:best_n]
     best_beta = _fit(H_train.table[:, :best_n], F)
-    trace = TrainingTrace(records=records, status=status, initial_neurons=n0)
+    # An empty returned network is the start, measured before growth.
+    trace = TrainingTrace(
+        records=records, status=status, initial_neurons=n0,
+        returned_test_accuracy=best_test if best_n > 0 else start_test)
     entry = {
         "kind": kind,
         "fingerprint": dataset_fingerprint(train),

@@ -29,6 +29,12 @@ from .errors import ShapeError
 # 32 ms at 8192 cells (163 rows), 29-35 ms at 16384-32768, 42 ms at 2048,
 # 64 ms at 1024, and 52 ms as one block; at N = 800 and P = 5 or 50 every
 # size from 4096 up was within 0.1 ms of one block.
+#
+# Every pass that trains or predicts runs in these blocks: growth's
+# candidate pools and prefix columns too, on the training set's cached
+# uint8 tensor. BLAS may round a drive in the last bit differently for a
+# block than for another number of rows, so CELLS is part of the numerical
+# contract: changing it may change a spike, and with it a checkpoint.
 CELLS = 8192
 
 
@@ -122,13 +128,15 @@ def _lif_raster(xt: np.ndarray, W: np.ndarray, V: np.ndarray,
     """Spike raster of P neurons over a time-major (T, N, d) batch, from the
     zero state.
 
-    `xt` is C-contiguous, float64 or uint8; `W` holds the (P, d) input
+    `xt` is float64 or uint8, and each step `xt[t]` is a C-contiguous
+    (N, d) slice; `xt` as a whole need not be, so a row block of a
+    time-major tensor is passed as a view. `W` holds the (P, d) input
     weights and `V` the (P,) self-feedback weights. Returns the (T, N, P)
     bool raster. Every spike train and rate feature comes from this one loop
     over time.
 
-    Step t multiplies the contiguous (N, d) slice of time t. A float64 slice
-    goes to BLAS as it is. A uint8 slice is first cast with `np.copyto` into
+    Step t multiplies the (N, d) slice of time t. A float64 slice goes to
+    BLAS as it is. A uint8 slice is first cast with `np.copyto` into
     one float64 (N, d) buffer, reused at every step: matmul on a uint8
     operand casts it too, but at more than twice the cost of the copy and
     the float GEMM together (240 us against 21 + 82 us at 800 x 64 times
@@ -195,14 +203,19 @@ def batch_rate_features(x, w, v, params: LifParams) -> np.ndarray:
     shape (P,) it is (N, P), column k being neuron k's rates. Each rate
     equals the firing rate of `simulate_neuron` on that sample.
 
-    A uint8 array, such as a dataset's `spikes`, is read a block of
-    `max(1, CELLS // P)` rows at a time: each block is copied time-major
-    once, as uint8, run through the kernel alone and its spike counts
-    summed, so the kernel's memory is bounded by the block, not by N.
-    Anything else is taken as float64 and run as one block: a dataset's
-    cached `spike_tensor()`, which growth re-reads for every pool, is
-    already time-major and is not copied, and blocks of it ran slower at
-    growth's training sizes (6.6 against 5.8 ms at N = 800, P = 50).
+    A uint8 array is read a block of `max(1, CELLS // P)` rows at a time:
+    each block runs through the kernel alone and its spike counts are
+    summed, so the kernel's memory is bounded by the block, not by N. A
+    block whose time steps are already contiguous, as in a dataset's
+    cached time-major `spike_tensor()`, which growth re-reads for every
+    pool, goes to the kernel as a view; any other, such as a block of a
+    dataset's `spikes`, is copied time-major once, as uint8. Anything else
+    is taken as float64 and run as one block. On a cached training tensor
+    at d = 64, T = 25, P = 50 the blocked uint8 pass took 10.0 ms against
+    12.8 ms for a float64 tensor as one block at N = 1600, and 20.1 against
+    25.4 ms at N = 3200; at N = 800, d = 32, T = 10, P = 10, one block
+    either way, the per-step cast made it 0.48 against 0.43 ms (2 CPUs,
+    OpenBLAS, medians of 7).
 
     BLAS may round a block's drive in the last bit unlike a whole batch's
     (OpenBLAS picks its GEMM kernel by matrix size), so a spike could
@@ -223,7 +236,9 @@ def batch_rate_features(x, w, v, params: LifParams) -> np.ndarray:
     # int64 sum of bools is several times slower.
     counts = np.empty((N, len(W)), dtype=np.min_scalar_type(T))
     for a in range(0, N, rows):
-        xt = np.ascontiguousarray(x[a:a + rows].transpose(2, 0, 1))
+        xt = x[a:a + rows].transpose(2, 0, 1)
+        if not xt[0].flags.c_contiguous:
+            xt = np.ascontiguousarray(xt)
         np.sum(_lif_raster(xt, W, V, params).view(np.uint8), axis=0,
                dtype=counts.dtype, out=counts[a:a + rows])
     rates = counts / T

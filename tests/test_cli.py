@@ -19,8 +19,11 @@ from spikegrow import (
     GeneratorConfig,
     LabeledDataset,
     LifParams,
+    evaluate,
     generate_family,
+    load_dataset,
     save_dataset,
+    split_train_test,
 )
 import spikegrow.cli
 import spikegrow.dataset
@@ -372,6 +375,29 @@ class TestTrainExp:
         net = load_network("e.net")
         assert net.frozen_prefix == load_network("seed.net").n_hidden
 
+    def test_no_unit_added_prints_returned_accuracy(self, generated, workdir,
+                                                    capsys):
+        """A run that adds no unit prints the test accuracy of the network
+        it wrote, not 0."""
+        assert main(["train-fresh", "--config", generated,
+                     "--dataset", "data/stage-2.ds",
+                     "--out-checkpoint", "seed.net",
+                     "--out-trace", "seed.trace"]) == 0
+        seed_n = load_network("seed.net").n_hidden
+        capsys.readouterr()
+        assert main(["train-exp", "--config", generated,
+                     "--seed-checkpoint", "seed.net",
+                     "--dataset", "data/stage-4.ds",
+                     "--max-hidden", str(seed_n),
+                     "--out-checkpoint", "e.net", "--out-trace", "e.trace"]) == 0
+        out = capsys.readouterr().out
+        _, test = split_train_test(load_dataset("data/stage-4.ds"), 0.2, 5)
+        accuracy = evaluate(load_network("e.net"), test).accuracy
+        assert accuracy > 0.0
+        assert out.startswith(f"status=MaxHidden accuracy={accuracy:.4f} "
+                              f"hidden={seed_n} added=0 ")
+        assert load_trace("e.trace").records == []
+
     def test_incompatible_lineage_exit_3(self, generated, workdir):
         assert main(["train-fresh", "--config", generated,
                      "--dataset", "data/stage-4.ds",
@@ -408,6 +434,22 @@ class TestEvalAndInspect:
         out = capsys.readouterr().out
         assert "frozen_prefix=0" in out
         assert "d=8" in out
+
+    @pytest.mark.parametrize("mismatch", ["channels", "categories"])
+    def test_eval_incompatible_dataset_exit_3(self, workdir, capsys, mismatch):
+        d, categories = (32, list(range(10))) if mismatch == "channels" \
+            else (64, list(range(5)))
+        (workdir / "net.net").write_bytes(network_to_bytes(
+            Network(d, LifParams(), [HiddenNeuron(np.ones(d), 0.5)],
+                    np.ones((1, len(categories))), categories)))
+        gen = GeneratorConfig(d=64, T=5, categories=10,
+                              samples_per_category=2, rng_seed=1)
+        save_dataset(generate_family(gen, [10]).stages[0], "ds.ds")
+        assert main(["eval", "--checkpoint", "net.net",
+                     "--dataset", "ds.ds", "--out-report", "r.json"]) == 3
+        err = capsys.readouterr().err
+        assert re.fullmatch(r"error: LineageError: .*\n", err)
+        assert not (workdir / "r.json").exists()
 
     def test_eval_empty_dataset_exit_2(self, workdir, capsys):
         (workdir / "seed.net").write_bytes(network_to_bytes(

@@ -3,18 +3,22 @@ import pytest
 
 from conftest import make_dataset, retrying_run
 from oracles import lif_unroll, single_unit_update_sq_norm
+import spikegrow.lif
 from spikegrow import (
     Candidate,
     ConfigError,
+    GeneratorConfig,
     LifParams,
     PruningConfig,
     candidate_features,
+    generate_family,
     grow_one,
     sample_candidates,
     select_best,
     xi_index,
 )
 from spikegrow.construct import _xi, pool_features
+from spikegrow.lif import CELLS
 
 PARAMS = LifParams()
 
@@ -107,6 +111,28 @@ class TestCandidateFeatures:
         assert [p for p, _ in pairs] == [c.pool_index for c in pool]
         for c, (_, h) in zip(pool, pairs, strict=True):
             assert np.array_equal(h, candidate_features(c, tiny_dataset, PARAMS))
+
+    def test_pool_reads_cached_tensor_as_views(self, monkeypatch):
+        """A pool's kernel pass hands every row block of the dataset's
+        cached uint8 tensor to the kernel as a view of the cache: no pool
+        copies the training set."""
+        cfg = GeneratorConfig(d=64, T=25, categories=4,
+                              samples_per_category=200, rng_seed=3)
+        ds = generate_family(cfg, [4]).stages[0]
+        cache = ds.spike_tensor()
+        shared = []
+        kernel = spikegrow.lif._lif_raster
+
+        def recorded(xt, *args):
+            shared.append(np.shares_memory(xt, cache))
+            return kernel(xt, *args)
+
+        monkeypatch.setattr(spikegrow.lif, "_lif_raster", recorded)
+        draw = np.random.default_rng(5).uniform(-1.0, 1.0, (50, ds.d + 1))
+        pool_features(draw, ds, PARAMS)
+        rows = CELLS // 50
+        assert len(shared) == -(-len(ds) // rows) >= 3
+        assert all(shared)
 
 
 class TestXiIndex:

@@ -9,6 +9,7 @@ from spikegrow import (
     GeneratorConfig,
     GrowthConfig,
     LifParams,
+    LineageError,
     PruningConfig,
     compare_runs,
     evaluate,
@@ -86,7 +87,7 @@ class TestEvaluate:
     def test_incompatible_dataset_rejected(self, two_class_family):
         net, _, _, _ = trained_pair(two_class_family)
         other = make_dataset(d=net.d + 1)
-        with pytest.raises(ConfigError):
+        with pytest.raises(LineageError):
             evaluate(net, other)
 
     def test_repeat_evaluation_identical(self, two_class_family):
@@ -211,8 +212,8 @@ class TestFeatureExport:
 class TestMemory:
     """A pass that reads a dataset once runs the kernel on its uint8 spikes,
     a block of rows at a time, and never holds a float64 copy of them;
-    growth casts its training set alone, which every candidate pool
-    re-reads."""
+    growth caches a time-major uint8 copy of its training set alone, which
+    every candidate pool re-reads."""
 
     @staticmethod
     def evaluate_peak(N):

@@ -1,3 +1,5 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 
@@ -14,6 +16,7 @@ from spikegrow import (
     LineageError,
     PruningConfig,
     encode_targets,
+    evaluate,
     generate_family,
     load_network,
     one_loop_adapt,
@@ -23,6 +26,7 @@ from spikegrow import (
     train_fresh,
 )
 import spikegrow.learner
+import spikegrow.lif
 from spikegrow.dataset import dataset_fingerprint
 from spikegrow.learner import (
     _CERT_RTOL,
@@ -420,6 +424,51 @@ class TestTrainExperienced:
         if trace.records:
             assert trace.records[0].neuron_count == seed.n_hidden + 1
 
+    @pytest.mark.parametrize("stop", ["max_hidden", "target"])
+    def test_run_adding_no_unit_reports_returned_accuracy(self, stop):
+        """A run that stops before adding a unit has no trace records; its
+        best test accuracy is the one growth measured for the returned
+        network, not 0."""
+        (tr5, te5), (tr10, te10) = nested_splits()
+        seed, _ = train_fresh(tr5, te5, quick_cfg(target_train_accuracy=0.9,
+                                                  max_hidden=30))
+        cfg = quick_cfg(max_hidden=seed.n_hidden) if stop == "max_hidden" \
+            else quick_cfg(target_train_accuracy=0.01)
+        net, trace = train_experienced(seed, tr10, te10, cfg)
+        assert trace.records == [] and net.n_hidden == seed.n_hidden
+        accuracy = evaluate(net, te10).accuracy
+        assert accuracy > 0.0
+        assert trace.best_test_accuracy == accuracy
+
+    def test_growth_reads_training_set_as_views(self, monkeypatch):
+        """The prefix columns and every candidate pool hand the kernel views
+        of the training set's cached uint8 tensor; only the test set's row
+        blocks are copied."""
+        (tr5, te5), (tr10, te10) = nested_splits()
+        seed, _ = train_fresh(tr5, te5, quick_cfg(target_train_accuracy=0.9,
+                                                  max_hidden=30))
+        assert seed.n_hidden > 0
+        cache = tr10.spike_tensor()
+        train_rows, test_rows = [], []
+        kernel = spikegrow.lif._lif_raster
+
+        def recorded(xt, *args):
+            if np.shares_memory(xt, cache):
+                train_rows.append(xt.shape[1])
+            else:
+                assert xt.flags.c_contiguous and xt.base is None
+                test_rows.append(xt.shape[1])
+            return kernel(xt, *args)
+
+        monkeypatch.setattr(spikegrow.lif, "_lif_raster", recorded)
+        _, trace = train_experienced(
+            seed, tr10, te10, quick_cfg(max_hidden=seed.n_hidden + 5))
+        assert trace.status == STATUS_MAX_HIDDEN and len(trace.records) == 5
+        pools = sum(r.retries_used + 1 for r in trace.records)
+        assert len(train_rows) > 1 + pools  # the training set spans blocks
+        assert sum(train_rows) == len(tr10) * (1 + pools)
+        assert sum(test_rows) == len(te10) * 6
+
     def test_one_loop_lineage_without_second_solve(self, monkeypatch):
         """The one-loop step is recorded in the lineage, and its fit of the
         inherited table is growth's initial fit, not a second solve: lstsq
@@ -516,3 +565,25 @@ class TestCheckpointRoundTrip:
         p.write_bytes(b"NOT-A-CHECKPOINT" * 4)
         with pytest.raises(DataFormatError):
             load_network(str(p))
+
+
+class TestMemory:
+    def test_growth_peak_below_four_training_sets(self):
+        """Above its datasets, a growth run holds the training set's cached
+        uint8 tensor, one kernel block's temporaries and its feature tables,
+        under 4x the training spikes. A float64 training tensor alone takes
+        8x; with it the run peaked at 10.7x."""
+        cfg = GeneratorConfig(d=64, T=25, categories=10,
+                              samples_per_category=200, rng_seed=1)
+        train, test = split_train_test(generate_family(cfg, [10]).stages[0],
+                                       0.2, 1)
+        assert (len(train), train.d, train.T) == (1600, 64, 25)
+        tracemalloc.start()
+        try:
+            net, _ = train_fresh(train, test, GrowthConfig(
+                target_train_accuracy=1.0, max_hidden=4, rng_seed=1))
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert net.n_hidden == 4
+        assert peak < 4 * train.spikes.nbytes

@@ -14,6 +14,7 @@ from spikegrow import (
     SpikeTrain,
     generate_family,
 )
+import spikegrow.lif
 from spikegrow.lif import (
     CELLS,
     batch_rate_features,
@@ -176,9 +177,10 @@ class TestBatchRateFeatures:
 
 
 class TestTimeMajorLayout:
-    """The cached tensor is a view of a time-major buffer, and the kernel
-    gives the same rates on it as on a plain C-ordered batch, and on the
-    dataset's uint8 spikes, which it reads without a float copy."""
+    """The cached tensor is a uint8 view of a time-major buffer, and the
+    kernel gives the same rates on it, a block of rows at a time and with no
+    copy, as on a plain C-ordered batch, on the dataset's uint8 spikes and
+    on a float64 copy run as one block."""
 
     @pytest.fixture(scope="class", params=[(32, 10), (64, 25)],
                     ids=["capacity", "lineage"])
@@ -191,6 +193,7 @@ class TestTimeMajorLayout:
     def test_tensor_is_read_only_n_d_t_view(self, dataset):
         t = dataset.spike_tensor()
         assert t.shape == (len(dataset), dataset.d, dataset.T)
+        assert t.dtype == np.uint8
         assert dataset.spike_tensor() is t
         assert np.array_equal(t, dataset.spikes)
         assert not t.flags.writeable
@@ -209,6 +212,8 @@ class TestTimeMajorLayout:
         H = batch_rate_features(cached, W, V, PARAMS)
         assert H.any()
         assert np.array_equal(H, batch_rate_features(plain, W, V, PARAMS))
+        reference = dataset.spikes.astype(np.float64)
+        assert np.array_equal(H, batch_rate_features(reference, W, V, PARAMS))
 
     @pytest.mark.parametrize("P", [1, 2, 10, 50])
     def test_uint8_spikes_equal_cached_tensor(self, dataset, P):
@@ -218,8 +223,43 @@ class TestTimeMajorLayout:
         assert dataset.spikes.dtype == np.uint8
         H = batch_rate_features(dataset.spikes, W, V, PARAMS)
         assert H.any()
+        reference = dataset.spikes.astype(np.float64)
+        assert H.tobytes() == \
+            batch_rate_features(reference, W, V, PARAMS).tobytes()
         assert H.tobytes() == \
             batch_rate_features(dataset.spike_tensor(), W, V, PARAMS).tobytes()
+
+    @pytest.mark.parametrize("cells", [CELLS, 256])
+    @pytest.mark.parametrize("P", [1, 10, 50])
+    def test_cached_view_blocks_equal_float_single_block(
+            self, dataset, P, cells, monkeypatch):
+        """The cached tensor runs in blocks of max(1, CELLS // P) rows, each
+        handed to the kernel as a view of the cache; its rates equal, byte
+        for byte, those of a float64 copy run as one block. With 256 cells
+        every P spans at least three blocks."""
+        monkeypatch.setattr(spikegrow.lif, "CELLS", cells)
+        rows = max(1, cells // P)
+        assert cells == CELLS or len(dataset) >= 3 * rows
+        rng = np.random.default_rng(400 + P)
+        W = rng.uniform(-1, 1, (P, dataset.d))
+        V = rng.uniform(-1, 1, P)
+        cached = dataset.spike_tensor()
+        blocks = []
+        kernel = spikegrow.lif._lif_raster
+
+        def recorded(xt, *args):
+            blocks.append((xt.shape[1], np.shares_memory(xt, cached)))
+            return kernel(xt, *args)
+
+        monkeypatch.setattr(spikegrow.lif, "_lif_raster", recorded)
+        H = batch_rate_features(cached, W, V, PARAMS)
+        assert blocks == [(min(rows, len(dataset) - a), True)
+                          for a in range(0, len(dataset), rows)]
+        assert H.any()
+        single = batch_rate_features(dataset.spikes.astype(np.float64),
+                                     W, V, PARAMS)
+        assert blocks[-1] == (len(dataset), False)
+        assert H.tobytes() == single.tobytes()
 
     @pytest.mark.parametrize("P", [1, 2, 10, 50])
     def test_strided_uint8_view_equals_float_copy(self, dataset, P):
