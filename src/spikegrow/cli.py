@@ -118,6 +118,22 @@ def _require_file(path: str, what: str) -> None:
         raise ConfigError(f"{what} not found: {path}")
 
 
+def _check_out_paths(args, *names: str) -> None:
+    """Fail before any work on an output path that cannot be written: its
+    directory is missing, or the path itself is a directory."""
+    for name in names:
+        path = getattr(args, name)
+        if path is None:
+            continue
+        flag = "--" + name.replace("_", "-")
+        if os.path.isdir(path):
+            raise ConfigError(f"{flag} {path!r} is a directory")
+        parent = os.path.dirname(path) or os.curdir
+        if not os.path.isdir(parent):
+            raise ConfigError(
+                f"{flag} {path!r}: directory {parent!r} does not exist")
+
+
 def cmd_gen_data(args) -> int:
     run = load_run_config(args.config)
     stages = args.stages or run.stages
@@ -141,6 +157,7 @@ def cmd_gen_data(args) -> int:
 
 
 def cmd_train_fresh(args) -> int:
+    _check_out_paths(args, "out_checkpoint", "out_trace")
     _require_file(args.dataset, "dataset file")
     run = load_run_config(args.config)
     cfg = _growth_config(run, args)
@@ -157,6 +174,7 @@ def cmd_train_fresh(args) -> int:
 def cmd_train_exp(args) -> int:
     if not args.one_loop_only and not args.out_trace:
         raise ConfigError("--out-trace is required unless --one-loop-only")
+    _check_out_paths(args, "out_checkpoint", "out_trace")
     _require_file(args.seed_checkpoint, "seed checkpoint")
     _require_file(args.dataset, "dataset file")
     run = load_run_config(args.config)
@@ -182,6 +200,7 @@ def cmd_train_exp(args) -> int:
 
 
 def cmd_eval(args) -> int:
+    _check_out_paths(args, "out_report")
     _require_file(args.checkpoint, "checkpoint")
     _require_file(args.dataset, "dataset file")
     net = load_network(args.checkpoint)
@@ -211,6 +230,7 @@ def cmd_inspect(args) -> int:
 
 
 def cmd_compare(args) -> int:
+    _check_out_paths(args, "out")
     labeled = []
     for path in args.traces:
         _require_file(path, "trace file")

@@ -13,7 +13,7 @@ import hashlib
 import json
 import struct
 import time
-from dataclasses import asdict, dataclass, field, fields
+from dataclasses import asdict, dataclass, field, fields, replace
 
 import numpy as np
 
@@ -223,26 +223,28 @@ def _fit(H, F):
 
 
 class _Columns:
-    """An (N, n) table appended to one column at a time, written in place.
+    """An (N, n) table of `dtype` appended to one column at a time, written
+    in place.
 
     Capacity doubles when full, so n appends copy O(N n) in all rather than
     the O(N n^2) of rebuilding the table on every append. Column-major
     storage keeps each column contiguous and leaves the unused capacity in
-    pages that are never touched.
+    pages that are never touched. Growth keeps its feature tables as spike
+    counts (`_spike_counts`), one byte per entry for T <= 255, and rebuilds
+    the kernel's float rates `table / T` only where it reads them.
     """
 
-    def __init__(self, rows: int):
-        self._buf = np.empty((rows, 16), order="F")
+    def __init__(self, rows: int, dtype=np.float64):
+        self._buf = np.empty((rows, 16), dtype=dtype, order="F")
         self.n = 0
 
     def append(self, columns: np.ndarray) -> None:
         """Append one (N,) column or an (N, k) block of columns."""
-        columns = np.asarray(columns, dtype=np.float64).reshape(
-            len(self._buf), -1)
+        columns = np.asarray(columns).reshape(len(self._buf), -1)
         end = self.n + columns.shape[1]
         if end > self._buf.shape[1]:
             grown = np.empty((len(self._buf), max(end, 2 * self._buf.shape[1])),
-                             order="F")
+                             dtype=self._buf.dtype, order="F")
             grown[:, :self.n] = self.table
             self._buf = grown
         self._buf[:, self.n:end] = columns
@@ -251,6 +253,15 @@ class _Columns:
     @property
     def table(self) -> np.ndarray:
         return self._buf[:, :self.n]
+
+
+def _spike_counts(rates: np.ndarray, T: int) -> np.ndarray:
+    """The spike counts behind a table of the kernel's rates over T steps.
+
+    Each rate is fl(c / T), within half an ulp of c / T, so rint(rate * T)
+    is c exactly, and c / T rebuilds the rate bit for bit.
+    """
+    return np.rint(rates * T).astype(np.min_scalar_type(T))
 
 
 class _QR:
@@ -289,14 +300,16 @@ class _QR:
         E = res.E - np.outer(q, self._c[k])
         return ResidualState(E, float(np.sum(E * E)))
 
-    def output_weights(self, H: np.ndarray, F: np.ndarray) -> np.ndarray:
-        """Least-squares output weights of the table H so far: R^{-1} c, or
-        lstsq's minimum-norm solution where a column was dependent or R is
-        too ill-conditioned to back-substitute."""
+    def output_weights(self, rates, F: np.ndarray) -> np.ndarray:
+        """Least-squares output weights of the feature table so far: R^{-1} c,
+        or lstsq's minimum-norm solution where a column was dependent or R
+        is too ill-conditioned to back-substitute. `rates()` returns the
+        float feature table; growth holds spike counts, so it is rebuilt
+        only when lstsq needs it."""
         n = self.Q.n
         beta = None if self.dependent else \
             triangular_output_weights(self._R[:n, :n], self._c[:n])
-        return _fit(H, F) if beta is None else beta
+        return _fit(rates(), F) if beta is None else beta
 
 
 def _grow(hidden, frozen_prefix, train, test, cfg: GrowthConfig, lif: LifParams,
@@ -307,8 +320,18 @@ def _grow(hidden, frozen_prefix, train, test, cfg: GrowthConfig, lif: LifParams,
     step costs O(N (n + m)) instead of a least-squares refit. Test features
     and output weights are computed only on eval steps; the weights there
     come from the QR factors the projection builds, and lstsq runs once,
-    for the returned snapshot. Also returns the number of pools the
-    saturating attempt drew (None unless the run saturated).
+    for the returned snapshot. A run that saturates on a step it had not
+    evaluated evaluates that step before the snapshot is chosen. Also
+    returns the number of pools the saturating attempt drew (None unless
+    the run saturated).
+
+    The train and test feature tables hold spike counts, not rates: one
+    byte per (sample, unit) for T <= 255. The kernel's float rates are
+    rebuilt from them, bit for bit, only where they are read: the test
+    table on an eval step, the training table for an lstsq fallback, and
+    the snapshot's training columns, fitted after the QR factors are
+    dropped. Per unit, growth then holds 8 N bytes of Q and N + N_test of
+    counts, where float tables took 8 (2 N + N_test).
 
     Prefix columns and every candidate pool read the training set's cached
     time-major uint8 tensor, whose row blocks the kernel takes as views;
@@ -318,20 +341,25 @@ def _grow(hidden, frozen_prefix, train, test, cfg: GrowthConfig, lif: LifParams,
     _check_pair(train, test)
     hidden = list(hidden)
     n0 = len(hidden)
+    T = train.T
     F = encode_targets(train)
     train_labels = train.label_indices()
     test_labels = test.label_indices()
-    H_train, H_test, qr = _Columns(len(train)), _Columns(len(test)), _QR(F)
-    H_train.append(_unit_features(hidden, train.spike_tensor(), lif))
+    counts = np.min_scalar_type(T)
+    H_train, H_test = _Columns(len(train), counts), _Columns(len(test), counts)
+    qr = _QR(F)
+    H_train.append(_spike_counts(
+        _unit_features(hidden, train.spike_tensor(), lif), T))
 
     def test_accuracy() -> float:
-        H_test.append(_unit_features(hidden[H_test.n:], test.spikes, lif))
-        beta = qr.output_weights(H_train.table, F)
-        return _accuracy(H_test.table, beta, test_labels)
+        H_test.append(_spike_counts(
+            _unit_features(hidden[H_test.n:], test.spikes, lif), T))
+        beta = qr.output_weights(lambda: H_train.table / T, F)
+        return _accuracy(H_test.table / T, beta, test_labels)
 
     res = ResidualState(F, float(np.sum(F * F)))
-    for h in H_train.table.T:
-        res = qr.project_out(res, h)
+    for j in range(n0):
+        res = qr.project_out(res, H_train.table[:, j] / T)
     train_acc = _fitted_accuracy(F, res.E, train_labels)
     test_acc = start_test = test_accuracy()
     best_test = test_acc if n0 > 0 else -1.0
@@ -362,7 +390,7 @@ def _grow(hidden, frozen_prefix, train, test, cfg: GrowthConfig, lif: LifParams,
         hidden.append(neuron)
         step += 1
         prev_sq = res.sq_norm
-        H_train.append(sel.feature)
+        H_train.append(_spike_counts(sel.feature, T))
         res = qr.project_out(res, sel.feature)
         bound = outcome.sigma_used * prev_sq
         if res.sq_norm > bound * (1.0 + _CERT_RTOL) + 1e-30:
@@ -399,11 +427,20 @@ def _grow(hidden, frozen_prefix, train, test, cfg: GrowthConfig, lif: LifParams,
         elif evals_since_best >= cfg.patience:
             status = STATUS_PATIENCE
 
+    if H_test.n < len(hidden):
+        # Only a saturated run stops on a step it had not evaluated.
+        test_acc = test_accuracy()
+        records[-1] = replace(records[-1], test_accuracy=test_acc)
+        if test_acc > best_test:
+            best_test, best_n = test_acc, len(hidden)
+
     # Return the best-test-accuracy snapshot: hidden weights are never
     # modified after acceptance, so truncation reproduces it. Its output
     # weights are lstsq's, so checkpoints do not depend on the QR path.
+    # Q is no longer read: dropped first, it is not held beside lstsq's copy.
+    del qr
     best_hidden = hidden[:best_n]
-    best_beta = _fit(H_train.table[:, :best_n], F)
+    best_beta = _fit(H_train.table[:, :best_n] / T, F)
     # An empty returned network is the start, measured before growth.
     trace = TrainingTrace(
         records=records, status=status, initial_neurons=n0,

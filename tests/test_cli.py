@@ -723,6 +723,61 @@ class TestBadPaths:
         assert repr(path) in err and ".tmp-" not in err
 
 
+class TestOutputPathsFailFast:
+    """An output path whose directory is missing, or which is a directory,
+    ends the op with exit 2 before any input is read or any network grown,
+    and nothing is written."""
+
+    @pytest.fixture
+    def inputs(self, generated, workdir, monkeypatch):
+        (workdir / "seed.net").write_bytes(network_to_bytes(
+            Network(8, LifParams(), [HiddenNeuron(np.ones(8), 0.5)],
+                    np.ones((1, 2)), [0, 1])))
+        export_trace(TrainingTrace(
+            [TraceRecord(1, 1.0, 1.0, 1.0, 0.1, 0.999, 0)], "Patience"),
+            str(workdir / "a.trace"), "structured")
+        (workdir / "taken").mkdir()
+
+        def entered(*args, **kwargs):
+            raise AssertionError("the op started its work")
+
+        for name in ("load_dataset", "load_network", "load_trace",
+                     "train_fresh", "train_experienced", "evaluate"):
+            monkeypatch.setattr(spikegrow.cli, name, entered)
+        return generated
+
+    @pytest.mark.parametrize("bad", ["missing/x.out", "taken"])
+    @pytest.mark.parametrize("argv, flag", [
+        (["train-fresh", "--dataset", "data/stage-2.ds",
+          "--out-checkpoint", "{}", "--out-trace", "x.trace"],
+         "--out-checkpoint"),
+        (["train-fresh", "--dataset", "data/stage-2.ds",
+          "--out-checkpoint", "x.net", "--out-trace", "{}"], "--out-trace"),
+        (["train-exp", "--seed-checkpoint", "seed.net",
+          "--dataset", "data/stage-4.ds",
+          "--out-checkpoint", "{}", "--out-trace", "x.trace"],
+         "--out-checkpoint"),
+        (["train-exp", "--seed-checkpoint", "seed.net",
+          "--dataset", "data/stage-4.ds",
+          "--out-checkpoint", "x.net", "--out-trace", "{}"], "--out-trace"),
+        (["eval", "--checkpoint", "seed.net", "--dataset", "data/stage-2.ds",
+          "--out-report", "{}"], "--out-report"),
+        (["compare", "a.trace", "--out", "{}"], "--out"),
+    ], ids=["fresh-checkpoint", "fresh-trace", "exp-checkpoint", "exp-trace",
+            "eval-report", "compare-out"])
+    def test_exit_2_before_work(self, inputs, workdir, capsys, argv, flag,
+                                bad):
+        argv = [a.format(bad) for a in argv]
+        if argv[0].startswith("train"):
+            argv += ["--config", inputs]
+        before = sorted(workdir.rglob("*"))
+        capsys.readouterr()
+        assert main(argv) == 2
+        err = capsys.readouterr().err
+        assert re.fullmatch(rf"error: ConfigError: {flag} {bad!r}.*\n", err)
+        assert sorted(workdir.rglob("*")) == before
+
+
 class TestFileModes:
     """Every file spikegrow writes gets the mode a plain `open(path, "wb")`
     gives, not that of the temp file it streamed into: 0o666 less the umask

@@ -5,6 +5,7 @@ import pytest
 
 from conftest import make_dataset
 from oracles import spike_count_classifier_accuracy
+from test_pinned_growth import _cfg as pinned_cfg, _splits as pinned_splits
 from spikegrow import (
     ChecksumError,
     ConfigError,
@@ -31,10 +32,13 @@ from spikegrow.dataset import dataset_fingerprint
 from spikegrow.learner import (
     _CERT_RTOL,
     STATUS_MAX_HIDDEN,
+    STATUS_SATURATED,
     STATUS_TARGET,
     HiddenNeuron,
     Network,
+    _Columns,
     _QR,
+    _spike_counts,
     _unit_features,
 )
 from spikegrow.lif import batch_rate_features
@@ -169,6 +173,27 @@ class TestTrainFresh:
         from spikegrow import evaluate
         assert evaluate(net, test).accuracy == pytest.approx(
             max(r.test_accuracy for r in trace.records))
+
+
+class TestSaturationStep:
+    def test_unevaluated_last_step_is_evaluated(self):
+        """The pinned saturating run at eval_every=5 stops on step 4, which
+        no eval step measured. That step is evaluated before the snapshot
+        is chosen: the run returns its 4 units, and the last record holds
+        the test accuracy the every-step run measured there."""
+        [(train, test)] = pinned_splits([4], seed=2, d=2, T=3, categories=4,
+                                        samples_per_category=10)
+        pruning = PruningConfig(pool_size=20, sigma0=0.95,
+                                sigma_relax_steps=4)
+        runs = [train_fresh(train, test, pinned_cfg(
+            max_hidden=20, patience=100, pruning=pruning, rng_seed=1,
+            eval_every=every)) for every in (1, 5)]
+        (_, every_step), (net, trace) = runs
+        assert trace.status == STATUS_SATURATED and len(trace.records) == 4
+        assert net.n_hidden == 4
+        assert trace.records[-1].test_accuracy \
+            == every_step.records[-1].test_accuracy
+        assert trace.best_test_accuracy == trace.records[-1].test_accuracy
 
 
 def record_growth(monkeypatch):
@@ -318,7 +343,7 @@ class TestIncrementalResidual:
         res = ResidualState(F, float(np.sum(F * F)))
         for j in range(5):
             res = qr.project_out(res, H[:, j])
-            beta = qr.output_weights(H[:, :j + 1], F)
+            beta = qr.output_weights(lambda: H[:, :j + 1], F)
             if j < 3:
                 np.testing.assert_allclose(
                     beta, fit_output_weights(H[:, :j + 1], F),
@@ -567,6 +592,29 @@ class TestCheckpointRoundTrip:
             load_network(str(p))
 
 
+class TestSpikeCounts:
+    @pytest.mark.parametrize("T", [1, 2, 3, 7, 10, 25, 255, 256, 1000, 65535,
+                                   65536])
+    def test_counts_rebuild_the_kernels_rates(self, T):
+        """Every count c in [0, T] survives rint((c / T) * T), in the
+        kernel's count type, and the table's `counts / T` is the kernel's
+        own rate bit for bit, including for uint16 and uint32 counts."""
+        dtype = np.min_scalar_type(T)
+        c = np.arange(T + 1, dtype=dtype)
+        counts = _Columns(T + 1, dtype)
+        counts.append(_spike_counts(c / T, T))
+        assert counts.table.dtype == dtype
+        assert np.array_equal(counts.table[:, 0], c)
+        rng = np.random.default_rng(T)
+        x = (rng.random((8, 3, T)) < 0.4).astype(np.uint8)
+        rates = batch_rate_features(x, rng.uniform(-1, 2, (5, 3)),
+                                    rng.uniform(-1, 1, 5), LifParams())
+        table = _Columns(8, dtype)
+        table.append(_spike_counts(rates, T))
+        assert np.array_equal((table.table / T).view(np.uint64),
+                              rates.view(np.uint64))
+
+
 class TestMemory:
     def test_growth_peak_below_four_training_sets(self):
         """Above its datasets, a growth run holds the training set's cached
@@ -587,3 +635,26 @@ class TestMemory:
             tracemalloc.stop()
         assert net.n_hidden == 4
         assert peak < 4 * train.spikes.nbytes
+
+    def test_growth_peak_per_sample_and_unit(self):
+        """A `capacity`-shaped run (N = 800, d = 32, T = 10, pools of 10) to
+        200 units peaks under 32 bytes per (training sample, unit) above
+        its datasets. Its feature tables hold one-byte spike counts; the
+        QR factor Q keeps 8 bytes a cell. Measured: 4.11 MB, where float64
+        feature tables peaked at 5.98 MB (5.12 MB is the bound)."""
+        gen = GeneratorConfig(d=32, T=10, categories=5,
+                              samples_per_category=200, separation=0.05,
+                              rng_seed=1)
+        train, test = split_train_test(generate_family(gen, [5]).stages[0],
+                                       0.2, 1)
+        units = 200
+        tracemalloc.start()
+        try:
+            _, trace = train_fresh(train, test, GrowthConfig(
+                target_train_accuracy=1.0, max_hidden=units, patience=10**5,
+                rng_seed=1, pruning=PruningConfig(pool_size=10)))
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert (len(train), trace.final_neurons) == (800, units)
+        assert peak < 32 * len(train) * units
