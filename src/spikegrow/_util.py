@@ -7,7 +7,9 @@ import sys
 from contextlib import contextmanager
 from dataclasses import field, fields
 
-from .errors import ConfigError
+import numpy as np
+
+from .errors import ConfigError, DataFormatError
 
 
 def _new_temp(directory: str):
@@ -72,6 +74,14 @@ def is_finite_number(value) -> bool:
         and abs(value) <= sys.float_info.max
 
 
+def check_keys(obj: dict, keys: set, what: str) -> None:
+    """Raise DataFormatError naming `what` unless the JSON object `obj` has
+    every key of `keys` and no other."""
+    if obj.keys() != keys:
+        raise DataFormatError(f"{what} keys: missing {sorted(keys - obj.keys())}, "
+                              f"unknown {sorted(obj.keys() - keys)}")
+
+
 # The upper bound of every size or count setting. Any product of two such
 # settings times 8 bytes stays inside numpy's array-size limit, so a setting
 # too large for the machine ends in MemoryError, not in a ValueError from
@@ -101,3 +111,34 @@ def check_settings(config, section: str) -> None:
             rule = " and".join(f" {_SYMBOLS[op]} {b}" for op, b in bounds)
             raise ConfigError(f"{section}.{f.name} must be {kind[1]}{rule}, "
                               f"got {value!r}")
+
+
+class _Columns:
+    """An (N, n) table of `dtype` appended to one column at a time, written
+    in place.
+
+    Capacity doubles when full, so n appends copy O(N n) in all rather than
+    the O(N n^2) of rebuilding the table on every append. Column-major
+    storage keeps each column contiguous and leaves the unused capacity in
+    pages that are never touched.
+    """
+
+    def __init__(self, rows: int, dtype=np.float64):
+        self._buf = np.empty((rows, 16), dtype=dtype, order="F")
+        self.n = 0
+
+    def append(self, columns: np.ndarray) -> None:
+        """Append one (N,) column or an (N, k) block of columns."""
+        columns = np.asarray(columns).reshape(len(self._buf), -1)
+        end = self.n + columns.shape[1]
+        if end > self._buf.shape[1]:
+            grown = np.empty((len(self._buf), max(end, 2 * self._buf.shape[1])),
+                             dtype=self._buf.dtype, order="F")
+            grown[:, :self.n] = self.table
+            self._buf = grown
+        self._buf[:, self.n:end] = columns
+        self.n = end
+
+    @property
+    def table(self) -> np.ndarray:
+        return self._buf[:, :self.n]

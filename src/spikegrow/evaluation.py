@@ -9,7 +9,7 @@ from dataclasses import dataclass, fields
 
 import numpy as np
 
-from ._util import atomic_write_text, is_int
+from ._util import atomic_write_text, check_keys, is_finite_number, is_int
 from .dataset import LabeledDataset
 from .errors import ConfigError, DataFormatError, LineageError
 from .learner import (
@@ -22,6 +22,7 @@ from .learner import (
 TRACE_VERSION = 1
 TRACE_COLUMNS = [f.name for f in fields(TraceRecord)]
 _COUNT_COLUMNS = {"neuron_count", "retries_used"}
+_TRACE_KEYS = {"trace_version", "status", "initial_neurons", "records"}
 
 
 def _is_count(value) -> bool:
@@ -117,10 +118,7 @@ def load_trace(path: str) -> TrainingTrace:
         raise DataFormatError(
             f"unsupported trace version {doc.get('trace_version')!r} in {path}"
         )
-    missing = [k for k in ("status", "initial_neurons", "records")
-               if k not in doc]
-    if missing:
-        raise DataFormatError(f"trace file {path} lacks {missing}")
+    check_keys(doc, _TRACE_KEYS, f"trace file {path}")
     if not isinstance(doc["status"], str) \
             or not _is_count(doc["initial_neurons"]) \
             or not isinstance(doc["records"], list):
@@ -132,16 +130,14 @@ def load_trace(path: str) -> TrainingTrace:
     for k, rec in enumerate(doc["records"]):
         if not isinstance(rec, dict):
             raise DataFormatError(f"trace record {k} in {path} is not an object")
-        missing = [c for c in TRACE_COLUMNS if c not in rec]
-        if missing:
-            raise DataFormatError(f"trace record {k} in {path} lacks {missing}")
+        check_keys(rec, set(TRACE_COLUMNS), f"trace record {k} in {path}")
         for c in TRACE_COLUMNS:
             ok = _is_count(rec[c]) if c in _COUNT_COLUMNS else \
-                isinstance(rec[c], (int, float)) and not isinstance(rec[c], bool)
+                is_finite_number(rec[c])
             if not ok:
                 raise DataFormatError(
                     f"trace record {k} in {path}: {c} = {rec[c]!r} is not a "
-                    f"{'count' if c in _COUNT_COLUMNS else 'number'}"
+                    f"{'count' if c in _COUNT_COLUMNS else 'finite number'}"
                 )
         records.append(TraceRecord(**{c: rec[c] for c in TRACE_COLUMNS}))
     return TrainingTrace(records=records, status=doc["status"],

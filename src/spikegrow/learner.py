@@ -19,7 +19,9 @@ import numpy as np
 
 from ._util import (
     SIZE_MAX,
+    _Columns,
     atomic_write_bytes,
+    check_keys,
     check_settings,
     is_int,
     setting,
@@ -38,12 +40,10 @@ from .lif import LifParams, batch_rate_features
 # `residual` is no longer called here; it stays bound in this module because
 # the benchmark tracer (benchmarks/tracer.py) wraps it at this binding.
 from .readout import (  # noqa: F401
-    ResidualState,
+    GrowingFit,
     fit_output_weights,
-    orthonormal_direction,
     predict_batch,
     residual,
-    triangular_output_weights,
 )
 
 CHECKPOINT_MAGIC = b"SPIKEGROW-NET 1\n"
@@ -206,10 +206,6 @@ def _check_pair(train: LabeledDataset, test: LabeledDataset) -> None:
         raise ConfigError("train and test datasets disagree in categories")
 
 
-def _accuracy(H, beta, label_idx) -> float:
-    return float(np.mean(predict_batch(H, beta) == label_idx))
-
-
 def _fitted_accuracy(F, E, label_idx) -> float:
     """Accuracy of the least-squares fit read off its residual: F - E is the
     fitted output H @ beta, so no beta is needed."""
@@ -222,39 +218,6 @@ def _fit(H, F):
     return fit_output_weights(H, F)
 
 
-class _Columns:
-    """An (N, n) table of `dtype` appended to one column at a time, written
-    in place.
-
-    Capacity doubles when full, so n appends copy O(N n) in all rather than
-    the O(N n^2) of rebuilding the table on every append. Column-major
-    storage keeps each column contiguous and leaves the unused capacity in
-    pages that are never touched. Growth keeps its feature tables as spike
-    counts (`_spike_counts`), one byte per entry for T <= 255, and rebuilds
-    the kernel's float rates `table / T` only where it reads them.
-    """
-
-    def __init__(self, rows: int, dtype=np.float64):
-        self._buf = np.empty((rows, 16), dtype=dtype, order="F")
-        self.n = 0
-
-    def append(self, columns: np.ndarray) -> None:
-        """Append one (N,) column or an (N, k) block of columns."""
-        columns = np.asarray(columns).reshape(len(self._buf), -1)
-        end = self.n + columns.shape[1]
-        if end > self._buf.shape[1]:
-            grown = np.empty((len(self._buf), max(end, 2 * self._buf.shape[1])),
-                             dtype=self._buf.dtype, order="F")
-            grown[:, :self.n] = self.table
-            self._buf = grown
-        self._buf[:, self.n:end] = columns
-        self.n = end
-
-    @property
-    def table(self) -> np.ndarray:
-        return self._buf[:, :self.n]
-
-
 def _spike_counts(rates: np.ndarray, T: int) -> np.ndarray:
     """The spike counts behind a table of the kernel's rates over T steps.
 
@@ -264,74 +227,29 @@ def _spike_counts(rates: np.ndarray, T: int) -> np.ndarray:
     return np.rint(rates * T).astype(np.min_scalar_type(T))
 
 
-class _QR:
-    """Thin QR factors H = Q R of a feature table that grows one column at a
-    time, with c = Q^T F, so the table's least-squares output weights are
-    R^{-1} c (Golub & Van Loan, Matrix Computations, 4th ed., sec. 6.5).
-
-    Q is a _Columns table. R and c are written in place into buffers whose
-    capacity doubles when full, so an eval step solves by back-substitution
-    instead of refitting. A column already in span(Q) adds no row to R,
-    which then no longer solves for the whole table: `dependent` is set,
-    and output weights come from lstsq from then on.
-    """
-
-    def __init__(self, F: np.ndarray):
-        self.Q = _Columns(len(F))
-        self._R = np.zeros((16, 16))
-        self._c = np.zeros((16, F.shape[1]))
-        self.dependent = False
-
-    def project_out(self, res: ResidualState, h) -> ResidualState:
-        """Least-squares residual after feature column h joins the table; a
-        column already in span(Q) changes nothing."""
-        k = self.Q.n
-        if k == len(self._R):
-            R, c = np.zeros((2 * k, 2 * k)), np.zeros((2 * k, self._c.shape[1]))
-            R[:k, :k], c[:k] = self._R, self._c
-            self._R, self._c = R, c
-        q = orthonormal_direction(self.Q.table, h, out=self._R[:k + 1, k])
-        if q is None:
-            self.dependent = True
-            return res
-        self.Q.append(q)
-        # q is orthogonal to the old basis, so q^T E equals c's new row q^T F.
-        self._c[k] = q @ res.E
-        E = res.E - np.outer(q, self._c[k])
-        return ResidualState(E, float(np.sum(E * E)))
-
-    def output_weights(self, rates, F: np.ndarray) -> np.ndarray:
-        """Least-squares output weights of the feature table so far: R^{-1} c,
-        or lstsq's minimum-norm solution where a column was dependent or R
-        is too ill-conditioned to back-substitute. `rates()` returns the
-        float feature table; growth holds spike counts, so it is rebuilt
-        only when lstsq needs it."""
-        n = self.Q.n
-        beta = None if self.dependent else \
-            triangular_output_weights(self._R[:n, :n], self._c[:n])
-        return _fit(rates(), F) if beta is None else beta
-
-
 def _grow(hidden, frozen_prefix, train, test, cfg: GrowthConfig, lif: LifParams,
           lineage, kind: str):
     """Shared growth loop; `hidden` is the (possibly empty) inherited prefix.
 
-    The residual is kept by orthogonal projection, one column per unit, so a
-    step costs O(N (n + m)) instead of a least-squares refit. Test features
-    and output weights are computed only on eval steps; the weights there
-    come from the QR factors the projection builds, and lstsq runs once,
-    for the returned snapshot. A run that saturates on a step it had not
-    evaluated evaluates that step before the snapshot is chosen. Also
-    returns the number of pools the saturating attempt drew (None unless
-    the run saturated).
+    A `GrowingFit` keeps the residual by orthogonal projection, one column
+    per unit, so a step costs O(N (n + m)) instead of a least-squares
+    refit. It also keeps the fit's test outputs, so no step solves for
+    output weights: on an eval step the test features of the units added
+    since the last one are computed in one batch and fed to it. Once the
+    fit is inexact (a dependent or ill-conditioned column), eval steps fit
+    with lstsq instead. Otherwise lstsq runs once, for the returned
+    snapshot. A run that saturates on a step it had not evaluated
+    evaluates that step before the snapshot is chosen. Also returns the
+    number of pools the saturating attempt drew (None unless the run
+    saturated).
 
     The train and test feature tables hold spike counts, not rates: one
     byte per (sample, unit) for T <= 255. The kernel's float rates are
-    rebuilt from them, bit for bit, only where they are read: the test
-    table on an eval step, the training table for an lstsq fallback, and
-    the snapshot's training columns, fitted after the QR factors are
-    dropped. Per unit, growth then holds 8 N bytes of Q and N + N_test of
-    counts, where float tables took 8 (2 N + N_test).
+    rebuilt from them, bit for bit, only where they are read: the prefix
+    columns for the fit, both tables for an lstsq fallback, and the
+    snapshot's training columns, fitted after the fit is dropped. Per
+    unit, growth then holds 8 N bytes of Q, 8 N_test of the test image,
+    and N + N_test of counts.
 
     Prefix columns and every candidate pool read the training set's cached
     time-major uint8 tensor, whose row blocks the kernel takes as views;
@@ -347,20 +265,22 @@ def _grow(hidden, frozen_prefix, train, test, cfg: GrowthConfig, lif: LifParams,
     test_labels = test.label_indices()
     counts = np.min_scalar_type(T)
     H_train, H_test = _Columns(len(train), counts), _Columns(len(test), counts)
-    qr = _QR(F)
+    fit = GrowingFit(F, len(test))
     H_train.append(_spike_counts(
         _unit_features(hidden, train.spike_tensor(), lif), T))
 
     def test_accuracy() -> float:
-        H_test.append(_spike_counts(
-            _unit_features(hidden[H_test.n:], test.spikes, lif), T))
-        beta = qr.output_weights(lambda: H_train.table / T, F)
-        return _accuracy(H_test.table / T, beta, test_labels)
+        new = _unit_features(hidden[H_test.n:], test.spikes, lif)
+        H_test.append(_spike_counts(new, T))
+        if fit.exact:
+            outputs = fit.test_outputs(new)
+        else:
+            outputs = (H_test.table / T) @ _fit(H_train.table / T, F)
+        return float(np.mean(np.argmax(outputs, axis=1) == test_labels))
 
-    res = ResidualState(F, float(np.sum(F * F)))
     for j in range(n0):
-        res = qr.project_out(res, H_train.table[:, j] / T)
-    train_acc = _fitted_accuracy(F, res.E, train_labels)
+        fit.add(H_train.table[:, j] / T)
+    train_acc = _fitted_accuracy(F, fit.E, train_labels)
     test_acc = start_test = test_accuracy()
     best_test = test_acc if n0 > 0 else -1.0
     best_n = n0
@@ -381,7 +301,7 @@ def _grow(hidden, frozen_prefix, train, test, cfg: GrowthConfig, lif: LifParams,
         if len(hidden) >= cfg.max_hidden:
             status = STATUS_MAX_HIDDEN
             break
-        outcome = grow_one(res.E, train, cfg.pruning, lif, rng)
+        outcome = grow_one(fit.E, train, cfg.pruning, lif, rng)
         if outcome.saturated:
             status, saturated_rounds = STATUS_SATURATED, outcome.rounds_used
             break
@@ -389,18 +309,18 @@ def _grow(hidden, frozen_prefix, train, test, cfg: GrowthConfig, lif: LifParams,
         neuron = HiddenNeuron(sel.winner.w, sel.winner.v)
         hidden.append(neuron)
         step += 1
-        prev_sq = res.sq_norm
+        prev_sq = fit.sq_norm
         H_train.append(_spike_counts(sel.feature, T))
-        res = qr.project_out(res, sel.feature)
+        fit.add(sel.feature)
         bound = outcome.sigma_used * prev_sq
-        if res.sq_norm > bound * (1.0 + _CERT_RTOL) + 1e-30:
+        if fit.sq_norm > bound * (1.0 + _CERT_RTOL) + 1e-30:
             raise InvariantError(
-                f"residual contraction violated: {res.sq_norm} > "
+                f"residual contraction violated: {fit.sq_norm} > "
                 f"{outcome.sigma_used} * {prev_sq}"
             )
-        if res.sq_norm >= prev_sq:
+        if fit.sq_norm >= prev_sq:
             raise InvariantError("squared residual failed to decrease")
-        train_acc = _fitted_accuracy(F, res.E, train_labels)
+        train_acc = _fitted_accuracy(F, fit.E, train_labels)
 
         reached = train_acc >= cfg.target_train_accuracy
         do_eval = reached or (step % cfg.eval_every == 0) \
@@ -415,7 +335,7 @@ def _grow(hidden, frozen_prefix, train, test, cfg: GrowthConfig, lif: LifParams,
                 evals_since_best += 1
         records.append(TraceRecord(
             neuron_count=len(hidden),
-            sq_norm=res.sq_norm,
+            sq_norm=fit.sq_norm,
             train_accuracy=train_acc,
             test_accuracy=test_acc,
             elapsed_seconds=time.perf_counter() - t0,
@@ -436,9 +356,10 @@ def _grow(hidden, frozen_prefix, train, test, cfg: GrowthConfig, lif: LifParams,
 
     # Return the best-test-accuracy snapshot: hidden weights are never
     # modified after acceptance, so truncation reproduces it. Its output
-    # weights are lstsq's, so checkpoints do not depend on the QR path.
-    # Q is no longer read: dropped first, it is not held beside lstsq's copy.
-    del qr
+    # weights are lstsq's, so checkpoints do not depend on the fit's path.
+    # The fit is no longer read: dropped first, its Q and test image are not
+    # held beside lstsq's copy.
+    del fit
     best_hidden = hidden[:best_n]
     best_beta = _fit(H_train.table[:, :best_n] / T, F)
     # An empty returned network is the start, measured before growth.
@@ -585,12 +506,7 @@ def _check_header(header) -> None:
         raise DataFormatError(
             f"unsupported checkpoint version {header.get('format_version')!r}"
         )
-    if header.keys() != _HEADER_KEYS:
-        missing = sorted(_HEADER_KEYS - header.keys())
-        unknown = sorted(header.keys() - _HEADER_KEYS)
-        raise DataFormatError(
-            f"checkpoint header keys: missing {missing}, unknown {unknown}"
-        )
+    check_keys(header, _HEADER_KEYS, "checkpoint header")
     for key in ("d", "n_hidden", "frozen_prefix", "m"):
         if not is_int(header[key]) or header[key] < 0:
             raise DataFormatError(
@@ -651,6 +567,9 @@ def load_network(path: str) -> Network:
         if hashlib.sha256(payload).digest() != digest:
             raise ChecksumError(f"{name} section failed its checksum")
         arrays.append(np.frombuffer(payload, dtype="<f8").reshape(shape))
+    if r.pos != len(blob):
+        raise DataFormatError(
+            f"data after the beta section at byte {r.pos} of the checkpoint")
     W, V, beta = arrays
     hidden = [HiddenNeuron(W[i], float(V[i])) for i in range(n)]
     return Network(d, lif, hidden, beta, header["categories"],

@@ -1,5 +1,5 @@
-"""Linear readout: least-squares output weights, from lstsq or from the QR
-factors growth builds, and residuals."""
+"""Linear readout: least-squares output weights and residuals, and the
+incremental fit growth keeps, whose test outputs need no output weights."""
 
 from __future__ import annotations
 
@@ -7,14 +7,12 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from ._util import _Columns
 from .errors import ShapeError
 
 # Singular values below this fraction of the largest are treated as zero;
 # rank deficiency is expected (duplicate or near-silent hidden units).
 SVD_CUTOFF = 1e-10
-
-# Rows per block of the blocked back-substitution.
-_SOLVE_BLOCK = 64
 
 
 @dataclass(frozen=True)
@@ -76,34 +74,71 @@ def orthonormal_direction(Q: np.ndarray, h: np.ndarray, out=None):
     return r / r_norm
 
 
-def triangular_output_weights(R: np.ndarray, c: np.ndarray):
-    """Least-squares output weights beta = R^{-1} c from the thin QR factors
-    H = Q R and c = Q^T F, by back-substitution at O(n^2 m).
+class GrowingFit:
+    """Least-squares fit of targets F on a feature table H that grows one
+    column at a time, and the fit's outputs on a test table that grows
+    with it, kept without output weights.
 
-    Rows are solved from the bottom up in blocks of _SOLVE_BLOCK: each
-    block's right-hand side is reduced by the rows already solved in one
-    product, and its own triangle is solved by LAPACK. Partial pivoting
-    never swaps rows of an upper-triangular block with a nonzero diagonal,
-    so this is back-substitution, not a refactorisation.
+    `add` orthonormalises a training column against the basis Q of those
+    before it and takes its direction q out of the residual: E <- E - q c^T
+    with c = q^T E. This builds the thin QR factorization H = Q R and
+    c = Q^T F a column and a row at a time (Golub & Van Loan, Matrix
+    Computations, 4th ed., sec. 6.5), but keeps neither R nor c. The test
+    outputs Y = H_test R^{-1} c are kept instead, with the test image
+    G = H_test R^{-1}: column k's test features h give
+    g = (h - G r[:k]) / r[k], where r is R's new column, then G <- [G, g]
+    and Y <- Y + g c^T. Each (r, c) pair is queued until `test_outputs`
+    brings its test features, so those can be computed in batches.
 
-    Returns None when R's diagonal spans more than 1 / SVD_CUTOFF: there
-    lstsq's rcond may cut a direction, and its minimum-norm solution then
-    differs from R^{-1} c.
+    `exact` turns False for good on a column already in span(Q), which R
+    then misses, or once R's diagonal spans more than 1 / SVD_CUTOFF, where
+    lstsq's rcond may cut a direction and its minimum-norm solution
+    differs from R^{-1} c. The test outputs are then no longer updated,
+    and the caller fits with lstsq; E stays the least-squares residual.
     """
-    n = len(R)
-    if R.shape != (n, n) or c.ndim != 2 or len(c) != n:
-        raise ShapeError(f"triangular factor {R.shape} and c {c.shape} disagree")
-    beta = np.empty_like(c, dtype=np.float64)
-    if n == 0:
-        return beta
-    diagonal = np.abs(np.diagonal(R))
-    if diagonal.min() <= SVD_CUTOFF * diagonal.max():
-        return None
-    for hi in range(n, 0, -_SOLVE_BLOCK):
-        lo = max(hi - _SOLVE_BLOCK, 0)
-        beta[lo:hi] = np.linalg.solve(R[lo:hi, lo:hi],
-                                      c[lo:hi] - R[lo:hi, hi:] @ beta[hi:])
-    return beta
+
+    def __init__(self, F: np.ndarray, test_rows: int):
+        self.Q = _Columns(len(F))
+        self.E = np.asarray(F, dtype=np.float64)
+        self.sq_norm = float(np.sum(self.E * self.E))
+        self.exact = True
+        self._G = _Columns(test_rows)
+        self._Y = np.zeros((test_rows, self.E.shape[1]))
+        self._queue = []
+        self._lo, self._hi = np.inf, 0.0  # extremes of R's diagonal so far
+
+    def add(self, h: np.ndarray) -> None:
+        """Append training column h; a column already in span(Q) leaves E
+        unchanged."""
+        k = self.Q.n
+        r = np.empty(k + 1)
+        q = orthonormal_direction(self.Q.table, h, out=r)
+        if q is None:
+            self.exact = False
+            return
+        self.Q.append(q)
+        # q is orthogonal to the old basis, so q^T E equals c's new row q^T F.
+        c = q @ self.E
+        self.E = self.E - np.outer(q, c)
+        self.sq_norm = float(np.sum(self.E * self.E))
+        self._lo, self._hi = min(self._lo, r[k]), max(self._hi, r[k])
+        self.exact = self.exact and self._lo > SVD_CUTOFF * self._hi
+        if self.exact:
+            self._queue.append((r, c))
+
+    def test_outputs(self, H_new: np.ndarray) -> np.ndarray:
+        """The fit's outputs H_test R^{-1} c, shape (N_test, m), given the
+        (N_test, j) test features of the j columns added since the last
+        call. Only an exact fit keeps them; the array is updated in place."""
+        if not self.exact or H_new.shape != (len(self._Y), len(self._queue)):
+            raise ShapeError(f"test features {H_new.shape} do not match the "
+                             f"{len(self._queue)} queued columns of an exact fit")
+        for (r, c), h in zip(self._queue, H_new.T):
+            g = (h - self._G.table @ r[:-1]) / r[-1]
+            self._G.append(g)
+            self._Y += np.outer(g, c)
+        self._queue.clear()
+        return self._Y
 
 
 def residual(H: np.ndarray, beta: np.ndarray, F: np.ndarray) -> ResidualState:

@@ -75,16 +75,6 @@ def spike_count_classifier_accuracy(train, test):
     return float(np.mean(pred == test.label_indices()))
 
 
-def back_substitution(R, c):
-    """beta = R^{-1} c for upper-triangular R, one row at a time from the
-    bottom (the row loop the blocked solve in spikegrow.readout replaced)."""
-    R = np.asarray(R, dtype=np.float64)
-    beta = np.empty_like(c, dtype=np.float64)
-    for j in range(len(R) - 1, -1, -1):
-        beta[j] = (c[j] - R[j, j + 1:] @ beta[j + 1:]) / R[j, j]
-    return beta
-
-
 def generated_columns(config, stage_sizes):
     """The (spikes, label_index) columns of the last stage that
     `generate_family` builds, drawn one sample at a time: a uniform

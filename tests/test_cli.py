@@ -451,6 +451,19 @@ class TestEvalAndInspect:
         assert re.fullmatch(r"error: LineageError: .*\n", err)
         assert not (workdir / "r.json").exists()
 
+    def test_bytes_after_last_section_exit_3(self, trained, workdir, capsys):
+        size = (workdir / "f.net").stat().st_size
+        with open(workdir / "f.net", "ab") as fh:
+            fh.write(b"garbage")
+        for argv in (["eval", "--checkpoint", "f.net", "--dataset",
+                      "data/stage-2.ds", "--out-report", "r.json"],
+                     ["inspect", "--checkpoint", "f.net"]):
+            assert main(argv) == 3
+            err = capsys.readouterr().err
+            assert re.fullmatch(rf"error: DataFormatError: .* byte {size} .*\n",
+                                err)
+        assert not (workdir / "r.json").exists()
+
     def test_eval_empty_dataset_exit_2(self, workdir, capsys):
         (workdir / "seed.net").write_bytes(network_to_bytes(
             Network(8, LifParams(), [HiddenNeuron(np.ones(8), 0.5)],
@@ -590,8 +603,13 @@ class TestMalformedTrace:
         _json_edit(lambda d: d["records"][0].update(elapsed_seconds="0.1")),
         _json_edit(lambda d: d["records"][0].update(neuron_count=1.5)),
         lambda text: '{"trace_version": 1, "x": %s}' % _DEEP,
+        _json_edit(lambda d: d["records"][0].update(test_accuracy=np.nan)),
+        _json_edit(lambda d: d["records"][1].update(sq_norm=np.inf)),
+        _json_edit(lambda d: d.update(note="x")),
+        _json_edit(lambda d: d["records"][1].update(note="x")),
     ], ids=["record-missing-column", "missing-status", "string-seconds",
-            "float-neuron-count", "nested-100000-deep"])
+            "float-neuron-count", "nested-100000-deep", "nan-accuracy",
+            "infinite-sq-norm", "unknown-key", "record-unknown-key"])
     def test_compare_exit_3(self, workdir, capsys, edit):
         (workdir / "t.trace").write_text(edit(_valid_trace()))
         assert main(["compare", "t.trace"]) == 3

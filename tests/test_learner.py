@@ -16,6 +16,7 @@ from spikegrow import (
     LifParams,
     LineageError,
     PruningConfig,
+    ShapeError,
     encode_targets,
     evaluate,
     generate_family,
@@ -28,6 +29,7 @@ from spikegrow import (
 )
 import spikegrow.learner
 import spikegrow.lif
+import spikegrow.readout
 from spikegrow.dataset import dataset_fingerprint
 from spikegrow.learner import (
     _CERT_RTOL,
@@ -37,13 +39,12 @@ from spikegrow.learner import (
     HiddenNeuron,
     Network,
     _Columns,
-    _QR,
     _spike_counts,
     _unit_features,
 )
 from spikegrow.lif import batch_rate_features
 from spikegrow.readout import (
-    ResidualState,
+    GrowingFit,
     fit_output_weights,
     predict_batch,
     residual,
@@ -236,9 +237,10 @@ def check_against_lstsq(calls, trace, H_prefix, F):
         assert rec.sq_norm == pytest.approx(expected, rel=1e-9)
 
 
-def check_test_accuracy(calls, trace, prefix, train, test):
-    """Every record's test accuracy (eval_every=1, so every step is an eval
-    step) equals that of lstsq's output weights at the record's width."""
+def check_test_accuracy(calls, trace, prefix, train, test, eval_every=1):
+    """Every evaluated record's test accuracy equals that of lstsq's output
+    weights at the record's width; every other record carries the previous
+    value. Eval steps are every `eval_every`-th step and the last."""
     grown = [o.selection for _, o in calls if not o.saturated]
     hidden = list(prefix) + [HiddenNeuron(s.winner.w, s.winner.v)
                              for s in grown]
@@ -252,12 +254,19 @@ def check_test_accuracy(calls, trace, prefix, train, test):
                               + [s.feature[:, None] for s in grown])
     H_test = features(hidden, test)
     F, labels = encode_targets(train), test.label_indices()
-    assert len(trace.records) == len(grown)
-    for rec in trace.records:
-        n = rec.neuron_count
+
+    def accuracy(n):
         beta = lstsq_weights(H_train[:, :n], F)
-        assert rec.test_accuracy == np.mean(
-            predict_batch(H_test[:, :n], beta) == labels)
+        return np.mean(predict_batch(H_test[:, :n], beta) == labels)
+
+    assert len(trace.records) == len(grown)
+    previous = accuracy(len(prefix))
+    for step, rec in enumerate(trace.records, start=1):
+        if step % eval_every and step < len(trace.records):
+            assert rec.test_accuracy == previous
+        else:
+            assert rec.test_accuracy == accuracy(rec.neuron_count)
+        previous = rec.test_accuracy
 
 
 class TestIncrementalResidual:
@@ -295,13 +304,13 @@ class TestIncrementalResidual:
                        grown.categories, lineage=grown.lineage)
         calls = record_growth(monkeypatch)
         directions = []
-        original = spikegrow.learner.orthonormal_direction
+        original = spikegrow.readout.orthonormal_direction
 
         def recorded(Q, h, **kwargs):
             directions.append(original(Q, h, **kwargs))
             return directions[-1]
 
-        monkeypatch.setattr(spikegrow.learner, "orthonormal_direction",
+        monkeypatch.setattr(spikegrow.readout, "orthonormal_direction",
                             recorded)
         net, trace = train_experienced(seed, tr10, te10, cfg)
         assert net.hidden[:len(hidden)] == hidden
@@ -334,52 +343,78 @@ class TestIncrementalResidual:
         assert seed.n_hidden > 0 and trace.records
         check_test_accuracy(calls, trace, seed.hidden, tr10, te10)
 
+    @pytest.mark.parametrize("kind", ["fresh", "experienced"])
+    def test_queued_test_accuracy_matches_least_squares(self, monkeypatch,
+                                                        kind):
+        """At eval_every=5 an eval step consumes up to five queued columns
+        at once, and reads the same test accuracy as lstsq at its width."""
+        (tr5, te5), (tr10, te10) = nested_splits()
+        prefix = []
+        if kind == "experienced":
+            seed, _ = train_fresh(tr5, te5, quick_cfg(
+                target_train_accuracy=0.9, max_hidden=150))
+            assert seed.n_hidden > 1
+            prefix = seed.hidden
+        calls = record_growth(monkeypatch)
+        cfg = quick_cfg(eval_every=5, max_hidden=len(prefix) + 23,
+                        patience=100)
+        if prefix:
+            _, trace = train_experienced(seed, tr10, te10, cfg)
+        else:
+            _, trace = train_fresh(tr10, te10, cfg)
+        assert len(trace.records) > 10
+        check_test_accuracy(calls, trace, prefix, tr10, te10, eval_every=5)
+
     def test_dependent_column_falls_back_to_lstsq(self):
+        """A dependent column makes the fit inexact for good, so growth's
+        eval steps fit with lstsq; its residual stays lstsq's."""
         rng = np.random.default_rng(12)
         H = rng.uniform(0, 1, size=(30, 5))
         H[:, 3] = H[:, 1]
+        H_test = rng.uniform(0, 1, size=(10, 5))
         F = rng.normal(size=(30, 2))
-        qr = _QR(F)
-        res = ResidualState(F, float(np.sum(F * F)))
+        fit = GrowingFit(F, len(H_test))
         for j in range(5):
-            res = qr.project_out(res, H[:, j])
-            beta = qr.output_weights(lambda: H[:, :j + 1], F)
-            if j < 3:
+            fit.add(H[:, j])
+            np.testing.assert_allclose(fit.E, lstsq_residual(H[:, :j + 1], F).E,
+                                       rtol=0, atol=1e-10)
+            assert fit.exact == (j < 3)
+            if fit.exact:
                 np.testing.assert_allclose(
-                    beta, fit_output_weights(H[:, :j + 1], F),
+                    fit.test_outputs(H_test[:, j:j + 1]),
+                    H_test[:, :j + 1] @ fit_output_weights(H[:, :j + 1], F),
                     rtol=0, atol=1e-10)
             else:
-                assert qr.dependent
-                assert np.array_equal(beta,
-                                      fit_output_weights(H[:, :j + 1], F))
+                with pytest.raises(ShapeError):
+                    fit.test_outputs(H_test[:, j:j + 1])
 
     def test_readout_solved_only_on_eval_steps(self, monkeypatch):
         """The count of least-squares solves in a fresh run is the tier-1
         image of the benchmark's `readout.fit_calls`: one per run, for the
-        returned snapshot. Eval steps, and only they, back-substitute on
-        the growth loop's QR factors; no step refits."""
+        returned snapshot. The fit's queued columns are consumed only at
+        the start evaluation and on eval steps; no step refits."""
         _, (tr10, te10) = nested_splits()
-        calls, solves = [], []
+        calls, consumed = [], []
         original = spikegrow.learner.fit_output_weights
-        back_substitute = spikegrow.learner.triangular_output_weights
+        test_outputs = GrowingFit.test_outputs
 
         def counted(H, F):
             calls.append(H.shape[1])
             return original(H, F)
 
-        def counted_solve(R, c):
-            solves.append(len(R))
-            return back_substitute(R, c)
+        def counted_outputs(fit, H_new):
+            consumed.append((fit.Q.n, H_new.shape[1]))
+            return test_outputs(fit, H_new)
 
         monkeypatch.setattr(spikegrow.learner, "fit_output_weights", counted)
-        monkeypatch.setattr(spikegrow.learner, "triangular_output_weights",
-                            counted_solve)
+        monkeypatch.setattr(GrowingFit, "test_outputs", counted_outputs)
         net, trace = train_fresh(tr10, te10, quick_cfg(
             eval_every=5, max_hidden=23, patience=100))
         assert trace.status == STATUS_MAX_HIDDEN
-        # The initial (empty) table, eval steps 5, 10, 15, 20 and the last
-        # (23); one lstsq, at the returned snapshot's width.
-        assert solves == [0, 5, 10, 15, 20, 23]
+        # (width, columns consumed) at the start (empty) evaluation, eval
+        # steps 5, 10, 15, 20 and the last (23); one lstsq, at the returned
+        # snapshot's width.
+        assert consumed == [(0, 0), (5, 5), (10, 5), (15, 5), (20, 5), (23, 3)]
         assert calls == [net.n_hidden]
 
 
@@ -640,7 +675,7 @@ class TestMemory:
         """A `capacity`-shaped run (N = 800, d = 32, T = 10, pools of 10) to
         200 units peaks under 32 bytes per (training sample, unit) above
         its datasets. Its feature tables hold one-byte spike counts; the
-        QR factor Q keeps 8 bytes a cell. Measured: 4.11 MB, where float64
+        basis Q keeps 8 bytes a cell. Measured: 4.00 MB, where float64
         feature tables peaked at 5.98 MB (5.12 MB is the bound)."""
         gen = GeneratorConfig(d=32, T=10, categories=5,
                               samples_per_category=200, separation=0.05,

@@ -1,17 +1,13 @@
 import numpy as np
 import pytest
 
-from oracles import (
-    back_substitution,
-    normal_equations_lstsq,
-    single_unit_update_sq_norm,
-)
+from oracles import normal_equations_lstsq, single_unit_update_sq_norm
 from spikegrow import ShapeError, fit_output_weights, predict, residual
 from spikegrow.readout import (
     SVD_CUTOFF,
+    GrowingFit,
     orthonormal_direction,
     predict_batch,
-    triangular_output_weights,
 )
 
 
@@ -129,30 +125,51 @@ class TestOrthonormalDirection:
             orthonormal_direction(np.zeros((5, 1)), np.ones((5, 1)))
 
 
-def grown_factors(H, F):
-    """Q, R and c = Q^T F as growth accumulates them, one column of H at a
-    time; H must have full column rank."""
-    N, n = H.shape
-    Q, R, c = np.zeros((N, 0)), np.zeros((n, n)), np.zeros((n, F.shape[1]))
-    for k in range(n):
-        q = orthonormal_direction(Q, H[:, k], out=R[:k + 1, k])
-        c[k] = q @ F
-        Q = np.column_stack([Q, q])
-    return Q, R, c
+def lstsq_outputs(H, F, H_test):
+    """Test outputs of lstsq's output weights on the first columns of H."""
+    return H_test[:, :H.shape[1]] @ fit_output_weights(H, F)
 
 
 class TestTriangularOutputWeights:
+    """The output weights R^{-1} c of growth's triangular factor, which
+    GrowingFit applies to the test table without solving for them."""
+
     def test_growth_factors_match_lstsq(self):
         rng = np.random.default_rng(12)
         for _ in range(10):
             N, n, m = 40, int(rng.integers(1, 12)), int(rng.integers(1, 5))
             H = rng.uniform(0, 1, size=(N, n))
+            H_test = rng.uniform(0, 1, size=(15, n))
             F = rng.normal(size=(N, m))
-            Q, R, c = grown_factors(H, F)
-            np.testing.assert_allclose(Q @ R, H, rtol=0, atol=1e-12)
-            assert np.array_equal(R, np.triu(R))
-            np.testing.assert_allclose(triangular_output_weights(R, c),
-                                       fit_output_weights(H, F),
+            fit = GrowingFit(F, len(H_test))
+            for k in range(n):
+                fit.add(H[:, k])
+                np.testing.assert_allclose(
+                    fit.test_outputs(H_test[:, k:k + 1]),
+                    lstsq_outputs(H[:, :k + 1], F, H_test),
+                    rtol=1e-10, atol=1e-10)
+            assert fit.exact
+            Q = fit.Q.table
+            np.testing.assert_allclose(Q @ np.triu(Q.T @ H), H, rtol=0,
+                                       atol=1e-12)
+
+    @pytest.mark.parametrize("batch", [2, 3, 5])
+    def test_queued_columns_match_lstsq(self, batch):
+        """Test features fed in batches, as growth's eval steps feed them,
+        give the outputs that one column at a time gives."""
+        rng = np.random.default_rng(batch)
+        H = rng.uniform(0, 1, size=(40, 11))
+        H_test = rng.uniform(0, 1, size=(15, 11))
+        F = rng.normal(size=(40, 3))
+        fit = GrowingFit(F, len(H_test))
+        assert np.array_equal(fit.test_outputs(H_test[:, :0]),
+                              np.zeros((15, 3)))
+        for lo in range(0, 11, batch):
+            hi = min(lo + batch, 11)
+            for k in range(lo, hi):
+                fit.add(H[:, k])
+            np.testing.assert_allclose(fit.test_outputs(H_test[:, lo:hi]),
+                                       lstsq_outputs(H[:, :hi], F, H_test),
                                        rtol=1e-10, atol=1e-10)
 
     def test_out_leaves_direction_unchanged(self):
@@ -164,33 +181,26 @@ class TestTriangularOutputWeights:
             orthonormal_direction(Q, h).tobytes()
         assert orthonormal_direction(Q, Q[:, 0], out=out) is None
 
-    @pytest.mark.parametrize("n", [1, 63, 64, 65, 130, 400])
-    def test_blocked_solve_matches_row_loop(self, n):
-        rng = np.random.default_rng(n)
-        m = 5
-        _, R = np.linalg.qr(rng.normal(size=(2 * n + 10, n)))
-        c = rng.normal(size=(n, m))
-        beta = triangular_output_weights(R, c)
-        expected = back_substitution(R, c)
-        assert beta.shape == (n, m)
-        assert np.linalg.norm(beta - expected) <= \
-            1e-12 * np.linalg.norm(expected)
-
-    def test_empty_table_gives_empty_weights(self):
-        beta = triangular_output_weights(np.zeros((0, 0)), np.zeros((0, 3)))
-        assert beta.shape == (0, 3)
-
     def test_ill_conditioned_factor_defers_to_lstsq(self):
-        R = np.array([[1.0, 0.5], [0.0, SVD_CUTOFF]])
-        assert triangular_output_weights(R, np.ones((2, 1))) is None
-        R[1, 1] = 10 * SVD_CUTOFF
-        assert triangular_output_weights(R, np.ones((2, 1))) is not None
+        """Columns whose factor is R = [[1, a], [0, r]]: a diagonal that
+        spans 1 / SVD_CUTOFF makes the fit inexact, a narrower one not, and
+        so does a repeated column, which R misses."""
+        for a, r, exact in ((0.5, SVD_CUTOFF, False),
+                            (0.5, 10 * SVD_CUTOFF, True), (1.0, 0.0, False)):
+            H = np.zeros((4, 2))
+            H[0] = 1.0, a
+            H[1, 1] = r
+            fit = GrowingFit(np.ones((4, 1)), 3)
+            fit.add(H[:, 0])
+            fit.add(H[:, 1])
+            assert fit.exact == exact
 
     def test_shape_mismatch(self):
-        with pytest.raises(ShapeError):
-            triangular_output_weights(np.eye(3), np.ones((2, 1)))
-        with pytest.raises(ShapeError):
-            triangular_output_weights(np.ones((3, 2)), np.ones((3, 1)))
+        fit = GrowingFit(np.ones((4, 2)), 3)
+        fit.add(np.arange(4.0))
+        for wrong in (np.ones((3, 0)), np.ones((3, 2)), np.ones((2, 1))):
+            with pytest.raises(ShapeError):
+                fit.test_outputs(wrong)
 
 
 class TestResidual:

@@ -5,6 +5,7 @@ would break traced benchmark runs; this test fails first."""
 import importlib.util
 from pathlib import Path
 
+import test_pinned_growth
 from conftest import retrying_run
 
 TRACER = Path(__file__).resolve().parent.parent / "benchmarks" / "tracer.py"
@@ -42,3 +43,24 @@ def test_one_pool_span_pair_per_pool_drawn():
     for pool in spans["construct.pool_features"]:
         assert pool.info[0] == 10
         assert [s.parent for s in spans["lif.rate_features"]].count(pool.id) == 1
+
+
+def test_lstsq_fallback_calls_the_traced_binding(monkeypatch):
+    """The pinned `repeated_unit` run repeats a seed unit, so its fit is
+    inexact and every eval step fits with lstsq. Each of those fits, the
+    start evaluation's and the snapshot's goes through the binding the
+    tracer wraps: one `readout.fit` span each in the experienced op."""
+    tracer = load_tracer().Tracer()
+    original = test_pinned_growth.train_experienced
+
+    def traced_op(*args):
+        with tracer.op("train-exp", "repeated_unit"):
+            return original(*args)
+
+    monkeypatch.setattr(test_pinned_growth, "train_experienced", traced_op)
+    with tracer.patched():
+        _, trace = test_pinned_growth.repeated_unit()
+    fits = [s for s in tracer.spans
+            if s.name == "readout.fit" and s.run == "repeated_unit"]
+    assert len(trace.records) == 6
+    assert len(fits) == len(trace.records) + 2
