@@ -114,8 +114,8 @@ def check_settings(config, section: str) -> None:
 
 
 class _Columns:
-    """An (N, n) table of `dtype` appended to one column at a time, written
-    in place.
+    """An (N, n) float64 table appended to one column at a time, written in
+    place.
 
     Capacity doubles when full, so n appends copy O(N n) in all rather than
     the O(N n^2) of rebuilding the table on every append. Column-major
@@ -123,8 +123,8 @@ class _Columns:
     pages that are never touched.
     """
 
-    def __init__(self, rows: int, dtype=np.float64):
-        self._buf = np.empty((rows, 16), dtype=dtype, order="F")
+    def __init__(self, rows: int):
+        self._buf = np.empty((rows, 16), order="F")
         self.n = 0
 
     def append(self, columns: np.ndarray) -> None:
@@ -133,7 +133,7 @@ class _Columns:
         end = self.n + columns.shape[1]
         if end > self._buf.shape[1]:
             grown = np.empty((len(self._buf), max(end, 2 * self._buf.shape[1])),
-                             dtype=self._buf.dtype, order="F")
+                             order="F")
             grown[:, :self.n] = self.table
             self._buf = grown
         self._buf[:, self.n:end] = columns

@@ -83,14 +83,19 @@ class GrowOutcome:
 
 
 def _draw(cfg: PruningConfig, d: int, rng, scale: float) -> np.ndarray:
-    """Draw a candidate pool in one rng call.
+    """Draw a candidate pool in one rng call, on a dyadic grid.
 
     Row p of the (pool_size, d + 1) draw holds candidate p's weights, then
     its feedback: the values a serial w-then-v draw per candidate gives, so
     a larger pool shares its prefix with a smaller one drawn from the same
-    rng state.
+    rng state. Each value is truncated toward zero, keeping |w| <= scale,
+    to a multiple of q = 2**(e - 53), where 2**e > d * scale, so every
+    partial sum of a drive over 0/1 inputs is exact in any order.
     """
-    return rng.uniform(-scale, scale, size=(cfg.pool_size, d + 1))
+    e = np.frexp(scale)[1] + d.bit_length()  # d * scale may overflow
+    q = np.ldexp(1.0, max(e - 53, -1074))
+    draw = rng.uniform(-scale, scale, size=(cfg.pool_size, d + 1))
+    return np.trunc(draw / q) * q
 
 
 def sample_candidates(cfg: PruningConfig, d: int, rng, weight_scale=None):

@@ -14,6 +14,7 @@ from .dataset import LabeledDataset
 from .errors import ConfigError, DataFormatError, LineageError
 from .learner import (
     STATUS_TARGET,
+    STATUSES,
     Network,
     TraceRecord,
     TrainingTrace,
@@ -119,14 +120,14 @@ def load_trace(path: str) -> TrainingTrace:
             f"unsupported trace version {doc.get('trace_version')!r} in {path}"
         )
     check_keys(doc, _TRACE_KEYS, f"trace file {path}")
-    if not isinstance(doc["status"], str) \
+    if doc["status"] not in STATUSES \
             or not _is_count(doc["initial_neurons"]) \
             or not isinstance(doc["records"], list):
         raise DataFormatError(
-            f"trace file {path}: status must be a string, initial_neurons "
-            f"a non-negative integer and records a list"
+            f"trace file {path}: status must be one of {list(STATUSES)}, "
+            f"initial_neurons a non-negative integer and records a list"
         )
-    records = []
+    records, sq_max, t_min = [], float("inf"), 0.0
     for k, rec in enumerate(doc["records"]):
         if not isinstance(rec, dict):
             raise DataFormatError(f"trace record {k} in {path} is not an object")
@@ -139,6 +140,21 @@ def load_trace(path: str) -> TrainingTrace:
                     f"trace record {k} in {path}: {c} = {rec[c]!r} is not a "
                     f"{'count' if c in _COUNT_COLUMNS else 'finite number'}"
                 )
+        # Growth adds a unit a record, shrinks sq_norm and keeps the clock.
+        for ok, what in (
+                (rec["neuron_count"] == doc["initial_neurons"] + k + 1,
+                 f"neuron_count is not initial_neurons + {k + 1}"),
+                (0 <= rec["train_accuracy"] <= 1
+                 and 0 <= rec["test_accuracy"] <= 1,
+                 "an accuracy lies outside [0, 1]"),
+                (0 < rec["sigma_used"] < 1, "sigma_used lies outside (0, 1)"),
+                (0 <= rec["sq_norm"] < sq_max,
+                 "sq_norm is negative or does not decrease"),
+                (rec["elapsed_seconds"] >= t_min,
+                 "elapsed_seconds is negative or decreases")):
+            if not ok:
+                raise DataFormatError(f"trace record {k} in {path}: {what}")
+        sq_max, t_min = rec["sq_norm"], rec["elapsed_seconds"]
         records.append(TraceRecord(**{c: rec[c] for c in TRACE_COLUMNS}))
     return TrainingTrace(records=records, status=doc["status"],
                          initial_neurons=doc["initial_neurons"])

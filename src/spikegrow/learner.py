@@ -19,7 +19,6 @@ import numpy as np
 
 from ._util import (
     SIZE_MAX,
-    _Columns,
     atomic_write_bytes,
     check_keys,
     check_settings,
@@ -53,6 +52,8 @@ STATUS_TARGET = "TargetReached"
 STATUS_PATIENCE = "Patience"
 STATUS_MAX_HIDDEN = "MaxHidden"
 STATUS_SATURATED = "Saturated"
+STATUSES = (STATUS_TARGET, STATUS_PATIENCE, STATUS_MAX_HIDDEN,
+            STATUS_SATURATED)
 
 # Relative slack for the residual-contraction certificate check.
 _CERT_RTOL = 1e-9
@@ -218,15 +219,6 @@ def _fit(H, F):
     return fit_output_weights(H, F)
 
 
-def _spike_counts(rates: np.ndarray, T: int) -> np.ndarray:
-    """The spike counts behind a table of the kernel's rates over T steps.
-
-    Each rate is fl(c / T), within half an ulp of c / T, so rint(rate * T)
-    is c exactly, and c / T rebuilds the rate bit for bit.
-    """
-    return np.rint(rates * T).astype(np.min_scalar_type(T))
-
-
 def _grow(hidden, frozen_prefix, train, test, cfg: GrowthConfig, lif: LifParams,
           lineage, kind: str):
     """Shared growth loop; `hidden` is the (possibly empty) inherited prefix.
@@ -243,43 +235,36 @@ def _grow(hidden, frozen_prefix, train, test, cfg: GrowthConfig, lif: LifParams,
     number of pools the saturating attempt drew (None unless the run
     saturated).
 
-    The train and test feature tables hold spike counts, not rates: one
-    byte per (sample, unit) for T <= 255. The kernel's float rates are
-    rebuilt from them, bit for bit, only where they are read: the prefix
-    columns for the fit, both tables for an lstsq fallback, and the
-    snapshot's training columns, fitted after the fit is dropped. Per
-    unit, growth then holds 8 N bytes of Q, 8 N_test of the test image,
-    and N + N_test of counts.
-
-    Prefix columns and every candidate pool read the training set's cached
-    time-major uint8 tensor, whose row blocks the kernel takes as views;
-    test features are read from the uint8 spikes, one block of rows copied
-    at a time. Both run in the kernel's CELLS-sized row blocks.
+    Growth keeps no feature table, only 8 (N + N_test) bytes a unit of Q
+    and the test image: grown units lie on the pool's dyadic grid, so any
+    kernel pass gives their features exactly, and the snapshot's and an
+    lstsq fallback's are recomputed. Training-set passes read its cached
+    time-major uint8 tensor, whose row blocks the kernel takes as views.
     """
     _check_pair(train, test)
     hidden = list(hidden)
     n0 = len(hidden)
-    T = train.T
     F = encode_targets(train)
     train_labels = train.label_indices()
     test_labels = test.label_indices()
-    counts = np.min_scalar_type(T)
-    H_train, H_test = _Columns(len(train), counts), _Columns(len(test), counts)
     fit = GrowingFit(F, len(test))
-    H_train.append(_spike_counts(
-        _unit_features(hidden, train.spike_tensor(), lif), T))
+    tested = 0  # units whose test features the fit has taken
 
     def test_accuracy() -> float:
-        new = _unit_features(hidden[H_test.n:], test.spikes, lif)
-        H_test.append(_spike_counts(new, T))
+        nonlocal tested
         if fit.exact:
-            outputs = fit.test_outputs(new)
+            outputs = fit.test_outputs(
+                _unit_features(hidden[tested:], test.spikes, lif))
         else:
-            outputs = (H_test.table / T) @ _fit(H_train.table / T, F)
+            beta = _fit(_unit_features(hidden, train.spike_tensor(), lif), F)
+            outputs = _unit_features(hidden, test.spikes, lif) @ beta
+        tested = len(hidden)
         return float(np.mean(np.argmax(outputs, axis=1) == test_labels))
 
-    for j in range(n0):
-        fit.add(H_train.table[:, j] / T)
+    # Contiguous rows, not strided column views: the fit's dot products
+    # then see the same vectors as a grown unit's pool feature.
+    for h in _unit_features(hidden, train.spike_tensor(), lif).T.copy():
+        fit.add(h)
     train_acc = _fitted_accuracy(F, fit.E, train_labels)
     test_acc = start_test = test_accuracy()
     best_test = test_acc if n0 > 0 else -1.0
@@ -294,7 +279,6 @@ def _grow(hidden, frozen_prefix, train, test, cfg: GrowthConfig, lif: LifParams,
 
     if train_acc >= cfg.target_train_accuracy:
         status = STATUS_TARGET
-        best_test = max(best_test, test_acc)
 
     step = 0
     while status is None:
@@ -310,7 +294,6 @@ def _grow(hidden, frozen_prefix, train, test, cfg: GrowthConfig, lif: LifParams,
         hidden.append(neuron)
         step += 1
         prev_sq = fit.sq_norm
-        H_train.append(_spike_counts(sel.feature, T))
         fit.add(sel.feature)
         bound = outcome.sigma_used * prev_sq
         if fit.sq_norm > bound * (1.0 + _CERT_RTOL) + 1e-30:
@@ -347,7 +330,7 @@ def _grow(hidden, frozen_prefix, train, test, cfg: GrowthConfig, lif: LifParams,
         elif evals_since_best >= cfg.patience:
             status = STATUS_PATIENCE
 
-    if H_test.n < len(hidden):
+    if tested < len(hidden):
         # Only a saturated run stops on a step it had not evaluated.
         test_acc = test_accuracy()
         records[-1] = replace(records[-1], test_accuracy=test_acc)
@@ -361,7 +344,7 @@ def _grow(hidden, frozen_prefix, train, test, cfg: GrowthConfig, lif: LifParams,
     # held beside lstsq's copy.
     del fit
     best_hidden = hidden[:best_n]
-    best_beta = _fit(H_train.table[:, :best_n] / T, F)
+    best_beta = _fit(_unit_features(best_hidden, train.spike_tensor(), lif), F)
     # An empty returned network is the start, measured before growth.
     trace = TrainingTrace(
         records=records, status=status, initial_neurons=n0,

@@ -30,11 +30,8 @@ from .errors import ShapeError
 # 64 ms at 1024, and 52 ms as one block; at N = 800 and P = 5 or 50 every
 # size from 4096 up was within 0.1 ms of one block.
 #
-# Every pass that trains or predicts runs in these blocks: growth's
-# candidate pools and prefix columns too, on the training set's cached
-# uint8 tensor. BLAS may round a drive in the last bit differently for a
-# block than for another number of rows, so CELLS is part of the numerical
-# contract: changing it may change a spike, and with it a checkpoint.
+# CELLS sets memory and speed only: drives are exact for weights on a
+# pool's dyadic grid (construct._draw), so no spike depends on it.
 CELLS = 8192
 
 
@@ -217,11 +214,9 @@ def batch_rate_features(x, w, v, params: LifParams) -> np.ndarray:
     either way, the per-step cast made it 0.48 against 0.43 ms (2 CPUs,
     OpenBLAS, medians of 7).
 
-    BLAS may round a block's drive in the last bit unlike a whole batch's
-    (OpenBLAS picks its GEMM kernel by matrix size), so a spike could
-    differ only where a membrane potential lands within that rounding of
-    theta; none did over 30 pools of 50 units on the default stage-20 data
-    (150 million spike steps).
+    For weights on a pool's dyadic grid (`construct._draw`) every drive is
+    exact, so no rate depends on the block size or the pass's other neurons;
+    off it, BLAS may round a drive by block shape and move a spike.
     """
     if not (isinstance(x, np.ndarray) and x.dtype == np.uint8):
         x = np.asarray(x, dtype=np.float64)

@@ -55,6 +55,11 @@ def retrying_run():
     return train_fresh(train, test, cfg)
 
 
+def float_bits(a):
+    """An array's float64 bit patterns, with -0.0 read as +0.0."""
+    return (np.asarray(a, dtype=np.float64) + 0.0).view(np.uint64)
+
+
 def make_dataset(n_per_cat=4, n_cats=3, d=4, T=10, seed=0):
     """Small random dataset for structural tests."""
     rng = np.random.default_rng(seed)

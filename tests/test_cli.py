@@ -607,9 +607,26 @@ class TestMalformedTrace:
         _json_edit(lambda d: d["records"][1].update(sq_norm=np.inf)),
         _json_edit(lambda d: d.update(note="x")),
         _json_edit(lambda d: d["records"][1].update(note="x")),
+        _json_edit(lambda d: d.update(initial_neurons=10)),
+        _json_edit(lambda d: d["records"][1].update(neuron_count=3)),
+        _json_edit(lambda d: d["records"][0].update(train_accuracy=5.0)),
+        _json_edit(lambda d: d["records"][1].update(test_accuracy=-0.5)),
+        _json_edit(lambda d: d["records"][0].update(sigma_used=7.0)),
+        _json_edit(lambda d: d["records"][0].update(sigma_used=1.0)),
+        _json_edit(lambda d: d["records"][1].update(sq_norm=-3.0)),
+        _json_edit(lambda d: d["records"][1].update(sq_norm=2.0)),
+        _json_edit(lambda d: d["records"][0].update(elapsed_seconds=-1.0)),
+        _json_edit(lambda d: d["records"][1].update(elapsed_seconds=0.05)),
+        _json_edit(lambda d: d.update(status="Done")),
+        _json_edit(lambda d: d.update(status=["MaxHidden"])),
     ], ids=["record-missing-column", "missing-status", "string-seconds",
             "float-neuron-count", "nested-100000-deep", "nan-accuracy",
-            "infinite-sq-norm", "unknown-key", "record-unknown-key"])
+            "infinite-sq-norm", "unknown-key", "record-unknown-key",
+            "records-skip-initial-neurons", "neuron-count-gap",
+            "train-accuracy-above-1", "test-accuracy-negative",
+            "sigma-above-1", "sigma-1", "negative-sq-norm",
+            "sq-norm-not-decreasing", "negative-seconds",
+            "seconds-decrease", "unknown-status", "list-status"])
     def test_compare_exit_3(self, workdir, capsys, edit):
         (workdir / "t.trace").write_text(edit(_valid_trace()))
         assert main(["compare", "t.trace"]) == 3

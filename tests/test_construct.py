@@ -1,7 +1,9 @@
+import math
+
 import numpy as np
 import pytest
 
-from conftest import make_dataset, retrying_run
+from conftest import float_bits, make_dataset, retrying_run
 from oracles import lif_unroll, single_unit_update_sq_norm
 import spikegrow.lif
 from spikegrow import (
@@ -17,7 +19,8 @@ from spikegrow import (
     select_best,
     xi_index,
 )
-from spikegrow.construct import _xi, pool_features
+from spikegrow._util import SIZE_MAX
+from spikegrow.construct import _draw, _xi, pool_features
 from spikegrow.lif import CELLS
 
 PARAMS = LifParams()
@@ -58,13 +61,15 @@ class TestSampleCandidates:
 
     def test_one_draw_equals_serial_draws(self):
         """The pool's one (P, d + 1) draw gives the values, and leaves the
-        rng state, of drawing w then v candidate by candidate."""
+        rng state, of drawing w then v candidate by candidate, each value
+        truncated onto the pool's grid: q = 2**(3 - 53), as 4 * 0.6 < 2**3."""
         cfg = PruningConfig(pool_size=7)
         rng, ref = np.random.default_rng(13), np.random.default_rng(13)
         pool = sample_candidates(cfg, 4, rng, weight_scale=0.6)
+        q = 2.0**-50
         for c in pool:
-            w = ref.uniform(-0.6, 0.6, size=4)
-            v = float(ref.uniform(-0.6, 0.6))
+            w = np.trunc(ref.uniform(-0.6, 0.6, size=4) / q) * q
+            v = float(np.trunc(ref.uniform(-0.6, 0.6) / q) * q)
             assert np.array_equal(c.w, w) and c.v == v
         assert rng.bit_generator.state == ref.bit_generator.state
 
@@ -74,6 +79,62 @@ class TestSampleCandidates:
         draws = np.concatenate([c.w for c in pool])  # 1e5 values
         se = np.sqrt(1.0 / 3.0 / draws.size)  # Var(U[-1,1]) = 1/3
         assert abs(draws.mean()) <= 3 * se
+
+
+class _GivenDraw:
+    """An rng whose uniform draw is given, so `_draw`'s rounding of
+    extreme values is tested without drawing a pool of that width."""
+
+    def __init__(self, values):
+        self.values = np.asarray(values, dtype=np.float64)
+
+    def uniform(self, low, high, size):
+        return self.values.copy()
+
+
+class TestDyadicGrid:
+    @pytest.mark.parametrize("d, scale", [
+        (5, 0.9), (16, 1.0), (64, 1.0), (64, 37.5), (200, 0.05), (7, 1e-310),
+    ])
+    def test_drives_exact_in_any_block(self, d, scale):
+        """A pool drawn on the grid gives every drive w.x over 0/1 inputs
+        exactly: a GEMM over row blocks of 1, 37, 163 or all rows, or over a
+        slice of the pool's units, equals the whole product and the
+        correctly rounded sum of each drive's terms, bit for bit."""
+        rng = np.random.default_rng(d)
+        W = _draw(PruningConfig(pool_size=50), d, rng, scale)[:, :d]
+        assert np.abs(W).max() <= scale and np.count_nonzero(W) > 0
+        x = (rng.random((400, d)) < 0.5).astype(np.float64)
+        full = x @ W.T
+        exact = [[math.fsum(W[p, row == 1]) for p in range(len(W))]
+                 for row in x]
+        assert np.array_equal(float_bits(full), float_bits(exact))
+        for rows in (1, 37, 163, len(x)):
+            blocks = np.vstack([x[a:a + rows] @ W.T
+                                for a in range(0, len(x), rows)])
+            assert np.array_equal(float_bits(blocks), float_bits(full)), rows
+        assert np.array_equal(float_bits(x @ W[7:20].T),
+                              float_bits(full[:, 7:20]))
+
+    @pytest.mark.parametrize("d, scale, q", [
+        (5, 0.9, 2.0**-50),  # 0.9 < 2**0 and 5 < 2**3
+        (1, 1e-310, 2.0**-1074),  # 2**-1081 clamped to the least subnormal
+        (SIZE_MAX, 8e307, 2.0**1000),  # d * scale overflows; 2**1053 bounds it
+    ])
+    def test_extreme_draws_truncate_onto_the_grid(self, d, scale, q):
+        """Each value moves toward zero by less than q onto a multiple of
+        q, so no weight leaves [-scale, scale], even the largest draw below
+        scale; q is computed without overflow."""
+        top = np.nextafter(scale, 0.0)
+        u = np.array([[top, -top, scale / 3, -scale / 7, scale * 2**-60]])
+        w = _draw(PruningConfig(pool_size=1), d, _GivenDraw(u), scale)
+        assert np.all(np.isfinite(w)) and np.all(np.fmod(w, q) == 0.0)
+        assert np.all(np.abs(w) <= np.abs(u)) and np.all(np.abs(u - w) < q)
+        assert np.all(np.abs(w) <= scale) and w[0, 0] > 0.0
+
+    def test_zero_range_gives_zeros(self):
+        w = _draw(PruningConfig(pool_size=3), 4, np.random.default_rng(1), 0.0)
+        assert w.shape == (3, 5) and np.all(w == 0.0)
 
 
 class TestCandidateFeatures:
@@ -105,8 +166,7 @@ class TestCandidateFeatures:
         # the feature it gets when evaluated alone, in pool order.
         cfg = PruningConfig(pool_size=8)
         pool = sample_candidates(cfg, tiny_dataset.d, np.random.default_rng(6))
-        draw = np.random.default_rng(6).uniform(-1.0, 1.0,
-                                                (8, tiny_dataset.d + 1))
+        draw = _draw(cfg, tiny_dataset.d, np.random.default_rng(6), 1.0)
         pairs = pool_features(draw, tiny_dataset, PARAMS)
         assert [p for p, _ in pairs] == [c.pool_index for c in pool]
         for c, (_, h) in zip(pool, pairs, strict=True):

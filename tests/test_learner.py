@@ -3,8 +3,9 @@ import tracemalloc
 import numpy as np
 import pytest
 
-from conftest import make_dataset
+from conftest import float_bits, make_dataset
 from oracles import spike_count_classifier_accuracy
+from test_pinned_growth import RUNS as PINNED_RUNS
 from test_pinned_growth import _cfg as pinned_cfg, _splits as pinned_splits
 from spikegrow import (
     ChecksumError,
@@ -38,9 +39,8 @@ from spikegrow.learner import (
     STATUS_TARGET,
     HiddenNeuron,
     Network,
-    _Columns,
-    _spike_counts,
     _unit_features,
+    network_to_bytes,
 )
 from spikegrow.lif import batch_rate_features
 from spikegrow.readout import (
@@ -501,9 +501,9 @@ class TestTrainExperienced:
         assert trace.best_test_accuracy == accuracy
 
     def test_growth_reads_training_set_as_views(self, monkeypatch):
-        """The prefix columns and every candidate pool hand the kernel views
-        of the training set's cached uint8 tensor; only the test set's row
-        blocks are copied."""
+        """The prefix columns, every candidate pool and the returned
+        snapshot's columns hand the kernel views of the training set's
+        cached uint8 tensor; only the test set's row blocks are copied."""
         (tr5, te5), (tr10, te10) = nested_splits()
         seed, _ = train_fresh(tr5, te5, quick_cfg(target_train_accuracy=0.9,
                                                   max_hidden=30))
@@ -525,8 +525,8 @@ class TestTrainExperienced:
             seed, tr10, te10, quick_cfg(max_hidden=seed.n_hidden + 5))
         assert trace.status == STATUS_MAX_HIDDEN and len(trace.records) == 5
         pools = sum(r.retries_used + 1 for r in trace.records)
-        assert len(train_rows) > 1 + pools  # the training set spans blocks
-        assert sum(train_rows) == len(tr10) * (1 + pools)
+        assert len(train_rows) > 2 + pools  # the training set spans blocks
+        assert sum(train_rows) == len(tr10) * (2 + pools)
         assert sum(test_rows) == len(te10) * 6
 
     def test_one_loop_lineage_without_second_solve(self, monkeypatch):
@@ -627,35 +627,78 @@ class TestCheckpointRoundTrip:
             load_network(str(p))
 
 
+class TestExactFeatures:
+    """Pool draws lie on a dyadic grid, so every drive is exact and a unit's
+    features do not depend on the kernel pass that computes them."""
+
+    @pytest.mark.parametrize("name", PINNED_RUNS)
+    def test_growth_features_are_eval_features(self, name, monkeypatch):
+        """Every unit a pinned run accepts has, bit for bit, the training
+        feature column that `Network.features` computes for it, both in the
+        returned network and in one holding every accepted unit."""
+        calls = record_growth(monkeypatch)
+        datasets = []
+        recorded = spikegrow.learner.grow_one
+
+        def seen(E, ds, *args):
+            datasets.append(ds)
+            return recorded(E, ds, *args)
+
+        monkeypatch.setattr(spikegrow.learner, "grow_one", seen)
+        net, trace = PINNED_RUNS[name]()
+        train, n0 = datasets[-1], trace.initial_neurons
+        grown = [o.selection for _, o in calls if not o.saturated]
+        grown = grown[len(grown) - len(trace.records):]
+        hidden = net.hidden[:n0] + [HiddenNeuron(s.winner.w, s.winner.v)
+                                    for s in grown]
+        assert grown and hidden[:net.n_hidden] == net.hidden
+        every = Network(net.d, net.lif, hidden,
+                        np.zeros((len(hidden), net.m)),
+                        net.categories).features(train)
+        grown_features = np.column_stack([s.feature for s in grown])
+        assert np.array_equal(float_bits(every[:, n0:]),
+                              float_bits(grown_features))
+        assert np.array_equal(float_bits(net.features(train)),
+                              float_bits(every[:, :net.n_hidden]))
+
+    @pytest.mark.parametrize("name", PINNED_RUNS)
+    def test_checkpoint_independent_of_kernel_blocks(self, name,
+                                                     monkeypatch):
+        """A pinned run writes the same checkpoint bytes whatever the
+        kernel's block size: CELLS is a memory and speed constant only."""
+        blobs = []
+        for cells in (8192, 97, 1):
+            monkeypatch.setattr(spikegrow.lif, "CELLS", cells)
+            blobs.append(network_to_bytes(PINNED_RUNS[name]()[0]))
+        assert blobs[1] == blobs[0] and blobs[2] == blobs[0]
+
+
 class TestSpikeCounts:
     @pytest.mark.parametrize("T", [1, 2, 3, 7, 10, 25, 255, 256, 1000, 65535,
                                    65536])
     def test_counts_rebuild_the_kernels_rates(self, T):
-        """Every count c in [0, T] survives rint((c / T) * T), in the
-        kernel's count type, and the table's `counts / T` is the kernel's
-        own rate bit for bit, including for uint16 and uint32 counts."""
-        dtype = np.min_scalar_type(T)
-        c = np.arange(T + 1, dtype=dtype)
-        counts = _Columns(T + 1, dtype)
-        counts.append(_spike_counts(c / T, T))
-        assert counts.table.dtype == dtype
-        assert np.array_equal(counts.table[:, 0], c)
+        """The kernel sums spike counts in the smallest unsigned type that
+        holds T (uint16 and uint32 above 255), and each rate is its count
+        over T: `counts / T` of the raster's int64 sums is the kernel's own
+        rate bit for bit."""
         rng = np.random.default_rng(T)
         x = (rng.random((8, 3, T)) < 0.4).astype(np.uint8)
-        rates = batch_rate_features(x, rng.uniform(-1, 2, (5, 3)),
-                                    rng.uniform(-1, 1, 5), LifParams())
-        table = _Columns(8, dtype)
-        table.append(_spike_counts(rates, T))
-        assert np.array_equal((table.table / T).view(np.uint64),
+        W, V = rng.uniform(-1, 2, (5, 3)), rng.uniform(-1, 1, 5)
+        rates = batch_rate_features(x, W, V, LifParams())
+        raster = spikegrow.lif._lif_raster(
+            np.ascontiguousarray(x.transpose(2, 0, 1)), W, V, LifParams())
+        counts = raster.sum(axis=0, dtype=np.int64)
+        assert counts.max() > 255 or T <= 256  # beyond uint8 where it can be
+        assert np.array_equal((counts / T).view(np.uint64),
                               rates.view(np.uint64))
 
 
 class TestMemory:
     def test_growth_peak_below_four_training_sets(self):
         """Above its datasets, a growth run holds the training set's cached
-        uint8 tensor, one kernel block's temporaries and its feature tables,
-        under 4x the training spikes. A float64 training tensor alone takes
-        8x; with it the run peaked at 10.7x."""
+        uint8 tensor, one kernel block's temporaries and its fit, under 4x
+        the training spikes. A float64 training tensor alone takes 8x; with
+        it the run peaked at 10.7x."""
         cfg = GeneratorConfig(d=64, T=25, categories=10,
                               samples_per_category=200, rng_seed=1)
         train, test = split_train_test(generate_family(cfg, [10]).stages[0],
@@ -674,9 +717,9 @@ class TestMemory:
     def test_growth_peak_per_sample_and_unit(self):
         """A `capacity`-shaped run (N = 800, d = 32, T = 10, pools of 10) to
         200 units peaks under 32 bytes per (training sample, unit) above
-        its datasets. Its feature tables hold one-byte spike counts; the
-        basis Q keeps 8 bytes a cell. Measured: 4.00 MB, where float64
-        feature tables peaked at 5.98 MB (5.12 MB is the bound)."""
+        its datasets. Growth keeps no feature table; the basis Q keeps 8
+        bytes a cell. Measured: 3.74 MB; one-byte count tables peaked at
+        4.00 MB and float64 ones at 5.98 MB (5.12 MB is the bound)."""
         gen = GeneratorConfig(d=32, T=10, categories=5,
                               samples_per_category=200, separation=0.05,
                               rng_seed=1)

@@ -1,14 +1,20 @@
-"""The benchmark tracer (benchmarks/tracer.py) wraps spikegrow functions at
-the names their callers look up. A refactor that unbinds one of those names
-would break traced benchmark runs; this test fails first."""
+"""The benchmark (benchmarks/) wraps spikegrow functions at the names their
+callers look up, and writes config files for the CLI. A refactor that
+unbinds one of those names, or drops a config key the benchmark still
+writes, would break benchmark runs; these tests fail first."""
 
+import importlib
 import importlib.util
 from pathlib import Path
 
+import pytest
+
 import test_pinned_growth
 from conftest import retrying_run
+from spikegrow.cli import load_run_config
 
-TRACER = Path(__file__).resolve().parent.parent / "benchmarks" / "tracer.py"
+BENCHMARKS = Path(__file__).resolve().parent.parent / "benchmarks"
+TRACER = BENCHMARKS / "tracer.py"
 
 
 def load_tracer():
@@ -64,3 +70,20 @@ def test_lstsq_fallback_calls_the_traced_binding(monkeypatch):
             if s.name == "readout.fit" and s.run == "repeated_unit"]
     assert len(trace.records) == 6
     assert len(fits) == len(trace.records) + 2
+
+
+def _benchmark_workloads(monkeypatch):
+    """The benchmark's workloads and its harness self-test's `Tiny`,
+    imported with benchmarks/ first on sys.path, as the benchmark runs."""
+    monkeypatch.syspath_prepend(str(BENCHMARKS))
+    tiny = importlib.import_module("test_harness").Tiny(1)
+    return {**importlib.import_module("workloads").WORKLOADS, "tiny": tiny}
+
+
+@pytest.mark.parametrize("name", ["lineage", "capacity", "data", "tiny"])
+def test_benchmark_configs_load(name, monkeypatch, tmp_path):
+    """Every config file the benchmark and its harness self-test write
+    loads through the CLI's own reader."""
+    workload = _benchmark_workloads(monkeypatch)[name]
+    workload.setup(str(tmp_path), 1)
+    load_run_config(str(tmp_path / "config.json"))
