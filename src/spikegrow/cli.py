@@ -83,7 +83,8 @@ def load_run_config(path: str | None) -> RunConfig:
     """Read and validate a config file; every field has a default."""
     doc = {}
     if path is not None:
-        _require_file(path, "config file")
+        if not os.path.exists(path):
+            raise ConfigError(f"config file not found: {path}")
         try:
             with open(path, "rb") as fh:
                 doc = json.loads(fh.read().decode("utf-8"))
@@ -113,15 +114,31 @@ def _growth_config(run: RunConfig, args) -> GrowthConfig:
     return replace(run.growth, **{k: v for k, v in flags.items() if v is not None})
 
 
-def _require_file(path: str, what: str) -> None:
-    if not os.path.exists(path):
-        raise ConfigError(f"{what} not found: {path}")
+def _file_key(path: str):
+    """Equal for two paths to one file: its device and inode once it
+    exists, else its real path."""
+    try:
+        st = os.stat(path)
+    except OSError:
+        return os.path.realpath(path)
+    return st.st_dev, st.st_ino
 
 
-def _check_out_paths(args, *names: str) -> None:
-    """Fail before any work on an output path that cannot be written: its
-    directory is missing, or the path itself is a directory."""
-    for name in names:
+def _check_paths(args, *outputs: str) -> None:
+    """Fail before any work on an input file that does not exist, or on an
+    output path that cannot be written: its directory is missing, the path
+    itself is a directory, or it names the same file as an input of the
+    command or another of its outputs."""
+    inputs = [("--" + name.replace("_", "-"), getattr(args, name, None))
+              for name in ("config", "dataset", "seed_checkpoint", "checkpoint")]
+    inputs += [("trace file", path) for path in getattr(args, "traces", [])]
+    taken = {}
+    for flag, path in inputs:
+        if path is not None:
+            if not os.path.exists(path):
+                raise ConfigError(f"{flag} {path!r} not found")
+            taken[_file_key(path)] = f"{flag} {path!r}"
+    for name in outputs:
         path = getattr(args, name)
         if path is None:
             continue
@@ -132,6 +149,11 @@ def _check_out_paths(args, *names: str) -> None:
         if not os.path.isdir(parent):
             raise ConfigError(
                 f"{flag} {path!r}: directory {parent!r} does not exist")
+        key = _file_key(path)
+        if key in taken:
+            raise ConfigError(
+                f"{flag} {path!r} names the same file as {taken[key]}")
+        taken[key] = f"{flag} {path!r}"
 
 
 def cmd_gen_data(args) -> int:
@@ -157,8 +179,7 @@ def cmd_gen_data(args) -> int:
 
 
 def cmd_train_fresh(args) -> int:
-    _check_out_paths(args, "out_checkpoint", "out_trace")
-    _require_file(args.dataset, "dataset file")
+    _check_paths(args, "out_checkpoint", "out_trace")
     run = load_run_config(args.config)
     cfg = _growth_config(run, args)
     train, test = split_train_test(load_dataset(args.dataset),
@@ -174,9 +195,7 @@ def cmd_train_fresh(args) -> int:
 def cmd_train_exp(args) -> int:
     if not args.one_loop_only and not args.out_trace:
         raise ConfigError("--out-trace is required unless --one-loop-only")
-    _check_out_paths(args, "out_checkpoint", "out_trace")
-    _require_file(args.seed_checkpoint, "seed checkpoint")
-    _require_file(args.dataset, "dataset file")
+    _check_paths(args, "out_checkpoint", "out_trace")
     run = load_run_config(args.config)
     cfg = _growth_config(run, args)
     seed = load_network(args.seed_checkpoint)
@@ -200,9 +219,8 @@ def cmd_train_exp(args) -> int:
 
 
 def cmd_eval(args) -> int:
-    _check_out_paths(args, "out_report")
-    _require_file(args.checkpoint, "checkpoint")
-    _require_file(args.dataset, "dataset file")
+    _check_paths(args, "out_report")
+    load_run_config(args.config)  # read to check it; eval uses no setting
     net = load_network(args.checkpoint)
     ds = load_dataset(args.dataset)
     report = evaluate(net, ds)
@@ -215,7 +233,7 @@ def cmd_eval(args) -> int:
 
 
 def cmd_inspect(args) -> int:
-    _require_file(args.checkpoint, "checkpoint")
+    _check_paths(args)
     net = load_network(args.checkpoint)
     print(f"d={net.d}")
     print(f"lif=dt:{net.lif.dt},tau_syn:{net.lif.tau_syn},"
@@ -230,12 +248,9 @@ def cmd_inspect(args) -> int:
 
 
 def cmd_compare(args) -> int:
-    _check_out_paths(args, "out")
-    labeled = []
-    for path in args.traces:
-        _require_file(path, "trace file")
-        labeled.append((os.path.basename(path), load_trace(path)))
-    report = compare_runs(labeled)
+    _check_paths(args, "out")
+    report = compare_runs([(os.path.basename(path), load_trace(path))
+                           for path in args.traces])
     text = comparison_to_text(report)
     if args.out:
         atomic_write_text(args.out, text)
@@ -318,21 +333,15 @@ def main(argv=None) -> int:
         if getattr(args, "threads", 1) < 1:
             raise ConfigError(f"--threads must be >= 1, got {args.threads}")
         return args.func(args)
-    except ConfigError as exc:
-        print(f"error: ConfigError: {exc}", file=sys.stderr)
-        return EXIT_CONFIG
     except (DataFormatError, LineageError, DegenerateDataError) as exc:
         print(f"error: {type(exc).__name__}: {exc}", file=sys.stderr)
         return EXIT_DATA
     except InvariantError as exc:
         print(f"error: InvariantError: {exc}", file=sys.stderr)
         return EXIT_INTERNAL
-    except (SpikegrowError, OSError) as exc:
+    except (SpikegrowError, OSError, MemoryError) as exc:
+        # ConfigError, an unusable path, or a size too large for the machine.
         print(f"error: {type(exc).__name__}: {exc}", file=sys.stderr)
-        return EXIT_CONFIG
-    except MemoryError as exc:
-        # A size setting within its range but too large for this machine.
-        print(f"error: MemoryError: {exc}", file=sys.stderr)
         return EXIT_CONFIG
 
 

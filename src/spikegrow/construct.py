@@ -1,16 +1,17 @@
 """Hidden-unit recruitment: random candidate pools and certificate-based pruning.
 
 Each growth step samples a pool of random candidate neurons (weights uniform
-in [-lambda, lambda]), evaluates each candidate's firing-rate feature over
-the training samples, and scores it against the current residual with a
-scalar certificate. A non-negative certificate guarantees that appending the
-candidate with its optimal per-column output weight shrinks the squared
-residual to at most sigma times its previous value; the pool winner is the
-certificate maximizer.
+in [-weight_scale, weight_scale]), evaluates each candidate's firing-rate
+feature over the training samples, and scores it against the current
+residual with a scalar certificate. A non-negative certificate guarantees
+that appending the candidate with its optimal per-column output weight
+shrinks the squared residual to at most sigma times its previous value; the
+pool winner is the certificate maximizer.
 """
 
 from __future__ import annotations
 
+import sys
 from dataclasses import dataclass, replace
 from typing import Any, Optional
 
@@ -41,19 +42,18 @@ class PruningConfig:
     """Knobs of the candidate sampling / pruning loop.
 
     pool_size: candidates drawn per round.
-    weight_scale: half-width of the uniform weight range.
+    weight_scale: half-width of the uniform weight range in every round; at
+        most half the largest float, so the range 2*weight_scale is finite.
     sigma0: initial contraction target in (0, 1); a round-k retry relaxes it
         to 1 - (1 - sigma0)/2**k.
     sigma_relax_steps: retry rounds after the first (so rounds run
         k = 0..sigma_relax_steps inclusive).
-    lambda_growth: multiplicative weight-range escalation per retry round.
     """
 
     pool_size: int = setting(50, ge=1, le=SIZE_MAX)
-    weight_scale: float = setting(1.0, gt=0.0)
+    weight_scale: float = setting(1.0, gt=0.0, le=sys.float_info.max / 2)
     sigma0: float = setting(0.999, gt=0.0, lt=1.0)
     sigma_relax_steps: int = setting(8, ge=0, le=SIZE_MAX)
-    lambda_growth: float = setting(1.0, ge=1.0)
 
     def __post_init__(self):
         check_settings(self, "pruning")
@@ -201,26 +201,21 @@ def grow_one(
     params: LifParams,
     rng,
 ) -> GrowOutcome:
-    """One full recruitment attempt with sigma relaxation and range growth.
+    """One full recruitment attempt with sigma relaxation.
 
-    Round k samples a pool at weight range weight_scale*lambda_growth**k and
-    contraction target 1 - (1 - sigma0)/2**k; round 0 uses sigma0 itself,
-    which that expression rounds to 0.0 for sigma0 below 1.1e-16. The first
-    round that yields a qualifying candidate wins. The attempt saturates
-    after sigma_relax_steps + 1 fruitless rounds, or once the target rounds
-    to 1.0 or the weight range 2*scale overflows.
+    Round k samples a pool at weight range weight_scale and contraction
+    target 1 - (1 - sigma0)/2**k; round 0 uses sigma0 itself, which that
+    expression rounds to 0.0 for sigma0 below 1.1e-16. The first round that
+    yields a qualifying candidate wins. The attempt saturates after
+    sigma_relax_steps + 1 fruitless rounds, or once the target rounds to
+    1.0; round 0 always runs, since sigma0 < 1.
     """
-    sigma, rounds = cfg.sigma0, 0
     for k in range(cfg.sigma_relax_steps + 1):
-        try:
-            scale = cfg.weight_scale * cfg.lambda_growth**k
-        except OverflowError:
-            break
         relaxed = 1.0 - (1.0 - cfg.sigma0) / 2.0**k if k else cfg.sigma0
-        if relaxed >= 1.0 or not np.isfinite(2.0 * scale):
+        if relaxed >= 1.0:
             break
         sigma, rounds = relaxed, k + 1
-        draw = _draw(cfg, ds.d, rng, scale)
+        draw = _draw(cfg, ds.d, rng, cfg.weight_scale)
         selection = select_best(pool_features(draw, ds, params), E, sigma)
         if selection is not None:
             p = selection.winner

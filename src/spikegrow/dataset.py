@@ -155,6 +155,12 @@ class GeneratorConfig:
 
     def __post_init__(self):
         check_settings(self, "generator")
+        # A channel's rate is base_rate * (1 +/- separation), its sign drawn.
+        low, high = (self.base_rate * (1.0 + sign * self.separation)
+                     for sign in (-1, 1))
+        if low <= 0.0 or high >= 1.0:
+            raise ConfigError("generator.base_rate * (1 -/+ generator.separation)"
+                              f" must lie in (0, 1), got {low!r} and {high!r}")
 
 
 def check_stage_sizes(stage_sizes, categories: int) -> list:
@@ -193,10 +199,6 @@ def generate_family(config: GeneratorConfig, stage_sizes) -> NestedFamily:
     for cat in range(stage_sizes[-1]):
         signs = rng.integers(0, 2, size=d) * 2 - 1
         profile = config.base_rate * (1.0 + signs * config.separation)
-        if np.any(profile <= 0.0) or np.any(profile >= 1.0):
-            raise ConfigError(
-                "category rate profile left (0, 1); reduce separation or base_rate"
-            )
         for a in range(cat * n, (cat + 1) * n, _DRAW_ROWS):
             b = min(a + _DRAW_ROWS, (cat + 1) * n)
             u = rng.random(out=draws[:b - a])

@@ -231,9 +231,7 @@ def _grow(hidden, frozen_prefix, train, test, cfg: GrowthConfig, lif: LifParams,
     fit is inexact (a dependent or ill-conditioned column), eval steps fit
     with lstsq instead. Otherwise lstsq runs once, for the returned
     snapshot. A run that saturates on a step it had not evaluated
-    evaluates that step before the snapshot is chosen. Also returns the
-    number of pools the saturating attempt drew (None unless the run
-    saturated).
+    evaluates that step before the snapshot is chosen.
 
     Growth keeps no feature table, only 8 (N + N_test) bytes a unit of Q
     and the test image: grown units lie on the pool's dyadic grid, so any
@@ -274,7 +272,6 @@ def _grow(hidden, frozen_prefix, train, test, cfg: GrowthConfig, lif: LifParams,
     rng = np.random.default_rng(cfg.rng_seed)
     records = []
     status = None
-    saturated_rounds = None
     t0 = time.perf_counter()
 
     if train_acc >= cfg.target_train_accuracy:
@@ -287,7 +284,7 @@ def _grow(hidden, frozen_prefix, train, test, cfg: GrowthConfig, lif: LifParams,
             break
         outcome = grow_one(fit.E, train, cfg.pruning, lif, rng)
         if outcome.saturated:
-            status, saturated_rounds = STATUS_SATURATED, outcome.rounds_used
+            status = STATUS_SATURATED
             break
         sel = outcome.selection
         neuron = HiddenNeuron(sel.winner.w, sel.winner.v)
@@ -358,23 +355,18 @@ def _grow(hidden, frozen_prefix, train, test, cfg: GrowthConfig, lif: LifParams,
     }
     net = Network(train.d, lif, best_hidden, best_beta, train.categories,
                   frozen_prefix=frozen_prefix, lineage=lineage + [entry])
-    return net, trace, saturated_rounds
+    return net, trace
 
 
 def train_fresh(train: LabeledDataset, test: LabeledDataset,
                 cfg: GrowthConfig):
     """Grow a classifier from scratch on a dataset pair."""
-    net, trace, saturated_rounds = _grow([], 0, train, test, cfg, cfg.lif, [],
-                                         "fresh")
-    if saturated_rounds == 0:
-        raise DegenerateDataError(
-            "no candidate pool was drawn: the weight range 2 * "
-            "pruning.weight_scale * pruning.lambda_growth**k overflows at "
-            "round 0; lower pruning.weight_scale"
-        )
+    net, trace = _grow([], 0, train, test, cfg, cfg.lif, [], "fresh")
     if trace.status == STATUS_SATURATED and not trace.records:
         raise DegenerateDataError(
-            "no candidate neuron produced any spikes on this dataset"
+            "the first growth step found no qualifying candidate: every pool "
+            "was silent or fell short of its contraction target, set by "
+            "pruning.sigma0 and relaxed over pruning.sigma_relax_steps rounds"
         )
     return net, trace
 
@@ -421,9 +413,9 @@ def train_experienced(seed: Network, enlarged_train: LabeledDataset,
     recorded in the lineage but not solved twice.
     """
     _check_lineage(seed, enlarged_train)
-    net, trace, _ = _grow(seed.hidden, seed.n_hidden, enlarged_train,
-                          enlarged_test, cfg, seed.lif,
-                          _one_loop_lineage(seed, enlarged_train), "experienced")
+    net, trace = _grow(seed.hidden, seed.n_hidden, enlarged_train,
+                       enlarged_test, cfg, seed.lif,
+                       _one_loop_lineage(seed, enlarged_train), "experienced")
     for before, after in zip(seed.hidden, net.hidden):
         if before != after:
             raise InvariantError("frozen hidden weights were modified")

@@ -11,7 +11,7 @@ from itertools import chain
 
 import numpy as np
 
-from spikegrow import ConfigError, DataFormatError, LabeledDataset
+from spikegrow import DataFormatError, LabeledDataset
 from spikegrow.dataset import (
     _RATE_EPS,
     _header_line,
@@ -87,8 +87,6 @@ def generated_columns(config, stage_sizes):
     for cat in range(stage_sizes[-1]):
         signs = rng.integers(0, 2, size=d) * 2 - 1
         profile = config.base_rate * (1.0 + signs * config.separation)
-        if np.any(profile <= 0.0) or np.any(profile >= 1.0):
-            raise ConfigError("category rate profile left (0, 1)")
         for k in range(cat * n, (cat + 1) * n):
             perturbation = rng.uniform(-1.0, 1.0, size=d) * config.jitter * config.base_rate
             p = np.clip(profile + perturbation, _RATE_EPS, 1.0 - _RATE_EPS)

@@ -26,6 +26,7 @@ from spikegrow import (
     split_train_test,
 )
 import spikegrow.cli
+import spikegrow.construct
 import spikegrow.dataset
 from spikegrow.cli import main
 from spikegrow.dataset import dataset_fingerprint
@@ -165,7 +166,12 @@ _BAD_CONFIGS = [
     ("samples-bool", '{"generator": {"samples_per_category": true}}',
      "generator.samples_per_category"),
     ("lambda-infinity", '{"pruning": {"lambda_growth": Infinity}}',
-     "pruning.lambda_growth"),
+     "lambda_growth"),
+    ("weight-scale-overflow", '{"pruning": {"weight_scale": 1e308}}',
+     "pruning.weight_scale"),
+    ("rate-profile-leaves-unit",
+     '{"generator": {"base_rate": 0.8, "separation": 0.5}}',
+     "generator.separation"),
     ("categories-float", '{"generator": {"categories": 2.0}}',
      "generator.categories"),
     ("dt-ms-string", '{"generator": {"dt_ms": "1"}}', "generator.dt_ms"),
@@ -178,7 +184,7 @@ _BAD_CONFIGS = [
 _BAD_CONFIG_RUNS = [
     pytest.param(command, text, named, id=f"{command}-{name}")
     for name, text, named in _BAD_CONFIGS
-    for command in ("gen-data", "train-fresh")
+    for command in ("gen-data", "train-fresh", "train-exp", "eval")
 ]
 
 
@@ -197,14 +203,22 @@ class TestBadConfig:
             cfg.write_bytes(text)
         else:
             cfg.write_text(text)
-        # The dataset is never read: the config is rejected first.
+        # The dataset and checkpoint are never read: the config is
+        # rejected first.
         (workdir / "x.ds").write_text("")
+        (workdir / "s.net").write_text("")
         argv = {"gen-data": ["--out-dir", "out"],
                 "train-fresh": ["--dataset", "x.ds", "--out-checkpoint",
-                                "x.net", "--out-trace", "x.trace"]}[command]
+                                "x.net", "--out-trace", "x.trace"],
+                "train-exp": ["--seed-checkpoint", "s.net", "--dataset",
+                              "x.ds", "--out-checkpoint", "x.net",
+                              "--out-trace", "x.trace"],
+                "eval": ["--checkpoint", "s.net", "--dataset", "x.ds",
+                         "--out-report", "x.report"]}[command]
         assert main([command, "--config", str(cfg), *argv]) == 2
         self._assert_one_config_error(capsys, named)
-        assert sorted(p.name for p in workdir.iterdir()) == ["cfg.json", "x.ds"]
+        assert sorted(p.name for p in workdir.iterdir()) == \
+            ["cfg.json", "s.net", "x.ds"]
 
     @pytest.mark.parametrize("flag, value, named", [
         ("--target", "2", "growth.target_train_accuracy"),
@@ -256,12 +270,10 @@ class TestBadConfig:
 class TestTrainFresh:
     @pytest.mark.parametrize("pruning", [
         {"pool_size": 1, "weight_scale": 1e-300, "sigma_relax_steps": 2000},
-        {"pool_size": 1, "weight_scale": 1e-300, "lambda_growth": 1e200,
-         "sigma_relax_steps": 3},
-    ], ids=["sigma-reaches-one", "weight-range-overflows"])
+    ], ids=["sigma-reaches-one"])
     def test_silent_schedule_exit_3(self, workdir, capsys, pruning):
-        """Round schedules that run past sigma = 1.0 or past the largest
-        float saturate: a run whose every pool is silent is degenerate."""
+        """A round schedule that runs past sigma = 1.0 saturates: a run
+        whose every pool is silent is degenerate."""
         cfg = write_config(workdir / "cfg.json", pruning=pruning, generator={
             "d": 4, "T": 20, "categories": 2, "samples_per_category": 5,
             "stages": [2]})
@@ -291,14 +303,28 @@ class TestTrainFresh:
         records = json.loads((workdir / "x.trace").read_text())["records"]
         assert records and records[0]["retries_used"] >= 1
 
-    def test_weight_range_overflow_at_round_0_exit_3(self, workdir, capsys):
-        """No pool can be drawn at all: the message names the setting, not
-        silent candidates."""
+    def test_unmet_first_target_names_the_schedule(self, workdir, capsys,
+                                                   monkeypatch):
+        """Candidates fire, but none meets a round-0 target of 1e-300 and no
+        round relaxes it: the message names the schedule's settings and
+        does not claim that nothing spiked."""
+        fired = []
+        pool_features = spikegrow.construct.pool_features
+
+        def recorded(*args):
+            pairs = pool_features(*args)
+            fired.extend(bool(h.any()) for _, h in pairs)
+            return pairs
+
+        monkeypatch.setattr(spikegrow.construct, "pool_features", recorded)
         capsys.readouterr()
-        assert self._train_tiny(workdir, {"weight_scale": 1e308}) == 3
+        assert self._train_tiny(workdir, {"sigma0": 1e-300,
+                                          "sigma_relax_steps": 0}) == 3
         err = capsys.readouterr().err
         assert re.fullmatch(r"error: DegenerateDataError: [^\n]*\n", err), err
-        assert "pruning.weight_scale" in err and "spikes" not in err
+        assert "pruning.sigma0" in err and "pruning.sigma_relax_steps" in err
+        assert "spike" not in err
+        assert len(fired) == 50 and any(fired)  # one round of the default pool
         assert not (workdir / "x.net").exists()
 
     def test_end_to_end(self, generated, workdir):
@@ -428,6 +454,20 @@ class TestEvalAndInspect:
         report = json.loads((workdir / "report.json").read_text())
         assert report["accuracy"] >= 0.9
         assert "accuracy=" in capsys.readouterr().out
+
+    @pytest.mark.parametrize("config", ["bad.json", "nonexistent.json"])
+    def test_eval_bad_config_exit_2(self, trained, workdir, capsys, config):
+        """eval reads the --config it accepts, as every command that takes
+        the flag does: an unknown key or a missing file is exit 2."""
+        (workdir / "bad.json").write_text(json.dumps({"bogus": {}}))
+        capsys.readouterr()
+        assert main(["eval", "--config", config, "--checkpoint", "f.net",
+                     "--dataset", "data/stage-2.ds",
+                     "--out-report", "r.json"]) == 2
+        err = capsys.readouterr().err
+        assert re.fullmatch(r"error: ConfigError: [^\n]*\n", err), err
+        assert ("bogus" if config == "bad.json" else config) in err
+        assert not (workdir / "r.json").exists()
 
     def test_inspect_fresh_frozen_zero(self, trained, capsys):
         assert main(["inspect", "--checkpoint", "f.net"]) == 0
@@ -811,6 +851,95 @@ class TestOutputPathsFailFast:
         err = capsys.readouterr().err
         assert re.fullmatch(rf"error: ConfigError: {flag} {bad!r}.*\n", err)
         assert sorted(workdir.rglob("*")) == before
+
+
+class TestOutputNamesAnInput:
+    """An output path that names the same file as an input of its command,
+    or as another of its outputs, ends the op with exit 2 before any input
+    is read, naming both flags, and every file keeps its bytes."""
+
+    @pytest.fixture
+    def inputs(self, workdir, monkeypatch):
+        cfg = write_config(workdir / "cfg.json")
+        (workdir / "data").mkdir()
+        (workdir / "data" / "stage-2.ds").write_bytes(b"dataset bytes")
+        (workdir / "seed.net").write_bytes(b"checkpoint bytes")
+        (workdir / "a.trace").write_bytes(b"trace bytes")
+        os.symlink("data/stage-2.ds", workdir / "link.ds")
+        os.link(workdir / "seed.net", workdir / "hard.net")
+
+        def entered(*args, **kwargs):
+            raise AssertionError("the op started its work")
+
+        for name in ("load_run_config", "load_dataset", "load_network",
+                     "load_trace"):
+            monkeypatch.setattr(spikegrow.cli, name, entered)
+        return cfg
+
+    @pytest.mark.parametrize("argv, out_flag, in_flag", [
+        (["train-fresh", "--dataset", "data/stage-2.ds", "--out-checkpoint",
+          "data/stage-2.ds", "--out-trace", "x.trace"],
+         "--out-checkpoint", "--dataset"),
+        (["train-fresh", "--dataset", "data/stage-2.ds", "--out-checkpoint",
+          "x.net", "--out-trace", "./data/../data/stage-2.ds"],
+         "--out-trace", "--dataset"),
+        (["train-fresh", "--dataset", "data/stage-2.ds", "--out-checkpoint",
+          "link.ds", "--out-trace", "x.trace"], "--out-checkpoint", "--dataset"),
+        (["train-fresh", "--dataset", "link.ds", "--out-checkpoint",
+          "data/stage-2.ds", "--out-trace", "x.trace"],
+         "--out-checkpoint", "--dataset"),
+        (["train-fresh", "--dataset", "data/stage-2.ds", "--out-checkpoint",
+          "f.net", "--out-trace", "f.net"], "--out-trace", "--out-checkpoint"),
+        (["train-fresh", "--dataset", "data/stage-2.ds", "--out-checkpoint",
+          "x.net", "--out-trace", "cfg.json"], "--out-trace", "--config"),
+        (["train-exp", "--seed-checkpoint", "seed.net", "--dataset",
+          "data/stage-2.ds", "--out-checkpoint", "seed.net", "--out-trace",
+          "x.trace"], "--out-checkpoint", "--seed-checkpoint"),
+        (["train-exp", "--seed-checkpoint", "seed.net", "--dataset",
+          "data/stage-2.ds", "--out-checkpoint", "hard.net", "--out-trace",
+          "x.trace"], "--out-checkpoint", "--seed-checkpoint"),
+        (["train-exp", "--seed-checkpoint", "seed.net", "--dataset",
+          "data/stage-2.ds", "--out-checkpoint", "x.net", "--out-trace",
+          "cfg.json"], "--out-trace", "--config"),
+        (["eval", "--checkpoint", "seed.net", "--dataset", "data/stage-2.ds",
+          "--out-report", "seed.net"], "--out-report", "--checkpoint"),
+        (["eval", "--checkpoint", "seed.net", "--dataset", "data/stage-2.ds",
+          "--out-report", "cfg.json"], "--out-report", "--config"),
+        (["compare", "a.trace", "--out", "a.trace"], "--out", "trace file"),
+    ], ids=["fresh-checkpoint-dataset", "fresh-trace-dataset-dotted",
+            "fresh-checkpoint-dataset-symlink", "fresh-symlink-dataset",
+            "fresh-checkpoint-trace", "fresh-trace-config",
+            "exp-checkpoint-seed", "exp-checkpoint-seed-hardlink",
+            "exp-trace-config",
+            "eval-report-checkpoint", "eval-report-config",
+            "compare-out-trace"])
+    def test_exit_2_before_work(self, inputs, workdir, capsys, argv,
+                                out_flag, in_flag):
+        if argv[0] != "compare":
+            argv = argv + ["--config", "cfg.json"]
+        before = {p: p.read_bytes() for p in workdir.rglob("*") if p.is_file()}
+        capsys.readouterr()
+        assert main(argv) == 2
+        err = capsys.readouterr().err
+        assert re.fullmatch(r"error: ConfigError: [^\n]*\n", err), err
+        assert err.startswith(f"error: ConfigError: {out_flag} ")
+        assert f"names the same file as {in_flag} " in err
+        assert {p: p.read_bytes() for p in workdir.rglob("*")
+                if p.is_file()} == before
+
+    @pytest.mark.parametrize("argv", [
+        ["train-fresh", "--config", "cfg.json", "--dataset", "link.ds",
+         "--out-checkpoint", "x.net", "--out-trace", "x.trace"],
+        ["train-exp", "--config", "cfg.json", "--seed-checkpoint", "seed.net",
+         "--dataset", "data/stage-2.ds", "--out-checkpoint", "x.net",
+         "--one-loop-only"],
+        ["eval", "--checkpoint", "hard.net", "--dataset", "data/stage-2.ds",
+         "--out-report", "seed.report"],
+        ["compare", "a.trace", "--out", "a.csv"],
+    ], ids=["fresh", "exp-one-loop", "eval", "compare"])
+    def test_distinct_paths_start_the_op(self, inputs, argv):
+        with pytest.raises(AssertionError, match="started its work"):
+            main(argv)
 
 
 class TestFileModes:

@@ -3,7 +3,10 @@ declared range, and `load_run_config` either returns or raises ConfigError."""
 
 import json
 import math
+import re
+import sys
 from dataclasses import fields
+from pathlib import Path
 
 import pytest
 from hypothesis import given, settings
@@ -94,6 +97,16 @@ class TestDeclaredSettings:
     def test_seeds_have_no_upper_bound(self, cls, key):
         assert getattr(cls(**{key: 10**30}), key) == 10**30
 
+    def test_weight_range_stays_finite(self):
+        """weight_scale stops at half the largest float, so the range
+        2 * weight_scale that a pool is drawn over is finite."""
+        top = sys.float_info.max / 2
+        assert PruningConfig(weight_scale=top).weight_scale == top
+        for value in (math.nextafter(top, math.inf), 10**308):
+            with pytest.raises(ConfigError, match=r"^pruning\.weight_scale .* "
+                               + re.escape(f"<= {top}, ")):
+                PruningConfig(weight_scale=value)
+
     def test_config_error_is_a_value_error(self):
         with pytest.raises(ValueError):
             GrowthConfig(max_hidden=0)
@@ -146,3 +159,23 @@ def test_config_values_load_or_raise_config_error(tmp_path_factory, doc):
             got = run.stages if key == "stages" else \
                 getattr(loaded[section], key)
             assert got == value and type(got) is type(value)
+
+
+def test_readme_config_block_matches_the_dataclasses():
+    """The defaults block under README's "Config file" holds exactly each
+    section's settings (the generator's also `stages`) at their defaults,
+    and each of them has a row in the ranges table below it."""
+    readme = (Path(__file__).parents[1] / "README.md").read_text()
+    section = readme.split("\n## Config file\n", 1)[1].split("\n## ", 1)[0]
+    block = json.loads(re.search(r"```json\n(.*?)```", section, re.S)[1])
+    rows = {(name, key) for name, keys in
+            re.findall(r"^\| `(\w+)` \| ([^|]+) \|", section, re.M)
+            for key in re.findall(r"`(\w+)`", keys)}
+    assert block.keys() == _CLASSES.keys()
+    for name, (cls, *_) in _CLASSES.items():
+        defaults = {f.name: f.default for f in fields(cls)
+                    if f.name not in _CLASSES}
+        if name == "generator":
+            defaults["stages"] = load_run_config(None).stages
+        assert block[name] == defaults, name
+        assert {(name, key) for key in defaults} <= rows, name

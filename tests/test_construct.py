@@ -1,4 +1,5 @@
 import math
+import sys
 
 import numpy as np
 import pytest
@@ -375,22 +376,24 @@ class TestGrowOne:
         assert out.sigma_used == 1.0 - (1.0 - cfg.sigma0) / 2.0**k
         assert 1.0 - (1.0 - cfg.sigma0) / 2.0**(k + 1) == 1.0
 
-    @pytest.mark.parametrize("weight_scale, lambda_growth, rounds", [
-        (1e-300, 1e200, 2),  # lambda_growth**2 overflows
-        (1e300, 10.0, 8),  # 2 * 1e308 is inf
-        (1e308, 1.0, 0),  # the first range is already inf
-    ])
-    def test_saturates_once_weight_range_leaves_floats(self, weight_scale,
-                                                       lambda_growth, rounds):
-        # No input spikes: every pool is silent, whatever its weights.
+    def test_widest_weight_range_saturates_after_all_rounds(self):
+        """At the largest weight_scale a config accepts, the range 2 * scale
+        is finite, each draw is finite, within it and on its grid, q =
+        2**(1023 + 2 - 53) for d = 3, and an attempt runs all its rounds."""
         from spikegrow import LabeledDataset, encode_targets
+        scale = sys.float_info.max / 2
+        cfg = PruningConfig(pool_size=3, weight_scale=scale,
+                            sigma_relax_steps=4)
+        for c in sample_candidates(cfg, 3, np.random.default_rng(1)):
+            row = np.append(c.w, c.v)
+            assert np.all(np.abs(row) <= scale) and np.count_nonzero(row)
+            assert np.all(np.fmod(row, 2.0**972) == 0.0)
+        # No input spikes: every pool is silent, whatever its weights.
         ds = LabeledDataset(np.zeros((4, 3, 6)), [0, 0, 1, 1], [0, 1])
-        cfg = PruningConfig(pool_size=1, weight_scale=weight_scale,
-                            lambda_growth=lambda_growth, sigma_relax_steps=20)
         out = grow_one(encode_targets(ds), ds, cfg, PARAMS,
                        np.random.default_rng(1))
         assert out.saturated
-        assert out.rounds_used == rounds
+        assert out.rounds_used == cfg.sigma_relax_steps + 1
 
     def test_deterministic_across_thread_counts(self, tiny_dataset):
         # Same rng state, same outcome; the winner's feature is the one it

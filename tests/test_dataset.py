@@ -155,12 +155,18 @@ class TestGenerateFamily:
             generate_family(cfg, stages)
 
     def test_profile_collapse_rejected(self):
-        cfg = GeneratorConfig(d=3, T=4, categories=2, samples_per_category=2,
-                              base_rate=0.6, separation=0.9)
-        with pytest.raises(ConfigError):
-            generate_family(cfg, [2])
-        with pytest.raises(ConfigError):
-            oracles.generated_columns(cfg, [2])
+        """A rate base_rate * (1 -/+ separation) outside (0, 1) is a config
+        error for every seed, not only for those whose drawn signs reach
+        it: d = 1 and one category draw a single sign."""
+        for base_rate, separation in [(0.6, 0.9), (0.8, 0.5), (0.2, 1.0)]:
+            for seed in range(8):
+                with pytest.raises(ConfigError, match=(
+                        r"^generator\.base_rate \* \(1 -/\+ "
+                        r"generator\.separation\) must lie in \(0, 1\)")):
+                    GeneratorConfig(d=1, categories=1, base_rate=base_rate,
+                                    separation=separation, rng_seed=seed)
+        cfg = GeneratorConfig()
+        assert (cfg.base_rate, cfg.separation) == (0.2, 0.5)
 
     @pytest.mark.parametrize("seed", range(5))
     @pytest.mark.parametrize("kw, stages", [
