@@ -159,19 +159,25 @@ def _check_paths(args, *outputs: str) -> None:
 def cmd_gen_data(args) -> int:
     run = load_run_config(args.config)
     stages = args.stages or run.stages
+    names = [f"stage-{size}.ds" for size in stages]
+    paths = [os.path.join(args.out_dir, name) for name in names]
+    manifest_path = os.path.join(args.out_dir, "manifest.json")
+    if args.config is not None:
+        config = _file_key(args.config)
+        for path in paths + [manifest_path]:
+            if _file_key(path) == config:
+                raise ConfigError(f"--out-dir output {path!r} names the "
+                                  f"same file as --config {args.config!r}")
     family = generate_family(run.generator, stages)
     os.makedirs(args.out_dir, exist_ok=True)
-    names = [f"stage-{size}.ds" for size in stages]
     # The stages are row prefixes of the last: one save serialises each row once.
-    save_dataset(list(family.stages),
-                 [os.path.join(args.out_dir, name) for name in names])
+    save_dataset(list(family.stages), paths)
     manifest = {"stages": [{
         "categories": size,
         "n_samples": len(ds),
         "path": name,
         "sha256": dataset_fingerprint(ds),
     } for size, name, ds in zip(stages, names, family.stages)]}
-    manifest_path = os.path.join(args.out_dir, "manifest.json")
     atomic_write_text(manifest_path, json.dumps(manifest, indent=1,
                                                 sort_keys=True) + "\n")
     print(json.dumps(manifest, sort_keys=True))
@@ -186,14 +192,19 @@ def cmd_train_fresh(args) -> int:
                                    run.split.test_fraction, run.split.seed)
     net, trace = train_fresh(train, test, cfg)
     save_network(net, args.out_checkpoint)
-    export_trace(trace, args.out_trace, format="structured")
+    export_trace(trace, args.out_trace)
     print(f"status={trace.status} accuracy={trace.best_test_accuracy:.4f} "
           f"hidden={net.n_hidden} elapsed={trace.total_elapsed:.2f}s")
     return EXIT_OK
 
 
 def cmd_train_exp(args) -> int:
-    if not args.one_loop_only and not args.out_trace:
+    if args.one_loop_only:
+        for flag in ("out_trace", "max_hidden", "target", "seed"):
+            if getattr(args, flag) is not None:
+                raise ConfigError(f"--{flag.replace('_', '-')} has no effect "
+                                  f"with --one-loop-only, which grows nothing")
+    elif not args.out_trace:
         raise ConfigError("--out-trace is required unless --one-loop-only")
     _check_paths(args, "out_checkpoint", "out_trace")
     run = load_run_config(args.config)
@@ -211,7 +222,7 @@ def cmd_train_exp(args) -> int:
     del ds  # the split copied its rows
     net, trace = train_experienced(seed, train, test, cfg)
     save_network(net, args.out_checkpoint)
-    export_trace(trace, args.out_trace, format="structured")
+    export_trace(trace, args.out_trace)
     print(f"status={trace.status} accuracy={trace.best_test_accuracy:.4f} "
           f"hidden={net.n_hidden} added={trace.added_neurons} "
           f"elapsed={trace.total_elapsed:.2f}s")
@@ -302,7 +313,9 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--out-trace", default=None,
                    help="required unless --one-loop-only")
     p.add_argument("--one-loop-only", action="store_true",
-                   help="refit output weights only; add no hidden units")
+                   help="refit output weights only; add no hidden units "
+                        "(refuses --out-trace, --max-hidden, --target, "
+                        "--seed)")
     p.add_argument("--max-hidden", type=int, default=None)
     p.add_argument("--target", type=float, default=None)
     p.add_argument("--seed", type=int, default=None)
@@ -320,7 +333,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(func=cmd_inspect)
 
     p = sub.add_parser("compare", help="tabulate persisted training traces")
-    p.add_argument("traces", nargs="+", help="structured trace files")
+    p.add_argument("traces", nargs="+", help="trace files")
     p.add_argument("--out", default=None, help="CSV output path")
     p.set_defaults(func=cmd_compare)
     return parser

@@ -69,44 +69,24 @@ def space_complexity(net: Network) -> int:
     return n * (net.d + 1) + n * net.m
 
 
-def feature_export(net: Network, ds: LabeledDataset, path: str) -> None:
-    """Raw per-sample hidden-feature table (N x n CSV) for external tooling."""
-    H = net.features(ds)
-    buf = io.StringIO()
-    writer = csv.writer(buf, lineterminator="\n")
-    writer.writerow([f"h{j}" for j in range(net.n_hidden)])
-    for row in H:
-        writer.writerow([repr(float(x)) for x in row])
-    atomic_write_text(path, buf.getvalue())
+def trace_to_text(trace: TrainingTrace) -> str:
+    doc = {
+        "trace_version": TRACE_VERSION,
+        "status": trace.status,
+        "initial_neurons": trace.initial_neurons,
+        "records": [{c: getattr(rec, c) for c in TRACE_COLUMNS}
+                    for rec in trace.records],
+    }
+    return json.dumps(doc, sort_keys=True, indent=1) + "\n"
 
 
-def trace_to_text(trace: TrainingTrace, format: str = "table") -> str:
-    if format == "table":
-        buf = io.StringIO()
-        writer = csv.writer(buf, lineterminator="\n")
-        writer.writerow(TRACE_COLUMNS)
-        for rec in trace.records:
-            writer.writerow([repr(getattr(rec, c)) for c in TRACE_COLUMNS])
-        return buf.getvalue()
-    if format == "structured":
-        doc = {
-            "trace_version": TRACE_VERSION,
-            "status": trace.status,
-            "initial_neurons": trace.initial_neurons,
-            "records": [{c: getattr(rec, c) for c in TRACE_COLUMNS}
-                        for rec in trace.records],
-        }
-        return json.dumps(doc, sort_keys=True, indent=1) + "\n"
-    raise ConfigError(f"unknown trace format {format!r}")
-
-
-def export_trace(trace: TrainingTrace, path: str, format: str = "table") -> None:
-    """Persist a trace; 'table' is a fixed-header CSV, 'structured' is JSON."""
-    atomic_write_text(path, trace_to_text(trace, format))
+def export_trace(trace: TrainingTrace, path: str) -> None:
+    """Persist a trace as JSON, the form `load_trace` reads."""
+    atomic_write_text(path, trace_to_text(trace))
 
 
 def load_trace(path: str) -> TrainingTrace:
-    """Parse back the structured trace form."""
+    """Parse back a trace that `export_trace` wrote."""
     with open(path, "r", encoding="utf-8") as fh:
         try:
             doc = json.load(fh)

@@ -227,17 +227,16 @@ def _grow(hidden, frozen_prefix, train, test, cfg: GrowthConfig, lif: LifParams,
     per unit, so a step costs O(N (n + m)) instead of a least-squares
     refit. It also keeps the fit's test outputs, so no step solves for
     output weights: on an eval step the test features of the units added
-    since the last one are computed in one batch and fed to it. Once the
-    fit is inexact (a dependent or ill-conditioned column), eval steps fit
-    with lstsq instead. Otherwise lstsq runs once, for the returned
+    since the last one are computed in one batch and fed to it, and test
+    accuracy is read off the outputs. lstsq runs once, for the returned
     snapshot. A run that saturates on a step it had not evaluated
     evaluates that step before the snapshot is chosen.
 
     Growth keeps no feature table, only 8 (N + N_test) bytes a unit of Q
     and the test image: grown units lie on the pool's dyadic grid, so any
-    kernel pass gives their features exactly, and the snapshot's and an
-    lstsq fallback's are recomputed. Training-set passes read its cached
-    time-major uint8 tensor, whose row blocks the kernel takes as views.
+    kernel pass gives their features exactly, and the snapshot's are
+    recomputed. Training-set passes read its cached time-major uint8
+    tensor, whose row blocks the kernel takes as views.
     """
     _check_pair(train, test)
     hidden = list(hidden)
@@ -246,17 +245,10 @@ def _grow(hidden, frozen_prefix, train, test, cfg: GrowthConfig, lif: LifParams,
     train_labels = train.label_indices()
     test_labels = test.label_indices()
     fit = GrowingFit(F, len(test))
-    tested = 0  # units whose test features the fit has taken
 
     def test_accuracy() -> float:
-        nonlocal tested
-        if fit.exact:
-            outputs = fit.test_outputs(
-                _unit_features(hidden[tested:], test.spikes, lif))
-        else:
-            beta = _fit(_unit_features(hidden, train.spike_tensor(), lif), F)
-            outputs = _unit_features(hidden, test.spikes, lif) @ beta
-        tested = len(hidden)
+        outputs = fit.test_outputs(_unit_features(
+            hidden[len(hidden) - fit.pending:], test.spikes, lif))
         return float(np.mean(np.argmax(outputs, axis=1) == test_labels))
 
     # Contiguous rows, not strided column views: the fit's dot products
@@ -327,7 +319,7 @@ def _grow(hidden, frozen_prefix, train, test, cfg: GrowthConfig, lif: LifParams,
         elif evals_since_best >= cfg.patience:
             status = STATUS_PATIENCE
 
-    if tested < len(hidden):
+    if fit.pending:
         # Only a saturated run stops on a step it had not evaluated.
         test_acc = test_accuracy()
         records[-1] = replace(records[-1], test_accuracy=test_acc)

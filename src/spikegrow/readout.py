@@ -87,56 +87,56 @@ class GrowingFit:
     outputs Y = H_test R^{-1} c are kept instead, with the test image
     G = H_test R^{-1}: column k's test features h give
     g = (h - G r[:k]) / r[k], where r is R's new column, then G <- [G, g]
-    and Y <- Y + g c^T. Each (r, c) pair is queued until `test_outputs`
-    brings its test features, so those can be computed in batches.
+    and Y <- Y + g c^T. Each column is queued until `test_outputs` brings
+    its test features, so those can be computed in batches; `pending`
+    counts the queued columns.
 
-    `exact` turns False for good on a column already in span(Q), which R
-    then misses, or once R's diagonal spans more than 1 / SVD_CUTOFF, where
-    lstsq's rcond may cut a direction and its minimum-norm solution
-    differs from R^{-1} c. The test outputs are then no longer updated,
-    and the caller fits with lstsq; E stays the least-squares residual.
+    A column already in span(Q) adds no direction to Q or E and no weight
+    to the fit, so its test features are skipped: the fit always holds the
+    least-squares outputs of its independent columns, and every r[k] > 0.
     """
 
     def __init__(self, F: np.ndarray, test_rows: int):
         self.Q = _Columns(len(F))
         self.E = np.asarray(F, dtype=np.float64)
         self.sq_norm = float(np.sum(self.E * self.E))
-        self.exact = True
         self._G = _Columns(test_rows)
         self._Y = np.zeros((test_rows, self.E.shape[1]))
-        self._queue = []
-        self._lo, self._hi = np.inf, 0.0  # extremes of R's diagonal so far
+        self._queue = []  # (r, c) per added column; None for a dependent one
+
+    @property
+    def pending(self) -> int:
+        """Columns added whose test features `test_outputs` has not taken."""
+        return len(self._queue)
 
     def add(self, h: np.ndarray) -> None:
         """Append training column h; a column already in span(Q) leaves E
         unchanged."""
-        k = self.Q.n
-        r = np.empty(k + 1)
+        r = np.empty(self.Q.n + 1)
         q = orthonormal_direction(self.Q.table, h, out=r)
         if q is None:
-            self.exact = False
+            self._queue.append(None)
             return
         self.Q.append(q)
         # q is orthogonal to the old basis, so q^T E equals c's new row q^T F.
         c = q @ self.E
         self.E = self.E - np.outer(q, c)
         self.sq_norm = float(np.sum(self.E * self.E))
-        self._lo, self._hi = min(self._lo, r[k]), max(self._hi, r[k])
-        self.exact = self.exact and self._lo > SVD_CUTOFF * self._hi
-        if self.exact:
-            self._queue.append((r, c))
+        self._queue.append((r, c))
 
     def test_outputs(self, H_new: np.ndarray) -> np.ndarray:
         """The fit's outputs H_test R^{-1} c, shape (N_test, m), given the
-        (N_test, j) test features of the j columns added since the last
-        call. Only an exact fit keeps them; the array is updated in place."""
-        if not self.exact or H_new.shape != (len(self._Y), len(self._queue)):
+        (N_test, `pending`) test features of the columns added since the
+        last call. The array is updated in place."""
+        if H_new.shape != (len(self._Y), self.pending):
             raise ShapeError(f"test features {H_new.shape} do not match the "
-                             f"{len(self._queue)} queued columns of an exact fit")
-        for (r, c), h in zip(self._queue, H_new.T):
-            g = (h - self._G.table @ r[:-1]) / r[-1]
-            self._G.append(g)
-            self._Y += np.outer(g, c)
+                             f"{self.pending} queued columns")
+        for rc, h in zip(self._queue, H_new.T):
+            if rc is not None:
+                r, c = rc
+                g = (h - self._G.table @ r[:-1]) / r[-1]
+                self._G.append(g)
+                self._Y += np.outer(g, c)
         self._queue.clear()
         return self._Y
 

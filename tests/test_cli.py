@@ -131,6 +131,29 @@ class TestGenData:
         assert not (workdir / "out" / "manifest.json").exists()
         assert "error:" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("config, output", [
+        ("data/manifest.json", "data/manifest.json"),
+        ("data/stage-2.ds", "data/stage-2.ds"),
+        ("link.json", "data/manifest.json"),
+    ], ids=["manifest", "stage", "symlink"])
+    def test_output_names_config_exit_2(self, workdir, capsys, config,
+                                        output):
+        """A config file where gen-data would write its manifest or a
+        stage, also through a symlink, ends it with exit 2 before it
+        generates, naming both, and every file keeps its bytes."""
+        (workdir / "data").mkdir()
+        write_config(workdir / output)
+        os.symlink("data/manifest.json", workdir / "link.json")
+        before = {p: p.read_bytes() for p in workdir.rglob("*") if p.is_file()}
+        capsys.readouterr()
+        assert main(["gen-data", "--config", config, "--out-dir", "data"]) == 2
+        err = capsys.readouterr().err
+        path = os.path.join("data", os.path.basename(output))
+        assert err == (f"error: ConfigError: --out-dir output {path!r} names "
+                       f"the same file as --config {config!r}\n")
+        assert {p: p.read_bytes() for p in workdir.rglob("*")
+                if p.is_file()} == before
+
 
 # Config files that are malformed or hold a value of the wrong type or range,
 # with what the one error line must name: `section.key`, the section, or the
@@ -388,6 +411,26 @@ class TestTrainExp:
         assert net.frozen_prefix == seed_n
         assert net.m == 4
 
+    @pytest.mark.parametrize("flag, value", [
+        ("--out-trace", "e.trace"), ("--max-hidden", "99"),
+        ("--target", "0.5"), ("--seed", "4")])
+    def test_one_loop_only_refuses_growth_flags(self, workdir, capsys,
+                                                monkeypatch, flag, value):
+        """--one-loop-only grows nothing, so a flag that only growth reads
+        ends it with exit 2 before any input is read, naming the flag."""
+        def entered(*args, **kwargs):
+            raise AssertionError("the op read an input")
+
+        for name in ("load_run_config", "load_dataset", "load_network"):
+            monkeypatch.setattr(spikegrow.cli, name, entered)
+        assert main(["train-exp", "--seed-checkpoint", "seed.net",
+                     "--dataset", "data/stage-4.ds", "--one-loop-only",
+                     "--out-checkpoint", "ol.net", flag, value]) == 2
+        err = capsys.readouterr().err
+        assert re.fullmatch(rf"error: ConfigError: {flag} [^\n]* "
+                            rf"--one-loop-only[^\n]*\n", err), err
+        assert list(workdir.iterdir()) == []
+
     def test_growth_from_seed(self, generated, workdir):
         assert main(["train-fresh", "--config", generated,
                      "--dataset", "data/stage-2.ds",
@@ -548,7 +591,7 @@ class TestCompare:
             (workdir / tag).mkdir()
             trace = TrainingTrace(
                 [TraceRecord(1, 1.0, 1.0, 1.0, elapsed, 0.999, 0)], status)
-            export_trace(trace, str(workdir / tag / "f.trace"), "structured")
+            export_trace(trace, str(workdir / tag / "f.trace"))
         assert main(["compare", "a/f.trace", "b/f.trace"]) == 0
         rows = capsys.readouterr().out.splitlines()[1:]
         assert [r.split(",")[5] for r in rows] == ["Patience", "TargetReached"]
@@ -633,7 +676,7 @@ def _valid_trace() -> str:
     trace = TrainingTrace([TraceRecord(1, 2.0, 0.5, 0.5, 0.1, 0.999, 0),
                            TraceRecord(2, 1.5, 0.75, 0.5, 0.2, 0.9995, 1)],
                           "MaxHidden")
-    return trace_to_text(trace, "structured")
+    return trace_to_text(trace)
 
 
 class TestMalformedTrace:
@@ -810,7 +853,7 @@ class TestOutputPathsFailFast:
                     np.ones((1, 2)), [0, 1])))
         export_trace(TrainingTrace(
             [TraceRecord(1, 1.0, 1.0, 1.0, 0.1, 0.999, 0)], "Patience"),
-            str(workdir / "a.trace"), "structured")
+            str(workdir / "a.trace"))
         (workdir / "taken").mkdir()
 
         def entered(*args, **kwargs):

@@ -20,12 +20,7 @@ from spikegrow import (
     split_train_test,
     train_fresh,
 )
-from spikegrow.evaluation import (
-    TRACE_COLUMNS,
-    comparison_to_text,
-    feature_export,
-    trace_to_text,
-)
+from spikegrow.evaluation import comparison_to_text, trace_to_text
 from spikegrow.learner import (
     HiddenNeuron,
     Network,
@@ -128,23 +123,10 @@ class TestSpaceComplexity:
 
 
 class TestExportTrace:
-    def test_empty_trace_header_only(self, tmp_path):
-        trace = make_trace(0, "Saturated")
-        p = tmp_path / "t.csv"
-        export_trace(trace, str(p), format="table")
-        lines = p.read_text().splitlines()
-        assert lines == [",".join(TRACE_COLUMNS)]
-
-    def test_table_row_count(self, tmp_path):
-        trace = make_trace(3, "TargetReached")
-        p = tmp_path / "t.csv"
-        export_trace(trace, str(p), format="table")
-        assert len(p.read_text().splitlines()) == 4
-
     def test_structured_round_trip(self, tmp_path):
         trace = make_trace(5, "Patience", initial=2)
         p = tmp_path / "t.json"
-        export_trace(trace, str(p), format="structured")
+        export_trace(trace, str(p))
         back = load_trace(str(p))
         assert back.records == trace.records
         assert back.status == trace.status
@@ -152,14 +134,7 @@ class TestExportTrace:
 
     def test_byte_deterministic(self):
         trace = make_trace(4, "MaxHidden")
-        assert trace_to_text(trace, "table") == trace_to_text(trace, "table")
-        assert trace_to_text(trace, "structured") == \
-            trace_to_text(trace, "structured")
-
-    def test_unknown_format_rejected(self, tmp_path):
-        with pytest.raises(ConfigError):
-            export_trace(make_trace(1, "MaxHidden"), str(tmp_path / "x"),
-                         format="xml")
+        assert trace_to_text(trace) == trace_to_text(trace)
 
 
 class TestCompareRuns:
@@ -195,18 +170,6 @@ class TestCompareRuns:
         text = comparison_to_text(report)
         assert text.splitlines()[0].startswith("label,accuracy")
         assert ",yes" in text
-
-
-class TestFeatureExport:
-    def test_shape_and_values(self, tmp_path, two_class_family):
-        net, _, _, test = trained_pair(two_class_family)
-        p = tmp_path / "features.csv"
-        feature_export(net, test, str(p))
-        lines = p.read_text().splitlines()
-        assert len(lines) == len(test) + 1
-        H = net.features(test)
-        first = [float(x) for x in lines[1].split(",")]
-        assert first == H[0].tolist()
 
 
 class TestMemory:

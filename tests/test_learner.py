@@ -17,7 +17,6 @@ from spikegrow import (
     LifParams,
     LineageError,
     PruningConfig,
-    ShapeError,
     encode_targets,
     evaluate,
     generate_family,
@@ -366,27 +365,29 @@ class TestIncrementalResidual:
         check_test_accuracy(calls, trace, prefix, tr10, te10, eval_every=5)
 
     def test_dependent_column_falls_back_to_lstsq(self):
-        """A dependent column makes the fit inexact for good, so growth's
-        eval steps fit with lstsq; its residual stays lstsq's."""
+        """A dependent column leaves the residual lstsq's and gets no
+        weight: if its test features repeat those of the column it repeats
+        (a repeated unit), the test outputs are lstsq's at every width;
+        if not, they are lstsq's on the table without it."""
         rng = np.random.default_rng(12)
         H = rng.uniform(0, 1, size=(30, 5))
         H[:, 3] = H[:, 1]
-        H_test = rng.uniform(0, 1, size=(10, 5))
         F = rng.normal(size=(30, 2))
-        fit = GrowingFit(F, len(H_test))
-        for j in range(5):
-            fit.add(H[:, j])
-            np.testing.assert_allclose(fit.E, lstsq_residual(H[:, :j + 1], F).E,
-                                       rtol=0, atol=1e-10)
-            assert fit.exact == (j < 3)
-            if fit.exact:
+        for repeated in (True, False):
+            H_test = rng.uniform(0, 1, size=(10, 5))
+            if repeated:
+                H_test[:, 3] = H_test[:, 1]
+            fit = GrowingFit(F, len(H_test))
+            for j in range(5):
+                fit.add(H[:, j])
+                np.testing.assert_allclose(
+                    fit.E, lstsq_residual(H[:, :j + 1], F).E,
+                    rtol=0, atol=1e-10)
+                cols = [k for k in range(j + 1) if repeated or k != 3]
                 np.testing.assert_allclose(
                     fit.test_outputs(H_test[:, j:j + 1]),
-                    H_test[:, :j + 1] @ fit_output_weights(H[:, :j + 1], F),
+                    H_test[:, cols] @ fit_output_weights(H[:, cols], F),
                     rtol=0, atol=1e-10)
-            else:
-                with pytest.raises(ShapeError):
-                    fit.test_outputs(H_test[:, j:j + 1])
 
     def test_readout_solved_only_on_eval_steps(self, monkeypatch):
         """The count of least-squares solves in a fresh run is the tier-1
@@ -416,6 +417,32 @@ class TestIncrementalResidual:
         # snapshot's width.
         assert consumed == [(0, 0), (5, 5), (10, 5), (15, 5), (20, 5), (23, 3)]
         assert calls == [net.n_hidden]
+
+    @pytest.mark.parametrize("name,growths", [
+        ("fresh", 1), ("experienced", 2), ("saturating", 1),
+        ("repeated_unit", 2)])
+    def test_one_lstsq_per_growth_run(self, name, growths, monkeypatch):
+        """On each pinned run, seeds' growths included, lstsq runs once per
+        growth run, for its returned snapshot: a run's `readout.fit_calls`
+        is its number of growth runs. `repeated_unit` holds a dependent
+        column, and it too solves only its snapshot."""
+        events = []
+        grow = spikegrow.learner._grow
+        fit = spikegrow.learner.fit_output_weights
+
+        def counted_grow(*args):
+            events.append("grow")
+            return grow(*args)
+
+        def counted_fit(H, F):
+            events.append("fit")
+            return fit(H, F)
+
+        monkeypatch.setattr(spikegrow.learner, "_grow", counted_grow)
+        monkeypatch.setattr(spikegrow.learner, "fit_output_weights",
+                            counted_fit)
+        PINNED_RUNS[name]()
+        assert events == ["grow", "fit"] * growths
 
 
 class TestOneLoopAdapt:

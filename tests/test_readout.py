@@ -148,7 +148,6 @@ class TestTriangularOutputWeights:
                     fit.test_outputs(H_test[:, k:k + 1]),
                     lstsq_outputs(H[:, :k + 1], F, H_test),
                     rtol=1e-10, atol=1e-10)
-            assert fit.exact
             Q = fit.Q.table
             np.testing.assert_allclose(Q @ np.triu(Q.T @ H), H, rtol=0,
                                        atol=1e-12)
@@ -181,19 +180,29 @@ class TestTriangularOutputWeights:
             orthonormal_direction(Q, h).tobytes()
         assert orthonormal_direction(Q, Q[:, 0], out=out) is None
 
-    def test_ill_conditioned_factor_defers_to_lstsq(self):
-        """Columns whose factor is R = [[1, a], [0, r]]: a diagonal that
-        spans 1 / SVD_CUTOFF makes the fit inexact, a narrower one not, and
-        so does a repeated column, which R misses."""
-        for a, r, exact in ((0.5, SVD_CUTOFF, False),
-                            (0.5, 10 * SVD_CUTOFF, True), (1.0, 0.0, False)):
+    def test_ill_conditioned_factor_keeps_exact_outputs(self):
+        """Columns whose factor is R = [[1, a], [0, r]]. A diagonal that
+        spans up to 1 / SVD_CUTOFF still gives the finite outputs of the
+        exact two-column solve, where lstsq's rcond may cut a direction; a
+        repeated column (r = 0), which R misses, gets no weight, so the
+        outputs are those of the first column alone."""
+        H_test = np.array([[1.0, 0.5], [0.0, 1.0], [1.0, 1.0]])
+        F = np.ones((4, 1))
+        for a, r in ((0.5, SVD_CUTOFF), (0.5, 10 * SVD_CUTOFF), (1.0, 0.0)):
             H = np.zeros((4, 2))
             H[0] = 1.0, a
             H[1, 1] = r
-            fit = GrowingFit(np.ones((4, 1)), 3)
+            fit = GrowingFit(F, len(H_test))
             fit.add(H[:, 0])
             fit.add(H[:, 1])
-            assert fit.exact == exact
+            assert fit.pending == 2
+            outputs = fit.test_outputs(H_test)
+            assert fit.pending == 0 and np.all(np.isfinite(outputs))
+            if r > 0:
+                expected = H_test @ np.linalg.solve(H[:2], F[:2])
+            else:
+                expected = lstsq_outputs(H[:, :1], F, H_test)
+            np.testing.assert_allclose(outputs, expected, rtol=1e-12, atol=0)
 
     def test_shape_mismatch(self):
         fit = GrowingFit(np.ones((4, 2)), 3)

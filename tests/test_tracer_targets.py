@@ -52,10 +52,11 @@ def test_one_pool_span_pair_per_pool_drawn():
 
 
 def test_lstsq_fallback_calls_the_traced_binding(monkeypatch):
-    """The pinned `repeated_unit` run repeats a seed unit, so its fit is
-    inexact and every eval step fits with lstsq. Each of those fits, the
-    start evaluation's and the snapshot's goes through the binding the
-    tracer wraps: one `readout.fit` span each in the experienced op."""
+    """The pinned `repeated_unit` run repeats a seed unit, which adds a
+    dependent column to growth's fit. That column gets no weight, so no
+    eval step fits with lstsq: the snapshot's fit is the only one, and it
+    goes through the binding the tracer wraps, one `readout.fit` span in
+    the experienced op."""
     tracer = load_tracer().Tracer()
     original = test_pinned_growth.train_experienced
 
@@ -69,7 +70,7 @@ def test_lstsq_fallback_calls_the_traced_binding(monkeypatch):
     fits = [s for s in tracer.spans
             if s.name == "readout.fit" and s.run == "repeated_unit"]
     assert len(trace.records) == 6
-    assert len(fits) == len(trace.records) + 2
+    assert len(fits) == 1
 
 
 def _benchmark_workloads(monkeypatch):
