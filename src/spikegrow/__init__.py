@@ -5,9 +5,7 @@ from .construct import (
     GrowOutcome,
     PruningConfig,
     SelectionResult,
-    candidate_features,
     grow_one,
-    sample_candidates,
     select_best,
     xi_index,
 )
@@ -55,12 +53,9 @@ from .learner import (
 )
 from .lif import (
     LifParams,
-    NeuronState,
     SpikeTrain,
-    lif_step,
-    rate_feature,
     simulate_neuron,
 )
-from .readout import ResidualState, fit_output_weights, predict, residual
+from .readout import ResidualState, fit_output_weights, residual
 
 __version__ = "0.1.0"

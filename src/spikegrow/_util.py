@@ -74,6 +74,21 @@ def is_finite_number(value) -> bool:
         and abs(value) <= sys.float_info.max
 
 
+def as_bits(values, error, what: str) -> np.ndarray:
+    """`values` as a new uint8 array (a view of a uint8 input); `error`
+    naming `what` unless every value is a number equal to 0 or 1. Values
+    are checked before the cast, so none is truncated or wrapped."""
+    arr = np.asarray(values)
+    if arr.dtype == np.uint8:
+        ok = arr.max(initial=0) <= 1
+    else:  # a bool array needs no check
+        ok = arr.dtype == bool or (arr.dtype.kind in "iuf"
+                                   and bool(np.all((arr == 0) | (arr == 1))))
+    if not ok:
+        raise error(f"{what} values must be 0 or 1")
+    return arr.view() if arr.dtype == np.uint8 else arr.astype(np.uint8)
+
+
 def check_keys(obj: dict, keys: set, what: str) -> None:
     """Raise DataFormatError naming `what` unless the JSON object `obj` has
     every key of `keys` and no other."""

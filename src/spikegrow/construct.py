@@ -82,35 +82,22 @@ class GrowOutcome:
         return self.selection is None
 
 
-def _draw(cfg: PruningConfig, d: int, rng, scale: float) -> np.ndarray:
+def _draw(cfg: PruningConfig, d: int, rng) -> np.ndarray:
     """Draw a candidate pool in one rng call, on a dyadic grid.
 
     Row p of the (pool_size, d + 1) draw holds candidate p's weights, then
     its feedback: the values a serial w-then-v draw per candidate gives, so
     a larger pool shares its prefix with a smaller one drawn from the same
-    rng state. Each value is truncated toward zero, keeping |w| <= scale,
-    to a multiple of q = 2**(e - 53), where 2**e > d * scale, so every
-    partial sum of a drive over 0/1 inputs is exact in any order.
+    rng state. With S = cfg.weight_scale, each value is truncated toward
+    zero, keeping |w| <= S, to a multiple of q = 2**(e - 53), where
+    2**e > d * S, so every partial sum of a drive over 0/1 inputs is exact
+    in any order.
     """
+    scale = cfg.weight_scale
     e = np.frexp(scale)[1] + d.bit_length()  # d * scale may overflow
     q = np.ldexp(1.0, max(e - 53, -1074))
     draw = rng.uniform(-scale, scale, size=(cfg.pool_size, d + 1))
     return np.trunc(draw / q) * q
-
-
-def sample_candidates(cfg: PruningConfig, d: int, rng, weight_scale=None):
-    """Draw a fresh candidate pool as `grow_one` does, as Candidates."""
-    scale = cfg.weight_scale if weight_scale is None else weight_scale
-    rows = _draw(cfg, d, rng, scale)
-    return [Candidate(row[:d], float(row[d]), p) for p, row in enumerate(rows)]
-
-
-def candidate_features(
-    c: Candidate, ds: LabeledDataset, params: LifParams
-) -> np.ndarray:
-    """Per-sample firing rate of one candidate over the whole dataset, in
-    one kernel pass over its uint8 spikes."""
-    return batch_rate_features(ds.spikes, c.w, c.v, params)
 
 
 def pool_features(draw, ds, params):
@@ -119,7 +106,7 @@ def pool_features(draw, ds, params):
     run re-reads; its row blocks go to the kernel as views, not copies.
 
     Returns (pool index, feature) pairs in pool order; each feature equals
-    `candidate_features` of its candidate.
+    `batch_rate_features` of its row's weights over the dataset's spikes.
     """
     H = batch_rate_features(ds.spike_tensor(), draw[:, :-1], draw[:, -1],
                             params)
@@ -144,7 +131,7 @@ def _xi(E, ee, h, sigma):
     or None for a silent (all-zero) feature.
 
     Runs once per candidate, so its products use `ndarray.dot`: the same
-    BLAS calls as `@`, with the same bits, at about 1 us less dispatch each.
+    BLAS calls as `@`, with the same bits, and less dispatch per call.
     """
     h = np.asarray(h, dtype=np.float64)
     if h.shape != (E.shape[0],):
@@ -215,7 +202,7 @@ def grow_one(
         if relaxed >= 1.0:
             break
         sigma, rounds = relaxed, k + 1
-        draw = _draw(cfg, ds.d, rng, cfg.weight_scale)
+        draw = _draw(cfg, ds.d, rng)
         selection = select_best(pool_features(draw, ds, params), E, sigma)
         if selection is not None:
             p = selection.winner

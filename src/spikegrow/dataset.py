@@ -27,6 +27,7 @@ import numpy as np
 
 from ._util import (
     SIZE_MAX,
+    as_bits,
     atomic_writer,
     check_settings,
     is_int,
@@ -45,8 +46,8 @@ _RATE_EPS = 1e-9
 _BLOCK = 256
 
 # Samples drawn per block by generate_family, into one reused buffer of
-# 832 KiB at d = 64, T = 25. Blocks of 32 to 256 rows took the same time on
-# the default family; 256 rows held 3.3 MiB.
+# 8 * rows * d * (T + 1) bytes. Larger blocks were measured no faster on
+# the default family and hold more memory (see CHANGES.md).
 _DRAW_ROWS = 64
 
 # Spike times of a T above this are written in groups of four digits.
@@ -69,22 +70,27 @@ class LabeledDataset:
     array of spike blocks and an (N,) array of indices into the categories."""
 
     def __init__(self, spikes, label_index, categories, dt_ms=1.0):
-        self.spikes = np.asarray(spikes, dtype=np.uint8).view()
-        self.label_index = np.asarray(label_index, dtype=np.intp).view()
-        self.spikes.setflags(write=False)
-        self.label_index.setflags(write=False)
+        self.spikes = as_bits(spikes, ConfigError, "spike")
+        labels = np.asarray(label_index)
         self.categories = list(categories)
         self.dt_ms = float(dt_ms)
         self._tensor = None
         self._fingerprint = None
         if len(set(self.categories)) != len(self.categories):
             raise ConfigError("categories must be distinct")
-        if self.spikes.ndim != 3 or self.label_index.shape != self.spikes.shape[:1]:
+        if self.spikes.ndim != 3 or labels.shape != self.spikes.shape[:1]:
             raise ShapeError(f"spikes {self.spikes.shape} must be (N, d, T) with "
-                             f"N the length of label_index {self.label_index.shape}")
+                             f"N the length of label_index {labels.shape}")
         _, self.d, self.T = self.spikes.shape
-        if np.any((self.label_index < 0) | (self.label_index >= self.n_categories)):
-            raise ConfigError(f"label indices must lie in [0, {self.n_categories})")
+        # Checked before the cast, so no label is truncated or wrapped.
+        if labels.dtype.kind not in "iuf" or not np.all(
+                (labels >= 0) & (labels < self.n_categories)
+                & (labels == np.trunc(labels))):
+            raise ConfigError("label indices must be integers in "
+                              f"[0, {self.n_categories})")
+        self.label_index = labels.astype(np.intp, copy=False).view()
+        self.spikes.setflags(write=False)
+        self.label_index.setflags(write=False)
 
     def __len__(self) -> int:
         return len(self.spikes)
@@ -92,10 +98,6 @@ class LabeledDataset:
     @property
     def n_categories(self) -> int:
         return len(self.categories)
-
-    def label_indices(self) -> np.ndarray:
-        """Per-sample index into the ordered category list (read-only)."""
-        return self.label_index
 
     def spike_tensor(self) -> np.ndarray:
         """The spike blocks as a read-only (N, d, T) uint8 array; cached.
@@ -247,7 +249,7 @@ def encode_targets(ds: LabeledDataset) -> np.ndarray:
     if len(ds) == 0:
         raise ConfigError("cannot encode targets of an empty dataset")
     F = np.zeros((len(ds), ds.n_categories))
-    F[np.arange(len(ds)), ds.label_indices()] = 1.0
+    F[np.arange(len(ds)), ds.label_index] = 1.0
     return F
 
 
@@ -349,11 +351,6 @@ def _canonical_chunks(ds: LabeledDataset):
     yield _header_bytes(ds)
     for a in range(0, len(ds), _BLOCK):
         yield _sample_lines(ds.spikes[a:a + _BLOCK], ds.label_index[a:a + _BLOCK])
-
-
-def dataset_to_text(ds: LabeledDataset) -> str:
-    """Canonical serialized form; also the basis of dataset fingerprints."""
-    return b"".join(_canonical_chunks(ds)).decode("ascii")
 
 
 def dataset_fingerprint(ds: LabeledDataset) -> str:

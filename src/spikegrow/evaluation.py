@@ -52,7 +52,7 @@ def evaluate(net: Network, ds: LabeledDataset) -> EvalReport:
         raise ConfigError("cannot evaluate an empty dataset")
     m = net.m
     predictions = net.predict_dataset(ds)
-    truth = ds.label_indices()
+    truth = ds.label_index
     confusion = np.zeros((m, m), dtype=np.int64)
     np.add.at(confusion, (truth, predictions), 1)
     accuracy = float(np.trace(confusion)) / len(ds)

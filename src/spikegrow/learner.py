@@ -79,7 +79,7 @@ class HiddenNeuron:
         )
 
 
-@dataclass
+@dataclass(frozen=True)
 class GrowthConfig:
     target_train_accuracy: float = setting(0.99, gt=0.0, le=1.0)
     max_hidden: int = setting(500, ge=1, le=SIZE_MAX)
@@ -242,8 +242,8 @@ def _grow(hidden, frozen_prefix, train, test, cfg: GrowthConfig, lif: LifParams,
     hidden = list(hidden)
     n0 = len(hidden)
     F = encode_targets(train)
-    train_labels = train.label_indices()
-    test_labels = test.label_indices()
+    train_labels = train.label_index
+    test_labels = test.label_index
     fit = GrowingFit(F, len(test))
 
     def test_accuracy() -> float:

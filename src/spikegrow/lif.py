@@ -18,17 +18,15 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from ._util import check_settings, setting
+from ._util import as_bits, check_settings, setting
 from .errors import ShapeError
 
 # A uint8 batch runs through the kernel in blocks of max(1, CELLS // P)
 # rows, P the number of neurons, so that the kernel's (N, P) states, its
 # (T, N, P) raster and its (N, d) step cast are bounded by the block, not
-# by the batch: under 1 MB at d = 64, T = 25. Set by measurement (2 CPUs,
-# OpenBLAS, best of 20): at N = 4000, d = 64, T = 25, P = 50 a pass took
-# 32 ms at 8192 cells (163 rows), 29-35 ms at 16384-32768, 42 ms at 2048,
-# 64 ms at 1024, and 52 ms as one block; at N = 800 and P = 5 or 50 every
-# size from 4096 up was within 0.1 ms of one block.
+# by the batch: under 1 MB at d = 64, T = 25. 8192 is the fastest size
+# measured at the paper's pool, and no slower than one block on small
+# batches (the sweeps are in CHANGES.md).
 #
 # CELLS sets memory and speed only: drives are exact for weights on a
 # pool's dyadic grid (construct._draw), so no spike depends on it.
@@ -56,26 +54,15 @@ class LifParams:
         return math.exp(-self.dt / self.tau_mem)
 
 
-@dataclass(frozen=True)
-class NeuronState:
-    """Instantaneous state: synaptic current, membrane potential, last spike."""
-
-    i: float = 0.0
-    u: float = 0.0
-    s_prev: int = 0
-
-
 class SpikeTrain:
     """A fixed-length binary activity sequence."""
 
     __slots__ = ("bits",)
 
     def __init__(self, bits):
-        arr = np.asarray(bits, dtype=np.uint8)
+        arr = as_bits(bits, ValueError, "spike train")
         if arr.ndim != 1:
             raise ShapeError("spike train must be one-dimensional")
-        if arr.size and not np.isin(arr, (0, 1)).all():
-            raise ValueError("spike train values must be 0 or 1")
         arr.setflags(write=False)
         self.bits = arr
 
@@ -94,18 +81,6 @@ class SpikeTrain:
 
     def __repr__(self) -> str:
         return f"SpikeTrain({self.bits.tolist()})"
-
-
-def lif_step(state: NeuronState, drive: float, params: LifParams):
-    """Advance the neuron one time step under the given synaptic drive.
-
-    Returns (new_state, spike). The caller is responsible for folding the
-    self-feedback term v*s(t-1) into `drive`.
-    """
-    i_new = params.syn_decay * state.i + drive
-    u_new = params.mem_decay * state.u + state.i - state.s_prev
-    spike = 1 if u_new >= params.theta else 0
-    return NeuronState(i_new, u_new, spike), spike
 
 
 def _pool_weights(w, v, d: int):
@@ -135,9 +110,9 @@ def _lif_raster(xt: np.ndarray, W: np.ndarray, V: np.ndarray,
     Step t multiplies the (N, d) slice of time t. A float64 slice goes to
     BLAS as it is. A uint8 slice is first cast with `np.copyto` into
     one float64 (N, d) buffer, reused at every step: matmul on a uint8
-    operand casts it too, but at more than twice the cost of the copy and
-    the float GEMM together (240 us against 21 + 82 us at 800 x 64 times
-    64 x 50). The cast is exact, so BLAS multiplies the same values.
+    operand casts it too, but measured at more than twice the cost of the
+    copy and the float GEMM together (see CHANGES.md). The cast is exact,
+    so BLAS multiplies the same values.
 
     The weights go to BLAS as one C-contiguous (d, P) block, copied once per
     call. `W.T` itself is Fortran-ordered, or a strided view when W is a
@@ -207,12 +182,10 @@ def batch_rate_features(x, w, v, params: LifParams) -> np.ndarray:
     cached time-major `spike_tensor()`, which growth re-reads for every
     pool, goes to the kernel as a view; any other, such as a block of a
     dataset's `spikes`, is copied time-major once, as uint8. Anything else
-    is taken as float64 and run as one block. On a cached training tensor
-    at d = 64, T = 25, P = 50 the blocked uint8 pass took 10.0 ms against
-    12.8 ms for a float64 tensor as one block at N = 1600, and 20.1 against
-    25.4 ms at N = 3200; at N = 800, d = 32, T = 10, P = 10, one block
-    either way, the per-step cast made it 0.48 against 0.43 ms (2 CPUs,
-    OpenBLAS, medians of 7).
+    is taken as float64 and run as one block. At the paper's pool the
+    blocked uint8 pass over a cached tensor is faster than a float64
+    tensor as one block; a small pool on short trains pays a little for the
+    per-step cast (see CHANGES.md).
 
     For weights on a pool's dyadic grid (`construct._draw`) every drive is
     exact, so no rate depends on the block size or the pass's other neurons;
@@ -239,9 +212,3 @@ def batch_rate_features(x, w, v, params: LifParams) -> np.ndarray:
     rates = counts / T
     return rates[:, 0] if np.ndim(w) == 1 else rates
 
-
-def rate_feature(s: SpikeTrain) -> float:
-    """Mean firing rate (spike count / T) of a train."""
-    if s.T == 0:
-        raise ValueError("cannot compute a firing rate of an empty train")
-    return int(s.bits.sum()) / s.T

@@ -155,17 +155,9 @@ def residual(H: np.ndarray, beta: np.ndarray, F: np.ndarray) -> ResidualState:
     return ResidualState(E, float(np.sum(E * E)))
 
 
-def predict(h_row: np.ndarray, beta: np.ndarray) -> int:
-    """Category index of one feature row; ties break to the lowest index."""
-    h_row = np.asarray(h_row, dtype=np.float64)
-    beta = np.asarray(beta, dtype=np.float64)
-    if h_row.shape != (beta.shape[0],):
-        raise ShapeError(f"feature row {h_row.shape} and beta {beta.shape} disagree")
-    return int(np.argmax(h_row @ beta))
-
-
 def predict_batch(H: np.ndarray, beta: np.ndarray) -> np.ndarray:
-    """Category indices for every row of a feature table."""
+    """Category indices for every row of a feature table; ties break to the
+    lowest index."""
     H = np.asarray(H, dtype=np.float64)
     if H.shape[1] != beta.shape[0]:
         raise ShapeError(f"feature table {H.shape} and beta {beta.shape} disagree")

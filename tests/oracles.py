@@ -67,12 +67,12 @@ def spike_count_classifier_accuracy(train, test):
 
     def one_hot(ds):
         F = np.zeros((len(ds), ds.n_categories))
-        F[np.arange(len(ds)), ds.label_indices()] = 1.0
+        F[np.arange(len(ds)), ds.label_index] = 1.0
         return F
 
     beta, *_ = np.linalg.lstsq(counts(train), one_hot(train), rcond=None)
     pred = np.argmax(counts(test) @ beta, axis=1)
-    return float(np.mean(pred == test.label_indices()))
+    return float(np.mean(pred == test.label_index))
 
 
 def generated_columns(config, stage_sizes):

@@ -5,7 +5,7 @@ import json
 import math
 import re
 import sys
-from dataclasses import fields
+from dataclasses import FrozenInstanceError, fields
 from pathlib import Path
 
 import pytest
@@ -110,6 +110,15 @@ class TestDeclaredSettings:
     def test_config_error_is_a_value_error(self):
         with pytest.raises(ValueError):
             GrowthConfig(max_hidden=0)
+
+    @pytest.mark.parametrize("section", list(_CLASSES))
+    def test_settings_are_frozen_after_the_check(self, section):
+        """A checked config cannot be given an unchecked value later."""
+        cls, key, float_key = _CLASSES[section]
+        config = cls()
+        with pytest.raises(FrozenInstanceError):
+            setattr(config, key or float_key, -5)
+        assert getattr(config, key or float_key) == getattr(cls(), key or float_key)
 
 
 _SCALARS = st.one_of(

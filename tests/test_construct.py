@@ -13,71 +13,67 @@ from spikegrow import (
     GeneratorConfig,
     LifParams,
     PruningConfig,
-    candidate_features,
     generate_family,
     grow_one,
-    sample_candidates,
     select_best,
     xi_index,
 )
 from spikegrow._util import SIZE_MAX
 from spikegrow.construct import _draw, _xi, pool_features
-from spikegrow.lif import CELLS
+from spikegrow.lif import CELLS, batch_rate_features
 
 PARAMS = LifParams()
 
 
 class TestSampleCandidates:
-    def test_degenerate_range_gives_zero_weights(self):
-        cfg = PruningConfig(pool_size=1, weight_scale=1.0)
-        rng = np.random.default_rng(0)
-        (c,) = sample_candidates(cfg, 3, rng, weight_scale=0.0)
-        assert np.all(c.w == 0.0) and c.v == 0.0
+    """`_draw` gives a pool as one (P, d + 1) array: row p holds candidate
+    p's weights, then its feedback."""
 
     def test_values_within_range(self):
         cfg = PruningConfig(pool_size=40, weight_scale=0.7)
-        pool = sample_candidates(cfg, 5, np.random.default_rng(1))
-        for c in pool:
-            assert np.all(np.abs(c.w) <= 0.7) and abs(c.v) <= 0.7
+        draw = _draw(cfg, 5, np.random.default_rng(1))
+        assert draw.shape == (40, 6) and np.all(np.abs(draw) <= 0.7)
 
-    def test_pool_indices_in_draw_order(self):
+    def test_pool_indices_in_draw_order(self, tiny_dataset):
+        """A winner's pool index is its row in the round's draw."""
+        from spikegrow import encode_targets
         cfg = PruningConfig(pool_size=10)
-        pool = sample_candidates(cfg, 2, np.random.default_rng(2))
-        assert [c.pool_index for c in pool] == list(range(10))
+        out = grow_one(encode_targets(tiny_dataset), tiny_dataset, cfg, PARAMS,
+                       np.random.default_rng(2))
+        draw = _draw(cfg, tiny_dataset.d, np.random.default_rng(2))
+        winner = out.selection.winner
+        assert out.rounds_used == 1
+        assert np.array_equal(winner.w, draw[winner.pool_index, :-1])
+        assert winner.v == draw[winner.pool_index, -1]
 
     def test_same_seed_same_pool(self):
         cfg = PruningConfig(pool_size=5)
-        a = sample_candidates(cfg, 3, np.random.default_rng(7))
-        b = sample_candidates(cfg, 3, np.random.default_rng(7))
-        for ca, cb in zip(a, b):
-            assert np.array_equal(ca.w, cb.w) and ca.v == cb.v
+        a = _draw(cfg, 3, np.random.default_rng(7))
+        b = _draw(cfg, 3, np.random.default_rng(7))
+        assert np.array_equal(a, b)
 
     def test_larger_pool_shares_prefix(self):
-        small = sample_candidates(PruningConfig(pool_size=4), 3,
-                                  np.random.default_rng(5))
-        large = sample_candidates(PruningConfig(pool_size=9), 3,
-                                  np.random.default_rng(5))
-        for ca, cb in zip(small, large):
-            assert np.array_equal(ca.w, cb.w) and ca.v == cb.v
+        small = _draw(PruningConfig(pool_size=4), 3, np.random.default_rng(5))
+        large = _draw(PruningConfig(pool_size=9), 3, np.random.default_rng(5))
+        assert np.array_equal(small, large[:4])
 
     def test_one_draw_equals_serial_draws(self):
         """The pool's one (P, d + 1) draw gives the values, and leaves the
         rng state, of drawing w then v candidate by candidate, each value
         truncated onto the pool's grid: q = 2**(3 - 53), as 4 * 0.6 < 2**3."""
-        cfg = PruningConfig(pool_size=7)
+        cfg = PruningConfig(pool_size=7, weight_scale=0.6)
         rng, ref = np.random.default_rng(13), np.random.default_rng(13)
-        pool = sample_candidates(cfg, 4, rng, weight_scale=0.6)
+        draw = _draw(cfg, 4, rng)
         q = 2.0**-50
-        for c in pool:
+        for row in draw:
             w = np.trunc(ref.uniform(-0.6, 0.6, size=4) / q) * q
             v = float(np.trunc(ref.uniform(-0.6, 0.6) / q) * q)
-            assert np.array_equal(c.w, w) and c.v == v
+            assert np.array_equal(row[:4], w) and row[4] == v
         assert rng.bit_generator.state == ref.bit_generator.state
 
     def test_uniform_moments(self):
         cfg = PruningConfig(pool_size=2000, weight_scale=1.0)
-        pool = sample_candidates(cfg, 50, np.random.default_rng(11))
-        draws = np.concatenate([c.w for c in pool])  # 1e5 values
+        draws = _draw(cfg, 50, np.random.default_rng(11))[:, :50]  # 1e5 values
         se = np.sqrt(1.0 / 3.0 / draws.size)  # Var(U[-1,1]) = 1/3
         assert abs(draws.mean()) <= 3 * se
 
@@ -103,7 +99,8 @@ class TestDyadicGrid:
         slice of the pool's units, equals the whole product and the
         correctly rounded sum of each drive's terms, bit for bit."""
         rng = np.random.default_rng(d)
-        W = _draw(PruningConfig(pool_size=50), d, rng, scale)[:, :d]
+        cfg = PruningConfig(pool_size=50, weight_scale=scale)
+        W = _draw(cfg, d, rng)[:, :d]
         assert np.abs(W).max() <= scale and np.count_nonzero(W) > 0
         x = (rng.random((400, d)) < 0.5).astype(np.float64)
         full = x @ W.T
@@ -128,34 +125,33 @@ class TestDyadicGrid:
         scale; q is computed without overflow."""
         top = np.nextafter(scale, 0.0)
         u = np.array([[top, -top, scale / 3, -scale / 7, scale * 2**-60]])
-        w = _draw(PruningConfig(pool_size=1), d, _GivenDraw(u), scale)
+        cfg = PruningConfig(pool_size=1, weight_scale=scale)
+        w = _draw(cfg, d, _GivenDraw(u))
         assert np.all(np.isfinite(w)) and np.all(np.fmod(w, q) == 0.0)
         assert np.all(np.abs(w) <= np.abs(u)) and np.all(np.abs(u - w) < q)
         assert np.all(np.abs(w) <= scale) and w[0, 0] > 0.0
 
-    def test_zero_range_gives_zeros(self):
-        w = _draw(PruningConfig(pool_size=3), 4, np.random.default_rng(1), 0.0)
-        assert w.shape == (3, 5) and np.all(w == 0.0)
-
 
 class TestCandidateFeatures:
+    """A candidate's feature is its per-sample firing rate over the
+    dataset, one kernel pass over the uint8 spikes."""
+
     def test_zero_weight_candidate_silent(self, tiny_dataset):
-        c = Candidate(np.zeros(tiny_dataset.d), 0.0, 0)
-        h = candidate_features(c, tiny_dataset, PARAMS)
+        h = batch_rate_features(tiny_dataset.spikes, np.zeros(tiny_dataset.d),
+                                0.0, PARAMS)
         assert np.all(h == 0.0)
 
     def test_values_in_unit_interval(self, tiny_dataset):
         rng = np.random.default_rng(3)
-        c = Candidate(rng.uniform(-1, 1, tiny_dataset.d), 0.5, 0)
-        h = candidate_features(c, tiny_dataset, PARAMS)
+        h = batch_rate_features(tiny_dataset.spikes,
+                                rng.uniform(-1, 1, tiny_dataset.d), 0.5, PARAMS)
         assert np.all((h >= 0.0) & (h <= 1.0))
         assert h.shape == (len(tiny_dataset),)
 
     def test_matches_scalar_unroll(self, tiny_dataset):
         rng = np.random.default_rng(4)
         w = rng.uniform(-1, 1, tiny_dataset.d)
-        c = Candidate(w, 0.3, 0)
-        h = candidate_features(c, tiny_dataset, PARAMS)
+        h = batch_rate_features(tiny_dataset.spikes, w, 0.3, PARAMS)
         for i, block in enumerate(tiny_dataset.spikes):
             spikes = lif_unroll(block.tolist(), w.tolist(), 0.3,
                                 PARAMS.dt, PARAMS.tau_syn, PARAMS.tau_mem,
@@ -165,13 +161,14 @@ class TestCandidateFeatures:
     def test_thread_fanout_matches_serial(self, tiny_dataset):
         # The batched pass over a pool's draw gives each candidate exactly
         # the feature it gets when evaluated alone, in pool order.
-        cfg = PruningConfig(pool_size=8)
-        pool = sample_candidates(cfg, tiny_dataset.d, np.random.default_rng(6))
-        draw = _draw(cfg, tiny_dataset.d, np.random.default_rng(6), 1.0)
+        draw = _draw(PruningConfig(pool_size=8), tiny_dataset.d,
+                     np.random.default_rng(6))
         pairs = pool_features(draw, tiny_dataset, PARAMS)
-        assert [p for p, _ in pairs] == [c.pool_index for c in pool]
-        for c, (_, h) in zip(pool, pairs, strict=True):
-            assert np.array_equal(h, candidate_features(c, tiny_dataset, PARAMS))
+        assert [p for p, _ in pairs] == list(range(8))
+        for row, (_, h) in zip(draw, pairs, strict=True):
+            alone = batch_rate_features(tiny_dataset.spikes, row[:-1],
+                                        float(row[-1]), PARAMS)
+            assert np.array_equal(h, alone)
 
     def test_pool_reads_cached_tensor_as_views(self, monkeypatch):
         """A pool's kernel pass hands every row block of the dataset's
@@ -384,8 +381,7 @@ class TestGrowOne:
         scale = sys.float_info.max / 2
         cfg = PruningConfig(pool_size=3, weight_scale=scale,
                             sigma_relax_steps=4)
-        for c in sample_candidates(cfg, 3, np.random.default_rng(1)):
-            row = np.append(c.w, c.v)
+        for row in _draw(cfg, 3, np.random.default_rng(1)):
             assert np.all(np.abs(row) <= scale) and np.count_nonzero(row)
             assert np.all(np.fmod(row, 2.0**972) == 0.0)
         # No input spikes: every pool is silent, whatever its weights.
@@ -406,7 +402,9 @@ class TestGrowOne:
         assert a.sigma_used == b.sigma_used
         assert np.array_equal(a.selection.winner.w, b.selection.winner.w)
         assert np.array_equal(a.selection.feature, b.selection.feature)
-        alone = candidate_features(a.selection.winner, tiny_dataset, PARAMS)
+        winner = a.selection.winner
+        alone = batch_rate_features(tiny_dataset.spikes, winner.w, winner.v,
+                                    PARAMS)
         assert np.array_equal(a.selection.feature, alone)
 
 

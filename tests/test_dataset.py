@@ -30,7 +30,6 @@ from spikegrow.dataset import (
     _GROUP,
     _tokens,
     dataset_fingerprint,
-    dataset_to_text,
 )
 
 
@@ -62,11 +61,39 @@ class TestColumns:
         with pytest.raises(ConfigError, match="distinct"):
             LabeledDataset(np.zeros((3, 2, 5)), [0, 1, 1], ["a", "a"])
 
+    @pytest.mark.parametrize("spikes", [
+        np.full((2, 1, 3), 2), np.full((2, 1, 3), 2, dtype=np.uint8),
+        np.full((2, 1, 3), 0.5), np.full((2, 1, 3), -1),
+        np.full((2, 1, 3), np.nan), np.full((2, 1, 3), "1"),
+    ], ids=["int-two", "uint8-two", "half", "minus-one", "nan", "string"])
+    def test_spikes_other_than_0_and_1_rejected(self, spikes):
+        """Each would be cast to a different 0/1 dataset, which a save
+        writes and a fingerprint hashes, while growth drives with it."""
+        with pytest.raises(ConfigError, match="spike values must be 0 or 1"):
+            LabeledDataset(spikes, [0, 0], [0])
+
+    @pytest.mark.parametrize("label_index", [
+        [0.7, 0.2], [1.0, 0.5], [np.nan, 0.0], [True, False], ["0", "1"],
+    ], ids=["fractions", "one-fraction", "nan", "bools", "strings"])
+    def test_labels_other_than_integers_rejected(self, label_index):
+        with pytest.raises(ConfigError, match="must be integers in"):
+            LabeledDataset(np.zeros((2, 1, 3)), label_index, [0, 1])
+
+    @pytest.mark.parametrize("spikes", [np.ones((2, 1, 3), dtype=bool),
+                                        np.ones((2, 1, 3)),
+                                        np.ones((2, 1, 3), dtype=np.int64)],
+                             ids=["bool", "float", "int64"])
+    def test_zeros_and_ones_of_any_number_type_accepted(self, spikes):
+        ds = LabeledDataset(spikes, np.array([1.0, 0.0]), [0, 1])
+        assert ds.spikes.dtype == np.uint8 and ds.spikes.all()
+        assert ds.label_index.dtype == np.intp
+        assert ds.label_index.tolist() == [1, 0]
+
     def test_columns_are_read_only(self, tiny_dataset):
         with pytest.raises(ValueError):
             tiny_dataset.spikes[0, 0, 0] = 1
         with pytest.raises(ValueError):
-            tiny_dataset.label_indices()[0] = 1
+            tiny_dataset.label_index[0] = 1
 
     def test_empty_keeps_d_and_t(self):
         ds = LabeledDataset(np.zeros((0, 6, 9)), [], [0, 1])
@@ -84,7 +111,7 @@ class TestPinnedBytes:
 
     def test_generated_stages(self):
         fam = generate_family(self.CFG, [2, 4])
-        assert [_sha(dataset_to_text(s)) for s in fam.stages] == [
+        assert [dataset_fingerprint(s) for s in fam.stages] == [
             "55cf5524bd853f95def6f86e835a3da215fed853fb5580ae81e041f0179de475",
             "c0033013d982052f9ab01d4f4bf9001fb1acb9fbaba6d439b33221172644fa2e",
         ]
@@ -93,14 +120,10 @@ class TestPinnedBytes:
         ds = generate_family(self.CFG, [2, 4]).stages[1]
         train, test = split_train_test(ds, 0.3, 7)
         assert (len(train), len(test)) == (12, 8)
-        assert _sha(dataset_to_text(train)) == \
+        assert dataset_fingerprint(train) == \
             "60aea41366fd712aff0ff478099f39f24b48fd6129c9f65e6425cb0d775fae0d"
-        assert _sha(dataset_to_text(test)) == \
+        assert dataset_fingerprint(test) == \
             "89e97e7e90baf7e8ff29bc487035d8b685cc15daf1e8739ca3aa7166b00a2e3f"
-
-
-def _sha(text: str) -> str:
-    return hashlib.sha256(text.encode("utf-8")).hexdigest()
 
 
 class TestGenerateFamily:
@@ -116,7 +139,7 @@ class TestGenerateFamily:
         fam = generate_family(cfg, [5])
         (stage,) = fam.stages
         assert len(stage) == 5
-        assert sorted(stage.label_indices().tolist()) == [0, 1, 2, 3, 4]
+        assert sorted(stage.label_index.tolist()) == [0, 1, 2, 3, 4]
 
     def test_nesting_is_literal_membership(self):
         cfg = GeneratorConfig(d=6, T=8, categories=6, samples_per_category=3,
@@ -124,7 +147,7 @@ class TestGenerateFamily:
         fam = generate_family(cfg, [2, 4, 6])
         for a, b in zip(fam.stages, fam.stages[1:]):
             assert np.array_equal(b.spikes[: len(a)], a.spikes)
-            assert np.array_equal(b.label_indices()[: len(a)], a.label_indices())
+            assert np.array_equal(b.label_index[: len(a)], a.label_index)
             assert np.shares_memory(a.spikes, b.spikes)  # a view, not a copy
 
     def test_determinism(self):
@@ -210,8 +233,8 @@ class TestSplit:
         ds = make_dataset(n_per_cat=10, n_cats=3)
         train, test = split_train_test(ds, 0.2, 0)
         for i in range(ds.n_categories):
-            assert np.sum(train.label_indices() == i) == 8
-            assert np.sum(test.label_indices() == i) == 2
+            assert np.sum(train.label_index == i) == 8
+            assert np.sum(test.label_index == i) == 2
 
     def test_deterministic(self):
         ds = make_dataset(n_per_cat=6, n_cats=2)
@@ -224,7 +247,7 @@ class TestSplit:
         train, test = split_train_test(ds, 0.3, 5)
         # Train and test rows, as (block, label) pairs, partition the rows.
         rows = lambda d: sorted(zip(map(bytes, d.spikes),
-                                    d.label_indices().tolist()))
+                                    d.label_index.tolist()))
         assert rows(ds) == sorted(rows(train) + rows(test))
 
     def test_small_category_rejected(self):
@@ -247,12 +270,12 @@ class TestEncodeTargets:
 
     def test_row_matches_label(self, tiny_dataset):
         F = encode_targets(tiny_dataset)
-        idx = tiny_dataset.label_indices()
+        idx = tiny_dataset.label_index
         assert np.all(F[np.arange(len(F)), idx] == 1.0)
 
     def test_column_sums_are_category_counts(self, tiny_dataset):
         F = encode_targets(tiny_dataset)
-        counts = np.bincount(tiny_dataset.label_indices()).tolist()
+        counts = np.bincount(tiny_dataset.label_index).tolist()
         assert F.sum(axis=0).tolist() == counts
 
 
@@ -302,9 +325,8 @@ class TestSerialization:
         import spikegrow.dataset as dataset_module
         p = tmp_path / "l.ds"
         save_dataset(make_dataset(seed=5), str(p))
-        for name in ("dataset_to_text", "_canonical_chunks"):
-            monkeypatch.setattr(dataset_module, name, lambda ds:
-                                pytest.fail("a loaded dataset was serialised"))
+        monkeypatch.setattr(dataset_module, "_canonical_chunks", lambda ds:
+                            pytest.fail("a loaded dataset was serialised"))
         back = load_dataset(str(p))
         assert dataset_fingerprint(back) == hashlib.sha256(
             p.read_bytes()).hexdigest()
@@ -371,9 +393,13 @@ class TestSerialization:
         with pytest.raises(DataFormatError, match="byte"):
             load_dataset(str(p))
 
-    def test_canonical_text_is_deterministic(self):
+    def test_canonical_text_is_deterministic(self, tmp_path):
         ds = make_dataset(seed=8)
-        assert dataset_to_text(ds) == dataset_to_text(ds)
+        a, b = tmp_path / "a.ds", tmp_path / "b.ds"
+        save_dataset(ds, str(a))
+        save_dataset(ds, str(b))
+        assert a.read_bytes() == b.read_bytes() \
+            == oracles.dataset_text(ds).encode("ascii")
 
     def test_row_prefixes_saved_together(self, tmp_path):
         ds = make_dataset(n_per_cat=100, n_cats=3, seed=6)
@@ -517,8 +543,8 @@ _CANONICAL = list(_LINES)[:3]
 def test_parser_cases_match_per_line_reference(tmp_path, case, ending, at):
     """Each line loads as the per-line reference loads it, or both reject
     it at its own byte offset; the lines around it are canonical."""
-    good = dataset_to_text(make_dataset(n_per_cat=1, n_cats=3, d=3, T=12,
-                                        seed=3)).encode("ascii").splitlines()
+    good = oracles.dataset_text(make_dataset(n_per_cat=1, n_cats=3, d=3, T=12,
+                                             seed=3)).encode("ascii").splitlines()
     header = good[0].replace(b'"categories": [0, 1, 2]', b'"categories": [%s]'
                              % b", ".join(b"%d" % c for c in range(12)))
     lines = [line + b"\n" for line in good[1:]]
@@ -529,7 +555,8 @@ def test_parser_cases_match_per_line_reference(tmp_path, case, ending, at):
     if case in _CANONICAL and ending == b"\n":
         ds = load_dataset(str(p))
         assert ds == oracles.load_dataset(str(p))
-        assert dataset_to_text(ds).encode("ascii") == blob
+        save_dataset(ds, str(tmp_path / "saved.ds"))
+        assert (tmp_path / "saved.ds").read_bytes() == blob
         return
     with pytest.raises(DataFormatError) as reference:
         oracles.load_dataset(str(p))
@@ -545,8 +572,8 @@ def test_mutated_file_round_trips_or_is_rejected(tmp_path_factory, data):
     """Byte edits, insertions, deletions and truncations of a valid file:
     the loader returns a dataset that serialises to exactly the mutated
     bytes, or raises DataFormatError, and never anything else."""
-    valid = dataset_to_text(make_dataset(n_per_cat=2, n_cats=2, d=3, T=6,
-                                         seed=1)).encode("utf-8")
+    valid = oracles.dataset_text(make_dataset(n_per_cat=2, n_cats=2, d=3, T=6,
+                                              seed=1)).encode("utf-8")
     blob = mutated(data, valid)
     p = tmp_path_factory.getbasetemp() / "mutated.ds"
     p.write_bytes(blob)
@@ -559,8 +586,10 @@ def test_mutated_file_round_trips_or_is_rejected(tmp_path_factory, data):
         assert _byte_offset(exc) == _byte_offset(reference.value)
         return
     assert oracles.load_dataset(str(p)) == ds
-    assert dataset_to_text(ds).encode("utf-8") == bytes(blob)
     assert dataset_fingerprint(ds) == hashlib.sha256(blob).hexdigest()
+    saved = p.with_suffix(".saved")
+    save_dataset(ds, str(saved))
+    assert saved.read_bytes() == bytes(blob)
 
 
 def _byte_offset(exc: DataFormatError) -> int:
@@ -589,10 +618,9 @@ def test_block_codec_matches_per_line_reference(tmp_path_factory, shape, d, m,
     spikes[np.arange(n), rng.integers(0, d, n)] = False
     spikes[np.arange(n), rng.integers(0, d, n)] = True
     ds = LabeledDataset(spikes, rng.integers(0, m, n), list(range(m)))
-    text = dataset_to_text(ds)
-    assert text == oracles.dataset_text(ds)
     p = tmp_path_factory.getbasetemp() / "codec.ds"
-    p.write_text(text)
+    save_dataset(ds, str(p))
+    assert p.read_bytes() == oracles.dataset_text(ds).encode("ascii")
     assert load_dataset(str(p)) == ds
 
 

@@ -61,7 +61,7 @@ class TestEvaluate:
         report = evaluate(net, test)
         assert report.confusion.sum() == len(test)
         assert 0.0 <= report.accuracy <= 1.0
-        truth = test.label_indices()
+        truth = test.label_index
         for q in range(net.m):
             assert report.confusion[q].sum() == int(np.sum(truth == q))
 
@@ -76,7 +76,7 @@ class TestEvaluate:
     def test_accuracy_matches_prediction_recount(self, two_class_family):
         net, _, _, test = trained_pair(two_class_family)
         report = evaluate(net, test)
-        recount = np.mean(report.predictions == test.label_indices())
+        recount = np.mean(report.predictions == test.label_index)
         assert report.accuracy == pytest.approx(float(recount))
 
     def test_incompatible_dataset_rejected(self, two_class_family):

@@ -252,7 +252,7 @@ def check_test_accuracy(calls, trace, prefix, train, test, eval_every=1):
     H_train = np.column_stack([features(prefix, train)]
                               + [s.feature[:, None] for s in grown])
     H_test = features(hidden, test)
-    F, labels = encode_targets(train), test.label_indices()
+    F, labels = encode_targets(train), test.label_index
 
     def accuracy(n):
         beta = lstsq_weights(H_train[:, :n], F)

@@ -1,5 +1,3 @@
-import math
-
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -9,7 +7,6 @@ from oracles import lif_unroll
 from spikegrow import (
     GeneratorConfig,
     LifParams,
-    NeuronState,
     ShapeError,
     SpikeTrain,
     generate_family,
@@ -18,8 +15,6 @@ import spikegrow.lif
 from spikegrow.lif import (
     CELLS,
     batch_rate_features,
-    lif_step,
-    rate_feature,
     simulate_neuron,
 )
 
@@ -41,45 +36,43 @@ class TestLifParams:
 
 
 class TestLifStep:
+    """The recurrence's step rules, seen on the spikes of one channel."""
+
     def test_zero_fixed_point(self):
-        state, spike = lif_step(NeuronState(), 0.0, PARAMS)
-        assert (state.i, state.u, state.s_prev) == (0.0, 0.0, 0)
-        assert spike == 0
+        out = simulate_neuron(np.zeros((1, 8)), [1.0], 1.0, PARAMS)
+        assert out.bits.tolist() == [0] * 8
 
     def test_current_decays_geometrically(self):
-        state = NeuronState(i=1.0)
-        expected = 1.0
-        for _ in range(8):
-            state, _ = lif_step(state, 0.0, PARAMS)
-            expected *= math.exp(-PARAMS.dt / PARAMS.tau_syn)
-            assert state.i == expected
+        """A pulse of weight w at t = 0 leaves the current w * a_s**t, so
+        the membrane is w * (a_m**t - a_s**t) / (a_m - a_s) until it first
+        fires, which is rising for t <= 6: the neuron first fires at step k
+        just above the weight that lands u on theta there, not just below."""
+        a_s, a_m = PARAMS.syn_decay, PARAMS.mem_decay
+        x = np.zeros((1, 10))
+        x[0, 0] = 1
+        for k in range(1, 7):
+            w = PARAMS.theta * (a_m - a_s) / (a_m**k - a_s**k)
+            above = simulate_neuron(x, [w * (1 + 1e-9)], 0.0, PARAMS).bits
+            below = simulate_neuron(x, [w * (1 - 1e-9)], 0.0, PARAMS).bits
+            assert above.tolist()[:k + 1] == [0] * k + [1]
+            assert below.tolist()[:k + 1] == [0] * (k + 1)
 
     def test_constant_drive_first_spike_step(self):
         # Unrolling i(t)=a_s*i+0.5, u(t)=a_m*u+i(t-1)-s(t-1) with theta=1
         # crosses threshold at the third step.
-        state = NeuronState()
-        spikes = []
-        for _ in range(5):
-            state, s = lif_step(state, 0.5, PARAMS)
-            spikes.append(s)
-        assert spikes[:3] == [0, 0, 1]
-        assert spikes.index(1) == 2
+        out = simulate_neuron(np.ones((1, 5)), [0.5], 0.0, PARAMS)
+        assert out.bits.tolist()[:3] == [0, 0, 1]
 
     def test_membrane_uses_previous_current(self):
-        # After one step from zero with drive 1, u must still be 0 because
-        # the membrane update reads the pre-step current.
-        state, spike = lif_step(NeuronState(), 1.0, PARAMS)
-        assert state.u == 0.0
-        assert state.i == 1.0
-        assert spike == 0
+        # The membrane reads the pre-step current, so no drive, however
+        # strong, makes the neuron fire at the step it arrives.
+        out = simulate_neuron(np.ones((1, 1)), [1e6], 0.0, PARAMS)
+        assert out.bits.tolist() == [0]
 
     def test_inclusive_threshold(self):
-        # u lands exactly on theta: i=1 carried in, no decay contributions.
-        params = LifParams(dt=1.0, tau_syn=5.0, tau_mem=10.0, theta=1.0)
-        state = NeuronState(i=1.0, u=0.0, s_prev=0)
-        state, spike = lif_step(state, 0.0, params)
-        assert state.u == 1.0
-        assert spike == 1
+        # A pulse of weight 1 at t = 0 lands u exactly on theta at t = 1.
+        out = simulate_neuron([[1, 0, 0]], [1.0], 0.0, PARAMS)
+        assert out.bits.tolist() == [0, 1, 0]
 
 
 class TestSimulateNeuron:
@@ -133,7 +126,7 @@ class TestBatchRateFeatures:
         w = rng.uniform(-1, 1, 3)
         v = 0.4
         batched = batch_rate_features(x, w, v, PARAMS)
-        single = [rate_feature(simulate_neuron(x[i], w, v, PARAMS))
+        single = [simulate_neuron(x[i], w, v, PARAMS).bits.mean()
                   for i in range(7)]
         assert batched.tolist() == single
 
@@ -375,21 +368,48 @@ class TestKernelInputs:
             assert batch_rate_features(x, self.w, self.v, PARAMS).shape == (0, 4)
 
 class TestRateFeature:
+    """A unit's rate feature is the spike count of its train over T."""
+
     def test_all_zero(self):
-        assert rate_feature(SpikeTrain(np.zeros(100, dtype=np.uint8))) == 0.0
-
-    def test_all_one(self):
-        assert rate_feature(SpikeTrain(np.ones(100, dtype=np.uint8))) == 1.0
-
-    def test_counting(self):
-        bits = np.zeros(100, dtype=np.uint8)
-        bits[:25] = 1
-        assert rate_feature(SpikeTrain(bits)) == 0.25
+        x = np.ones((3, 4, 100), dtype=np.uint8)
+        assert not batch_rate_features(x, np.zeros(4), 0.0, PARAMS).any()
 
     def test_empty_train_raises(self):
-        with pytest.raises(ValueError):
-            rate_feature(SpikeTrain(np.zeros(0, dtype=np.uint8)))
+        with pytest.raises(ValueError, match="zero time steps"):
+            batch_rate_features(np.zeros((2, 3, 0), dtype=np.uint8),
+                                np.ones(3), 0.0, PARAMS)
 
+    @settings(deadline=None)
     @given(st.lists(st.integers(0, 1), min_size=1, max_size=64))
     def test_equals_popcount_over_length(self, bits):
-        assert rate_feature(SpikeTrain(bits)) == sum(bits) / len(bits)
+        train = simulate_neuron([bits], [1.5], -0.5, PARAMS)
+        rate = batch_rate_features(np.array([[bits]], dtype=np.uint8), [1.5],
+                                   -0.5, PARAMS)
+        assert rate.tolist() == [sum(train.bits.tolist()) / len(bits)]
+
+
+class TestSpikeTrain:
+    def test_read_only_bits(self):
+        train = SpikeTrain([0, 1, 1])
+        assert train.bits.dtype == np.uint8 and len(train) == train.T == 3
+        with pytest.raises(ValueError):
+            train.bits[0] = 1
+
+    def test_uint8_input_left_writable(self):
+        bits = np.array([1, 0], dtype=np.uint8)
+        SpikeTrain(bits)
+        assert bits.flags.writeable
+
+    @pytest.mark.parametrize("bits", [[0.5, 1.7], ["1"], [-1], [2], [True, 2],
+                                      np.array([0, 2], dtype=np.uint8),
+                                      [float("nan")]],
+                             ids=["fractions", "string", "negative", "two",
+                                  "bool-and-two", "uint8-two", "nan"])
+    def test_values_other_than_0_and_1_rejected(self, bits):
+        with pytest.raises(ValueError, match="0 or 1"):
+            SpikeTrain(bits)
+
+    @pytest.mark.parametrize("bits", [[0, 1], [0.0, 1.0], [False, True],
+                                      np.array([0, 1], dtype=np.int8)])
+    def test_zeros_and_ones_of_any_number_type_accepted(self, bits):
+        assert SpikeTrain(bits).bits.tolist() == [0, 1]

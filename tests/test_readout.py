@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 
 from oracles import normal_equations_lstsq, single_unit_update_sq_norm
-from spikegrow import ShapeError, fit_output_weights, predict, residual
+from spikegrow import ShapeError, fit_output_weights, residual
 from spikegrow.readout import (
     SVD_CUTOFF,
     GrowingFit,
@@ -234,11 +234,11 @@ class TestResidual:
 class TestPredict:
     def test_argmax(self):
         beta = np.eye(3)
-        assert predict(np.array([0.1, 0.9, 0.0]), beta) == 1
+        assert predict_batch(np.array([[0.1, 0.9, 0.0]]), beta).tolist() == [1]
 
     def test_tie_breaks_low(self):
         beta = np.eye(2)
-        assert predict(np.array([0.5, 0.5]), beta) == 0
+        assert predict_batch(np.array([[0.5, 0.5]]), beta).tolist() == [0]
 
     def test_perfect_fit_predicts_all(self):
         F = np.eye(5)
