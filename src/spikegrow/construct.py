@@ -3,10 +3,19 @@
 Each growth step samples a pool of random candidate neurons (weights uniform
 in [-weight_scale, weight_scale]), evaluates each candidate's firing-rate
 feature over the training samples, and scores it against the current
-residual with a scalar certificate. A non-negative certificate guarantees
-that appending the candidate with its optimal per-column output weight
-shrinks the squared residual to at most sigma times its previous value; the
-pool winner is the certificate maximizer.
+residual with a scalar certificate; the pool winner is the certificate
+maximizer.
+
+Growth scores a candidate h by the exact gain of the update it applies: the
+least-squares refit on the grown features and h, whose gain is
+||E^T h||^2 / ||r||^2, with r = h - Q Q^T h the part of h outside the span
+of the orthonormal basis Q of the grown features (the orthogonalised
+criterion of constructive networks: Kwok & Yeung, IEEE TNN 8(5), 1997;
+Chen, Cowan & Grant, IEEE TNN 2(2), 1991). A non-negative certificate
+guarantees that this update shrinks the squared residual to at most sigma
+times its previous value. With an empty basis, r = h and the score is the
+per-column certificate `xi_index`: the gain of appending h with its own
+optimal output weight.
 """
 
 from __future__ import annotations
@@ -21,6 +30,16 @@ from ._util import SIZE_MAX, check_settings, setting
 from .dataset import LabeledDataset
 from .errors import ConfigError, ShapeError
 from .lif import LifParams, batch_rate_features
+
+# A candidate whose part outside the grown features' span holds less than
+# this fraction of its squared norm is near-dependent and skipped: its
+# remainder ||r||^2 = h.h - a.a would then lose more than six of its digits
+# to cancellation, and a recruited unit keeps ||r||/||h|| >= 1e-3 up to
+# rounding.
+NEAR_DEPENDENT = 1e-6
+
+# Any feature's coordinates in an empty basis.
+_NO_COORDINATES = np.zeros(0)
 
 
 @dataclass(frozen=True)
@@ -126,9 +145,12 @@ def _residual_norm(E, sigma):
     return E, float(np.sum(E * E))
 
 
-def _xi(E, ee, h, sigma):
+def _xi(E, ee, h, sigma, a=_NO_COORDINATES):
     """The certificate of feature h against residual E with ||E||^2 = ee,
-    or None for a silent (all-zero) feature.
+    given h's coordinates a = Q^T h in an orthonormal basis Q that E is
+    orthogonal to (by default an empty basis, where ||r||^2 = h.h exactly).
+    None for a silent (all-zero) feature, or for one whose remainder
+    ||r||^2 = h.h - a.a is below NEAR_DEPENDENT * h.h.
 
     Runs once per candidate, so its products use `ndarray.dot`: the same
     BLAS calls as `@`, with the same bits, and less dispatch per call.
@@ -139,16 +161,37 @@ def _xi(E, ee, h, sigma):
     hh = float(h.dot(h))
     if hh == 0.0:
         return None
-    proj = E.T.dot(h)  # (m,)
-    return float(proj.dot(proj) / hh - (1.0 - sigma) * ee)
+    rr = hh - float(a.dot(a))
+    if rr < NEAR_DEPENDENT * hh:
+        return None
+    proj = E.T.dot(h)  # (m,); equals E^T r, as E is orthogonal to span(Q)
+    return float(proj.dot(proj) / rr - (1.0 - sigma) * ee)
+
+
+def _coordinates(pool_with_features, Q, rows):
+    """Q^T h of every pool feature h, one row per candidate, from one GEMM
+    over the stacked (P, N) features; a missing Q is an empty basis."""
+    Q = np.empty((rows, 0)) if Q is None else np.asarray(Q, dtype=np.float64)
+    if Q.ndim != 2 or Q.shape[0] != rows:
+        raise ShapeError(f"basis {Q.shape} does not have {rows} rows")
+    H = np.empty((len(pool_with_features), rows))
+    for row, (_, h) in zip(H, pool_with_features):
+        if np.shape(h) != (rows,):
+            raise ShapeError(f"residual of {rows} rows and feature "
+                             f"{np.shape(h)} disagree")
+        row[...] = h
+    return H.dot(Q)
 
 
 def xi_index(E: np.ndarray, h: np.ndarray, sigma: float) -> float:
-    """Convergence certificate of a candidate feature against the residual.
+    """Per-column convergence certificate of a candidate feature against the
+    residual.
 
     xi = sum_q [ <E_q, h>^2 / <h, h> - (1 - sigma) <E_q, E_q> ].
     xi >= 0 certifies that appending the candidate with its optimal
-    per-column weight leaves ||E_new||^2 <= sigma * ||E||^2.
+    per-column weight leaves ||E_new||^2 <= sigma * ||E||^2. It is
+    `select_best`'s score with an empty basis; growth scores against the
+    grown features' basis, which divides by ||r||^2 <= <h, h> instead.
     """
     E, ee = _residual_norm(E, sigma)
     xi = _xi(E, ee, h, sigma)
@@ -157,20 +200,29 @@ def xi_index(E: np.ndarray, h: np.ndarray, sigma: float) -> float:
     return xi
 
 
-def select_best(pool_with_features, E, sigma) -> Optional[SelectionResult]:
+def select_best(pool_with_features, E, sigma,
+                Q=None) -> Optional[SelectionResult]:
     """Pick the qualifying candidate with the largest certificate.
 
-    Candidates with a zero feature vector or a negative certificate are
-    skipped; ties break toward the lowest pool index. Returns None when no
+    Q (N, k) is the orthonormal basis of the grown features, which E is
+    orthogonal to; None is an empty basis. Each candidate h is scored by
+    the exact gain ||E^T h||^2 / ||r||^2 of the least-squares update on
+    [Q, h], with ||r||^2 = h.h - a.a and a = Q^T h from one GEMM over the
+    pool. With an empty basis the score is `xi_index`, bit for bit.
+
+    Candidates with a zero feature vector, a near-dependent one (||r||^2
+    below NEAR_DEPENDENT * h.h) or a negative certificate are skipped;
+    ties break toward the lowest pool index. Returns None when no
     candidate qualifies. The residual and sigma are checked, and ||E||^2
     computed, once per pool.
     """
     if not pool_with_features:
         raise ConfigError("candidate pool must be nonempty")
     E, ee = _residual_norm(E, sigma)
+    A = _coordinates(pool_with_features, Q, E.shape[0])
     best = None
-    for c, h in pool_with_features:
-        xi = _xi(E, ee, h, sigma)
+    for p, (c, h) in enumerate(pool_with_features):
+        xi = _xi(E, ee, h, sigma, A[p])
         if xi is None or xi < 0.0:
             continue
         if best is None or xi > best[0]:
@@ -187,8 +239,10 @@ def grow_one(
     cfg: PruningConfig,
     params: LifParams,
     rng,
+    Q: Optional[np.ndarray] = None,
 ) -> GrowOutcome:
-    """One full recruitment attempt with sigma relaxation.
+    """One full recruitment attempt with sigma relaxation, scoring every
+    pool against the residual E and the basis Q as `select_best` does.
 
     Round k samples a pool at weight range weight_scale and contraction
     target 1 - (1 - sigma0)/2**k; round 0 uses sigma0 itself, which that
@@ -203,7 +257,7 @@ def grow_one(
             break
         sigma, rounds = relaxed, k + 1
         draw = _draw(cfg, ds.d, rng)
-        selection = select_best(pool_features(draw, ds, params), E, sigma)
+        selection = select_best(pool_features(draw, ds, params), E, sigma, Q)
         if selection is not None:
             p = selection.winner
             winner = Candidate(draw[p, :-1], float(draw[p, -1]), p)

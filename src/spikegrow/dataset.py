@@ -30,6 +30,7 @@ from ._util import (
     as_bits,
     atomic_writer,
     check_settings,
+    is_finite_number,
     is_int,
     setting,
 )
@@ -65,6 +66,13 @@ def _zeros(shape, dtype=np.uint8) -> np.ndarray:
         raise MemoryError(str(exc)) from None
 
 
+def _categories_ok(categories: list) -> bool:
+    """True for distinct categories, each an int that is not a bool, or a
+    string: the values a header line holds."""
+    return (all(isinstance(c, str) or is_int(c) for c in categories)
+            and len(set(categories)) == len(categories))
+
+
 class LabeledDataset:
     """An immutable dataset over an ordered category list: an (N, d, T) uint8
     array of spike blocks and an (N,) array of indices into the categories."""
@@ -73,11 +81,15 @@ class LabeledDataset:
         self.spikes = as_bits(spikes, ConfigError, "spike")
         labels = np.asarray(label_index)
         self.categories = list(categories)
-        self.dt_ms = float(dt_ms)
         self._tensor = None
         self._fingerprint = None
-        if len(set(self.categories)) != len(self.categories):
-            raise ConfigError("categories must be distinct")
+        # The loader's rules, so that every dataset saves to a file it loads.
+        if not _categories_ok(self.categories):
+            raise ConfigError("categories must be distinct ints (not bools) "
+                              "or strings")
+        if not is_finite_number(dt_ms):
+            raise ConfigError(f"dt_ms must be a finite number, got {dt_ms!r}")
+        self.dt_ms = float(dt_ms)
         if self.spikes.ndim != 3 or labels.shape != self.spikes.shape[:1]:
             raise ShapeError(f"spikes {self.spikes.shape} must be (N, d, T) with "
                              f"N the length of label_index {labels.shape}")
@@ -431,9 +443,7 @@ def _parse_header(raw: bytes):
         header.get(k) for k in ("d", "T", "dt_ms", "n_samples", "categories"))
     if not (is_int(d) and is_int(T) and is_int(n_samples) and min(d, T) >= 1
             and n_samples >= 0 and isinstance(dt_ms, float) and math.isfinite(dt_ms)
-            and isinstance(categories, list)
-            and all(isinstance(c, str) or is_int(c) for c in categories)
-            and len(set(categories)) == len(categories)):
+            and isinstance(categories, list) and _categories_ok(categories)):
         raise DataFormatError("malformed header at byte 0: d and T must be positive "
                               "integers, n_samples a non-negative integer, dt_ms a "
                               "finite float and categories distinct ints or strings")

@@ -232,6 +232,10 @@ def _grow(hidden, frozen_prefix, train, test, cfg: GrowthConfig, lif: LifParams,
     snapshot. A run that saturates on a step it had not evaluated
     evaluates that step before the snapshot is chosen.
 
+    Each pool is scored against the fit's basis Q, by the exact gain of
+    the update `add` then applies, so the contraction check below is
+    tight: the realised gain equals the certified one up to rounding.
+
     Growth keeps no feature table, only 8 (N + N_test) bytes a unit of Q
     and the test image: grown units lie on the pool's dyadic grid, so any
     kernel pass gives their features exactly, and the snapshot's are
@@ -274,7 +278,7 @@ def _grow(hidden, frozen_prefix, train, test, cfg: GrowthConfig, lif: LifParams,
         if len(hidden) >= cfg.max_hidden:
             status = STATUS_MAX_HIDDEN
             break
-        outcome = grow_one(fit.E, train, cfg.pruning, lif, rng)
+        outcome = grow_one(fit.E, train, cfg.pruning, lif, rng, fit.Q.table)
         if outcome.saturated:
             status = STATUS_SATURATED
             break

@@ -156,9 +156,10 @@ def simulate_neuron(x, w, v: float, params: LifParams) -> SpikeTrain:
     """Run one hidden neuron over a d-channel input block of length T.
 
     `x` is a (d, T) array of 0/1 input spikes, `w` the d input weights and
-    `v` the self-feedback weight. Starts from the all-zero state.
+    `v` the self-feedback weight. Starts from the all-zero state. Any other
+    input value raises ValueError.
     """
-    x = np.asarray(x, dtype=np.float64)
+    x = as_bits(x, ValueError, "input spike")
     if x.ndim != 2 or np.ndim(w) != 1:
         raise ShapeError(f"need a (d, T) input block and (d,) weights, "
                          f"got {x.shape} and {np.shape(w)}")
@@ -170,10 +171,12 @@ def simulate_neuron(x, w, v: float, params: LifParams) -> SpikeTrain:
 def batch_rate_features(x, w, v, params: LifParams) -> np.ndarray:
     """Mean firing rates of one neuron or a pool of P neurons over a batch.
 
-    `x` is an (N, d, T) array of input spikes. With `w` of shape (d,) and a
-    scalar `v` the result is (N,); with `w` of shape (P, d) and `v` of
-    shape (P,) it is (N, P), column k being neuron k's rates. Each rate
-    equals the firing rate of `simulate_neuron` on that sample.
+    `x` is an (N, d, T) array of 0/1 input spikes; any other value raises
+    ValueError, checked before any cast (on a uint8 batch, one `max`). With
+    `w` of shape (d,) and a scalar `v` the result is (N,); with `w` of shape
+    (P, d) and `v` of shape (P,) it is (N, P), column k being neuron k's
+    rates. Each rate equals the firing rate of `simulate_neuron` on that
+    sample.
 
     A uint8 array is read a block of `max(1, CELLS // P)` rows at a time:
     each block runs through the kernel alone and its spike counts are
@@ -191,8 +194,9 @@ def batch_rate_features(x, w, v, params: LifParams) -> np.ndarray:
     exact, so no rate depends on the block size or the pass's other neurons;
     off it, BLAS may round a drive by block shape and move a spike.
     """
-    if not (isinstance(x, np.ndarray) and x.dtype == np.uint8):
-        x = np.asarray(x, dtype=np.float64)
+    bits = as_bits(x, ValueError, "input spike")
+    x = bits if isinstance(x, np.ndarray) and x.dtype == np.uint8 \
+        else bits.astype(np.float64)
     if x.ndim != 3:
         raise ShapeError(f"batch must be (N, d, T), got shape {x.shape}")
     W, V = _pool_weights(w, v, x.shape[1])

@@ -13,6 +13,7 @@ from spikegrow import (
     GeneratorConfig,
     LifParams,
     PruningConfig,
+    ShapeError,
     generate_family,
     grow_one,
     select_best,
@@ -336,6 +337,51 @@ class TestSelectBest:
         assert sel.xi == xi_index(E, sel.feature, sigma) == max(xis)
         assert sel.error_gain == sel.xi + (1.0 - sigma) * float(
             np.sum(np.asarray(E) ** 2))
+
+    def test_empty_basis_scores_equal_xi_index_exactly(self, tiny_dataset):
+        """A basis of no columns goes through the projection GEMM and gives
+        every candidate the per-column certificate, bit for bit."""
+        from spikegrow import encode_targets
+        E = encode_targets(tiny_dataset) - 0.3
+        sigma = 0.99
+        draw = np.random.default_rng(4).uniform(-1.0, 1.0,
+                                                (30, tiny_dataset.d + 1))
+        pool = pool_features(draw, tiny_dataset, PARAMS)
+        sel = select_best(pool, E, sigma, np.empty((len(E), 0)))
+        plain = select_best(pool, E, sigma)
+        assert (sel.winner, sel.xi, sel.error_gain) \
+            == (plain.winner, plain.xi, plain.error_gain)
+        xis = [xi_index(E, h, sigma) for _, h in pool if h.any()]
+        assert sel.xi == xi_index(E, sel.feature, sigma) == max(xis)
+
+    def test_near_dependent_candidate_skipped(self):
+        """A grown column plus noise of about 1e-9 has the largest
+        per-column certificate, but its remainder outside the basis is
+        below NEAR_DEPENDENT of its norm: scored against the basis it is
+        never picked, and without one it always is."""
+        rng = np.random.default_rng(5)
+        N, sigma = 60, 0.99
+        for _ in range(20):
+            grown = rng.integers(0, 11, N) / 10
+            Q = (grown / np.linalg.norm(grown))[:, None]
+            E = np.outer(grown, [3.0, -2.0]) + rng.normal(size=(N, 2))
+            hs = list(rng.integers(0, 11, (5, N)) / 10)
+            near = int(rng.integers(0, 6))
+            hs.insert(near, grown + 1e-9 * rng.normal(size=N))
+            pool = self._pool(hs)
+            xis = [xi_index(E, h, sigma) for h in hs]
+            assert max(xis) == xis[near] >= 0.0
+            assert select_best(pool, E, sigma).winner.pool_index == near
+            sel = select_best(pool, E, sigma, Q)
+            assert sel is None or sel.winner.pool_index != near
+
+    def test_basis_shape_checked(self):
+        pool = self._pool([[1.0, 1.0]])
+        E = np.ones((2, 1))
+        with pytest.raises(ShapeError):
+            select_best(pool, E, 0.9, np.ones((3, 1)))
+        with pytest.raises(ShapeError):
+            select_best(self._pool([[1.0, 1.0, 1.0]]), E, 0.9, np.ones((2, 1)))
 
 class TestGrowOne:
     def test_first_round_success_uses_sigma0(self, tiny_dataset):

@@ -89,6 +89,27 @@ class TestColumns:
         assert ds.label_index.dtype == np.intp
         assert ds.label_index.tolist() == [1, 0]
 
+    @pytest.mark.parametrize("kwargs", [
+        dict(dt_ms=float("nan")), dict(dt_ms=float("inf")), dict(dt_ms=True),
+        dict(dt_ms="1.0"), dict(categories=[0.5, 1.5]),
+        dict(categories=[True, False]), dict(categories=[np.int64(0), 1]),
+        dict(categories=[None, 1]),
+    ], ids=["nan-dt", "inf-dt", "bool-dt", "string-dt", "float-categories",
+            "bool-categories", "numpy-int-category", "none-category"])
+    def test_header_values_the_loader_refuses_rejected(self, kwargs):
+        """Each was accepted, then written by save_dataset to a file that
+        load_dataset refuses."""
+        args = dict(spikes=np.zeros((2, 1, 3)), label_index=[0, 1],
+                    categories=[0, 1])
+        with pytest.raises(ConfigError):
+            LabeledDataset(**{**args, **kwargs})
+
+    def test_accepted_header_values_round_trip(self, tmp_path):
+        ds = LabeledDataset(np.ones((2, 1, 3)), [1, 0], [7, "seven"],
+                            dt_ms=np.float64(0.25))
+        save_dataset(ds, tmp_path / "a.ds")
+        assert load_dataset(tmp_path / "a.ds") == ds
+
     def test_columns_are_read_only(self, tiny_dataset):
         with pytest.raises(ValueError):
             tiny_dataset.spikes[0, 0, 0] = 1

@@ -367,6 +367,20 @@ class TestKernelInputs:
         for x in (np.zeros((0, 3, 12), dtype=np.uint8), np.zeros((0, 3, 12))):
             assert batch_rate_features(x, self.w, self.v, PARAMS).shape == (0, 4)
 
+    @pytest.mark.parametrize("value, dtype", [
+        (2, np.uint8), (2, np.int64), (0.5, np.float64), (-1, np.int64),
+        (np.nan, np.float64),
+    ], ids=["uint8-two", "int-two", "half", "minus-one", "nan"])
+    def test_values_other_than_0_and_1_rejected(self, value, dtype):
+        """As a SpikeTrain's: each would give rates of spikes that no
+        dataset holds."""
+        x = self.x.astype(dtype)
+        x[3, 1, 5] = value
+        with pytest.raises(ValueError, match="spike values must be 0 or 1"):
+            batch_rate_features(x, self.w, self.v, PARAMS)
+        with pytest.raises(ValueError, match="spike values must be 0 or 1"):
+            simulate_neuron(x[3], self.w[0], self.v[0], PARAMS)
+
 class TestRateFeature:
     """A unit's rate feature is the spike count of its train over T."""
 

@@ -4,7 +4,7 @@ For each run: the units grown (`n_hidden`), the size of the returned
 best-test-accuracy snapshot (`best_n`) and the stop status, and per growth
 attempt the winner's pool index (None for a saturated attempt), the rounds
 it took, and the trace's train and test accuracy. A changed rng draw order,
-tie-break, sigma schedule or snapshot choice moves a pin.
+selection score, tie-break, sigma schedule or snapshot choice moves a pin.
 
 The pins are decisions, not checkpoint bytes: they survive last-bit BLAS
 differences between machines except on near-ties of the certificate. The
@@ -25,7 +25,7 @@ from spikegrow import (
     train_experienced,
     train_fresh,
 )
-from spikegrow.learner import STATUS_SATURATED, Network
+from spikegrow.learner import _CERT_RTOL, STATUS_SATURATED, Network
 from spikegrow.readout import fit_output_weights
 
 
@@ -69,12 +69,12 @@ def saturating():
                                          pruning=pruning, rng_seed=1))
 
 
-def repeated_unit():
+def repeated_unit(target_train_accuracy=0.9):
     """The seed of TestIncrementalResidual: a grown network plus a repeat
     of its first unit, which adds no direction to the QR factors."""
     (tr5, te5), (tr10, te10) = _splits([5, 10])
-    cfg = _cfg(target_train_accuracy=0.9, max_hidden=150, patience=10,
-               pruning=PruningConfig(pool_size=30))
+    cfg = _cfg(target_train_accuracy=target_train_accuracy, max_hidden=150,
+               patience=10, pruning=PruningConfig(pool_size=30))
     grown, _ = train_fresh(tr5, te5, cfg)
     hidden = grown.hidden + [grown.hidden[0]]
     H5 = Network(grown.d, grown.lif, hidden,
@@ -116,65 +116,62 @@ def decisions(run, monkeypatch) -> dict:
             "status": trace.status, "steps": steps + ours[len(steps):]}
 
 
-# Computed with the code as it stood when this file was added.
+# Recorded when growth began to score each pool against the grown
+# features' basis (the exact least-squares gain).
 PINS = {
     "fresh": {
-        "n_hidden": 15, "best_n": 11, "status": "Patience",
+        "n_hidden": 12, "best_n": 8, "status": "Patience",
         "steps": [
             (2, 1, 0.2, 0.2),
             (25, 1, 0.39375, 0.4),
-            (1, 1, 0.70625, 0.725),
-            (18, 1, 0.8, 0.8),
-            (20, 1, 0.95, 0.925),
-            (10, 1, 0.98125, 0.95),
-            (9, 1, 0.9875, 0.95),
-            (26, 1, 0.9875, 0.95),
-            (12, 1, 0.99375, 0.95),
-            (4, 1, 0.99375, 0.975),
-            (14, 1, 0.99375, 1.0),
-            (12, 1, 0.99375, 1.0),
-            (11, 1, 0.99375, 1.0),
-            (11, 1, 0.99375, 1.0),
-            (2, 1, 0.99375, 0.975),
+            (4, 1, 0.6875, 0.6),
+            (26, 1, 0.93125, 0.9),
+            (20, 1, 0.99375, 0.95),
+            (13, 1, 0.99375, 0.95),
+            (25, 1, 0.99375, 0.95),
+            (27, 1, 0.99375, 1.0),
+            (10, 1, 0.99375, 1.0),
+            (24, 1, 0.99375, 1.0),
+            (21, 1, 0.99375, 1.0),
+            (9, 1, 0.99375, 1.0),
         ],
     },
     "experienced": {
-        "n_hidden": 24, "best_n": 20, "status": "Patience",
+        "n_hidden": 21, "best_n": 17, "status": "Patience",
         "steps": [
-            (24, 1, 0.88125, 0.8875),
-            (9, 1, 0.903125, 0.925),
-            (24, 1, 0.9375, 0.95),
-            (24, 1, 0.9625, 0.9625),
-            (8, 1, 0.971875, 0.9625),
-            (11, 1, 0.971875, 0.9625),
-            (11, 1, 0.971875, 0.975),
-            (7, 1, 0.971875, 0.975),
-            (11, 1, 0.98125, 0.9875),
-            (27, 1, 0.984375, 0.9875),
-            (10, 1, 0.984375, 0.9875),
-            (12, 1, 0.984375, 0.975),
-            (3, 1, 0.9875, 0.975),
+            (24, 1, 0.8875, 0.925),
+            (15, 1, 0.934375, 0.95),
+            (22, 1, 0.965625, 0.9625),
+            (0, 1, 0.96875, 0.975),
+            (11, 1, 0.978125, 0.95),
+            (8, 1, 0.9875, 0.9875),
+            (18, 1, 0.99375, 0.975),
+            (26, 1, 0.990625, 0.975),
+            (18, 1, 0.99375, 1.0),
+            (4, 1, 0.99375, 1.0),
+            (18, 1, 0.99375, 1.0),
+            (21, 1, 0.99375, 1.0),
+            (4, 1, 0.996875, 0.9875),
         ],
     },
     "saturating": {
-        "n_hidden": 4, "best_n": 1, "status": "Saturated",
+        "n_hidden": 5, "best_n": 1, "status": "Saturated",
         "steps": [
             (8, 1, 0.34375, 0.125),
-            (0, 2, 0.40625, 0.0),
-            (12, 5, 0.4375, 0.125),
-            (9, 5, 0.4375, 0.125),
+            (3, 1, 0.4375, 0.125),
+            (12, 4, 0.4375, 0.125),
+            (13, 5, 0.4375, 0.125),
+            (15, 4, 0.4375, 0.125),
             (None, 5),
         ],
     },
     "repeated_unit": {
-        "n_hidden": 12, "best_n": 11, "status": "TargetReached",
+        "n_hidden": 9, "best_n": 9, "status": "TargetReached",
         "steps": [
-            (20, 1, 0.734375, 0.725),
-            (9, 1, 0.809375, 0.8),
-            (2, 1, 0.846875, 0.8125),
-            (6, 1, 0.875, 0.8375),
-            (8, 1, 0.89375, 0.8875),
-            (14, 1, 0.9, 0.8875),
+            (24, 1, 0.6125, 0.55),
+            (2, 1, 0.728125, 0.7125),
+            (5, 1, 0.859375, 0.8125),
+            (19, 1, 0.925, 0.95),
         ],
     },
 }
@@ -183,3 +180,27 @@ PINS = {
 @pytest.mark.parametrize("name", RUNS)
 def test_growth_decisions_pinned(name, monkeypatch):
     assert decisions(RUNS[name], monkeypatch) == PINS[name]
+
+
+@pytest.mark.parametrize("name", RUNS)
+def test_certificate_is_tight(name, monkeypatch):
+    """Growth scores a pool by the gain of the update it applies, so on
+    every step of a pinned run the realised gain prev_sq - sq_norm equals
+    the winner's certified `error_gain` up to rounding."""
+    attempts = []
+    original = spikegrow.learner.grow_one
+
+    def recorded(E, *args, **kwargs):
+        outcome = original(E, *args, **kwargs)
+        attempts.append((float(np.sum(E * E)), outcome))
+        return outcome
+
+    monkeypatch.setattr(spikegrow.learner, "grow_one", recorded)
+    _, trace = RUNS[name]()
+    ours = attempts[len(attempts) - len(trace.records)
+                    - (trace.status == STATUS_SATURATED):]
+    assert trace.records
+    for (prev_sq, outcome), rec in zip(ours, trace.records):
+        realised = prev_sq - rec.sq_norm
+        assert abs(realised - outcome.selection.error_gain) \
+            <= _CERT_RTOL * prev_sq

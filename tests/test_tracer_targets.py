@@ -52,11 +52,11 @@ def test_one_pool_span_pair_per_pool_drawn():
 
 
 def test_lstsq_fallback_calls_the_traced_binding(monkeypatch):
-    """The pinned `repeated_unit` run repeats a seed unit, which adds a
-    dependent column to growth's fit. That column gets no weight, so no
-    eval step fits with lstsq: the snapshot's fit is the only one, and it
-    goes through the binding the tracer wraps, one `readout.fit` span in
-    the experienced op."""
+    """The pinned `repeated_unit` run, at a train-accuracy target of 0.96,
+    repeats a seed unit, which adds a dependent column to growth's fit.
+    That column gets no weight, so no eval step fits with lstsq: the
+    snapshot's fit is the only one, and it goes through the binding the
+    tracer wraps, one `readout.fit` span in the experienced op."""
     tracer = load_tracer().Tracer()
     original = test_pinned_growth.train_experienced
 
@@ -66,7 +66,7 @@ def test_lstsq_fallback_calls_the_traced_binding(monkeypatch):
 
     monkeypatch.setattr(test_pinned_growth, "train_experienced", traced_op)
     with tracer.patched():
-        _, trace = test_pinned_growth.repeated_unit()
+        _, trace = test_pinned_growth.repeated_unit(0.96)
     fits = [s for s in tracer.spans
             if s.name == "readout.fit" and s.run == "repeated_unit"]
     assert len(trace.records) == 6
