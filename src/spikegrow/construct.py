@@ -16,6 +16,14 @@ guarantees that this update shrinks the squared residual to at most sigma
 times its previous value. With an empty basis, r = h and the score is the
 per-column certificate `xi_index`: the gain of appending h with its own
 optimal output weight.
+
+A drawn pool serves up to POOL_UNITS units. After its winner is grown, its
+other candidates are kept with their features; the next step scores them
+first, with `select_best` at sigma0 against that step's residual and basis,
+and grows a certifying one with no kernel pass and no rng draw (orthogonal
+least squares re-scores the rest of one candidate set after each pick:
+Chen, Cowan & Grant 1991). Only when none certifies is a fresh pool drawn.
+Every unit is still certified against the residual of its own step.
 """
 
 from __future__ import annotations
@@ -40,6 +48,11 @@ NEAR_DEPENDENT = 1e-6
 
 # Any feature's coordinates in an empty basis.
 _NO_COORDINATES = np.zeros(0)
+
+# Units one drawn pool may serve: its winner, then one of its other
+# candidates on the next step. More reuses per draw cost test accuracy and
+# grew larger networks on stage-20 (CHANGES.md holds the measurements).
+POOL_UNITS = 2
 
 
 @dataclass(frozen=True)
@@ -89,12 +102,33 @@ class SelectionResult:
 
 
 @dataclass(frozen=True)
+class KeptPool:
+    """The candidates of a drawn pool that growth has not taken yet.
+
+    draw: the pool's (P, d + 1) draw; candidates: (pool index, feature)
+    pairs, in pool order, of the rows not yet grown; units: the units the
+    pool has served.
+    """
+
+    draw: np.ndarray
+    candidates: list
+    units: int
+
+
+@dataclass(frozen=True)
 class GrowOutcome:
-    """Result of one growth attempt: a selection, or saturation."""
+    """Result of one growth attempt: a selection, or saturation.
+
+    rounds_used is the number of pools drawn, 0 for a winner taken from the
+    kept pool. pool is what the next attempt should be offered: the
+    winner's pool without the winner, or None once that pool has served
+    POOL_UNITS units or has no candidate left.
+    """
 
     selection: Optional[SelectionResult]
     sigma_used: float
     rounds_used: int
+    pool: Optional[KeptPool] = None
 
     @property
     def saturated(self) -> bool:
@@ -233,6 +267,18 @@ def select_best(pool_with_features, E, sigma,
     return SelectionResult(c, xi, h, xi + (1.0 - sigma) * ee)
 
 
+def _grown(selection, pool, sigma, rounds) -> GrowOutcome:
+    """The outcome that grows `selection`, a winner from `pool`, keeping the
+    pool's other candidates while it may serve another unit."""
+    p = selection.winner
+    winner = Candidate(pool.draw[p, :-1], float(pool.draw[p, -1]), p)
+    rest = [(c, h) for c, h in pool.candidates if c != p]
+    units = pool.units + 1
+    kept = KeptPool(pool.draw, rest, units) \
+        if rest and units < POOL_UNITS else None
+    return GrowOutcome(replace(selection, winner=winner), sigma, rounds, kept)
+
+
 def grow_one(
     E: np.ndarray,
     ds: LabeledDataset,
@@ -240,26 +286,36 @@ def grow_one(
     params: LifParams,
     rng,
     Q: Optional[np.ndarray] = None,
+    pool: Optional[KeptPool] = None,
 ) -> GrowOutcome:
     """One full recruitment attempt with sigma relaxation, scoring every
     pool against the residual E and the basis Q as `select_best` does.
 
-    Round k samples a pool at weight range weight_scale and contraction
-    target 1 - (1 - sigma0)/2**k; round 0 uses sigma0 itself, which that
-    expression rounds to 0.0 for sigma0 below 1.1e-16. The first round that
-    yields a qualifying candidate wins. The attempt saturates after
-    sigma_relax_steps + 1 fruitless rounds, or once the target rounds to
-    1.0; round 0 always runs, since sigma0 < 1.
+    `pool` is the previous outcome's kept pool. Its candidates are scored
+    first, at sigma0; a certifying winner is grown from it with no kernel
+    pass and no rng draw (rounds_used 0). Otherwise it is dropped, and
+    round k samples a fresh pool at weight range weight_scale and
+    contraction target 1 - (1 - sigma0)/2**k; round 0 uses sigma0 itself,
+    which that expression rounds to 0.0 for sigma0 below 1.1e-16. The first
+    round that yields a qualifying candidate wins. The attempt saturates
+    after sigma_relax_steps + 1 fruitless rounds, or once the target rounds
+    to 1.0; round 0 always runs, since sigma0 < 1.
+
+    A pool serves at most POOL_UNITS units; the outcome keeps the winner's
+    pool for the next attempt while it may serve another.
     """
+    if pool is not None:
+        selection = select_best(pool.candidates, E, cfg.sigma0, Q)
+        if selection is not None:
+            return _grown(selection, pool, cfg.sigma0, 0)
     for k in range(cfg.sigma_relax_steps + 1):
         relaxed = 1.0 - (1.0 - cfg.sigma0) / 2.0**k if k else cfg.sigma0
         if relaxed >= 1.0:
             break
         sigma, rounds = relaxed, k + 1
         draw = _draw(cfg, ds.d, rng)
-        selection = select_best(pool_features(draw, ds, params), E, sigma, Q)
+        fresh = KeptPool(draw, pool_features(draw, ds, params), 0)
+        selection = select_best(fresh.candidates, E, sigma, Q)
         if selection is not None:
-            p = selection.winner
-            winner = Candidate(draw[p, :-1], float(draw[p, -1]), p)
-            return GrowOutcome(replace(selection, winner=winner), sigma, rounds)
+            return _grown(selection, fresh, sigma, rounds)
     return GrowOutcome(None, sigma, rounds)

@@ -10,6 +10,7 @@ from dataclasses import dataclass, fields
 import numpy as np
 
 from ._util import atomic_write_text, check_keys, is_finite_number, is_int
+from .construct import POOL_UNITS
 from .dataset import LabeledDataset
 from .errors import ConfigError, DataFormatError, LineageError
 from .learner import (
@@ -24,10 +25,19 @@ TRACE_VERSION = 1
 TRACE_COLUMNS = [f.name for f in fields(TraceRecord)]
 _COUNT_COLUMNS = {"neuron_count", "retries_used"}
 _TRACE_KEYS = {"trace_version", "status", "initial_neurons", "records"}
+# The retries_used of a step that grew a unit from the kept pool, drawing
+# none, so the records' retries_used + 1 sum to the pools drawn.
+_REUSED = -1
 
 
 def _is_count(value) -> bool:
     return is_int(value) and value >= 0
+
+
+def _is_column(c, value) -> bool:
+    if c == "retries_used" and is_int(value) and value == _REUSED:
+        return True
+    return _is_count(value) if c in _COUNT_COLUMNS else is_finite_number(value)
 
 
 @dataclass(frozen=True)
@@ -108,20 +118,25 @@ def load_trace(path: str) -> TrainingTrace:
             f"initial_neurons a non-negative integer and records a list"
         )
     records, sq_max, t_min = [], float("inf"), 0.0
+    served = 0  # units the pool drawn last has served; 0 before any draw
     for k, rec in enumerate(doc["records"]):
         if not isinstance(rec, dict):
             raise DataFormatError(f"trace record {k} in {path} is not an object")
         check_keys(rec, set(TRACE_COLUMNS), f"trace record {k} in {path}")
         for c in TRACE_COLUMNS:
-            ok = _is_count(rec[c]) if c in _COUNT_COLUMNS else \
-                is_finite_number(rec[c])
-            if not ok:
+            if not _is_column(c, rec[c]):
                 raise DataFormatError(
                     f"trace record {k} in {path}: {c} = {rec[c]!r} is not a "
                     f"{'count' if c in _COUNT_COLUMNS else 'finite number'}"
                 )
         # Growth adds a unit a record, shrinks sq_norm and keeps the clock.
+        # A pool serves POOL_UNITS units at most, and record 0 draws one.
+        reused = rec["retries_used"] == _REUSED
+        served = served + 1 if reused else 1
         for ok, what in (
+                (not reused or 1 < served <= POOL_UNITS,
+                 f"retries_used is {_REUSED}, but no drawn pool is left to "
+                 f"serve this unit"),
                 (rec["neuron_count"] == doc["initial_neurons"] + k + 1,
                  f"neuron_count is not initial_neurons + {k + 1}"),
                 (0 <= rec["train_accuracy"] <= 1

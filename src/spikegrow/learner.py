@@ -235,6 +235,11 @@ def _grow(hidden, frozen_prefix, train, test, cfg: GrowthConfig, lif: LifParams,
     Each pool is scored against the fit's basis Q, by the exact gain of
     the update `add` then applies, so the contraction check below is
     tight: the realised gain equals the certified one up to rounding.
+    The winner's pool is kept, a local of this loop, and handed to the next
+    `grow_one`, which re-scores its other candidates at sigma0 before it
+    draws a fresh pool; a pool serves at most `construct.POOL_UNITS` units.
+    A unit taken from the kept pool is recorded with `retries_used` -1, so
+    the records' `retries_used + 1` sum to the pools drawn.
 
     Growth keeps no feature table, only 8 (N + N_test) bytes a unit of Q
     and the test image: grown units lie on the pool's dyadic grid, so any
@@ -274,11 +279,14 @@ def _grow(hidden, frozen_prefix, train, test, cfg: GrowthConfig, lif: LifParams,
         status = STATUS_TARGET
 
     step = 0
+    pool = None
     while status is None:
         if len(hidden) >= cfg.max_hidden:
             status = STATUS_MAX_HIDDEN
             break
-        outcome = grow_one(fit.E, train, cfg.pruning, lif, rng, fit.Q.table)
+        outcome = grow_one(fit.E, train, cfg.pruning, lif, rng, fit.Q.table,
+                           pool)
+        pool = outcome.pool
         if outcome.saturated:
             status = STATUS_SATURATED
             break

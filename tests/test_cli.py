@@ -674,7 +674,8 @@ class TestMalformedCheckpointHeader:
 
 def _valid_trace() -> str:
     trace = TrainingTrace([TraceRecord(1, 2.0, 0.5, 0.5, 0.1, 0.999, 0),
-                           TraceRecord(2, 1.5, 0.75, 0.5, 0.2, 0.9995, 1)],
+                           TraceRecord(2, 1.5, 0.75, 0.5, 0.2, 0.999, -1),
+                           TraceRecord(3, 1.2, 0.8, 0.5, 0.3, 0.9995, 1)],
                           "MaxHidden")
     return trace_to_text(trace)
 
@@ -702,6 +703,10 @@ class TestMalformedTrace:
         _json_edit(lambda d: d["records"][1].update(elapsed_seconds=0.05)),
         _json_edit(lambda d: d.update(status="Done")),
         _json_edit(lambda d: d.update(status=["MaxHidden"])),
+        _json_edit(lambda d: d["records"][0].update(retries_used=-1)),
+        _json_edit(lambda d: d["records"][2].update(retries_used=-1)),
+        _json_edit(lambda d: d["records"][1].update(retries_used=-2)),
+        _json_edit(lambda d: d["records"][1].update(retries_used=-1.0)),
     ], ids=["record-missing-column", "missing-status", "string-seconds",
             "float-neuron-count", "nested-100000-deep", "nan-accuracy",
             "infinite-sq-norm", "unknown-key", "record-unknown-key",
@@ -709,7 +714,9 @@ class TestMalformedTrace:
             "train-accuracy-above-1", "test-accuracy-negative",
             "sigma-above-1", "sigma-1", "negative-sq-norm",
             "sq-norm-not-decreasing", "negative-seconds",
-            "seconds-decrease", "unknown-status", "list-status"])
+            "seconds-decrease", "unknown-status", "list-status",
+            "first-record-reuses", "pool-serves-three-units",
+            "retries-below-minus-1", "float-reuse"])
     def test_compare_exit_3(self, workdir, capsys, edit):
         (workdir / "t.trace").write_text(edit(_valid_trace()))
         assert main(["compare", "t.trace"]) == 3

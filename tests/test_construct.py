@@ -1,11 +1,17 @@
+import copy
 import math
 import sys
+from dataclasses import dataclass
+from typing import Any
 
 import numpy as np
 import pytest
 
 from conftest import float_bits, make_dataset, retrying_run
 from oracles import lif_unroll, single_unit_update_sq_norm
+from test_pinned_growth import RUNS as PINNED_RUNS
+import spikegrow.construct
+import spikegrow.learner
 import spikegrow.lif
 from spikegrow import (
     Candidate,
@@ -20,7 +26,7 @@ from spikegrow import (
     xi_index,
 )
 from spikegrow._util import SIZE_MAX
-from spikegrow.construct import _draw, _xi, pool_features
+from spikegrow.construct import POOL_UNITS, _draw, _xi, pool_features
 from spikegrow.lif import CELLS, batch_rate_features
 
 PARAMS = LifParams()
@@ -464,3 +470,136 @@ def test_growth_builds_one_candidate_per_accepted_unit(monkeypatch):
     _, trace = retrying_run()
     assert sum(r.retries_used for r in trace.records) > 0
     assert len(built) == len(trace.records) == 20
+
+
+@dataclass
+class Attempt:
+    """One call of the learner's `grow_one`: its arguments, with the
+    residual, basis and rng state copied at the call, the rng state after
+    it, and its outcome."""
+
+    E: np.ndarray
+    ds: Any
+    cfg: PruningConfig
+    params: LifParams
+    rng: Any
+    Q: Any
+    pool: Any
+    outcome: Any
+    rng_after: Any
+
+
+def record_attempts(monkeypatch) -> list:
+    attempts = []
+    original = spikegrow.learner.grow_one
+
+    def recorded(E, ds, cfg, params, rng, Q, pool):
+        E, Q, at_call = np.array(E), np.array(Q), copy.deepcopy(rng)
+        outcome = original(E, ds, cfg, params, rng, Q, pool)
+        attempts.append(Attempt(E, ds, cfg, params, at_call, Q, pool, outcome,
+                                copy.deepcopy(rng)))
+        return outcome
+
+    monkeypatch.setattr(spikegrow.learner, "grow_one", recorded)
+    return attempts
+
+
+# Fresh runs whose every attempt is one growth: units taken from a kept
+# pool, kept pools that certify nothing (mostly after a relaxed round, in
+# the retrying run) and a saturated attempt (in the saturating run).
+KEPT_POOL_RUNS = {"retrying": retrying_run, "fresh": PINNED_RUNS["fresh"],
+                  "saturating": PINNED_RUNS["saturating"]}
+
+
+class TestKeptPool:
+    """Growth keeps the winner's pool and re-scores its other candidates on
+    the next step, at sigma0, before drawing a fresh pool."""
+
+    @pytest.mark.parametrize("name", KEPT_POOL_RUNS)
+    def test_reused_winner_is_select_best_of_the_rest_at_sigma0(
+            self, name, monkeypatch):
+        """Each attempt is offered the previous outcome's pool. A unit taken
+        from it is `select_best` of its candidates at sigma0, with that
+        step's E and basis; when that finds none, a fresh pool is drawn."""
+        attempts = record_attempts(monkeypatch)
+        KEPT_POOL_RUNS[name]()
+        reused = 0
+        for prev, a in zip([None] + attempts, attempts):
+            assert a.pool is (prev and prev.outcome.pool)
+            if a.pool is None:
+                assert a.outcome.rounds_used >= 1
+                continue
+            offered = select_best(a.pool.candidates, a.E, a.cfg.sigma0, a.Q)
+            if a.outcome.rounds_used >= 1:
+                assert offered is None
+                continue
+            reused += 1
+            sel, p = a.outcome.selection, offered.winner
+            assert a.outcome.sigma_used == a.cfg.sigma0
+            assert (sel.winner.pool_index, sel.xi, sel.error_gain) \
+                == (p, offered.xi, offered.error_gain)
+            assert np.array_equal(float_bits(sel.feature),
+                                  float_bits(offered.feature))
+            assert np.array_equal(sel.winner.w, a.pool.draw[p, :-1])
+            assert sel.winner.v == a.pool.draw[p, -1]
+        assert reused > 0
+
+    @pytest.mark.parametrize("name", KEPT_POOL_RUNS)
+    def test_no_pool_serves_more_than_two_units(self, name, monkeypatch):
+        attempts = record_attempts(monkeypatch)
+        _, trace = KEPT_POOL_RUNS[name]()
+        units = []
+        for a in attempts:
+            if a.outcome.saturated:
+                continue
+            if a.outcome.rounds_used == 0:
+                units[-1] += 1
+            else:
+                units.append(1)
+        assert POOL_UNITS == 2 and max(units) == 2
+        retries = [r.retries_used for r in trace.records]
+        assert retries[0] >= 0 and (-1, -1) not in zip(retries, retries[1:])
+
+    @pytest.mark.parametrize("name", KEPT_POOL_RUNS)
+    def test_kept_pool_is_the_draws_other_candidates(self, name,
+                                                     monkeypatch):
+        """A pool drawn this step is kept without its winner: the other
+        rows of its draw, each with its own kernel feature."""
+        attempts = record_attempts(monkeypatch)
+        KEPT_POOL_RUNS[name]()
+        kept = [a for a in attempts if a.outcome.pool is not None]
+        assert kept
+        for a in kept:
+            pool, winner = a.outcome.pool, a.outcome.selection.winner
+            assert a.outcome.rounds_used >= 1 and pool.units == 1
+            assert np.array_equal(winner.w, pool.draw[winner.pool_index, :-1])
+            rest = [(c, h) for c, h in pool_features(pool.draw, a.ds, a.params)
+                    if c != winner.pool_index]
+            assert [c for c, _ in pool.candidates] == [c for c, _ in rest]
+            for (_, h), (_, h_rest) in zip(pool.candidates, rest):
+                assert np.array_equal(float_bits(h), float_bits(h_rest))
+
+    @pytest.mark.parametrize("name", ["retrying", "saturating"])
+    def test_failed_reuse_draws_the_pool_of_no_reuse(self, name,
+                                                     monkeypatch):
+        """An attempt that draws is the attempt offered no pool from the
+        same rng state: re-scoring a kept pool consumes no rng draw."""
+        attempts = record_attempts(monkeypatch)
+        KEPT_POOL_RUNS[name]()
+        drew = [a for a in attempts if a.outcome.rounds_used >= 1]
+        assert any(a.pool is not None for a in drew)
+        for a in drew:
+            rng = copy.deepcopy(a.rng)
+            alone = spikegrow.construct.grow_one(a.E, a.ds, a.cfg, a.params,
+                                                 rng, a.Q)
+            assert rng.bit_generator.state == a.rng_after.bit_generator.state
+            assert (alone.sigma_used, alone.rounds_used) \
+                == (a.outcome.sigma_used, a.outcome.rounds_used)
+            if alone.saturated:
+                assert a.outcome.saturated
+                continue
+            got, want = a.outcome.selection, alone.selection
+            assert (got.winner.pool_index, got.winner.v, got.xi) \
+                == (want.winner.pool_index, want.winner.v, want.xi)
+            assert np.array_equal(got.winner.w, want.winner.w)
+            assert np.array_equal(a.outcome.pool.draw, alone.pool.draw)

@@ -34,7 +34,7 @@ def trained_pair(two_class_family):
     ds = two_class_family.stages[0]
     train, test = split_train_test(ds, 0.2, 7)
     cfg = GrowthConfig(target_train_accuracy=1.0, max_hidden=40, eval_every=1,
-                       pruning=PruningConfig(pool_size=30), rng_seed=3)
+                       pruning=PruningConfig(pool_size=30), rng_seed=4)
     net, trace = train_fresh(train, test, cfg)
     return net, trace, train, test
 

@@ -155,7 +155,7 @@ class TestTrainFresh:
         columns equal those of one unit at a time bit for bit."""
         (tr5, te5), _ = nested_splits()
         net, _ = train_fresh(tr5, te5, quick_cfg(max_hidden=60,
-                                                 patience=100, rng_seed=4))
+                                                 patience=100, rng_seed=8))
         assert net.n_hidden > 10
         tensor = te5.spike_tensor()
         one_by_one = np.column_stack([_unit_features([h], tensor, net.lif)
@@ -329,7 +329,8 @@ class TestIncrementalResidual:
                                                        stage):
         split = nested_splits()[stage]
         calls = record_growth(monkeypatch)
-        _, trace = train_fresh(*split, quick_cfg(max_hidden=60, patience=100))
+        _, trace = train_fresh(*split, quick_cfg(max_hidden=60, patience=100,
+                                                 rng_seed=8))
         assert len(trace.records) > 10
         check_test_accuracy(calls, trace, [], *split)
 
@@ -488,7 +489,7 @@ class TestTrainExperienced:
     def test_target_met_after_one_loop_adds_nothing(self, two_class_family):
         ds = two_class_family.stages[0]
         train, test = split_train_test(ds, 0.2, 7)
-        seed, _ = train_fresh(train, test, quick_cfg())
+        seed, _ = train_fresh(train, test, quick_cfg(rng_seed=4))
         net, trace = train_experienced(seed, train, test, quick_cfg())
         assert trace.status == STATUS_TARGET
         assert trace.added_neurons == 0

@@ -3,8 +3,9 @@
 For each run: the units grown (`n_hidden`), the size of the returned
 best-test-accuracy snapshot (`best_n`) and the stop status, and per growth
 attempt the winner's pool index (None for a saturated attempt), the rounds
-it took, and the trace's train and test accuracy. A changed rng draw order,
-selection score, tie-break, sigma schedule or snapshot choice moves a pin.
+it took (0 for a unit taken from the previous winner's kept pool), and the
+trace's train and test accuracy. A changed rng draw order, selection score,
+tie-break, sigma schedule, pool reuse or snapshot choice moves a pin.
 
 The pins are decisions, not checkpoint bytes: they survive last-bit BLAS
 differences between machines except on near-ties of the certificate. The
@@ -116,62 +117,50 @@ def decisions(run, monkeypatch) -> dict:
             "status": trace.status, "steps": steps + ours[len(steps):]}
 
 
-# Recorded when growth began to score each pool against the grown
-# features' basis (the exact least-squares gain).
+# Recorded when growth began to re-score the winner's kept pool at sigma0
+# before drawing another.
 PINS = {
     "fresh": {
-        "n_hidden": 12, "best_n": 8, "status": "Patience",
+        "n_hidden": 7, "best_n": 7, "status": "TargetReached",
         "steps": [
             (2, 1, 0.2, 0.2),
-            (25, 1, 0.39375, 0.4),
-            (4, 1, 0.6875, 0.6),
-            (26, 1, 0.93125, 0.9),
-            (20, 1, 0.99375, 0.95),
-            (13, 1, 0.99375, 0.95),
-            (25, 1, 0.99375, 0.95),
-            (27, 1, 0.99375, 1.0),
-            (10, 1, 0.99375, 1.0),
-            (24, 1, 0.99375, 1.0),
-            (21, 1, 0.99375, 1.0),
-            (9, 1, 0.99375, 1.0),
+            (10, 0, 0.4, 0.4),
+            (25, 1, 0.7, 0.7),
+            (28, 0, 0.89375, 0.875),
+            (5, 1, 0.925, 0.9),
+            (21, 0, 0.975, 0.975),
+            (26, 1, 1.0, 1.0),
         ],
     },
     "experienced": {
-        "n_hidden": 21, "best_n": 17, "status": "Patience",
+        "n_hidden": 14, "best_n": 10, "status": "Patience",
         "steps": [
-            (24, 1, 0.8875, 0.925),
-            (15, 1, 0.934375, 0.95),
-            (22, 1, 0.965625, 0.9625),
-            (0, 1, 0.96875, 0.975),
-            (11, 1, 0.978125, 0.95),
-            (8, 1, 0.9875, 0.9875),
-            (18, 1, 0.99375, 0.975),
-            (26, 1, 0.990625, 0.975),
-            (18, 1, 0.99375, 1.0),
-            (4, 1, 0.99375, 1.0),
-            (18, 1, 0.99375, 1.0),
-            (21, 1, 0.99375, 1.0),
-            (4, 1, 0.996875, 0.9875),
+            (24, 1, 0.83125, 0.85),
+            (16, 0, 0.871875, 0.875),
+            (15, 1, 0.965625, 0.975),
+            (26, 0, 0.98125, 0.925),
+            (22, 1, 0.978125, 0.9375),
+            (11, 0, 0.9875, 0.95),
+            (18, 1, 0.996875, 0.9625),
         ],
     },
     "saturating": {
         "n_hidden": 5, "best_n": 1, "status": "Saturated",
         "steps": [
             (8, 1, 0.34375, 0.125),
-            (3, 1, 0.4375, 0.125),
-            (12, 4, 0.4375, 0.125),
-            (13, 5, 0.4375, 0.125),
-            (15, 4, 0.4375, 0.125),
+            (2, 0, 0.4375, 0.125),
+            (19, 4, 0.4375, 0.125),
+            (10, 5, 0.4375, 0.125),
+            (15, 5, 0.4375, 0.125),
             (None, 5),
         ],
     },
     "repeated_unit": {
         "n_hidden": 9, "best_n": 9, "status": "TargetReached",
         "steps": [
-            (24, 1, 0.6125, 0.55),
-            (2, 1, 0.728125, 0.7125),
-            (5, 1, 0.859375, 0.8125),
-            (19, 1, 0.925, 0.95),
+            (24, 1, 0.753125, 0.775),
+            (12, 0, 0.85, 0.7875),
+            (15, 1, 0.934375, 0.9),
         ],
     },
 }

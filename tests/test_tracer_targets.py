@@ -34,25 +34,30 @@ def test_every_patch_target_is_bound():
 
 def test_one_pool_span_pair_per_pool_drawn():
     """The benchmark's per-layer counts read one `construct.pool_features`
-    and one `construct.select_best` span per pool drawn, each pool one
-    kernel pass over its 10 candidates."""
+    span per pool drawn, each pool one kernel pass over its 10 candidates,
+    and one `construct.select_best` span per pool drawn or kept pool
+    re-scored. A step is offered the kept pool when the step before it drew
+    one (retries_used >= 0), and takes a unit from it with retries_used -1;
+    this run ends at max_hidden, with no saturated attempt."""
     tracer = load_tracer().Tracer()
     with tracer.patched():
         _, trace = retrying_run()
-    pools = sum(r.retries_used + 1 for r in trace.records)
-    assert len(trace.records) == 20 and pools > 20
+    retries = [r.retries_used for r in trace.records]
+    pools = sum(r + 1 for r in retries)
+    rescored = sum(r >= 0 for r in retries[:-1])
+    assert len(trace.records) == 20 and pools > 20 and -1 in retries
     spans = {name: [s for s in tracer.spans if s.name == name]
              for name in ("construct.pool_features", "construct.select_best",
                           "lif.rate_features")}
     assert len(spans["construct.pool_features"]) == pools
-    assert len(spans["construct.select_best"]) == pools
+    assert len(spans["construct.select_best"]) == pools + rescored
     for pool in spans["construct.pool_features"]:
         assert pool.info[0] == 10
         assert [s.parent for s in spans["lif.rate_features"]].count(pool.id) == 1
 
 
 def test_lstsq_fallback_calls_the_traced_binding(monkeypatch):
-    """The pinned `repeated_unit` run, at a train-accuracy target of 0.96,
+    """The pinned `repeated_unit` run, at a train-accuracy target of 0.985,
     repeats a seed unit, which adds a dependent column to growth's fit.
     That column gets no weight, so no eval step fits with lstsq: the
     snapshot's fit is the only one, and it goes through the binding the
@@ -66,7 +71,7 @@ def test_lstsq_fallback_calls_the_traced_binding(monkeypatch):
 
     monkeypatch.setattr(test_pinned_growth, "train_experienced", traced_op)
     with tracer.patched():
-        _, trace = test_pinned_growth.repeated_unit(0.96)
+        _, trace = test_pinned_growth.repeated_unit(0.985)
     fits = [s for s in tracer.spans
             if s.name == "readout.fit" and s.run == "repeated_unit"]
     assert len(trace.records) == 6
