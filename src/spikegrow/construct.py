@@ -22,8 +22,9 @@ other candidates are kept with their features; the next step scores them
 first, with `select_best` at sigma0 against that step's residual and basis,
 and grows a certifying one with no kernel pass and no rng draw (orthogonal
 least squares re-scores the rest of one candidate set after each pick:
-Chen, Cowan & Grant 1991). Only when none certifies is a fresh pool drawn.
-Every unit is still certified against the residual of its own step.
+Chen, Cowan & Grant 1991). Only when none certifies is a fresh pool drawn,
+and when none of its candidates certifies at sigma0 either, growth
+saturates. Every unit is certified against the residual of its own step.
 """
 
 from __future__ import annotations
@@ -73,19 +74,16 @@ class Candidate:
 class PruningConfig:
     """Knobs of the candidate sampling / pruning loop.
 
-    pool_size: candidates drawn per round.
-    weight_scale: half-width of the uniform weight range in every round; at
-        most half the largest float, so the range 2*weight_scale is finite.
-    sigma0: initial contraction target in (0, 1); a round-k retry relaxes it
-        to 1 - (1 - sigma0)/2**k.
-    sigma_relax_steps: retry rounds after the first (so rounds run
-        k = 0..sigma_relax_steps inclusive).
+    pool_size: candidates drawn per pool.
+    weight_scale: half-width of the uniform weight range; at most half the
+        largest float, so the range 2*weight_scale is finite.
+    sigma0: contraction target in (0, 1) that every grown unit certifies:
+        its update leaves at most sigma0 times the squared residual.
     """
 
     pool_size: int = setting(50, ge=1, le=SIZE_MAX)
     weight_scale: float = setting(1.0, gt=0.0, le=sys.float_info.max / 2)
     sigma0: float = setting(0.999, gt=0.0, lt=1.0)
-    sigma_relax_steps: int = setting(8, ge=0, le=SIZE_MAX)
 
     def __post_init__(self):
         check_settings(self, "pruning")
@@ -119,14 +117,13 @@ class KeptPool:
 class GrowOutcome:
     """Result of one growth attempt: a selection, or saturation.
 
-    rounds_used is the number of pools drawn, 0 for a winner taken from the
-    kept pool. pool is what the next attempt should be offered: the
+    rounds_used is the number of pools drawn: 0 for a winner taken from the
+    kept pool, else 1. pool is what the next attempt should be offered: the
     winner's pool without the winner, or None once that pool has served
     POOL_UNITS units or has no candidate left.
     """
 
     selection: Optional[SelectionResult]
-    sigma_used: float
     rounds_used: int
     pool: Optional[KeptPool] = None
 
@@ -267,7 +264,7 @@ def select_best(pool_with_features, E, sigma,
     return SelectionResult(c, xi, h, xi + (1.0 - sigma) * ee)
 
 
-def _grown(selection, pool, sigma, rounds) -> GrowOutcome:
+def _grown(selection, pool, rounds) -> GrowOutcome:
     """The outcome that grows `selection`, a winner from `pool`, keeping the
     pool's other candidates while it may serve another unit."""
     p = selection.winner
@@ -276,7 +273,7 @@ def _grown(selection, pool, sigma, rounds) -> GrowOutcome:
     units = pool.units + 1
     kept = KeptPool(pool.draw, rest, units) \
         if rest and units < POOL_UNITS else None
-    return GrowOutcome(replace(selection, winner=winner), sigma, rounds, kept)
+    return GrowOutcome(replace(selection, winner=winner), rounds, kept)
 
 
 def grow_one(
@@ -288,18 +285,14 @@ def grow_one(
     Q: Optional[np.ndarray] = None,
     pool: Optional[KeptPool] = None,
 ) -> GrowOutcome:
-    """One full recruitment attempt with sigma relaxation, scoring every
+    """One recruitment attempt at contraction target sigma0, scoring every
     pool against the residual E and the basis Q as `select_best` does.
 
     `pool` is the previous outcome's kept pool. Its candidates are scored
-    first, at sigma0; a certifying winner is grown from it with no kernel
-    pass and no rng draw (rounds_used 0). Otherwise it is dropped, and
-    round k samples a fresh pool at weight range weight_scale and
-    contraction target 1 - (1 - sigma0)/2**k; round 0 uses sigma0 itself,
-    which that expression rounds to 0.0 for sigma0 below 1.1e-16. The first
-    round that yields a qualifying candidate wins. The attempt saturates
-    after sigma_relax_steps + 1 fruitless rounds, or once the target rounds
-    to 1.0; round 0 always runs, since sigma0 < 1.
+    first; a certifying winner is grown from it with no kernel pass and no
+    rng draw (rounds_used 0). Otherwise it is dropped, and one fresh pool is
+    drawn at weight range weight_scale (rounds_used 1). The attempt
+    saturates when that pool certifies no candidate either.
 
     A pool serves at most POOL_UNITS units; the outcome keeps the winner's
     pool for the next attempt while it may serve another.
@@ -307,15 +300,10 @@ def grow_one(
     if pool is not None:
         selection = select_best(pool.candidates, E, cfg.sigma0, Q)
         if selection is not None:
-            return _grown(selection, pool, cfg.sigma0, 0)
-    for k in range(cfg.sigma_relax_steps + 1):
-        relaxed = 1.0 - (1.0 - cfg.sigma0) / 2.0**k if k else cfg.sigma0
-        if relaxed >= 1.0:
-            break
-        sigma, rounds = relaxed, k + 1
-        draw = _draw(cfg, ds.d, rng)
-        fresh = KeptPool(draw, pool_features(draw, ds, params), 0)
-        selection = select_best(fresh.candidates, E, sigma, Q)
-        if selection is not None:
-            return _grown(selection, fresh, sigma, rounds)
-    return GrowOutcome(None, sigma, rounds)
+            return _grown(selection, pool, 0)
+    draw = _draw(cfg, ds.d, rng)
+    fresh = KeptPool(draw, pool_features(draw, ds, params), 0)
+    selection = select_best(fresh.candidates, E, cfg.sigma0, Q)
+    if selection is None:
+        return GrowOutcome(None, 1)
+    return _grown(selection, fresh, 1)

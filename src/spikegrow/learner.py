@@ -271,6 +271,7 @@ def _grow(hidden, frozen_prefix, train, test, cfg: GrowthConfig, lif: LifParams,
     evals_since_best = 0
 
     rng = np.random.default_rng(cfg.rng_seed)
+    sigma0 = cfg.pruning.sigma0
     records = []
     status = None
     t0 = time.perf_counter()
@@ -296,11 +297,11 @@ def _grow(hidden, frozen_prefix, train, test, cfg: GrowthConfig, lif: LifParams,
         step += 1
         prev_sq = fit.sq_norm
         fit.add(sel.feature)
-        bound = outcome.sigma_used * prev_sq
+        bound = sigma0 * prev_sq
         if fit.sq_norm > bound * (1.0 + _CERT_RTOL) + 1e-30:
             raise InvariantError(
                 f"residual contraction violated: {fit.sq_norm} > "
-                f"{outcome.sigma_used} * {prev_sq}"
+                f"{sigma0} * {prev_sq}"
             )
         if fit.sq_norm >= prev_sq:
             raise InvariantError("squared residual failed to decrease")
@@ -323,7 +324,7 @@ def _grow(hidden, frozen_prefix, train, test, cfg: GrowthConfig, lif: LifParams,
             train_accuracy=train_acc,
             test_accuracy=test_acc,
             elapsed_seconds=time.perf_counter() - t0,
-            sigma_used=outcome.sigma_used,
+            sigma_used=sigma0,
             retries_used=outcome.rounds_used - 1,
         ))
         if reached:
@@ -368,9 +369,9 @@ def train_fresh(train: LabeledDataset, test: LabeledDataset,
     net, trace = _grow([], 0, train, test, cfg, cfg.lif, [], "fresh")
     if trace.status == STATUS_SATURATED and not trace.records:
         raise DegenerateDataError(
-            "the first growth step found no qualifying candidate: every pool "
-            "was silent or fell short of its contraction target, set by "
-            "pruning.sigma0 and relaxed over pruning.sigma_relax_steps rounds"
+            "the first growth step found no qualifying candidate: every "
+            "candidate of its pool was silent or fell short of the "
+            "contraction target pruning.sigma0"
         )
     return net, trace
 

@@ -41,17 +41,18 @@ def pytest_runtest_makereport(item, call):
                 pass
 
 
-def retrying_run():
+def failed_reuse_run():
     """A fresh run to 20 units on pools of 10, on the `capacity` benchmark's
-    narrow, short trains. Its tight sigma0 makes most steps draw two to four
-    pools. Returns (net, trace)."""
+    narrow, short trains. Its tight sigma0 leaves one kept pool certifying
+    none, so step 6 draws a fresh pool right after step 5 drew one.
+    Returns (net, trace)."""
     gen = GeneratorConfig(d=32, T=10, categories=5, samples_per_category=40,
                           separation=0.05, rng_seed=1)
     (ds,) = generate_family(gen, [5]).stages
     train, test = split_train_test(ds, 0.2, 1)
     cfg = GrowthConfig(target_train_accuracy=1.0, max_hidden=20,
                        patience=1000, rng_seed=1,
-                       pruning=PruningConfig(pool_size=10, sigma0=0.98))
+                       pruning=PruningConfig(pool_size=10, sigma0=0.995))
     return train_fresh(train, test, cfg)
 
 

@@ -201,6 +201,8 @@ _BAD_CONFIGS = [
     ("theta-string", '{"lif": {"theta": "1"}}', "lif.theta"),
     ("max-hidden-string", '{"growth": {"max_hidden": "5"}}', "growth.max_hidden"),
     ("sigma0-null", '{"pruning": {"sigma0": null}}', "pruning.sigma0"),
+    ("sigma-relax-steps-removed", '{"pruning": {"sigma_relax_steps": 8}}',
+     "['sigma_relax_steps'] in pruning section"),
     ("T-string", '{"generator": {"T": "3"}}', "generator.T"),
 ]
 
@@ -292,11 +294,11 @@ class TestBadConfig:
 
 class TestTrainFresh:
     @pytest.mark.parametrize("pruning", [
-        {"pool_size": 1, "weight_scale": 1e-300, "sigma_relax_steps": 2000},
-    ], ids=["sigma-reaches-one"])
+        {"pool_size": 1, "weight_scale": 1e-300},
+    ], ids=["silent-pool"])
     def test_silent_schedule_exit_3(self, workdir, capsys, pruning):
-        """A round schedule that runs past sigma = 1.0 saturates: a run
-        whose every pool is silent is degenerate."""
+        """A run whose first pool is silent saturates on its first step and
+        is degenerate."""
         cfg = write_config(workdir / "cfg.json", pruning=pruning, generator={
             "d": 4, "T": 20, "categories": 2, "samples_per_category": 5,
             "stages": [2]})
@@ -318,19 +320,11 @@ class TestTrainFresh:
                      "--dataset", "data/stage-2.ds",
                      "--out-checkpoint", "x.net", "--out-trace", "x.trace"])
 
-    def test_tiny_sigma0_trains(self, workdir, capsys):
-        """A round-0 target below 1.1e-16 is sigma0 itself, not the 0.0
-        that 1 - (1 - sigma0) rounds to; later rounds relax it."""
-        assert self._train_tiny(workdir, {"sigma0": 1e-300}) == 0
-        assert capsys.readouterr().err == ""
-        records = json.loads((workdir / "x.trace").read_text())["records"]
-        assert records and records[0]["retries_used"] >= 1
-
     def test_unmet_first_target_names_the_schedule(self, workdir, capsys,
                                                    monkeypatch):
-        """Candidates fire, but none meets a round-0 target of 1e-300 and no
-        round relaxes it: the message names the schedule's settings and
-        does not claim that nothing spiked."""
+        """Candidates fire, but none meets a contraction target of 1e-300:
+        the message names pruning.sigma0 and does not claim that nothing
+        spiked."""
         fired = []
         pool_features = spikegrow.construct.pool_features
 
@@ -341,13 +335,12 @@ class TestTrainFresh:
 
         monkeypatch.setattr(spikegrow.construct, "pool_features", recorded)
         capsys.readouterr()
-        assert self._train_tiny(workdir, {"sigma0": 1e-300,
-                                          "sigma_relax_steps": 0}) == 3
+        assert self._train_tiny(workdir, {"sigma0": 1e-300}) == 3
         err = capsys.readouterr().err
         assert re.fullmatch(r"error: DegenerateDataError: [^\n]*\n", err), err
-        assert "pruning.sigma0" in err and "pruning.sigma_relax_steps" in err
+        assert "pruning.sigma0" in err and "sigma_relax_steps" not in err
         assert "spike" not in err
-        assert len(fired) == 50 and any(fired)  # one round of the default pool
+        assert len(fired) == 50 and any(fired)  # one pool of the default size
         assert not (workdir / "x.net").exists()
 
     def test_end_to_end(self, generated, workdir):

@@ -83,8 +83,7 @@ class TestDeclaredSettings:
         (GeneratorConfig, "categories"),
         (GeneratorConfig, "samples_per_category"),
         (GrowthConfig, "max_hidden"), (GrowthConfig, "patience"),
-        (GrowthConfig, "eval_every"), (PruningConfig, "pool_size"),
-        (PruningConfig, "sigma_relax_steps")])
+        (GrowthConfig, "eval_every"), (PruningConfig, "pool_size")])
     def test_sizes_stop_at_size_max(self, cls, key):
         assert getattr(cls(**{key: SIZE_MAX}), key) == SIZE_MAX
         for value in (SIZE_MAX + 1, 10**30):

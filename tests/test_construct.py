@@ -7,7 +7,7 @@ from typing import Any
 import numpy as np
 import pytest
 
-from conftest import float_bits, make_dataset, retrying_run
+from conftest import failed_reuse_run, float_bits, make_dataset
 from oracles import lif_unroll, single_unit_update_sq_norm
 from test_pinned_growth import RUNS as PINNED_RUNS
 import spikegrow.construct
@@ -397,51 +397,41 @@ class TestGrowOne:
         out = grow_one(E, tiny_dataset, cfg, PARAMS,
                        np.random.default_rng(13))
         assert not out.saturated
-        assert out.sigma_used == 0.999
+        assert out.selection.error_gain >= (1.0 - 0.999) * np.sum(E * E)
         assert out.rounds_used == 1
+
+    @staticmethod
+    def _saturates_after_one_draw(E, ds, cfg, params):
+        """The attempt draws one pool, taking one `_draw` from the rng, and
+        saturates."""
+        rng, one_draw = np.random.default_rng(1), np.random.default_rng(1)
+        out = grow_one(E, ds, cfg, params, rng)
+        _draw(cfg, ds.d, one_draw)
+        assert out.saturated and out.rounds_used == 1 and out.pool is None
+        assert rng.bit_generator.state == one_draw.bit_generator.state
 
     def test_all_silent_saturates_after_all_rounds(self):
         # Huge threshold: no candidate can ever fire.
         ds = make_dataset(n_per_cat=2, n_cats=2, d=3, T=6)
         from spikegrow import encode_targets
-        params = LifParams(theta=1e9)
-        cfg = PruningConfig(pool_size=4, sigma_relax_steps=3)
-        out = grow_one(encode_targets(ds), ds, cfg, params,
-                       np.random.default_rng(1))
-        assert out.saturated
-        assert out.rounds_used == cfg.sigma_relax_steps + 1
-
-    def test_saturates_before_sigma_rounds_to_one(self):
-        # A schedule long enough that 1 - (1 - sigma0)/2**k rounds to 1.0:
-        # the attempt ends at the last round whose target is below 1.0.
-        ds = make_dataset(n_per_cat=2, n_cats=2, d=3, T=6)
-        from spikegrow import encode_targets
-        from spikegrow._util import SIZE_MAX
-        cfg = PruningConfig(pool_size=1, sigma_relax_steps=SIZE_MAX)
-        out = grow_one(encode_targets(ds), ds, cfg, LifParams(theta=1e9),
-                       np.random.default_rng(1))
-        k = out.rounds_used - 1
-        assert out.saturated and out.sigma_used < 1.0
-        assert out.sigma_used == 1.0 - (1.0 - cfg.sigma0) / 2.0**k
-        assert 1.0 - (1.0 - cfg.sigma0) / 2.0**(k + 1) == 1.0
+        self._saturates_after_one_draw(encode_targets(ds), ds,
+                                       PruningConfig(pool_size=4),
+                                       LifParams(theta=1e9))
 
     def test_widest_weight_range_saturates_after_all_rounds(self):
         """At the largest weight_scale a config accepts, the range 2 * scale
         is finite, each draw is finite, within it and on its grid, q =
-        2**(1023 + 2 - 53) for d = 3, and an attempt runs all its rounds."""
+        2**(1023 + 2 - 53) for d = 3, and an attempt saturates after its one
+        pool."""
         from spikegrow import LabeledDataset, encode_targets
         scale = sys.float_info.max / 2
-        cfg = PruningConfig(pool_size=3, weight_scale=scale,
-                            sigma_relax_steps=4)
+        cfg = PruningConfig(pool_size=3, weight_scale=scale)
         for row in _draw(cfg, 3, np.random.default_rng(1)):
             assert np.all(np.abs(row) <= scale) and np.count_nonzero(row)
             assert np.all(np.fmod(row, 2.0**972) == 0.0)
         # No input spikes: every pool is silent, whatever its weights.
         ds = LabeledDataset(np.zeros((4, 3, 6)), [0, 0, 1, 1], [0, 1])
-        out = grow_one(encode_targets(ds), ds, cfg, PARAMS,
-                       np.random.default_rng(1))
-        assert out.saturated
-        assert out.rounds_used == cfg.sigma_relax_steps + 1
+        self._saturates_after_one_draw(encode_targets(ds), ds, cfg, PARAMS)
 
     def test_deterministic_across_thread_counts(self, tiny_dataset):
         # Same rng state, same outcome; the winner's feature is the one it
@@ -451,7 +441,7 @@ class TestGrowOne:
         cfg = PruningConfig(pool_size=16)
         a = grow_one(E, tiny_dataset, cfg, PARAMS, np.random.default_rng(3))
         b = grow_one(E, tiny_dataset, cfg, PARAMS, np.random.default_rng(3))
-        assert a.sigma_used == b.sigma_used
+        assert a.rounds_used == b.rounds_used
         assert np.array_equal(a.selection.winner.w, b.selection.winner.w)
         assert np.array_equal(a.selection.feature, b.selection.feature)
         winner = a.selection.winner
@@ -467,8 +457,9 @@ def test_growth_builds_one_candidate_per_accepted_unit(monkeypatch):
     post_init = Candidate.__post_init__
     monkeypatch.setattr(Candidate, "__post_init__",
                         lambda c: built.append(c.pool_index) or post_init(c))
-    _, trace = retrying_run()
-    assert sum(r.retries_used for r in trace.records) > 0
+    _, trace = failed_reuse_run()
+    retries = [r.retries_used for r in trace.records]
+    assert (0, 0) in zip(retries, retries[1:])  # a failed reuse
     assert len(built) == len(trace.records) == 20
 
 
@@ -505,9 +496,10 @@ def record_attempts(monkeypatch) -> list:
 
 
 # Fresh runs whose every attempt is one growth: units taken from a kept
-# pool, kept pools that certify nothing (mostly after a relaxed round, in
-# the retrying run) and a saturated attempt (in the saturating run).
-KEPT_POOL_RUNS = {"retrying": retrying_run, "fresh": PINNED_RUNS["fresh"],
+# pool, a kept pool that certifies nothing, so that the attempt retries with
+# a fresh draw (in the retrying run), and a saturated attempt (in the
+# saturating run).
+KEPT_POOL_RUNS = {"retrying": failed_reuse_run, "fresh": PINNED_RUNS["fresh"],
                   "saturating": PINNED_RUNS["saturating"]}
 
 
@@ -535,7 +527,6 @@ class TestKeptPool:
                 continue
             reused += 1
             sel, p = a.outcome.selection, offered.winner
-            assert a.outcome.sigma_used == a.cfg.sigma0
             assert (sel.winner.pool_index, sel.xi, sel.error_gain) \
                 == (p, offered.xi, offered.error_gain)
             assert np.array_equal(float_bits(sel.feature),
@@ -579,11 +570,12 @@ class TestKeptPool:
             for (_, h), (_, h_rest) in zip(pool.candidates, rest):
                 assert np.array_equal(float_bits(h), float_bits(h_rest))
 
-    @pytest.mark.parametrize("name", ["retrying", "saturating"])
+    @pytest.mark.parametrize("name", ["retrying"])
     def test_failed_reuse_draws_the_pool_of_no_reuse(self, name,
                                                      monkeypatch):
         """An attempt that draws is the attempt offered no pool from the
-        same rng state: re-scoring a kept pool consumes no rng draw."""
+        same rng state: re-scoring a kept pool consumes no rng draw. Of the
+        kept-pool runs, only the retrying one has a failed reuse."""
         attempts = record_attempts(monkeypatch)
         KEPT_POOL_RUNS[name]()
         drew = [a for a in attempts if a.outcome.rounds_used >= 1]
@@ -593,8 +585,7 @@ class TestKeptPool:
             alone = spikegrow.construct.grow_one(a.E, a.ds, a.cfg, a.params,
                                                  rng, a.Q)
             assert rng.bit_generator.state == a.rng_after.bit_generator.state
-            assert (alone.sigma_used, alone.rounds_used) \
-                == (a.outcome.sigma_used, a.outcome.rounds_used)
+            assert alone.rounds_used == a.outcome.rounds_used
             if alone.saturated:
                 assert a.outcome.saturated
                 continue

@@ -134,7 +134,7 @@ class TestTrainFresh:
         ds = make_dataset(n_per_cat=3, n_cats=2, d=3, T=6)
         train, test = split_train_test(ds, 0.34, 0)
         cfg = quick_cfg(lif=LifParams(theta=1e9),
-                        pruning=PruningConfig(pool_size=3, sigma_relax_steps=1))
+                        pruning=PruningConfig(pool_size=3))
         with pytest.raises(DegenerateDataError):
             train_fresh(train, test, cfg)
 
@@ -177,21 +177,20 @@ class TestTrainFresh:
 
 class TestSaturationStep:
     def test_unevaluated_last_step_is_evaluated(self):
-        """The pinned saturating run's data and schedule, at rng_seed 3 and
-        eval_every=5, stop on step 4, which no eval step measured. That
+        """The pinned saturating run's data and pruning, at rng_seed 3 and
+        eval_every=5, stop on step 2, which no eval step measured. That
         step is evaluated before the snapshot is chosen: the run returns its
-        4 units, and the last record holds the test accuracy the every-step
+        2 units, and the last record holds the test accuracy the every-step
         run measured there."""
         [(train, test)] = pinned_splits([4], seed=2, d=2, T=3, categories=4,
                                         samples_per_category=10)
-        pruning = PruningConfig(pool_size=20, sigma0=0.95,
-                                sigma_relax_steps=4)
+        pruning = PruningConfig(pool_size=20, sigma0=0.95)
         runs = [train_fresh(train, test, pinned_cfg(
             max_hidden=20, patience=100, pruning=pruning, rng_seed=3,
             eval_every=every)) for every in (1, 5)]
         (_, every_step), (net, trace) = runs
-        assert trace.status == STATUS_SATURATED and len(trace.records) == 4
-        assert net.n_hidden == 4
+        assert trace.status == STATUS_SATURATED and len(trace.records) == 2
+        assert net.n_hidden == 2
         assert trace.records[-1].test_accuracy \
             == every_step.records[-1].test_accuracy
         assert trace.best_test_accuracy == trace.records[-1].test_accuracy

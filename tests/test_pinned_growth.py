@@ -5,7 +5,7 @@ best-test-accuracy snapshot (`best_n`) and the stop status, and per growth
 attempt the winner's pool index (None for a saturated attempt), the rounds
 it took (0 for a unit taken from the previous winner's kept pool), and the
 trace's train and test accuracy. A changed rng draw order, selection score,
-tie-break, sigma schedule, pool reuse or snapshot choice moves a pin.
+tie-break, contraction target, pool reuse or snapshot choice moves a pin.
 
 The pins are decisions, not checkpoint bytes: they survive last-bit BLAS
 differences between machines except on near-ties of the certificate. The
@@ -60,12 +60,11 @@ def experienced():
 
 
 def saturating():
-    """Two channels of three steps and a demanding sigma0: winners need
-    relaxed rounds until a whole schedule of pools certifies none, and
-    several pools hold tied winners."""
+    """Two channels of three steps and a demanding sigma0: after two units
+    a fresh pool certifies none, and the first pool's winner is tied."""
     [(train, test)] = _splits([4], seed=2, d=2, T=3, categories=4,
                               samples_per_category=10)
-    pruning = PruningConfig(pool_size=20, sigma0=0.95, sigma_relax_steps=4)
+    pruning = PruningConfig(pool_size=20, sigma0=0.95)
     return train_fresh(train, test, _cfg(max_hidden=20, patience=100,
                                          pruning=pruning, rng_seed=1))
 
@@ -118,7 +117,8 @@ def decisions(run, monkeypatch) -> dict:
 
 
 # Recorded when growth began to re-score the winner's kept pool at sigma0
-# before drawing another.
+# before drawing another; `saturating` when an attempt came to draw at most
+# one pool.
 PINS = {
     "fresh": {
         "n_hidden": 7, "best_n": 7, "status": "TargetReached",
@@ -145,14 +145,11 @@ PINS = {
         ],
     },
     "saturating": {
-        "n_hidden": 5, "best_n": 1, "status": "Saturated",
+        "n_hidden": 2, "best_n": 1, "status": "Saturated",
         "steps": [
             (8, 1, 0.34375, 0.125),
             (2, 0, 0.4375, 0.125),
-            (19, 4, 0.4375, 0.125),
-            (10, 5, 0.4375, 0.125),
-            (15, 5, 0.4375, 0.125),
-            (None, 5),
+            (None, 1),
         ],
     },
     "repeated_unit": {

@@ -10,7 +10,7 @@ from pathlib import Path
 import pytest
 
 import test_pinned_growth
-from conftest import retrying_run
+from conftest import failed_reuse_run
 from spikegrow.cli import load_run_config
 
 BENCHMARKS = Path(__file__).resolve().parent.parent / "benchmarks"
@@ -38,14 +38,16 @@ def test_one_pool_span_pair_per_pool_drawn():
     and one `construct.select_best` span per pool drawn or kept pool
     re-scored. A step is offered the kept pool when the step before it drew
     one (retries_used >= 0), and takes a unit from it with retries_used -1;
-    this run ends at max_hidden, with no saturated attempt."""
+    this run ends at max_hidden, with no saturated attempt, and has a step
+    whose kept pool certifies none (retries_used 0 after 0)."""
     tracer = load_tracer().Tracer()
     with tracer.patched():
-        _, trace = retrying_run()
+        _, trace = failed_reuse_run()
     retries = [r.retries_used for r in trace.records]
     pools = sum(r + 1 for r in retries)
     rescored = sum(r >= 0 for r in retries[:-1])
-    assert len(trace.records) == 20 and pools > 20 and -1 in retries
+    assert len(trace.records) == 20 and -1 in retries
+    assert (0, 0) in zip(retries, retries[1:])
     spans = {name: [s for s in tracer.spans if s.name == name]
              for name in ("construct.pool_features", "construct.select_best",
                           "lif.rate_features")}
