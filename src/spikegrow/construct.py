@@ -2,9 +2,9 @@
 
 Each growth step samples a pool of random candidate neurons (weights uniform
 in [-weight_scale, weight_scale]), evaluates each candidate's firing-rate
-feature over the training samples, and scores it against the current
-residual with a scalar certificate; the pool winner is the certificate
-maximizer.
+feature over the training samples, and scores the whole pool against the
+current residual as one array, a scalar certificate per candidate; the
+pool winner is the certificate maximizer.
 
 Growth scores a candidate h by the exact gain of the update it applies: the
 least-squares refit on the grown features and h, whose gain is
@@ -46,9 +46,6 @@ from .lif import LifParams, batch_rate_features
 # to cancellation, and a recruited unit keeps ||r||/||h|| >= 1e-3 up to
 # rounding.
 NEAR_DEPENDENT = 1e-6
-
-# Any feature's coordinates in an empty basis.
-_NO_COORDINATES = np.zeros(0)
 
 # Units one drawn pool may serve: its winner, then one of its other
 # candidates on the next step. More reuses per draw cost test accuracy and
@@ -160,58 +157,54 @@ def pool_features(draw, ds, params):
     """
     H = batch_rate_features(ds.spike_tensor(), draw[:, :-1], draw[:, -1],
                             params)
-    # Contiguous rows, not strided column views, so the certificate's dot
-    # products see the same vectors a lone candidate's feature gives.
+    # Contiguous rows, not strided column views: `GrowingFit.add`'s dot
+    # products on a grown winner then give the bits they give on the same
+    # unit's contiguous column when a checkpoint's prefix is fitted.
     return list(enumerate(np.ascontiguousarray(H.T)))
 
 
-def _residual_norm(E, sigma):
-    """The residual as a float (N, m) array and its squared norm, after
-    checking it and the contraction target."""
+def _certificates(features, E, sigma, Q=None):
+    """Each feature's certificate against residual E, NaN for a silent or
+    near-dependent one, and ||E||^2, after checking E, sigma and shapes.
+
+    Q (N, k) is an orthonormal basis that E is orthogonal to; None is an
+    empty basis. The score is ||E^T h||^2 / ||r||^2 - (1 - sigma) ||E||^2,
+    with ||r||^2 = h.h - a.a and a = Q^T h from one GEMM over the stacked
+    (P, N) features. Every other product multiplies a stack of (1, n)
+    rows, which numpy's matmul hands to BLAS one row at a time: a
+    pool-wide GEMM's blocking would make a row's last bit depend on the
+    other rows, so a one-feature call gives every pool entry's bits.
+    """
     E = np.asarray(E, dtype=np.float64)
     if E.ndim != 2:
         raise ShapeError(f"residual must be an (N, m) array, got {E.shape}")
     if not (0.0 < sigma < 1.0):
         raise ConfigError("sigma must lie strictly in (0, 1)")
-    return E, float(np.sum(E * E))
-
-
-def _xi(E, ee, h, sigma, a=_NO_COORDINATES):
-    """The certificate of feature h against residual E with ||E||^2 = ee,
-    given h's coordinates a = Q^T h in an orthonormal basis Q that E is
-    orthogonal to (by default an empty basis, where ||r||^2 = h.h exactly).
-    None for a silent (all-zero) feature, or for one whose remainder
-    ||r||^2 = h.h - a.a is below NEAR_DEPENDENT * h.h.
-
-    Runs once per candidate, so its products use `ndarray.dot`: the same
-    BLAS calls as `@`, with the same bits, and less dispatch per call.
-    """
-    h = np.asarray(h, dtype=np.float64)
-    if h.shape != (E.shape[0],):
-        raise ShapeError(f"residual {E.shape} and feature {h.shape} disagree")
-    hh = float(h.dot(h))
-    if hh == 0.0:
-        return None
-    rr = hh - float(a.dot(a))
-    if rr < NEAR_DEPENDENT * hh:
-        return None
-    proj = E.T.dot(h)  # (m,); equals E^T r, as E is orthogonal to span(Q)
-    return float(proj.dot(proj) / rr - (1.0 - sigma) * ee)
-
-
-def _coordinates(pool_with_features, Q, rows):
-    """Q^T h of every pool feature h, one row per candidate, from one GEMM
-    over the stacked (P, N) features; a missing Q is an empty basis."""
+    rows = E.shape[0]
     Q = np.empty((rows, 0)) if Q is None else np.asarray(Q, dtype=np.float64)
     if Q.ndim != 2 or Q.shape[0] != rows:
         raise ShapeError(f"basis {Q.shape} does not have {rows} rows")
-    H = np.empty((len(pool_with_features), rows))
-    for row, (_, h) in zip(H, pool_with_features):
+    H = np.empty((len(features), rows))
+    for row, h in zip(H, features):
         if np.shape(h) != (rows,):
             raise ShapeError(f"residual of {rows} rows and feature "
                              f"{np.shape(h)} disagree")
         row[...] = h
-    return H.dot(Q)
+    hh = _row_dots(H, H)
+    A = H.dot(Q)
+    rr = hh - _row_dots(A, A)
+    # Row p is E^T h, which equals E^T r: E is orthogonal to span(Q).
+    proj = (H[:, None, :] @ E)[:, 0, :]
+    ee = float(np.sum(E * E))
+    scored = (hh > 0.0) & (rr >= NEAR_DEPENDENT * hh)
+    gain = np.divide(_row_dots(proj, proj), rr,
+                     out=np.full(len(H), np.nan), where=scored)
+    return gain - (1.0 - sigma) * ee, ee
+
+
+def _row_dots(X, Y):
+    """x.y of every row pair of two (P, n) arrays."""
+    return (X[:, None, :] @ Y[:, :, None])[:, 0, 0]
 
 
 def xi_index(E: np.ndarray, h: np.ndarray, sigma: float) -> float:
@@ -221,14 +214,15 @@ def xi_index(E: np.ndarray, h: np.ndarray, sigma: float) -> float:
     xi = sum_q [ <E_q, h>^2 / <h, h> - (1 - sigma) <E_q, E_q> ].
     xi >= 0 certifies that appending the candidate with its optimal
     per-column weight leaves ||E_new||^2 <= sigma * ||E||^2. It is
-    `select_best`'s score with an empty basis; growth scores against the
-    grown features' basis, which divides by ||r||^2 <= <h, h> instead.
+    `select_best`'s scorer on a one-candidate pool with an empty basis, so
+    it equals that candidate's score in any pool scored without a basis,
+    bit for bit; growth scores against the grown features' basis, which
+    divides by ||r||^2 <= <h, h> instead.
     """
-    E, ee = _residual_norm(E, sigma)
-    xi = _xi(E, ee, h, sigma)
-    if xi is None:
+    [xi], _ = _certificates([h], E, sigma)
+    if np.isnan(xi):
         raise ValueError("silent candidate: feature vector is identically zero")
-    return xi
+    return float(xi)
 
 
 def select_best(pool_with_features, E, sigma,
@@ -236,32 +230,28 @@ def select_best(pool_with_features, E, sigma,
     """Pick the qualifying candidate with the largest certificate.
 
     Q (N, k) is the orthonormal basis of the grown features, which E is
-    orthogonal to; None is an empty basis. Each candidate h is scored by
-    the exact gain ||E^T h||^2 / ||r||^2 of the least-squares update on
-    [Q, h], with ||r||^2 = h.h - a.a and a = Q^T h from one GEMM over the
-    pool. With an empty basis the score is `xi_index`, bit for bit.
+    orthogonal to; None is an empty basis. The pool is scored as one
+    array: each candidate h by the exact gain ||E^T h||^2 / ||r||^2 of the
+    least-squares update on [Q, h], with ||r||^2 = h.h - a.a and a = Q^T h
+    from one GEMM over the pool. With an empty basis every score is
+    `xi_index` of its candidate, bit for bit.
 
     Candidates with a zero feature vector, a near-dependent one (||r||^2
     below NEAR_DEPENDENT * h.h) or a negative certificate are skipped;
     ties break toward the lowest pool index. Returns None when no
-    candidate qualifies. The residual and sigma are checked, and ||E||^2
-    computed, once per pool.
+    candidate qualifies.
     """
     if not pool_with_features:
         raise ConfigError("candidate pool must be nonempty")
-    E, ee = _residual_norm(E, sigma)
-    A = _coordinates(pool_with_features, Q, E.shape[0])
-    best = None
-    for p, (c, h) in enumerate(pool_with_features):
-        xi = _xi(E, ee, h, sigma, A[p])
-        if xi is None or xi < 0.0:
-            continue
-        if best is None or xi > best[0]:
-            best = (xi, c, h)
-    if best is None:
+    xi, ee = _certificates([h for _, h in pool_with_features], E, sigma, Q)
+    qualifies = xi >= 0.0  # False for NaN
+    if not qualifies.any():
         return None
-    xi, c, h = best
-    return SelectionResult(c, xi, h, xi + (1.0 - sigma) * ee)
+    # argmax takes the first of equal maxima: the lowest pool index.
+    p = int(np.argmax(np.where(qualifies, xi, -np.inf)))
+    c, h = pool_with_features[p]
+    best = float(xi[p])
+    return SelectionResult(c, best, h, best + (1.0 - sigma) * ee)
 
 
 def _grown(selection, pool, rounds) -> GrowOutcome:

@@ -26,7 +26,12 @@ from ._util import (
     setting,
 )
 from .construct import PruningConfig, grow_one
-from .dataset import LabeledDataset, dataset_fingerprint, encode_targets
+from .dataset import (
+    LabeledDataset,
+    _categories_ok,
+    dataset_fingerprint,
+    encode_targets,
+)
 from .errors import (
     ChecksumError,
     ConfigError,
@@ -109,9 +114,9 @@ class TrainingTrace:
     records: list
     status: str
     initial_neurons: int = 0
-    # Test accuracy that growth measured for the network it returned, also
-    # when it added no unit. Trace files do not store it; a loaded trace
-    # reports the best of its records instead.
+    # Test accuracy of the network growth returned, measured with its
+    # checkpoint weights, also when it added no unit. Trace files do not
+    # store it; a loaded trace reports the best of its records instead.
     returned_test_accuracy: float | None = None
 
     @property
@@ -229,8 +234,9 @@ def _grow(hidden, frozen_prefix, train, test, cfg: GrowthConfig, lif: LifParams,
     output weights: on an eval step the test features of the units added
     since the last one are computed in one batch and fed to it, and test
     accuracy is read off the outputs. lstsq runs once, for the returned
-    snapshot. A run that saturates on a step it had not evaluated
-    evaluates that step before the snapshot is chosen.
+    snapshot, whose test accuracy is then measured with those weights.
+    A run that saturates on a step it had not evaluated evaluates that
+    step before the snapshot is chosen.
 
     Each pool is scored against the fit's basis Q, by the exact gain of
     the update `add` then applies, so the contraction check below is
@@ -265,7 +271,7 @@ def _grow(hidden, frozen_prefix, train, test, cfg: GrowthConfig, lif: LifParams,
     for h in _unit_features(hidden, train.spike_tensor(), lif).T.copy():
         fit.add(h)
     train_acc = _fitted_accuracy(F, fit.E, train_labels)
-    test_acc = start_test = test_accuracy()
+    test_acc = test_accuracy()
     best_test = test_acc if n0 > 0 else -1.0
     best_n = n0
     evals_since_best = 0
@@ -347,10 +353,6 @@ def _grow(hidden, frozen_prefix, train, test, cfg: GrowthConfig, lif: LifParams,
     del fit
     best_hidden = hidden[:best_n]
     best_beta = _fit(_unit_features(best_hidden, train.spike_tensor(), lif), F)
-    # An empty returned network is the start, measured before growth.
-    trace = TrainingTrace(
-        records=records, status=status, initial_neurons=n0,
-        returned_test_accuracy=best_test if best_n > 0 else start_test)
     entry = {
         "kind": kind,
         "fingerprint": dataset_fingerprint(train),
@@ -360,6 +362,12 @@ def _grow(hidden, frozen_prefix, train, test, cfg: GrowthConfig, lif: LifParams,
     }
     net = Network(train.d, lif, best_hidden, best_beta, train.categories,
                   frozen_prefix=frozen_prefix, lineage=lineage + [entry])
+    # Measured on the returned network, not read off the fit: where two
+    # outputs tie in exact arithmetic, the fit and lstsq may break the tie
+    # apart, and the accuracy reported must be the written network's.
+    returned = float(np.mean(net.predict_dataset(test) == test_labels))
+    trace = TrainingTrace(records=records, status=status, initial_neurons=n0,
+                          returned_test_accuracy=returned)
     return net, trace
 
 
@@ -505,8 +513,7 @@ def _check_header(header) -> None:
         )
     categories = header["categories"]
     if not isinstance(categories, list) or len(categories) != header["m"] \
-            or not all(isinstance(c, str) or is_int(c) for c in categories) \
-            or len(set(categories)) != len(categories):
+            or not _categories_ok(categories):
         raise DataFormatError(
             f"checkpoint categories must be {header['m']} distinct integers "
             f"or strings, got {categories!r}"

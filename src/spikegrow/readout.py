@@ -161,7 +161,4 @@ def predict_batch(H: np.ndarray, beta: np.ndarray) -> np.ndarray:
     H = np.asarray(H, dtype=np.float64)
     if H.shape[1] != beta.shape[0]:
         raise ShapeError(f"feature table {H.shape} and beta {beta.shape} disagree")
-    if beta.shape[0] == 0:
-        # No hidden units: every output is zero, argmax tie-breaks to 0.
-        return np.zeros(H.shape[0], dtype=np.intp)
     return np.argmax(H @ beta, axis=1)

@@ -26,7 +26,12 @@ from spikegrow import (
     xi_index,
 )
 from spikegrow._util import SIZE_MAX
-from spikegrow.construct import POOL_UNITS, _draw, _xi, pool_features
+from spikegrow.construct import (
+    POOL_UNITS,
+    _certificates,
+    _draw,
+    pool_features,
+)
 from spikegrow.lif import CELLS, batch_rate_features
 
 PARAMS = LifParams()
@@ -244,17 +249,11 @@ class TestXiIndex:
             else:
                 assert new_sq > bound * (1 - 1e-9) - 1e-12
 
-    def test_dot_products_match_matmul_bit_for_bit(self):
-        """The certificate's `ndarray.dot` products give the bits of the
-        `@` form, on 10,000 rate features against residuals of N < 4000
-        rows and m < 30 columns (C- and Fortran-ordered)."""
-        def matmul_form(E, ee, h, sigma):
-            hh = float(h @ h)
-            if hh == 0.0:
-                return None
-            proj = E.T @ h
-            return float((proj @ proj) / hh - (1.0 - sigma) * ee)
-
+    def test_pool_scores_equal_xi_index_bit_for_bit(self):
+        """Every candidate's empty-basis score in a pool equals `xi_index`
+        of that candidate alone, bit for bit, on 10,000 rate features
+        against residuals of N < 4000 rows and m < 30 columns (C- and
+        Fortran-ordered); silent candidates score NaN and are skipped."""
         rng = np.random.default_rng(13)
         checked = 0
         for case in range(40):
@@ -263,15 +262,19 @@ class TestXiIndex:
             E = rng.normal(size=(N, m))
             if case % 4 == 3:
                 E = np.asfortranarray(E)
-            ee = float(np.sum(E * E))
             sigma = float(rng.uniform(0.5, 0.999))
             H = rng.integers(0, T + 1, size=(250, N)) / T
             H[:: 50] = 0.0  # silent features
             H[1::50] *= rng.random(N) < 0.05  # mostly silent ones
-            for h in H:
-                assert _xi(E, ee, h, sigma) == matmul_form(E, ee, h, sigma)
-            checked += len(H)
-        assert checked >= 10_000
+            basis = None if case % 2 else np.empty((N, 0))
+            xis, _ = _certificates(list(H), E, sigma, basis)
+            for h, xi in zip(H, xis):
+                if not h.any():
+                    assert np.isnan(xi)
+                    continue
+                assert xi == xi_index(E, h, sigma)
+                checked += 1
+        assert checked >= 9_000
 
 
 class TestSelectBest:

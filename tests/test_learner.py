@@ -528,6 +528,28 @@ class TestTrainExperienced:
         assert accuracy > 0.0
         assert trace.best_test_accuracy == accuracy
 
+    def test_returned_accuracy_is_the_checkpoints_on_a_tied_output(self):
+        """One test row's outputs for categories 1 and 2 tie in exact
+        arithmetic: the growing fit keeps the tie (argmax 1), lstsq's
+        weights miss it by rounding (argmax 2). The accuracy the run
+        returns is the one `evaluate` measures on the network it returns,
+        not the fit's."""
+        ds = generate_family(GeneratorConfig(
+            d=7, T=7, categories=3, samples_per_category=9, separation=0.05,
+            rng_seed=4429), [3]).stages[0]
+        train, test = split_train_test(ds, 0.25, 4429)
+        cfg = GrowthConfig(target_train_accuracy=0.5, max_hidden=4,
+                           patience=1, eval_every=2, rng_seed=4429,
+                           pruning=PruningConfig(pool_size=9, weight_scale=0.1,
+                                                 sigma0=0.99))
+        net, trace = train_fresh(train, test, cfg)
+        accuracy = evaluate(net, test).accuracy
+        assert trace.returned_test_accuracy == accuracy
+        assert trace.best_test_accuracy == accuracy
+        # The case still reaches the tie: the fit's record reads otherwise.
+        assert net.n_hidden == trace.records[-1].neuron_count == 4
+        assert trace.records[-1].test_accuracy != accuracy
+
     def test_growth_reads_training_set_as_views(self, monkeypatch):
         """The prefix columns, every candidate pool and the returned
         snapshot's columns hand the kernel views of the training set's
@@ -555,7 +577,8 @@ class TestTrainExperienced:
         pools = sum(r.retries_used + 1 for r in trace.records)
         assert len(train_rows) > 2 + pools  # the training set spans blocks
         assert sum(train_rows) == len(tr10) * (2 + pools)
-        assert sum(test_rows) == len(te10) * 6
+        # The start, five eval steps and the returned snapshot's accuracy.
+        assert sum(test_rows) == len(te10) * 7
 
     def test_one_loop_lineage_without_second_solve(self, monkeypatch):
         """The one-loop step is recorded in the lineage, and its fit of the
