@@ -16,15 +16,20 @@ from dataclasses import dataclass, fields, replace
 
 from ._util import atomic_write_text
 from .construct import PruningConfig
-from .dataset import (
+# dataset_fingerprint, generate_family, save_dataset: for benchmarks/tracer.py
+from .dataset import (  # noqa: F401
+    DatasetReader,
     GeneratorConfig,
+    LabeledDataset,
     SplitConfig,
     check_stage_sizes,
     dataset_fingerprint,
+    family_blocks,
     generate_family,
     load_dataset,
     save_dataset,
     split_train_test,
+    write_blocks,
 )
 from .errors import (
     ConfigError,
@@ -35,9 +40,12 @@ from .errors import (
     SpikegrowError,
 )
 from .evaluation import (
+    block_rows,
+    check_dataset,
     comparison_to_text,
     compare_runs,
     evaluate,
+    evaluate_blocks,
     export_trace,
     load_trace,
     report_to_text,
@@ -168,16 +176,24 @@ def cmd_gen_data(args) -> int:
             if _file_key(path) == config:
                 raise ConfigError(f"--out-dir output {path!r} names the "
                                   f"same file as --config {args.config!r}")
-    family = generate_family(run.generator, stages)
+    gen = run.generator
+    stages = check_stage_sizes(stages, gen.categories)
+    n = gen.samples_per_category
+    # One block is allocated here, before any file is opened; the family is
+    # never held whole.
+    blocks = family_blocks(gen, stages[-1])
     os.makedirs(args.out_dir, exist_ok=True)
-    # The stages are row prefixes of the last: one save serialises each row once.
-    save_dataset(list(family.stages), paths)
+    # The stages are row prefixes of the last: each block is serialised once
+    # and written to every stage file that holds its rows.
+    digests = write_blocks(paths, [(gen.d, gen.T, gen.dt_ms, size * n,
+                                    list(range(size))) for size in stages],
+                           blocks)
     manifest = {"stages": [{
         "categories": size,
-        "n_samples": len(ds),
+        "n_samples": size * n,
         "path": name,
-        "sha256": dataset_fingerprint(ds),
-    } for size, name, ds in zip(stages, names, family.stages)]}
+        "sha256": digest,
+    } for size, name, digest in zip(stages, names, digests)]}
     atomic_write_text(manifest_path, json.dumps(manifest, indent=1,
                                                 sort_keys=True) + "\n")
     print(json.dumps(manifest, sort_keys=True))
@@ -233,8 +249,15 @@ def cmd_eval(args) -> int:
     _check_paths(args, "out_report")
     load_run_config(args.config)  # read to check it; eval uses no setting
     net = load_network(args.checkpoint)
-    ds = load_dataset(args.dataset)
-    report = evaluate(net, ds)
+    with open(args.dataset, "rb") as fh:
+        # The header is checked against the checkpoint before any sample
+        # line is read; then each block is read, verified and scored.
+        reader = DatasetReader(fh)
+        check_dataset(net, reader.d, reader.categories)
+        report = evaluate_blocks(net, (
+            LabeledDataset(spikes, label_index, reader.categories,
+                           reader.dt_ms)
+            for spikes, label_index in reader.blocks(block_rows(net))))
     text = report_to_text(report, net.categories)
     if args.out_report:
         atomic_write_text(args.out_report, text)

@@ -11,6 +11,12 @@ File format (version 1, line oriented): a JSON header line
 {"format_version": 1, "d", "T", "dt_ms", "n_samples", "categories"}, then
 one JSON line per sample {"label_index", "spikes"}, "spikes" listing each
 channel's ascending spike times in [0, T). Only the canonical bytes load.
+
+Samples are drawn, written and read a block of rows at a time, each by one
+block function: `family_blocks` draws, `write_blocks` writes and
+`DatasetReader.blocks` reads. `generate_family`, `save_dataset` and
+`load_dataset` collect a whole dataset from them; `gen-data` and `eval`
+stream through them, holding one block.
 """
 
 from __future__ import annotations
@@ -191,38 +197,60 @@ def check_stage_sizes(stage_sizes, categories: int) -> list:
     return stage_sizes
 
 
-def generate_family(config: GeneratorConfig, stage_sizes) -> NestedFamily:
-    """Build nested synthetic datasets, one stage per requested category count.
+def family_blocks(config: GeneratorConfig, categories: int, out=None):
+    """The samples of the first `categories` categories of the family of
+    `config`, ordered by category, as (spikes, label_index) row blocks.
 
     Each category gets a fixed per-channel rate profile (base rate shifted
     up or down by separation*base_rate with a random sign per channel);
     each sample perturbs that profile by jitter and draws independent
-    Bernoulli spikes. Fully determined by config.rng_seed.
+    Bernoulli spikes. Fully determined by config.rng_seed. A sample's draws
+    are d uniform perturbations, then its d * T spike draws, so up to
+    _DRAW_ROWS samples of a category are one (rows, d + d * T) draw into
+    one reused buffer: the same doubles as one draw per sample.
 
-    A sample's draws are d uniform perturbations, then its d * T spike
-    draws, so a block of samples is one (rows, d + d * T) draw, taken
-    _DRAW_ROWS rows at a time into one reused buffer: the same doubles as
-    one draw per sample.
+    Given `out`, a zero uint8 (N, d, T) array for all N samples, `out` is
+    the one block. Otherwise blocks of at most _BLOCK rows share one
+    buffer, each valid until the next is drawn. The buffers are allocated
+    before this returns, so a size too large fails before any draw.
     """
-    stage_sizes = check_stage_sizes(stage_sizes, config.categories)
-    rng = np.random.default_rng(config.rng_seed)
     d, T, n = config.d, config.T, config.samples_per_category
-    # Samples are ordered by category, so each stage is a prefix of the last.
-    spikes = _zeros((stage_sizes[-1] * n, d, T))
+    rows = categories * n
+    buf = _zeros((min(_BLOCK, rows), d, T)) if out is None else out
     draws = _zeros((min(_DRAW_ROWS, n), d + d * T), dtype=np.float64)
-    for cat in range(stage_sizes[-1]):
-        signs = rng.integers(0, 2, size=d) * 2 - 1
-        profile = config.base_rate * (1.0 + signs * config.separation)
-        for a in range(cat * n, (cat + 1) * n, _DRAW_ROWS):
-            b = min(a + _DRAW_ROWS, (cat + 1) * n)
-            u = rng.random(out=draws[:b - a])
-            # rng.uniform(-1, 1)'s own arithmetic on the same doubles, so the
-            # datasets (and their pinned bytes) match a per-sample draw.
-            perturbation = (-1.0 + 2.0 * u[:, :d]) * config.jitter * config.base_rate
-            p = np.clip(profile + perturbation, _RATE_EPS, 1.0 - _RATE_EPS)
-            np.less(u[:, d:].reshape(b - a, d, T), p[:, :, None],
-                    out=spikes[a:b].view(bool))
-    label_index = np.repeat(np.arange(stage_sizes[-1]), n)
+
+    def blocks():
+        rng = np.random.default_rng(config.rng_seed)
+        start = 0  # the sample in buf[0]
+        for cat in range(categories):
+            signs = rng.integers(0, 2, size=d) * 2 - 1
+            profile = config.base_rate * (1.0 + signs * config.separation)
+            for a in range(cat * n, (cat + 1) * n, _DRAW_ROWS):
+                b = min(a + _DRAW_ROWS, (cat + 1) * n)
+                if b - start > len(buf):
+                    yield buf[:a - start], np.arange(start, a) // n
+                    start = a
+                u = rng.random(out=draws[:b - a])
+                # rng.uniform(-1, 1)'s own arithmetic on the same doubles, so
+                # the datasets (and their pinned bytes) match a per-sample draw.
+                perturbation = (-1.0 + 2.0 * u[:, :d]) * config.jitter * config.base_rate
+                p = np.clip(profile + perturbation, _RATE_EPS, 1.0 - _RATE_EPS)
+                np.less(u[:, d:].reshape(b - a, d, T), p[:, :, None],
+                        out=buf[a - start:b - start].view(bool))
+        yield buf[:rows - start], np.arange(start, rows) // n
+
+    return blocks()
+
+
+def generate_family(config: GeneratorConfig, stage_sizes) -> NestedFamily:
+    """Build nested synthetic datasets, one stage per requested category
+    count: `family_blocks` draws every sample into one array, whose row
+    prefixes are the stages."""
+    stage_sizes = check_stage_sizes(stage_sizes, config.categories)
+    n = config.samples_per_category
+    spikes = _zeros((stage_sizes[-1] * n, config.d, config.T))
+    # Drawn into `spikes` itself, the family is one block.
+    [(_, label_index)] = family_blocks(config, stage_sizes[-1], spikes)
     stages = [LabeledDataset(spikes[:size * n], label_index[:size * n],
                              range(size), config.dt_ms) for size in stage_sizes]
     return NestedFamily(tuple(stages))
@@ -352,17 +380,23 @@ def _sample_lines(spikes: np.ndarray, label_index: np.ndarray) -> bytes:
     return b"".join(parts)
 
 
-def _header_bytes(ds: LabeledDataset) -> bytes:
-    return (_header_line(ds.d, ds.T, ds.dt_ms, len(ds), ds.categories)
-            + "\n").encode("ascii")
+def _header(ds: LabeledDataset) -> tuple:
+    """The header values of `ds`: (d, T, dt_ms, n_samples, categories)."""
+    return ds.d, ds.T, ds.dt_ms, len(ds), ds.categories
+
+
+def _row_blocks(ds: LabeledDataset):
+    """The (spikes, label_index) views of each block of _BLOCK rows of `ds`."""
+    for a in range(0, len(ds), _BLOCK):
+        yield ds.spikes[a:a + _BLOCK], ds.label_index[a:a + _BLOCK]
 
 
 def _canonical_chunks(ds: LabeledDataset):
     """The canonical bytes of `ds`: its header line, then its sample lines
     in blocks of _BLOCK."""
-    yield _header_bytes(ds)
-    for a in range(0, len(ds), _BLOCK):
-        yield _sample_lines(ds.spikes[a:a + _BLOCK], ds.label_index[a:a + _BLOCK])
+    yield (_header_line(*_header(ds)) + "\n").encode("ascii")
+    for spikes, label_index in _row_blocks(ds):
+        yield _sample_lines(spikes, label_index)
 
 
 def dataset_fingerprint(ds: LabeledDataset) -> str:
@@ -376,9 +410,45 @@ def dataset_fingerprint(ds: LabeledDataset) -> str:
     return ds._fingerprint
 
 
+def write_blocks(paths, headers, blocks) -> list:
+    """Write .ds files from row blocks; returns each file's sha256 digest.
+
+    `headers` holds each file's (d, T, dt_ms, n_samples, categories), and
+    `blocks` yields (spikes, label_index) blocks of the largest file's rows
+    in order, of which every other file holds a prefix. Each block is
+    serialised once and written to every file whose rows cover it (the
+    file whose last row falls inside the block takes the lines up to it).
+    Each file streams to a temp file, hashed as the bytes go out, renamed
+    into place at the end; on any error no file is replaced.
+    """
+    with ExitStack() as stack:
+        files = [stack.enter_context(atomic_writer(p)) for p in paths]
+        digests = [hashlib.sha256() for _ in paths]
+
+        def write(i, data):
+            files[i].write(data)
+            digests[i].update(data)
+
+        for i, header in enumerate(headers):
+            write(i, (_header_line(*header) + "\n").encode("ascii"))
+        a = 0  # the first row of the block
+        for spikes, label_index in blocks:
+            lines = _sample_lines(spikes, label_index)
+            for i, header in enumerate(headers):
+                rows = header[3] - a
+                if rows >= len(spikes):
+                    write(i, lines)
+                elif rows > 0:  # this file's last row falls in the block
+                    ends = np.flatnonzero(np.frombuffer(lines, np.uint8) == 10)
+                    write(i, memoryview(lines)[:ends[rows - 1] + 1])
+            a += len(spikes)
+    return [digest.hexdigest() for digest in digests]
+
+
 def save_dataset(ds, path) -> None:
-    """Write the canonical form of `ds` to `path`, streamed block by block;
-    its sha256, taken as the bytes go out, becomes the fingerprint.
+    """Write the canonical form of `ds` to `path` with `write_blocks`, a
+    block of _BLOCK rows at a time; its sha256, taken as the bytes go out,
+    becomes the fingerprint.
 
     `ds` may also be a list of datasets, each holding a prefix of the rows
     of the last (the stages of a generated family), and `path` a list of as
@@ -394,28 +464,10 @@ def save_dataset(ds, path) -> None:
         if not _is_row_prefix(part, last):
             raise ConfigError("each dataset saved together must hold a prefix "
                               "of the rows of the last")
-    chunks = _canonical_chunks(last)
-    next(chunks)  # the last dataset's header; each file gets its own
-    with ExitStack() as stack:
-        files = [stack.enter_context(atomic_writer(p)) for p in path]
-        digests = [hashlib.sha256() for _ in ds]
-
-        def write(i, data):
-            files[i].write(data)
-            digests[i].update(data)
-
-        for i, part in enumerate(ds):
-            write(i, _header_bytes(part))
-        for a, lines in zip(range(0, len(last), _BLOCK), chunks):
-            for i, part in enumerate(ds):
-                rows = len(part) - a
-                if rows >= min(_BLOCK, len(last) - a):
-                    write(i, lines)
-                elif rows > 0:  # this dataset's last row falls in the block
-                    ends = np.flatnonzero(np.frombuffer(lines, np.uint8) == 10)
-                    write(i, memoryview(lines)[:ends[rows - 1] + 1])
+    digests = write_blocks(path, [_header(part) for part in ds],
+                           _row_blocks(last))
     for part, digest in zip(ds, digests):
-        part._fingerprint = digest.hexdigest()
+        part._fingerprint = digest
 
 
 def _is_row_prefix(ds: LabeledDataset, of: LabeledDataset) -> bool:
@@ -517,47 +569,93 @@ def _parse_lines(buf: bytes, stops: np.ndarray, spikes: np.ndarray,
     return flagged
 
 
+class DatasetReader:
+    """A .ds file open for reading: the header line is read and checked on
+    construction, before any sample line, into `d`, `T`, `dt_ms`,
+    `n_samples` and `categories`; `blocks` reads the samples. `sha256`
+    hashes every byte read."""
+
+    def __init__(self, fh):
+        raw = fh.readline()
+        self.sha256 = hashlib.sha256(raw)
+        self.d, self.T, self.dt_ms, self.n_samples, self.categories = \
+            _parse_header(raw)
+        self._fh = fh
+        self._offset = len(raw)
+
+    def arrays(self, rows: int):
+        """A zero uint8 (rows, d, T) spike array and (rows,) label array;
+        DataFormatError naming the header when they cannot be allocated."""
+        try:
+            return (_zeros((rows, self.d, self.T)),
+                    _zeros(rows, dtype=np.intp))
+        except MemoryError as exc:
+            raise DataFormatError(
+                f"header at byte 0: {self.n_samples} samples of ({self.d}, "
+                f"{self.T}) spikes cannot be allocated: {exc}") from None
+
+    def blocks(self, rows: int, spikes=None, label_index=None):
+        """Yield the samples as (spikes, label_index) blocks of `rows` rows.
+
+        Given `arrays(n_samples)`, each block is read into its own rows of
+        them. Otherwise the blocks share one buffer of at most `rows` rows,
+        each valid until the next is drawn, and the header's count is never
+        allocated. A file with fewer samples than its header claims, or
+        more, raises when its end is reached.
+        """
+        reuse = spikes is None
+        if reuse:
+            spikes, label_index = self.arrays(min(rows, self.n_samples))
+        for row in range(0, self.n_samples, rows):
+            at = 0 if reuse else row
+            k = min(rows, self.n_samples - row)
+            block = spikes[at:at + k], label_index[at:at + k]
+            if reuse:
+                block[0][...] = 0
+            # Parsed _BLOCK lines at a time, whatever the block's size.
+            for a in range(0, k, _BLOCK):
+                self._read(row + a, block[0][a:a + _BLOCK],
+                           block[1][a:a + _BLOCK])
+            yield block
+        if self._fh.read(1):
+            raise DataFormatError(f"data after the last of {self.n_samples} "
+                                  f"samples at byte {self._offset}")
+
+    def _read(self, row: int, spikes: np.ndarray, label_index: np.ndarray):
+        """Parse the next len(spikes) lines, those of samples `row` onwards,
+        into `spikes` (k, d, T), all zero, and `label_index` (k,); they must
+        serialise back to exactly the bytes read. A bad line is named by its
+        byte offset, the first in file order."""
+        want = len(spikes)
+        lines = list(islice(self._fh, want))
+        buf = b"".join(lines)
+        self.sha256.update(buf)
+        stops = np.cumsum([len(line) for line in lines], dtype=np.intp)
+        del lines  # buf holds the same bytes
+        k = len(stops)
+        flagged = _parse_lines(buf, stops, spikes[:k], label_index[:k],
+                               len(self.categories))
+        canonical = _sample_lines(spikes[:k], label_index[:k])
+        if canonical != buf or flagged.any():
+            _reject_line(buf, canonical, stops, flagged, self._offset)
+        self._offset += len(buf)
+        if k < want:
+            raise DataFormatError(f"truncated sample block at byte "
+                                  f"{self._offset}: expected "
+                                  f"{self.n_samples} samples, found {row + k}")
+
+
 def load_dataset(path: str) -> LabeledDataset:
-    """Read a .ds file in blocks of _BLOCK lines; only the exact bytes
-    `save_dataset` writes load: each block is parsed into its rows of the
-    spike array, which must serialise back to the block's bytes. A bad
-    line is named by its byte offset, the first in file order. The file's
+    """Read a .ds file with `DatasetReader` into arrays sized by its
+    header: only the exact bytes `save_dataset` writes load. The file's
     sha256 becomes the fingerprint."""
     with open(path, "rb") as fh:
-        raw = fh.readline()
-        digest = hashlib.sha256(raw)
-        d, T, dt_ms, n_samples, categories = _parse_header(raw)
-        try:
-            spikes = _zeros((n_samples, d, T))
-            label_index = _zeros(n_samples, dtype=np.intp)
-        except MemoryError as exc:
-            raise DataFormatError(f"header at byte 0: {n_samples} samples of "
-                                  f"({d}, {T}) spikes cannot be allocated: "
-                                  f"{exc}") from None
-        offset = len(raw)
-        for row in range(0, n_samples, _BLOCK):
-            want = min(_BLOCK, n_samples - row)
-            lines = list(islice(fh, want))
-            buf = b"".join(lines)
-            digest.update(buf)
-            rows = slice(row, row + len(lines))
-            stops = np.cumsum([len(line) for line in lines], dtype=np.intp)
-            del lines  # buf holds the same bytes
-            flagged = _parse_lines(buf, stops, spikes[rows], label_index[rows],
-                                   len(categories))
-            canonical = _sample_lines(spikes[rows], label_index[rows])
-            if canonical != buf or flagged.any():
-                _reject_line(buf, canonical, stops, flagged, offset)
-            offset += len(buf)
-            if len(stops) < want:
-                raise DataFormatError(f"truncated sample block at byte {offset}: "
-                                      f"expected {n_samples} samples, found "
-                                      f"{row + len(stops)}")
-        if fh.read(1):
-            raise DataFormatError(f"data after the last of {n_samples} samples at "
-                                  f"byte {offset}")
-    ds = LabeledDataset(spikes, label_index, categories, dt_ms)
-    ds._fingerprint = digest.hexdigest()
+        reader = DatasetReader(fh)
+        spikes, label_index = reader.arrays(reader.n_samples)
+        for _ in reader.blocks(_BLOCK, spikes, label_index):
+            pass
+    ds = LabeledDataset(spikes, label_index, reader.categories, reader.dt_ms)
+    ds._fingerprint = reader.sha256.hexdigest()
     return ds
 
 

@@ -1,4 +1,9 @@
-"""Metrics and reporting: accuracy, confusion tables, traces, run comparison."""
+"""Metrics and reporting: accuracy, confusion tables, traces, run comparison.
+
+Evaluation runs on a dataset given as row blocks (`evaluate_blocks`), so
+that `eval` can score a file as it reads it, a block at a time; `evaluate`
+is the same on a dataset held whole, as one block.
+"""
 
 from __future__ import annotations
 
@@ -11,7 +16,7 @@ import numpy as np
 
 from ._util import atomic_write_text, check_keys, is_finite_number, is_int
 from .construct import POOL_UNITS
-from .dataset import LabeledDataset
+from .dataset import _BLOCK, LabeledDataset
 from .errors import ConfigError, DataFormatError, LineageError
 from .learner import (
     STATUS_TARGET,
@@ -20,6 +25,7 @@ from .learner import (
     TraceRecord,
     TrainingTrace,
 )
+from .lif import CELLS
 
 TRACE_VERSION = 1
 TRACE_COLUMNS = [f.name for f in fields(TraceRecord)]
@@ -50,27 +56,64 @@ class EvalReport:
     predictions: np.ndarray  # per-sample predicted category index
 
 
-def evaluate(net: Network, ds: LabeledDataset) -> EvalReport:
-    """Predict every sample with frozen weights and tally the confusion table."""
-    if ds.d != net.d:
-        raise LineageError(f"dataset has {ds.d} channels, network expects {net.d}")
-    if net.categories[: ds.n_categories] != ds.categories:
+def check_dataset(net: Network, d: int, categories: list) -> None:
+    """LineageError unless a dataset of `d` channels over `categories` fits
+    the network: the same channels, and categories a prefix of its own."""
+    if d != net.d:
+        raise LineageError(f"dataset has {d} channels, network expects {net.d}")
+    if net.categories[:len(categories)] != categories:
         raise LineageError(
             "dataset categories must be a prefix of the network's categories"
         )
-    if len(ds) == 0:
+
+
+def block_rows(net: Network) -> int:
+    """Rows per block for `evaluate_blocks` on a dataset read a block at a
+    time: the kernel's own block for n units, max(1, CELLS // n), so that
+    each kernel pass gets the rows `Network.features` gives it over the
+    whole dataset; off a pool's dyadic grid, BLAS may round a drive by
+    block shape. A network of no units runs no kernel: _BLOCK rows."""
+    return max(1, CELLS // net.n_hidden) if net.n_hidden else _BLOCK
+
+
+def evaluate_blocks(net: Network, blocks) -> EvalReport:
+    """Predict a dataset given as row blocks with frozen weights and tally
+    the confusion table.
+
+    `blocks` yields the dataset's rows in order, as LabeledDatasets that
+    `check_dataset` accepts, each used before the next is drawn, so they
+    may share one buffer. Their rate features fill one (N, n) table, and
+    one `predict_batch` over it predicts every row, as over the whole
+    dataset; blocks of `block_rows(net)` rows give the kernel the row
+    blocks of the whole dataset too.
+    """
+    features, truth = [], []
+    for block in blocks:
+        features.append(net.features(block))
+        truth.append(block.label_index.copy())
+    if not sum(map(len, truth)):
         raise ConfigError("cannot evaluate an empty dataset")
+    # From `evaluate`, one block: its table is used as it is, not copied.
+    H = features[0] if len(features) == 1 else np.concatenate(features)
+    del features
+    predictions = net.predict(H)
+    truth = np.concatenate(truth)
     m = net.m
-    predictions = net.predict_dataset(ds)
-    truth = ds.label_index
     confusion = np.zeros((m, m), dtype=np.int64)
     np.add.at(confusion, (truth, predictions), 1)
-    accuracy = float(np.trace(confusion)) / len(ds)
+    accuracy = float(np.trace(confusion)) / len(truth)
     row_totals = confusion.sum(axis=1)
     per_cat = np.where(row_totals > 0,
                        np.diag(confusion) / np.maximum(row_totals, 1), 0.0)
     return EvalReport(accuracy, confusion, net.n_hidden, space_complexity(net),
                       per_cat, predictions)
+
+
+def evaluate(net: Network, ds: LabeledDataset) -> EvalReport:
+    """Predict every sample with frozen weights and tally the confusion
+    table: `evaluate_blocks` over the whole dataset as one block."""
+    check_dataset(net, ds.d, ds.categories)
+    return evaluate_blocks(net, [ds])
 
 
 def space_complexity(net: Network) -> int:

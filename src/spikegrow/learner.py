@@ -178,9 +178,14 @@ class Network:
                 f"dataset has {ds.d} channels, network expects {self.d}")
         return _unit_features(self.hidden, ds.spikes, self.lif)
 
+    def predict(self, H: np.ndarray) -> np.ndarray:
+        """Predicted category index per row of a rate-feature table of this
+        network's hidden units."""
+        return predict_batch(H, self.beta)
+
     def predict_dataset(self, ds: LabeledDataset) -> np.ndarray:
         """Predicted category index per sample."""
-        return predict_batch(self.features(ds), self.beta)
+        return self.predict(self.features(ds))
 
     def __eq__(self, other) -> bool:
         return (

@@ -5,6 +5,7 @@ import os
 import re
 import stat
 import struct
+import tracemalloc
 from contextlib import redirect_stderr, redirect_stdout
 
 import numpy as np
@@ -28,9 +29,16 @@ from spikegrow import (
 import spikegrow.cli
 import spikegrow.construct
 import spikegrow.dataset
+import spikegrow.learner
+import spikegrow.lif
 from spikegrow.cli import main
 from spikegrow.dataset import dataset_fingerprint
-from spikegrow.evaluation import export_trace, load_trace, trace_to_text
+from spikegrow.evaluation import (
+    export_trace,
+    load_trace,
+    report_to_text,
+    trace_to_text,
+)
 from spikegrow.learner import (
     CHECKPOINT_MAGIC,
     HiddenNeuron,
@@ -108,6 +116,34 @@ class TestGenData:
             assert blob == oracles.dataset_text(ds).encode("ascii")
             assert entry["sha256"] == hashlib.sha256(blob).hexdigest() \
                 == dataset_fingerprint(ds)
+
+    @pytest.mark.parametrize("generator", [
+        {},
+        {"d": 32, "T": 10, "separation": 0.05, "stages": [5]},
+        {"samples_per_category": 37},
+    ], ids=["default", "capacity", "37-per-category"])
+    def test_stage_files_equal_a_save_of_the_family(self, workdir, generator):
+        """gen-data draws and writes a block at a time what `save_dataset`
+        writes from the whole generated family: the same files and the
+        same manifest. 37 samples a category make blocks that end inside
+        a category and stages that end inside a block."""
+        (workdir / "cfg.json").write_text(json.dumps({"generator": generator}))
+        assert main(["gen-data", "--config", "cfg.json",
+                     "--out-dir", "data"]) == 0
+        gen = dict(generator)
+        stages = gen.pop("stages", [5, 10, 15, 20])
+        family = generate_family(GeneratorConfig(**gen), stages)
+        (workdir / "ref").mkdir()
+        paths = [workdir / "ref" / f"stage-{size}.ds" for size in stages]
+        save_dataset(list(family.stages), [str(p) for p in paths])
+        manifest = {"stages": [{
+            "categories": size, "n_samples": len(ds),
+            "path": f"stage-{size}.ds", "sha256": dataset_fingerprint(ds),
+        } for size, ds in zip(stages, family.stages)]}
+        assert (workdir / "data" / "manifest.json").read_text() == \
+            json.dumps(manifest, indent=1, sort_keys=True) + "\n"
+        for p in paths:
+            assert (workdir / "data" / p.name).read_bytes() == p.read_bytes()
 
     def test_each_row_serialised_once(self, workdir, monkeypatch):
         """The default family's stages are row prefixes of the last, so its
@@ -282,8 +318,9 @@ class TestBadConfig:
         {"d": 2**30 - 1, "T": 2**30 - 1, "samples_per_category": 2**30 - 1},
     ], ids=["beyond-memory", "beyond-numpy-size"])
     def test_family_too_large_exit_2(self, workdir, capsys, generator):
-        """Every size within its range, their product too large: the family
-        is allocated before any sample is drawn, and fails at once."""
+        """Every size within its range, their product too large: gen-data
+        allocates one block before any file is opened, and fails at
+        once."""
         cfg = write_config(workdir / "cfg.json", generator=dict(
             generator, categories=4, stages=[4]))
         assert main(["gen-data", "--config", cfg, "--out-dir", "out"]) == 2
@@ -414,7 +451,8 @@ class TestTrainExp:
         def entered(*args, **kwargs):
             raise AssertionError("the op read an input")
 
-        for name in ("load_run_config", "load_dataset", "load_network"):
+        for name in ("load_run_config", "load_dataset", "load_network",
+                     "DatasetReader"):
             monkeypatch.setattr(spikegrow.cli, name, entered)
         assert main(["train-exp", "--seed-checkpoint", "seed.net",
                      "--dataset", "data/stage-4.ds", "--one-loop-only",
@@ -560,6 +598,135 @@ class TestEvalAndInspect:
         capsys.readouterr()
         assert main(["inspect", "--checkpoint", "e.net"]) == 0
         assert f"frozen_prefix={seed_n}" in capsys.readouterr().out
+
+
+class TestEvalStreamed:
+    """eval reads, verifies and scores its dataset one block at a time,
+    after checking the header against the checkpoint; its report and its
+    errors are those of `evaluate` on `load_dataset`."""
+
+    @staticmethod
+    def network(n_hidden, d=16, m=4, seed=2):
+        """Random weights, off a pool's dyadic grid, as in the `data`
+        benchmark's checkpoint."""
+        rng = np.random.default_rng(seed)
+        hidden = [HiddenNeuron(rng.uniform(-1, 1, d), float(rng.uniform(-1, 1)))
+                  for _ in range(n_hidden)]
+        return Network(d, LifParams(), hidden, rng.normal(size=(n_hidden, m)),
+                       list(range(m)))
+
+    @staticmethod
+    def dataset(rows, d=16, T=25, m=4, seed=3):
+        rng = np.random.default_rng(seed)
+        return LabeledDataset(rng.random((rows, d, T)) < 0.2,
+                              rng.integers(0, m, rows), list(range(m)))
+
+    def run_eval(self, net, blob, capsys):
+        save_network(net, "n.net")
+        with open("d.ds", "wb") as fh:
+            fh.write(blob)
+        capsys.readouterr()
+        code = main(["eval", "--checkpoint", "n.net", "--dataset", "d.ds",
+                     "--out-report", "r.json"])
+        return code, capsys.readouterr().err
+
+    @pytest.mark.parametrize("rows", [100, 256, 257, 700])
+    @pytest.mark.parametrize("n_hidden", [0, 3, 50],
+                             ids=["no-units", "3-units", "50-units"])
+    def test_report_equals_evaluate_of_loaded(self, workdir, capsys, rows,
+                                              n_hidden):
+        """The kernel's block, CELLS // n rows, is 163 at 50 units, which
+        does not divide 256, and 2730 at 3 units, longer than every file
+        here; the files are shorter than one block, exactly _BLOCK and
+        _BLOCK + 1 rows, and several blocks long."""
+        net = self.network(n_hidden)
+        save_dataset(self.dataset(rows), "ref.ds")
+        code, err = self.run_eval(net, (workdir / "ref.ds").read_bytes(),
+                                  capsys)
+        assert (code, err) == (0, "")
+        ds = load_dataset("ref.ds")
+        assert (workdir / "r.json").read_text() == \
+            report_to_text(evaluate(net, ds), net.categories)
+
+    @pytest.mark.parametrize("rows", [257, 700])
+    @pytest.mark.parametrize("n_hidden", [3, 50, 200])
+    def test_kernel_gets_the_row_blocks_of_a_whole_dataset_pass(
+            self, workdir, capsys, monkeypatch, rows, n_hidden):
+        """Off the dyadic grid a drive's last bit can depend on the rows
+        that share its GEMM, so eval hands the kernel the row blocks that
+        `Network.features` hands it over the whole loaded file, and
+        predicts every row with one product over the (N, n) table."""
+        net = self.network(n_hidden)
+        save_dataset(self.dataset(rows), "ref.ds")
+        shapes, tables = [], []
+        raster = spikegrow.lif._lif_raster
+        monkeypatch.setattr(spikegrow.lif, "_lif_raster", lambda xt, *args:
+                            shapes.append(xt.shape) or raster(xt, *args))
+        net.features(load_dataset("ref.ds"))
+        whole, shapes[:] = list(shapes), []
+        predict = spikegrow.learner.predict_batch
+        monkeypatch.setattr(spikegrow.learner, "predict_batch", lambda H, beta:
+                            tables.append(H.shape) or predict(H, beta))
+        code, _ = self.run_eval(net, (workdir / "ref.ds").read_bytes(), capsys)
+        assert code == 0
+        assert shapes == whole
+        assert tables == [(rows, n_hidden)]
+
+    @pytest.mark.parametrize("edit", [
+        lambda lines: lines[:-2],
+        lambda lines: lines[:1],
+        lambda lines: lines[:1 + 163],
+        lambda lines: lines[:1 + 256],
+        lambda lines: lines + lines[-1:],
+        lambda lines: lines + [b"x"],
+        lambda lines: lines[:-1] + [lines[-1][:-1]],
+        lambda lines: lines[:200] + [lines[200][:-1]],
+    ], ids=["two-short", "no-sample", "one-kernel-block", "one-codec-block",
+            "trailing-record", "trailing-byte", "no-final-newline",
+            "cut-mid-file"])
+    @pytest.mark.parametrize("n_hidden", [3, 50])
+    def test_exit_3_with_the_loaders_error(self, workdir, capsys, edit,
+                                           n_hidden):
+        save_dataset(self.dataset(400), "ref.ds")
+        lines = (workdir / "ref.ds").read_bytes().splitlines(keepends=True)
+        blob = b"".join(edit(lines))
+        code, err = self.run_eval(self.network(n_hidden), blob, capsys)
+        with pytest.raises(DataFormatError) as loaded:
+            load_dataset("d.ds")
+        assert (code, err) == (3, f"error: DataFormatError: {loaded.value}\n")
+        assert not (workdir / "r.json").exists()
+
+    @pytest.mark.parametrize("claimed", [401, 10**5, 10**12])
+    def test_header_longer_than_its_file_is_truncated(self, workdir, capsys,
+                                                      claimed):
+        """A header that claims more samples than the file holds is a
+        truncated block at the end of the file, and its count is never
+        allocated: the whole op stays below the (claimed, d, T) spike array
+        of 10**5 samples (40 MB), and 10**12 samples, which `load_dataset`
+        cannot allocate, read the same way."""
+        save_dataset(self.dataset(400), "ref.ds")
+        blob = (workdir / "ref.ds").read_bytes().replace(
+            b'"n_samples": 400', b'"n_samples": %d' % claimed, 1)
+        tracemalloc.start()
+        try:
+            code, err = self.run_eval(self.network(50), blob, capsys)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert code == 3
+        assert err == (f"error: DataFormatError: truncated sample block at "
+                       f"byte {len(blob)}: expected {claimed} samples, found "
+                       f"400\n")
+        assert peak < 2 * 400 * 16 * 25 * 8
+
+    def test_header_checked_before_any_sample_line(self, workdir, capsys):
+        """A dataset of other channels ends eval before its sample lines
+        are read, however malformed they are."""
+        save_dataset(self.dataset(10, d=8), "ref.ds")
+        blob = (workdir / "ref.ds").read_bytes().split(b"\n")[0] + b"\nbad\n"
+        code, err = self.run_eval(self.network(5), blob, capsys)
+        assert (code, err) == (3, "error: LineageError: dataset has 8 "
+                                  "channels, network expects 16\n")
 
 
 class TestCompare:
@@ -860,7 +1027,8 @@ class TestOutputPathsFailFast:
             raise AssertionError("the op started its work")
 
         for name in ("load_dataset", "load_network", "load_trace",
-                     "train_fresh", "train_experienced", "evaluate"):
+                     "train_fresh", "train_experienced", "evaluate",
+                     "DatasetReader"):
             monkeypatch.setattr(spikegrow.cli, name, entered)
         return generated
 
@@ -915,7 +1083,7 @@ class TestOutputNamesAnInput:
             raise AssertionError("the op started its work")
 
         for name in ("load_run_config", "load_dataset", "load_network",
-                     "load_trace"):
+                     "load_trace", "DatasetReader"):
             monkeypatch.setattr(spikegrow.cli, name, entered)
         return cfg
 

@@ -16,8 +16,10 @@ from spikegrow import (
     DataFormatError,
     GeneratorConfig,
     LabeledDataset,
+    LifParams,
     ShapeError,
     encode_targets,
+    evaluate,
     generate_family,
     load_dataset,
     save_dataset,
@@ -31,6 +33,8 @@ from spikegrow.dataset import (
     _tokens,
     dataset_fingerprint,
 )
+from spikegrow.evaluation import report_to_text
+from spikegrow.learner import HiddenNeuron, Network, save_network
 
 
 class TestGeneratorConfig:
@@ -323,11 +327,13 @@ class TestSerialization:
 
     def test_fingerprint_is_saved_file_digest_computed_once(self, tmp_path,
                                                               monkeypatch):
+        """Each of the 12-row datasets below is one block, serialised once
+        by the save or by its first fingerprint."""
         import spikegrow.dataset as dataset_module
         calls = []
-        chunks = dataset_module._canonical_chunks
-        monkeypatch.setattr(dataset_module, "_canonical_chunks",
-                            lambda ds: calls.append(ds) or chunks(ds))
+        lines = dataset_module._sample_lines
+        monkeypatch.setattr(dataset_module, "_sample_lines",
+                            lambda *block: calls.append(block) or lines(*block))
         ds = make_dataset(seed=4)
         p = tmp_path / "f.ds"
         save_dataset(ds, str(p))
@@ -448,7 +454,7 @@ class TestSerialization:
 class TestSaveMemory:
     """A save streams each block of lines to its files as it is made: it
     holds no whole-file payload, and gen-data's stages share one
-    serialisation of their rows."""
+    serialisation of their rows, drawn a block at a time."""
 
     def test_save_peak_below_file_size(self, tmp_path):
         ds = generate_family(GeneratorConfig(rng_seed=1), [20]).stages[0]
@@ -463,18 +469,11 @@ class TestSaveMemory:
         # 0.57 of the 4.9 MiB file streamed, 2.0 when the file was joined.
         assert peak < 0.75 * p.stat().st_size
 
-    def test_gen_data_peak_below_largest_file_size(self, tmp_path,
-                                                   monkeypatch):
-        generate = spikegrow.cli.generate_family
-        held = []
-
-        def generated(*args):
-            family = generate(*args)
-            tracemalloc.reset_peak()
-            held.append(tracemalloc.get_traced_memory()[0])
-            return family
-
-        monkeypatch.setattr(spikegrow.cli, "generate_family", generated)
+    def test_gen_data_peak_below_one_spike_array(self, tmp_path):
+        """gen-data draws, serialises and writes one block at a time and
+        never holds the family: the whole op peaks below one stage-20 spike
+        array (4.3 MiB against 6.1; 9.8 when it generated the family
+        first)."""
         tracemalloc.start()
         try:
             assert spikegrow.cli.main(["gen-data", "--out-dir",
@@ -482,9 +481,7 @@ class TestSaveMemory:
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
-        # Above the generated family: 0.56 of the largest file streamed,
-        # 2.0 when each stage was saved alone.
-        assert peak - held[0] < 0.75 * (tmp_path / "stage-20.ds").stat().st_size
+        assert peak < 4000 * 64 * 25
 
     @pytest.mark.parametrize("error", [MemoryError(),
                                        OSError(errno.ENOSPC, "No space left")])
@@ -512,6 +509,41 @@ class TestSaveMemory:
             assert raised.value.filename in [str(p) for p in paths]
         assert sorted(p.name for p in tmp_path.iterdir()) == ["2.ds"]
         assert paths[2].read_bytes() == b"old"
+
+    @pytest.mark.parametrize("error", [MemoryError(),
+                                       OSError(errno.ENOSPC, "No space left")])
+    def test_failed_gen_data_leaves_no_temp_file(self, tmp_path, monkeypatch,
+                                                 capsys, error):
+        """gen-data fails on its second block, after the first went to every
+        stage file: exit 2, no temp file, no manifest, and a stage file that
+        was there keeps its bytes. 64 samples per category make blocks of
+        256 and 192 rows."""
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text('{"generator": {"d": 3, "T": 7, "categories": 7, '
+                       '"samples_per_category": 64, "stages": [4, 7]}}')
+        out = tmp_path / "out"
+        out.mkdir()
+        (out / "stage-7.ds").write_bytes(b"old")
+        lines = spikegrow.dataset._sample_lines
+        blocks = []
+
+        def failing(spikes, label_index):
+            blocks.append(len(spikes))
+            if len(blocks) == 2:
+                raise error
+            return lines(spikes, label_index)
+
+        monkeypatch.setattr(spikegrow.dataset, "_sample_lines", failing)
+        assert spikegrow.cli.main(["gen-data", "--config", str(cfg),
+                                   "--out-dir", str(out)]) == 2
+        assert blocks == [_BLOCK, 7 * 64 - _BLOCK]
+        err = capsys.readouterr().err
+        assert err.startswith(f"error: {type(error).__name__}: ")
+        if isinstance(error, OSError):
+            assert str(out / "stage-4.ds") in err or str(out / "stage-7.ds") in err
+            assert ".tmp-" not in err
+        assert sorted(p.name for p in out.iterdir()) == ["stage-7.ds"]
+        assert (out / "stage-7.ds").read_bytes() == b"old"
 
 
 class TestLoadMemory:
@@ -558,21 +590,28 @@ _LINES = {
 _CANONICAL = list(_LINES)[:3]
 
 
-@pytest.mark.parametrize("at", [0, 1, 2])
-@pytest.mark.parametrize("ending", [b"\n", b"\r\n"], ids=["LF", "CRLF"])
-@pytest.mark.parametrize("case", list(_LINES))
-def test_parser_cases_match_per_line_reference(tmp_path, case, ending, at):
-    """Each line loads as the per-line reference loads it, or both reject
-    it at its own byte offset; the lines around it are canonical."""
+def _case_file(tmp_path, case, ending, at):
+    """A file of three canonical lines with line `at` replaced by the case
+    and `ending`; returns its path and the byte offset of that line."""
     good = oracles.dataset_text(make_dataset(n_per_cat=1, n_cats=3, d=3, T=12,
                                              seed=3)).encode("ascii").splitlines()
     header = good[0].replace(b'"categories": [0, 1, 2]', b'"categories": [%s]'
                              % b", ".join(b"%d" % c for c in range(12)))
     lines = [line + b"\n" for line in good[1:]]
     lines[at] = _LINES[case] + ending
-    blob = header + b"\n" + b"".join(lines)
     p = tmp_path / "case.ds"
-    p.write_bytes(blob)
+    p.write_bytes(header + b"\n" + b"".join(lines))
+    return p, len(header) + 1 + sum(map(len, lines[:at]))
+
+
+@pytest.mark.parametrize("at", [0, 1, 2])
+@pytest.mark.parametrize("ending", [b"\n", b"\r\n"], ids=["LF", "CRLF"])
+@pytest.mark.parametrize("case", list(_LINES))
+def test_parser_cases_match_per_line_reference(tmp_path, case, ending, at):
+    """Each line loads as the per-line reference loads it, or both reject
+    it at its own byte offset; the lines around it are canonical."""
+    p, at_line = _case_file(tmp_path, case, ending, at)
+    blob = p.read_bytes()
     if case in _CANONICAL and ending == b"\n":
         ds = load_dataset(str(p))
         assert ds == oracles.load_dataset(str(p))
@@ -583,8 +622,37 @@ def test_parser_cases_match_per_line_reference(tmp_path, case, ending, at):
         oracles.load_dataset(str(p))
     with pytest.raises(DataFormatError) as raised:
         load_dataset(str(p))
-    at_line = len(header) + 1 + sum(map(len, lines[:at]))
     assert _byte_offset(raised.value) == _byte_offset(reference.value) == at_line
+
+
+@pytest.mark.parametrize("at", [0, 1, 2])
+@pytest.mark.parametrize("ending", [b"\n", b"\r\n"], ids=["LF", "CRLF"])
+@pytest.mark.parametrize("case", list(_LINES))
+def test_eval_reads_each_case_as_the_loader(tmp_path, capsys, case, ending,
+                                            at):
+    """eval reads a file a block at a time, as it scores it: a file that
+    loads gives the report of `evaluate` on the loaded dataset; any other
+    exits 3 with the loader's error, naming the same byte offset."""
+    p, at_line = _case_file(tmp_path, case, ending, at)
+    rng = np.random.default_rng(5)
+    net = Network(3, LifParams(), [HiddenNeuron(rng.uniform(-1, 1, 3), 0.5)
+                                   for _ in range(3)],
+                  rng.normal(size=(3, 12)), list(range(12)))
+    save_network(net, str(tmp_path / "n.net"))
+    code = spikegrow.cli.main(["eval", "--checkpoint", str(tmp_path / "n.net"),
+                               "--dataset", str(p), "--out-report",
+                               str(tmp_path / "r.json")])
+    err = capsys.readouterr().err
+    try:
+        ds = load_dataset(str(p))
+    except DataFormatError as exc:
+        assert (code, err) == (3, f"error: DataFormatError: {exc}\n")
+        assert _byte_offset(exc) == at_line
+        assert not (tmp_path / "r.json").exists()
+        return
+    assert code == 0
+    assert (tmp_path / "r.json").read_text() == \
+        report_to_text(evaluate(net, ds), net.categories)
 
 
 @settings(max_examples=150, deadline=None)

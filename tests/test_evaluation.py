@@ -16,16 +16,19 @@ from spikegrow import (
     export_trace,
     generate_family,
     load_trace,
+    save_dataset,
     space_complexity,
     split_train_test,
     train_fresh,
 )
+from spikegrow.cli import main
 from spikegrow.evaluation import comparison_to_text, trace_to_text
 from spikegrow.learner import (
     HiddenNeuron,
     Network,
     TraceRecord,
     TrainingTrace,
+    save_network,
 )
 from spikegrow.lif import CELLS
 
@@ -216,6 +219,32 @@ class TestMemory:
             assert peak < ds.spikes.size * 8
             above[N] = peak - N * P * 8
         assert abs(above[4000] - above[1000]) < block
+
+    def test_eval_peak_below_one_spike_array(self, tmp_path):
+        """eval on stage-20 with a 50-unit network reads, verifies and
+        scores one block of rows at a time and never holds the dataset: the
+        whole op peaks below one stage-20 spike array (3.8 MiB against 6.1;
+        9.9 when it loaded the file first)."""
+        ds = generate_family(GeneratorConfig(rng_seed=1), [20]).stages[0]
+        assert (len(ds), ds.d, ds.T) == (4000, 64, 25)
+        save_dataset(ds, str(tmp_path / "stage-20.ds"))
+        rng = np.random.default_rng(2)
+        hidden = [HiddenNeuron(rng.uniform(-1, 1, ds.d), float(rng.uniform(-1, 1)))
+                  for _ in range(50)]
+        save_network(Network(ds.d, LifParams(), hidden,
+                             rng.normal(size=(50, ds.n_categories)),
+                             ds.categories), str(tmp_path / "n.net"))
+        nbytes = ds.spikes.nbytes
+        del ds
+        tracemalloc.start()
+        try:
+            assert main(["eval", "--checkpoint", str(tmp_path / "n.net"),
+                         "--dataset", str(tmp_path / "stage-20.ds"),
+                         "--out-report", str(tmp_path / "r.json")]) == 0
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < nbytes
 
     def test_growth_casts_only_the_training_set(self, two_class_family):
         net, _, train, test = trained_pair(two_class_family)

@@ -2,6 +2,8 @@ import tracemalloc
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from conftest import float_bits, make_dataset
 from oracles import spike_count_classifier_accuracy
@@ -444,6 +446,51 @@ class TestIncrementalResidual:
                             counted_fit)
         PINNED_RUNS[name]()
         assert events == ["grow", "fit"] * growths
+
+
+class TestGrowthProperty:
+    """Growth invariants over small random configs: every record's sq_norm
+    is the least-squares residual at its width, every step certifies the
+    contraction, and the run repeats to the byte. Records' test accuracy
+    is left to the tie repro in TestTrainExperienced."""
+
+    @settings(max_examples=60, deadline=None)
+    @given(d=st.integers(2, 8), T=st.integers(3, 10), m=st.integers(2, 4),
+           samples=st.integers(4, 12), separation=st.floats(0.0, 0.9),
+           pool_size=st.integers(2, 12), sigma0=st.floats(0.9, 0.999),
+           weight_scale=st.sampled_from([0.5, 1.0, 2.0, 4.0]),
+           target=st.floats(0.8, 1.0), max_hidden=st.integers(1, 12),
+           patience=st.integers(1, 4), eval_every=st.integers(1, 3),
+           seed=st.integers(0, 2**16))
+    def test_records_are_exact_contracting_and_repeat(
+            self, d, T, m, samples, separation, pool_size, sigma0,
+            weight_scale, target, max_hidden, patience, eval_every, seed):
+        ds = generate_family(GeneratorConfig(
+            d=d, T=T, categories=m, samples_per_category=samples,
+            separation=separation, rng_seed=seed), [m]).stages[0]
+        train, test = split_train_test(ds, 0.25, seed)
+        cfg = GrowthConfig(
+            target_train_accuracy=target, max_hidden=max_hidden,
+            patience=patience, eval_every=eval_every, rng_seed=seed,
+            pruning=PruningConfig(pool_size=pool_size,
+                                  weight_scale=weight_scale, sigma0=sigma0))
+        with pytest.MonkeyPatch.context() as mp:
+            calls = record_growth(mp)
+            try:
+                net, trace = train_fresh(train, test, cfg)
+            except DegenerateDataError:
+                # The first pool certified no unit; so it does again.
+                with pytest.raises(DegenerateDataError):
+                    train_fresh(train, test, cfg)
+                return
+        check_against_lstsq(calls, trace, np.zeros((len(train), 0)),
+                            encode_targets(train))
+        for (E, _), rec in zip(calls, trace.records):
+            prev_sq = float(np.sum(E * E))
+            assert rec.sq_norm <= sigma0 * prev_sq * (1 + _CERT_RTOL)
+            assert rec.sq_norm < prev_sq
+        again, _ = train_fresh(train, test, cfg)
+        assert network_to_bytes(again) == network_to_bytes(net)
 
 
 class TestOneLoopAdapt:
