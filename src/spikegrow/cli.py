@@ -20,7 +20,6 @@ from .construct import PruningConfig
 from .dataset import (  # noqa: F401
     DatasetReader,
     GeneratorConfig,
-    LabeledDataset,
     SplitConfig,
     check_stage_sizes,
     dataset_fingerprint,
@@ -254,10 +253,7 @@ def cmd_eval(args) -> int:
         # line is read; then each block is read, verified and scored.
         reader = DatasetReader(fh)
         check_dataset(net, reader.d, reader.categories)
-        report = evaluate_blocks(net, (
-            LabeledDataset(spikes, label_index, reader.categories,
-                           reader.dt_ms)
-            for spikes, label_index in reader.blocks(block_rows(net))))
+        report = evaluate_blocks(net, reader.blocks(block_rows(net)))
     text = report_to_text(report, net.categories)
     if args.out_report:
         atomic_write_text(args.out_report, text)

@@ -149,8 +149,9 @@ def _draw(cfg: PruningConfig, d: int, rng) -> np.ndarray:
 
 def pool_features(draw, ds, params):
     """Evaluate a pool's (P, d + 1) draw in one batched pass over the
-    dataset's cached time-major uint8 tensor, which every pool of a growth
-    run re-reads; its row blocks go to the kernel as views, not copies.
+    dataset's time-major uint8 `spike_tensor()`, which every pool of a
+    growth run re-reads; its row blocks go to the kernel as views, not
+    copies.
 
     Returns (pool index, feature) pairs in pool order; each feature equals
     `batch_rate_features` of its row's weights over the dataset's spikes.

@@ -81,7 +81,9 @@ def _categories_ok(categories: list) -> bool:
 
 class LabeledDataset:
     """An immutable dataset over an ordered category list: an (N, d, T) uint8
-    array of spike blocks and an (N,) array of indices into the categories."""
+    array of spike blocks and an (N,) array of indices into the categories.
+    `spike_tensor()` may rebind `spikes` to a time-major view of the same
+    values; every reader takes either layout."""
 
     def __init__(self, spikes, label_index, categories, dt_ms=1.0):
         self.spikes = as_bits(spikes, ConfigError, "spike")
@@ -118,21 +120,25 @@ class LabeledDataset:
         return len(self.categories)
 
     def spike_tensor(self) -> np.ndarray:
-        """The spike blocks as a read-only (N, d, T) uint8 array; cached.
+        """The spike blocks as a read-only (N, d, T) uint8 array, laid out
+        time-major; the dataset's one copy of them from the first call on.
 
-        The array is a view of a time-major (T, N, d) copy of `spikes`, so
-        that every time step of any row block, the (rows, d) slice the LIF
-        kernel multiplies, is already C-contiguous: the kernel runs the
-        tensor a block of rows at a time, like any uint8 batch, with no
-        copy per pass. Growth calls this for the training set alone, which
-        every candidate pool re-reads; a pass that reads a dataset once
-        passes `spikes` and copies one block at a time. It takes the memory
-        of `spikes` once more.
+        The array is a view of a time-major (T, N, d) buffer, so that every
+        time step of any row block, the (rows, d) slice the LIF kernel
+        multiplies, is already C-contiguous: the kernel runs the tensor a
+        block of rows at a time, like any uint8 batch, with no copy per
+        pass. The first call copies `spikes` into that buffer once and
+        rebinds `spikes` to the view, so the row-major array is freed, not
+        held beside it: the values are the same, only the layout changes.
+        Growth calls this for its training and test sets, which it re-reads
+        on every pool and eval step. A pass that reads a dataset once
+        passes `spikes` and converts nothing; the kernel copies each row
+        block of a row-major `spikes` time-major as it goes.
         """
         if self._tensor is None:
             t = np.ascontiguousarray(self.spikes.transpose(2, 0, 1))
             t.setflags(write=False)
-            self._tensor = t.transpose(1, 2, 0)
+            self.spikes = self._tensor = t.transpose(1, 2, 0)
         return self._tensor
 
     def __eq__(self, other) -> bool:

@@ -80,22 +80,24 @@ def evaluate_blocks(net: Network, blocks) -> EvalReport:
     """Predict a dataset given as row blocks with frozen weights and tally
     the confusion table.
 
-    `blocks` yields the dataset's rows in order, as LabeledDatasets that
-    `check_dataset` accepts, each used before the next is drawn, so they
-    may share one buffer. Their rate features fill one (N, n) table, and
-    one `predict_batch` over it predicts every row, as over the whole
-    dataset; blocks of `block_rows(net)` rows give the kernel the row
-    blocks of the whole dataset too.
+    `blocks` yields the dataset's rows in order, as (spikes, label_index)
+    blocks of a dataset that `check_dataset` accepts, each used before the
+    next is drawn, so they may share one buffer. Their rate features fill
+    one (N, n) table, from `Network.block_features`, and one
+    `predict_batch` over it predicts every row, as over the whole dataset;
+    blocks of `block_rows(net)` rows give the kernel the row blocks of the
+    whole dataset too.
     """
-    features, truth = [], []
-    for block in blocks:
-        features.append(net.features(block))
-        truth.append(block.label_index.copy())
+    truth = []
+
+    def spikes():
+        for x, label_index in blocks:
+            truth.append(label_index.copy())
+            yield x
+
+    H = net.block_features(spikes())
     if not sum(map(len, truth)):
         raise ConfigError("cannot evaluate an empty dataset")
-    # From `evaluate`, one block: its table is used as it is, not copied.
-    H = features[0] if len(features) == 1 else np.concatenate(features)
-    del features
     predictions = net.predict(H)
     truth = np.concatenate(truth)
     m = net.m
@@ -113,7 +115,7 @@ def evaluate(net: Network, ds: LabeledDataset) -> EvalReport:
     """Predict every sample with frozen weights and tally the confusion
     table: `evaluate_blocks` over the whole dataset as one block."""
     check_dataset(net, ds.d, ds.categories)
-    return evaluate_blocks(net, [ds])
+    return evaluate_blocks(net, [(ds.spikes, ds.label_index)])
 
 
 def space_complexity(net: Network) -> int:

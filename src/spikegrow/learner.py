@@ -178,6 +178,14 @@ class Network:
                 f"dataset has {ds.d} channels, network expects {self.d}")
         return _unit_features(self.hidden, ds.spikes, self.lif)
 
+    def block_features(self, blocks) -> np.ndarray:
+        """Rate-feature table of this network's hidden units on a batch
+        given as (rows, d, T) uint8 spike blocks in row order, such as a
+        file read a block at a time: one kernel pass per block, with the
+        weights stacked once for all of them. Each block is used before the
+        next is drawn, so the blocks may share one buffer."""
+        return _block_features(self.hidden, blocks, self.lif)
+
     def predict(self, H: np.ndarray) -> np.ndarray:
         """Predicted category index per row of a rate-feature table of this
         network's hidden units."""
@@ -203,11 +211,21 @@ class Network:
 def _unit_features(hidden, x: np.ndarray, lif: LifParams) -> np.ndarray:
     """(N, n) rate features of hidden units on an (N, d, T) batch, in one
     batched pass."""
+    return _block_features(hidden, [x], lif)
+
+
+def _block_features(hidden, blocks, lif: LifParams) -> np.ndarray:
+    """(N, n) rate features of hidden units on a batch given as row blocks,
+    one batched pass per block with the weights stacked once. The table of
+    a single block is returned as it is, not copied."""
     if not hidden:
-        return np.zeros((len(x), 0))
+        return np.zeros((sum(map(len, blocks)), 0))
     W = np.stack([h.w for h in hidden])
     V = np.array([h.v for h in hidden])
-    return batch_rate_features(x, W, V, lif)
+    tables = [batch_rate_features(x, W, V, lif) for x in blocks]
+    if len(tables) == 1:
+        return tables[0]
+    return np.concatenate([np.zeros((0, len(hidden))), *tables])
 
 
 def _check_pair(train: LabeledDataset, test: LabeledDataset) -> None:
@@ -255,25 +273,30 @@ def _grow(hidden, frozen_prefix, train, test, cfg: GrowthConfig, lif: LifParams,
     Growth keeps no feature table, only 8 (N + N_test) bytes a unit of Q
     and the test image: grown units lie on the pool's dyadic grid, so any
     kernel pass gives their features exactly, and the snapshot's are
-    recomputed. Training-set passes read its cached time-major uint8
-    tensor, whose row blocks the kernel takes as views.
+    recomputed. Both sets are read through `spike_tensor()`, which turns
+    each into its one time-major uint8 copy: every pass, test passes and
+    the returned network's included, hands the kernel views of its row
+    blocks, and no set is held twice. The lineage fingerprint is taken
+    first, from the loaded layout, which serialises faster.
     """
     _check_pair(train, test)
+    fingerprint = dataset_fingerprint(train)
     hidden = list(hidden)
     n0 = len(hidden)
     F = encode_targets(train)
     train_labels = train.label_index
     test_labels = test.label_index
+    train_x, test_x = train.spike_tensor(), test.spike_tensor()
     fit = GrowingFit(F, len(test))
 
     def test_accuracy() -> float:
         outputs = fit.test_outputs(_unit_features(
-            hidden[len(hidden) - fit.pending:], test.spikes, lif))
+            hidden[len(hidden) - fit.pending:], test_x, lif))
         return float(np.mean(np.argmax(outputs, axis=1) == test_labels))
 
     # Contiguous rows, not strided column views: the fit's dot products
     # then see the same vectors as a grown unit's pool feature.
-    for h in _unit_features(hidden, train.spike_tensor(), lif).T.copy():
+    for h in _unit_features(hidden, train_x, lif).T.copy():
         fit.add(h)
     train_acc = _fitted_accuracy(F, fit.E, train_labels)
     test_acc = test_accuracy()
@@ -357,10 +380,10 @@ def _grow(hidden, frozen_prefix, train, test, cfg: GrowthConfig, lif: LifParams,
     # held beside lstsq's copy.
     del fit
     best_hidden = hidden[:best_n]
-    best_beta = _fit(_unit_features(best_hidden, train.spike_tensor(), lif), F)
+    best_beta = _fit(_unit_features(best_hidden, train_x, lif), F)
     entry = {
         "kind": kind,
-        "fingerprint": dataset_fingerprint(train),
+        "fingerprint": fingerprint,
         "n_hidden_before": n0,
         "n_hidden_after": best_n,
         "status": status,

@@ -182,11 +182,11 @@ def batch_rate_features(x, w, v, params: LifParams) -> np.ndarray:
     each block runs through the kernel alone and its spike counts are
     summed, so the kernel's memory is bounded by the block, not by N. A
     block whose time steps are already contiguous, as in a dataset's
-    cached time-major `spike_tensor()`, which growth re-reads for every
-    pool, goes to the kernel as a view; any other, such as a block of a
-    dataset's `spikes`, is copied time-major once, as uint8. Anything else
-    is taken as float64 and run as one block. At the paper's pool the
-    blocked uint8 pass over a cached tensor is faster than a float64
+    time-major `spike_tensor()`, the one copy growth keeps of its training
+    and test sets, goes to the kernel as a view; any other, such as a block
+    of a row-major `spikes`, is copied time-major once, as uint8. Anything
+    else is taken as float64 and run as one block. At the paper's pool the
+    blocked uint8 pass over a time-major tensor is faster than a float64
     tensor as one block; a small pool on short trains pays a little for the
     per-step cast (see CHANGES.md).
 

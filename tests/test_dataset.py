@@ -439,6 +439,33 @@ class TestSerialization:
             assert blob == oracles.dataset_text(part).encode("ascii")
             assert part._fingerprint == hashlib.sha256(blob).hexdigest()
 
+    def test_time_major_dataset_reads_as_row_major(self, tmp_path):
+        """After `spike_tensor()`, `spikes` is a strided time-major view. The
+        dataset fingerprints, saves (alone and with a row prefix), splits
+        and compares to the same bytes and rows as a row-major copy."""
+        ds = make_dataset(n_per_cat=150, n_cats=3, d=5, T=7, seed=8)
+        rows = LabeledDataset(np.array(ds.spikes), ds.label_index,
+                              ds.categories)
+        assert ds.spike_tensor() is ds.spikes
+        assert not ds.spikes.flags.c_contiguous and len(ds) > _BLOCK
+        assert rows.spikes.flags.c_contiguous
+        assert dataset_fingerprint(ds) == dataset_fingerprint(rows)
+        assert ds == rows and rows == ds
+        for a, b in zip(split_train_test(ds, 0.2, 3),
+                        split_train_test(rows, 0.2, 3)):
+            assert a == b and dataset_fingerprint(a) == dataset_fingerprint(b)
+        blobs = []
+        for name, whole in (("t", ds), ("r", rows)):
+            head = LabeledDataset(whole.spikes[:300], whole.label_index[:300],
+                                  whole.categories)
+            paths = [tmp_path / f"{name}{k}.ds" for k in range(3)]
+            save_dataset(whole, str(paths[0]))
+            save_dataset([head, whole], [str(p) for p in paths[1:]])
+            blobs.append([p.read_bytes() for p in paths])
+        assert blobs[0] == blobs[1]
+        assert blobs[0][0] == blobs[0][2] \
+            == oracles.dataset_text(rows).encode("ascii")
+
     @pytest.mark.parametrize("rows", [slice(1, 5), slice(0, 301)])
     def test_not_a_row_prefix_rejected(self, tmp_path, rows):
         ds = make_dataset(n_per_cat=100, n_cats=3, seed=6)

@@ -8,6 +8,7 @@ from spikegrow import (
     ConfigError,
     GeneratorConfig,
     GrowthConfig,
+    LabeledDataset,
     LifParams,
     LineageError,
     PruningConfig,
@@ -178,8 +179,8 @@ class TestCompareRuns:
 class TestMemory:
     """A pass that reads a dataset once runs the kernel on its uint8 spikes,
     a block of rows at a time, and never holds a float64 copy of them;
-    growth caches a time-major uint8 copy of its training set alone, which
-    every candidate pool re-reads."""
+    growth turns its training and test sets each into one time-major uint8
+    copy, which its pools and eval steps re-read."""
 
     @staticmethod
     def evaluate_peak(N):
@@ -246,9 +247,17 @@ class TestMemory:
             tracemalloc.stop()
         assert peak < nbytes
 
-    def test_growth_casts_only_the_training_set(self, two_class_family):
+    def test_growth_holds_one_copy_of_each_set(self, two_class_family):
+        """Growth converts both of its sets, and `spikes` is then a view of
+        the one time-major copy; evaluate converts nothing."""
         net, _, train, test = trained_pair(two_class_family)
-        assert train._tensor is not None
-        assert test._tensor is None
-        evaluate(net, test)
-        assert test._tensor is None
+        for ds in (train, test):
+            assert ds._tensor is not None
+            assert np.shares_memory(ds.spikes, ds._tensor)
+            assert ds.spikes.transpose(2, 0, 1).flags.c_contiguous
+        rows = LabeledDataset(np.array(test.spikes, order="C"),
+                              test.label_index, test.categories)
+        report = evaluate(net, rows)
+        assert rows._tensor is None and rows.spikes.flags.c_contiguous
+        assert report.predictions.tobytes() == \
+            evaluate(net, test).predictions.tobytes()

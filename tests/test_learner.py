@@ -1,3 +1,4 @@
+import json
 import tracemalloc
 
 import numpy as np
@@ -24,6 +25,7 @@ from spikegrow import (
     generate_family,
     load_network,
     one_loop_adapt,
+    save_dataset,
     save_network,
     split_train_test,
     train_experienced,
@@ -32,6 +34,7 @@ from spikegrow import (
 import spikegrow.learner
 import spikegrow.lif
 import spikegrow.readout
+from spikegrow.cli import main
 from spikegrow.dataset import dataset_fingerprint
 from spikegrow.learner import (
     _CERT_RTOL,
@@ -597,23 +600,23 @@ class TestTrainExperienced:
         assert net.n_hidden == trace.records[-1].neuron_count == 4
         assert trace.records[-1].test_accuracy != accuracy
 
-    def test_growth_reads_training_set_as_views(self, monkeypatch):
-        """The prefix columns, every candidate pool and the returned
-        snapshot's columns hand the kernel views of the training set's
-        cached uint8 tensor; only the test set's row blocks are copied."""
+    def test_growth_reads_both_sets_as_views(self, monkeypatch):
+        """The prefix columns, every candidate pool, every test pass and the
+        returned snapshot's columns and test accuracy hand the kernel views
+        of the one time-major copy of their set: no pass copies a block."""
         (tr5, te5), (tr10, te10) = nested_splits()
         seed, _ = train_fresh(tr5, te5, quick_cfg(target_train_accuracy=0.9,
                                                   max_hidden=30))
         assert seed.n_hidden > 0
-        cache = tr10.spike_tensor()
+        assert tr10._tensor is None and te10._tensor is None
         train_rows, test_rows = [], []
         kernel = spikegrow.lif._lif_raster
 
         def recorded(xt, *args):
-            if np.shares_memory(xt, cache):
+            if np.shares_memory(xt, tr10.spikes):
                 train_rows.append(xt.shape[1])
             else:
-                assert xt.flags.c_contiguous and xt.base is None
+                assert np.shares_memory(xt, te10.spikes)
                 test_rows.append(xt.shape[1])
             return kernel(xt, *args)
 
@@ -621,11 +624,32 @@ class TestTrainExperienced:
         _, trace = train_experienced(
             seed, tr10, te10, quick_cfg(max_hidden=seed.n_hidden + 5))
         assert trace.status == STATUS_MAX_HIDDEN and len(trace.records) == 5
+        for ds in (tr10, te10):
+            assert ds.spikes is ds.spike_tensor()
         pools = sum(r.retries_used + 1 for r in trace.records)
         assert len(train_rows) > 2 + pools  # the training set spans blocks
         assert sum(train_rows) == len(tr10) * (2 + pools)
         # The start, five eval steps and the returned snapshot's accuracy.
         assert sum(test_rows) == len(te10) * 7
+
+    @pytest.mark.parametrize("kind", ["fresh", "experienced"])
+    def test_growth_leaves_one_array_per_set(self, kind):
+        """After growth, the training set and the test set each hold one
+        spike array, laid out time-major: `spikes` is a view of the
+        tensor, with the same rows as before."""
+        (tr5, te5), (tr10, te10) = nested_splits()
+        cfg = quick_cfg(target_train_accuracy=0.9, max_hidden=30)
+        before = [np.array(ds.spikes) for ds in (tr10, te10)]
+        if kind == "fresh":
+            train_fresh(tr10, te10, cfg)
+        else:
+            seed, _ = train_fresh(tr5, te5, cfg)
+            train_experienced(seed, tr10, te10,
+                              quick_cfg(max_hidden=seed.n_hidden + 2))
+        for ds, rows in zip((tr10, te10), before):
+            assert np.shares_memory(ds.spikes, ds.spike_tensor())
+            assert ds.spike_tensor().transpose(2, 0, 1).flags.c_contiguous
+            assert np.array_equal(ds.spikes, rows)
 
     def test_one_loop_lineage_without_second_solve(self, monkeypatch):
         """The one-loop step is recorded in the lineage, and its fit of the
@@ -793,10 +817,11 @@ class TestSpikeCounts:
 
 class TestMemory:
     def test_growth_peak_below_four_training_sets(self):
-        """Above its datasets, a growth run holds the training set's cached
-        uint8 tensor, one kernel block's temporaries and its fit, under 4x
-        the training spikes. A float64 training tensor alone takes 8x; with
-        it the run peaked at 10.7x."""
+        """Above its datasets, a growth run holds a set's row-major and
+        time-major copies only while it converts it, then one kernel
+        block's temporaries and its fit, under 4x the training spikes. A
+        float64 training tensor alone takes 8x; with it the run peaked at
+        10.7x."""
         cfg = GeneratorConfig(d=64, T=25, categories=10,
                               samples_per_category=200, rng_seed=1)
         train, test = split_train_test(generate_family(cfg, [10]).stages[0],
@@ -834,3 +859,41 @@ class TestMemory:
             tracemalloc.stop()
         assert (len(train), trace.final_neurons) == (800, units)
         assert peak < 32 * len(train) * units
+
+    def test_train_exp_peak_below_2_4_spike_arrays(self, tmp_path):
+        """A `train-exp` op on `lineage`-shaped inputs (default generator,
+        stages [5, 10], 12 units grown fresh, then 12 added) holds each of
+        its sets once: growth turns the split's row-major arrays into their
+        time-major tensors. The whole op peaks below 2.4 times the loaded
+        stage-10 spike array; it read 2.14x, and 2.82x while growth kept
+        the training set's tensor beside its row-major spikes."""
+        config = tmp_path / "config.json"
+        config.write_text(json.dumps({
+            "generator": {"rng_seed": 1, "stages": [5, 10]},
+            "growth": {"rng_seed": 1, "target_train_accuracy": 1.0,
+                       "max_hidden": 12},
+            "split": {"seed": 1}}))
+        stages = generate_family(GeneratorConfig(rng_seed=1), [5, 10]).stages
+        for size, ds in zip([5, 10], stages):
+            save_dataset(ds, str(tmp_path / f"stage-{size}.ds"))
+        nbytes = stages[-1].spikes.nbytes
+        del stages, ds
+        common = ["--config", str(config)]
+        fresh = str(tmp_path / "fresh.net")
+        assert main(["train-fresh", *common,
+                     "--dataset", str(tmp_path / "stage-5.ds"),
+                     "--out-checkpoint", fresh,
+                     "--out-trace", str(tmp_path / "fresh.trace")]) == 0
+        cap = load_network(fresh).n_hidden + 12
+        tracemalloc.start()
+        try:
+            assert main(["train-exp", *common, "--seed-checkpoint", fresh,
+                         "--dataset", str(tmp_path / "stage-10.ds"),
+                         "--out-checkpoint", str(tmp_path / "exp.net"),
+                         "--out-trace", str(tmp_path / "exp.trace"),
+                         "--max-hidden", str(cap)]) == 0
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert load_network(str(tmp_path / "exp.net")).n_hidden > 12
+        assert peak < 2.4 * nbytes

@@ -172,8 +172,8 @@ class TestBatchRateFeatures:
 class TestTimeMajorLayout:
     """The cached tensor is a uint8 view of a time-major buffer, and the
     kernel gives the same rates on it, a block of rows at a time and with no
-    copy, as on a plain C-ordered batch, on the dataset's uint8 spikes and
-    on a float64 copy run as one block."""
+    copy, as on a plain C-ordered batch, on row-major uint8 spikes and on a
+    float64 copy run as one block."""
 
     @pytest.fixture(scope="class", params=[(32, 10), (64, 25)],
                     ids=["capacity", "lineage"])
@@ -182,6 +182,30 @@ class TestTimeMajorLayout:
         cfg = GeneratorConfig(d=d, T=T, categories=4,
                               samples_per_category=200, rng_seed=2)
         return generate_family(cfg, [4]).stages[0]
+
+    @pytest.fixture(scope="class")
+    def row_major(self, dataset):
+        """A C-ordered copy of the spikes. Once a test calls
+        `spike_tensor()`, the class-scoped dataset's `spikes` is the
+        tensor's view, so the row-major path runs on this copy instead."""
+        spikes = np.array(dataset.spikes, order="C")
+        spikes.setflags(write=False)
+        return spikes
+
+    @staticmethod
+    def copied_blocks(monkeypatch, source):
+        """Record, for each block the kernel gets, that it is a fresh
+        C-ordered copy, not a view of `source`."""
+        copied = []
+        kernel = spikegrow.lif._lif_raster
+
+        def recorded(xt, *args):
+            copied.append(xt.flags.c_contiguous and xt.base is None
+                          and not np.shares_memory(xt, source))
+            return kernel(xt, *args)
+
+        monkeypatch.setattr(spikegrow.lif, "_lif_raster", recorded)
+        return copied
 
     def test_tensor_is_read_only_n_d_t_view(self, dataset):
         t = dataset.spike_tensor()
@@ -209,14 +233,17 @@ class TestTimeMajorLayout:
         assert np.array_equal(H, batch_rate_features(reference, W, V, PARAMS))
 
     @pytest.mark.parametrize("P", [1, 2, 10, 50])
-    def test_uint8_spikes_equal_cached_tensor(self, dataset, P):
+    def test_uint8_spikes_equal_cached_tensor(self, dataset, row_major, P,
+                                              monkeypatch):
         rng = np.random.default_rng(100 + P)
         W = rng.uniform(-1, 1, (P, dataset.d))
         V = rng.uniform(-1, 1, P)
-        assert dataset.spikes.dtype == np.uint8
-        H = batch_rate_features(dataset.spikes, W, V, PARAMS)
+        assert row_major.dtype == np.uint8
+        copied = self.copied_blocks(monkeypatch, row_major)
+        H = batch_rate_features(row_major, W, V, PARAMS)
+        assert copied and all(copied)
         assert H.any()
-        reference = dataset.spikes.astype(np.float64)
+        reference = row_major.astype(np.float64)
         assert H.tobytes() == \
             batch_rate_features(reference, W, V, PARAMS).tobytes()
         assert H.tobytes() == \
@@ -255,14 +282,17 @@ class TestTimeMajorLayout:
         assert H.tobytes() == single.tobytes()
 
     @pytest.mark.parametrize("P", [1, 2, 10, 50])
-    def test_strided_uint8_view_equals_float_copy(self, dataset, P):
+    def test_strided_uint8_view_equals_float_copy(self, dataset, row_major, P,
+                                                  monkeypatch):
         rng = np.random.default_rng(200 + P)
         W = rng.uniform(-1, 1, (P, dataset.d))
         V = rng.uniform(-1, 1, P)
-        rows = dataset.spikes[::3]  # a row subset: a non-contiguous view
+        rows = row_major[::3]  # a row subset: a non-contiguous view
         assert not rows.flags.c_contiguous
-        assert np.shares_memory(rows, dataset.spikes)
+        assert np.shares_memory(rows, row_major)
+        copied = self.copied_blocks(monkeypatch, row_major)
         H = batch_rate_features(rows, W, V, PARAMS)
+        assert copied and all(copied)
         assert H.any()
         assert H.tobytes() == batch_rate_features(
             rows.astype(np.float64), W, V, PARAMS).tobytes()
@@ -270,7 +300,7 @@ class TestTimeMajorLayout:
         assert one.tobytes() == np.ascontiguousarray(H[:, 0]).tobytes()
 
     @pytest.mark.parametrize("P", [1, 2, 10, 50])
-    def test_weight_layout_does_not_change_rates(self, dataset, P):
+    def test_weight_layout_does_not_change_rates(self, dataset, row_major, P):
         """The kernel hands BLAS one C-contiguous (d, P) weight block, so a
         C-ordered (P, d) array, its Fortran-ordered copy and the column view
         of a pool's (P, d + 1) draw give the same rates."""
@@ -281,7 +311,7 @@ class TestTimeMajorLayout:
         assert fortran.flags.f_contiguous and np.shares_memory(view, draw)
         assert P == 1 or not (fortran.flags.c_contiguous
                               or view.flags.c_contiguous)
-        for x in (dataset.spike_tensor(), dataset.spikes):
+        for x in (dataset.spike_tensor(), row_major):
             H = batch_rate_features(x, W, np.ascontiguousarray(V), PARAMS)
             assert H.any()
             for weights in (fortran, view):

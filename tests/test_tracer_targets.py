@@ -7,11 +7,15 @@ import importlib
 import importlib.util
 from pathlib import Path
 
+import numpy as np
 import pytest
 
 import test_pinned_growth
-from conftest import failed_reuse_run
-from spikegrow.cli import load_run_config
+from conftest import failed_reuse_run, make_dataset
+from spikegrow import LifParams, save_dataset
+from spikegrow.cli import load_run_config, main
+from spikegrow.learner import HiddenNeuron, Network, save_network
+from spikegrow.lif import CELLS
 
 BENCHMARKS = Path(__file__).resolve().parent.parent / "benchmarks"
 TRACER = BENCHMARKS / "tracer.py"
@@ -78,6 +82,28 @@ def test_lstsq_fallback_calls_the_traced_binding(monkeypatch):
             if s.name == "readout.fit" and s.run == "repeated_unit"]
     assert len(trace.records) == 6
     assert len(fits) == 1
+
+
+def test_eval_blocks_call_the_traced_kernel(tmp_path):
+    """`eval` hands each block it reads to the kernel through the binding
+    the tracer wraps, so `lif.rate_features` counts one span per kernel
+    block of rows, and `learner.features`, one call per dataset, none."""
+    ds = make_dataset(n_per_cat=350, n_cats=2, d=8, T=10, seed=3)
+    save_dataset(ds, str(tmp_path / "d.ds"))
+    rng = np.random.default_rng(3)
+    hidden = [HiddenNeuron(rng.uniform(-1, 1, ds.d), float(rng.uniform(-1, 1)))
+              for _ in range(50)]
+    save_network(Network(ds.d, LifParams(), hidden,
+                         rng.normal(size=(50, ds.n_categories)), ds.categories),
+                 str(tmp_path / "n.net"))
+    tracer = load_tracer().Tracer()
+    with tracer.patched(), tracer.op("cli.eval", "eval"):
+        assert main(["eval", "--checkpoint", str(tmp_path / "n.net"),
+                     "--dataset", str(tmp_path / "d.ds")]) == 0
+    rows = CELLS // 50
+    assert [s.info for s in tracer.spans if s.name == "lif.rate_features"] \
+        == [min(rows, len(ds) - a) for a in range(0, len(ds), rows)]
+    assert not [s for s in tracer.spans if s.name == "learner.features"]
 
 
 def _benchmark_workloads(monkeypatch):
