@@ -234,7 +234,6 @@ def cmd_train_exp(args) -> int:
               f"hidden={net.n_hidden}")
         return EXIT_OK
     train, test = split_train_test(ds, run.split.test_fraction, run.split.seed)
-    del ds  # the split copied its rows
     net, trace = train_experienced(seed, train, test, cfg)
     save_network(net, args.out_checkpoint)
     export_trace(trace, args.out_trace)

@@ -62,7 +62,8 @@ class Candidate:
     pool_index: int
 
     def __post_init__(self):
-        w = np.asarray(self.w, dtype=np.float64)
+        # A copy, not a view of the pool's draw, which it would pin.
+        w = np.array(self.w, dtype=np.float64)
         w.setflags(write=False)
         object.__setattr__(self, "w", w)
 
@@ -90,7 +91,7 @@ class PruningConfig:
 class SelectionResult:
     """A pool winner: its certificate value, feature vector and error gain."""
 
-    winner: Any  # select_best's key for it; the Candidate in a GrowOutcome
+    winner: Any  # a pool index; the Candidate in a GrowOutcome
     xi: float
     feature: np.ndarray  # (N,) rate features on the training samples
     error_gain: float  # guaranteed squared-error reduction
@@ -98,16 +99,23 @@ class SelectionResult:
 
 @dataclass(frozen=True)
 class KeptPool:
-    """The candidates of a drawn pool that growth has not taken yet.
+    """A drawn pool's candidates not grown yet: (pool index, feature) pairs.
 
-    draw: the pool's (P, d + 1) draw; candidates: (pool index, feature)
-    pairs, in pool order, of the rows not yet grown; units: the units the
-    pool has served.
+    draw: the pool's (P, d + 1) draw; index: the (k,) ascending pool
+    indices of the rows not yet grown; features: their C-contiguous (k, N)
+    table, the pool's one copy; units: the units the pool has served.
     """
 
     draw: np.ndarray
-    candidates: list
+    index: np.ndarray
+    features: np.ndarray
     units: int
+
+    def __len__(self) -> int:
+        return len(self.index)
+
+    def __iter__(self):
+        return zip(self.index.tolist(), self.features)
 
 
 @dataclass(frozen=True)
@@ -147,34 +155,32 @@ def _draw(cfg: PruningConfig, d: int, rng) -> np.ndarray:
     return np.trunc(draw / q) * q
 
 
-def pool_features(draw, ds, params):
+def pool_features(draw, ds, params) -> KeptPool:
     """Evaluate a pool's (P, d + 1) draw in one batched pass over the
-    dataset's time-major uint8 `spike_tensor()`, which every pool of a
-    growth run re-reads; its row blocks go to the kernel as views, not
-    copies.
+    dataset's `spike_tensor()`, whose row blocks the kernel reads as views.
 
-    Returns (pool index, feature) pairs in pool order; each feature equals
-    `batch_rate_features` of its row's weights over the dataset's spikes.
+    Returns the pool: row p of its (P, N) table, the kernel's result
+    transposed once, equals `batch_rate_features` of row p's weights.
     """
     H = batch_rate_features(ds.spike_tensor(), draw[:, :-1], draw[:, -1],
                             params)
     # Contiguous rows, not strided column views: `GrowingFit.add`'s dot
     # products on a grown winner then give the bits they give on the same
     # unit's contiguous column when a checkpoint's prefix is fitted.
-    return list(enumerate(np.ascontiguousarray(H.T)))
+    return KeptPool(draw, np.arange(len(draw)), np.ascontiguousarray(H.T), 0)
 
 
-def _certificates(features, E, sigma, Q=None):
-    """Each feature's certificate against residual E, NaN for a silent or
-    near-dependent one, and ||E||^2, after checking E, sigma and shapes.
+def _certificates(H, E, sigma, Q=None):
+    """The certificates of the rows h of H against residual E, NaN for a
+    silent or near-dependent one, and ||E||^2, after checking their shapes.
 
     Q (N, k) is an orthonormal basis that E is orthogonal to; None is an
     empty basis. The score is ||E^T h||^2 / ||r||^2 - (1 - sigma) ||E||^2,
-    with ||r||^2 = h.h - a.a and a = Q^T h from one GEMM over the stacked
-    (P, N) features. Every other product multiplies a stack of (1, n)
-    rows, which numpy's matmul hands to BLAS one row at a time: a
-    pool-wide GEMM's blocking would make a row's last bit depend on the
-    other rows, so a one-feature call gives every pool entry's bits.
+    with ||r||^2 = h.h - a.a and a = Q^T h from one GEMM over the (P, N)
+    H. Every other product multiplies a stack of (1, n) rows, which numpy's
+    matmul hands to BLAS one row at a time: a pool-wide GEMM's blocking
+    would make a row's last bit depend on the other rows, so a one-feature
+    call gives every pool entry's bits.
     """
     E = np.asarray(E, dtype=np.float64)
     if E.ndim != 2:
@@ -185,12 +191,9 @@ def _certificates(features, E, sigma, Q=None):
     Q = np.empty((rows, 0)) if Q is None else np.asarray(Q, dtype=np.float64)
     if Q.ndim != 2 or Q.shape[0] != rows:
         raise ShapeError(f"basis {Q.shape} does not have {rows} rows")
-    H = np.empty((len(features), rows))
-    for row, h in zip(H, features):
-        if np.shape(h) != (rows,):
-            raise ShapeError(f"residual of {rows} rows and feature "
-                             f"{np.shape(h)} disagree")
-        row[...] = h
+    if H.shape[1:] != (rows,):
+        raise ShapeError(f"residual of {rows} rows and feature "
+                         f"{H.shape[1:]} disagree")
     hh = _row_dots(H, H)
     A = H.dot(Q)
     rr = hh - _row_dots(A, A)
@@ -220,50 +223,53 @@ def xi_index(E: np.ndarray, h: np.ndarray, sigma: float) -> float:
     bit for bit; growth scores against the grown features' basis, which
     divides by ||r||^2 <= <h, h> instead.
     """
-    [xi], _ = _certificates([h], E, sigma)
+    [xi], _ = _certificates(np.asarray(h, dtype=np.float64)[None], E, sigma)
     if np.isnan(xi):
         raise ValueError("silent candidate: feature vector is identically zero")
     return float(xi)
 
 
-def select_best(pool_with_features, E, sigma,
-                Q=None) -> Optional[SelectionResult]:
-    """Pick the qualifying candidate with the largest certificate.
+def select_best(pool, E, sigma, Q=None) -> Optional[SelectionResult]:
+    """Pick the qualifying candidate of a `KeptPool` with the largest
+    certificate; the winner is its pool index.
 
     Q (N, k) is the orthonormal basis of the grown features, which E is
-    orthogonal to; None is an empty basis. The pool is scored as one
-    array: each candidate h by the exact gain ||E^T h||^2 / ||r||^2 of the
-    least-squares update on [Q, h], with ||r||^2 = h.h - a.a and a = Q^T h
-    from one GEMM over the pool. With an empty basis every score is
-    `xi_index` of its candidate, bit for bit.
+    orthogonal to; None is an empty basis. The pool's feature table is
+    scored as it is, one array: each candidate h by the exact gain
+    ||E^T h||^2 / ||r||^2 of the least-squares update on [Q, h], with
+    ||r||^2 = h.h - a.a and a = Q^T h from one GEMM over the table. With
+    an empty basis every score is `xi_index` of its candidate, bit for bit.
 
     Candidates with a zero feature vector, a near-dependent one (||r||^2
     below NEAR_DEPENDENT * h.h) or a negative certificate are skipped;
     ties break toward the lowest pool index. Returns None when no
-    candidate qualifies.
+    candidate qualifies. The winner's feature is a copy of its row.
     """
-    if not pool_with_features:
+    if not len(pool):
         raise ConfigError("candidate pool must be nonempty")
-    xi, ee = _certificates([h for _, h in pool_with_features], E, sigma, Q)
+    xi, ee = _certificates(pool.features, E, sigma, Q)
     qualifies = xi >= 0.0  # False for NaN
     if not qualifies.any():
         return None
     # argmax takes the first of equal maxima: the lowest pool index.
     p = int(np.argmax(np.where(qualifies, xi, -np.inf)))
-    c, h = pool_with_features[p]
     best = float(xi[p])
-    return SelectionResult(c, best, h, best + (1.0 - sigma) * ee)
+    return SelectionResult(int(pool.index[p]), best, pool.features[p].copy(),
+                           best + (1.0 - sigma) * ee)
 
 
 def _grown(selection, pool, rounds) -> GrowOutcome:
     """The outcome that grows `selection`, a winner from `pool`, keeping the
-    pool's other candidates while it may serve another unit."""
+    pool's other candidates, moved up one row in its own table (which spends
+    `pool`), while it may serve another unit."""
     p = selection.winner
     winner = Candidate(pool.draw[p, :-1], float(pool.draw[p, -1]), p)
-    rest = [(c, h) for c, h in pool.candidates if c != p]
     units = pool.units + 1
-    kept = KeptPool(pool.draw, rest, units) \
-        if rest and units < POOL_UNITS else None
+    kept = None
+    if len(pool) > 1 and units < POOL_UNITS:
+        H, i = pool.features, int(np.searchsorted(pool.index, p))
+        H[i:-1] = H[i + 1:]
+        kept = KeptPool(pool.draw, np.delete(pool.index, i), H[:-1], units)
     return GrowOutcome(replace(selection, winner=winner), rounds, kept)
 
 
@@ -289,12 +295,11 @@ def grow_one(
     pool for the next attempt while it may serve another.
     """
     if pool is not None:
-        selection = select_best(pool.candidates, E, cfg.sigma0, Q)
+        selection = select_best(pool, E, cfg.sigma0, Q)
         if selection is not None:
             return _grown(selection, pool, 0)
-    draw = _draw(cfg, ds.d, rng)
-    fresh = KeptPool(draw, pool_features(draw, ds, params), 0)
-    selection = select_best(fresh.candidates, E, cfg.sigma0, Q)
+    fresh = pool_features(_draw(cfg, ds.d, rng), ds, params)
+    selection = select_best(fresh, E, cfg.sigma0, Q)
     if selection is None:
         return GrowOutcome(None, 1)
     return _grown(selection, fresh, 1)

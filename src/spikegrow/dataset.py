@@ -48,9 +48,9 @@ FORMAT_VERSION = 1
 # category profiles that would leave it are rejected outright.
 _RATE_EPS = 1e-9
 
-# Sample lines are serialised, hashed and verified this many at a time, so
-# the codec's temporaries are bounded by one block, not by the file.
-_BLOCK = 256
+# Sample lines are drawn, serialised, hashed and parsed this many at a time:
+# the codec's temporaries, several times a block's spikes, grow with it.
+_BLOCK = 128
 
 # Samples drawn per block by generate_family, into one reused buffer of
 # 8 * rows * d * (T + 1) bytes. Larger blocks were measured no faster on
@@ -80,16 +80,22 @@ def _categories_ok(categories: list) -> bool:
 
 
 class LabeledDataset:
-    """An immutable dataset over an ordered category list: an (N, d, T) uint8
-    array of spike blocks and an (N,) array of indices into the categories.
-    `spike_tensor()` may rebind `spikes` to a time-major view of the same
-    values; every reader takes either layout."""
+    """A dataset over an ordered category list: `spikes`, the read-only
+    (N, d, T) uint8 view of a time-major (T, N, d) buffer it owns, and an
+    (N,) array of category indices. The constructor copies the spikes; only
+    the loader and `split_train_test`, which consumes its input, hand over
+    a buffer they built, so no two datasets share a row."""
 
     def __init__(self, spikes, label_index, categories, dt_ms=1.0):
-        self.spikes = as_bits(spikes, ConfigError, "spike")
+        spikes = as_bits(spikes, ConfigError, "spike")
+        if spikes.ndim == 3:  # any other shape is named by _adopt
+            spikes = spikes.transpose(2, 0, 1).copy().transpose(1, 2, 0)
+        self._adopt(spikes, label_index, categories, dt_ms)
+
+    def _adopt(self, spikes, label_index, categories, dt_ms):
+        """Check the columns and take the `spikes` view as this dataset's."""
         labels = np.asarray(label_index)
         self.categories = list(categories)
-        self._tensor = None
         self._fingerprint = None
         # The loader's rules, so that every dataset saves to a file it loads.
         if not _categories_ok(self.categories):
@@ -98,16 +104,17 @@ class LabeledDataset:
         if not is_finite_number(dt_ms):
             raise ConfigError(f"dt_ms must be a finite number, got {dt_ms!r}")
         self.dt_ms = float(dt_ms)
-        if self.spikes.ndim != 3 or labels.shape != self.spikes.shape[:1]:
-            raise ShapeError(f"spikes {self.spikes.shape} must be (N, d, T) with "
+        if spikes.ndim != 3 or labels.shape != spikes.shape[:1]:
+            raise ShapeError(f"spikes {spikes.shape} must be (N, d, T) with "
                              f"N the length of label_index {labels.shape}")
-        _, self.d, self.T = self.spikes.shape
+        _, self.d, self.T = spikes.shape
         # Checked before the cast, so no label is truncated or wrapped.
         if labels.dtype.kind not in "iuf" or not np.all(
                 (labels >= 0) & (labels < self.n_categories)
                 & (labels == np.trunc(labels))):
             raise ConfigError("label indices must be integers in "
                               f"[0, {self.n_categories})")
+        self.spikes = spikes.view()
         self.label_index = labels.astype(np.intp, copy=False).view()
         self.spikes.setflags(write=False)
         self.label_index.setflags(write=False)
@@ -120,26 +127,10 @@ class LabeledDataset:
         return len(self.categories)
 
     def spike_tensor(self) -> np.ndarray:
-        """The spike blocks as a read-only (N, d, T) uint8 array, laid out
-        time-major; the dataset's one copy of them from the first call on.
-
-        The array is a view of a time-major (T, N, d) buffer, so that every
-        time step of any row block, the (rows, d) slice the LIF kernel
-        multiplies, is already C-contiguous: the kernel runs the tensor a
-        block of rows at a time, like any uint8 batch, with no copy per
-        pass. The first call copies `spikes` into that buffer once and
-        rebinds `spikes` to the view, so the row-major array is freed, not
-        held beside it: the values are the same, only the layout changes.
-        Growth calls this for its training and test sets, which it re-reads
-        on every pool and eval step. A pass that reads a dataset once
-        passes `spikes` and converts nothing; the kernel copies each row
-        block of a row-major `spikes` time-major as it goes.
-        """
-        if self._tensor is None:
-            t = np.ascontiguousarray(self.spikes.transpose(2, 0, 1))
-            t.setflags(write=False)
-            self.spikes = self._tensor = t.transpose(1, 2, 0)
-        return self._tensor
+        """`spikes`, the dataset's one copy of its spike blocks: each time
+        step of a row block is a C-contiguous (rows, d) slice of the
+        time-major buffer, so the LIF kernel reads any row block as a view."""
+        return self.spikes
 
     def __eq__(self, other) -> bool:
         return (
@@ -250,8 +241,8 @@ def family_blocks(config: GeneratorConfig, categories: int, out=None):
 
 def generate_family(config: GeneratorConfig, stage_sizes) -> NestedFamily:
     """Build nested synthetic datasets, one stage per requested category
-    count: `family_blocks` draws every sample into one array, whose row
-    prefixes are the stages."""
+    count: `family_blocks` draws every sample into one array, and each
+    stage copies its row prefix."""
     stage_sizes = check_stage_sizes(stage_sizes, config.categories)
     n = config.samples_per_category
     spikes = _zeros((stage_sizes[-1] * n, config.d, config.T))
@@ -271,8 +262,18 @@ class SplitConfig:
         check_settings(self, "split")
 
 
+def _owning(spikes, label_index, categories, dt_ms) -> LabeledDataset:
+    """A dataset of `spikes`, a time-major buffer's view handed over."""
+    ds = LabeledDataset.__new__(LabeledDataset)
+    ds._adopt(spikes, label_index, categories, dt_ms)
+    return ds
+
+
 def split_train_test(ds: LabeledDataset, test_fraction: float, seed: int):
-    """Deterministic stratified split into disjoint train and test datasets."""
+    """Deterministic stratified split into disjoint train and test datasets
+    in place: `ds`'s buffer is reordered, a time plane at a time, into its
+    train rows, then its test rows, each in `ds` order, and train and test
+    are its two views. It consumes `ds`, which is left no rows."""
     SplitConfig(test_fraction, seed)  # checks both
     rng = np.random.default_rng(seed)
     is_test = np.zeros(len(ds), dtype=bool)
@@ -285,9 +286,15 @@ def split_train_test(ds: LabeledDataset, test_fraction: float, seed: int):
         n_test = int(round(test_fraction * len(idxs)))
         n_test = min(max(n_test, 1), len(idxs) - 1)
         is_test[rng.permutation(idxs)[:n_test]] = True
-    mk = lambda rows: LabeledDataset(ds.spikes[rows], ds.label_index[rows],
-                                     ds.categories, ds.dt_ms)
-    return mk(~is_test), mk(is_test)
+    order, n = np.argsort(is_test, kind="stable"), len(ds) - is_test.sum()
+    planes = ds.spikes.transpose(2, 0, 1)
+    planes.setflags(write=True)  # the buffer is ds's own, and ds is spent
+    for plane in planes:
+        plane[...] = plane[order]
+    spikes, labels = planes.transpose(1, 2, 0), ds.label_index[order]
+    ds.spikes, ds.label_index, ds._fingerprint = spikes[:0], labels[:0], None
+    return tuple(_owning(spikes[rows], labels[rows], ds.categories, ds.dt_ms)
+                 for rows in (slice(n), slice(n, None)))
 
 
 def encode_targets(ds: LabeledDataset) -> np.ndarray:
@@ -369,7 +376,8 @@ def _sample_lines(spikes: np.ndarray, label_index: np.ndarray) -> bytes:
     if k == 0:
         return b""
     grid = np.empty((k, d, T + 1), dtype=bool)
-    grid[:, :, :T] = spikes
+    # A copy with no cast, which reads a strided (time-major) block faster.
+    grid.view(np.uint8)[:, :, :T] = spikes
     grid[:, :, T] = True
     ids = np.flatnonzero(grid) % (T + 1)
     spike = ids < T
@@ -513,7 +521,7 @@ def _parse_header(raw: bytes):
 def _parse_lines(buf: bytes, stops: np.ndarray, spikes: np.ndarray,
                  label_index: np.ndarray, m: int) -> np.ndarray:
     """Scatter the lines of `buf`, ending at `stops`, into the rows of
-    `spikes` (k, d, T) and `label_index` (k,).
+    `spikes` (k, d, T), all zero and of any layout, and `label_index` (k,).
 
     Each run of digits is a number: the first of a line is its label index,
     each later one a spike time. A time's channel is read off the bytes
@@ -527,14 +535,16 @@ def _parse_lines(buf: bytes, stops: np.ndarray, spikes: np.ndarray,
     to a row whose canonical line differs from it.
 
     Every temporary holds one item per run of digits, int32 wherever the
-    block's positions and flat spike indices fit (always, short of lines of
-    a billion spikes), and each is reused or dropped as soon as it is read.
+    block's positions and spike offsets fit (always, short of lines of a
+    billion spikes), and each is reused or dropped as soon as it is read.
     """
     k, d, T = spikes.shape
+    row, step, tick = spikes.strides
+    span = (k - 1) * row + (d - 1) * step + (T - 1) * tick + 1 if k else 0
     # The "\n" ends every run; a byte that is not a digit wraps around to a
     # "digit" of 10 or more.
     digits = np.frombuffer(buf + b"\n", np.uint8) - 48
-    big = max(len(digits), k * d * T) > np.iinfo(np.int32).max
+    big = max(len(digits), span) > np.iinfo(np.int32).max
     pos = np.intp if big else np.int32
     edge = np.diff((digits < 10).view(np.int8), prepend=np.int8(0))
     starts = np.flatnonzero(edge > 0).astype(pos)
@@ -567,11 +577,11 @@ def _parse_lines(buf: bytes, stops: np.ndarray, spikes: np.ndarray,
     label = first[~bad[first]]
     label_index[line[label]] = value[label]
     bad[first] = True  # a label is not a spike
-    flat = channel  # the flat index of each spike in the block
-    flat += line * d
-    flat *= T
-    flat += value
-    spikes.put(flat[~bad], 1)
+    at = channel  # the offset of each spike in the block's memory
+    at *= step
+    at += line * row
+    at += value * tick
+    np.lib.stride_tricks.as_strided(spikes, (span,), (1,)).put(at[~bad], 1)
     return flagged
 
 
@@ -590,10 +600,11 @@ class DatasetReader:
         self._offset = len(raw)
 
     def arrays(self, rows: int):
-        """A zero uint8 (rows, d, T) spike array and (rows,) label array;
-        DataFormatError naming the header when they cannot be allocated."""
+        """A zero (the parser writes only 1s) uint8 (rows, d, T) view of a
+        time-major buffer and a (rows,) label array; DataFormatError naming
+        the header when they cannot be allocated."""
         try:
-            return (_zeros((rows, self.d, self.T)),
+            return (_zeros((self.T, rows, self.d)).transpose(1, 2, 0),
                     _zeros(rows, dtype=np.intp))
         except MemoryError as exc:
             raise DataFormatError(
@@ -652,15 +663,15 @@ class DatasetReader:
 
 
 def load_dataset(path: str) -> LabeledDataset:
-    """Read a .ds file with `DatasetReader` into arrays sized by its
-    header: only the exact bytes `save_dataset` writes load. The file's
-    sha256 becomes the fingerprint."""
+    """Read a .ds file with `DatasetReader` straight into the time-major
+    buffer its header sizes, which the dataset then owns: only the exact
+    bytes `save_dataset` writes load. Its sha256 becomes the fingerprint."""
     with open(path, "rb") as fh:
         reader = DatasetReader(fh)
         spikes, label_index = reader.arrays(reader.n_samples)
         for _ in reader.blocks(_BLOCK, spikes, label_index):
             pass
-    ds = LabeledDataset(spikes, label_index, reader.categories, reader.dt_ms)
+    ds = _owning(spikes, label_index, reader.categories, reader.dt_ms)
     ds._fingerprint = reader.sha256.hexdigest()
     return ds
 

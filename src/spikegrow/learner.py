@@ -72,7 +72,7 @@ class HiddenNeuron:
     v: float
 
     def __post_init__(self):
-        w = np.asarray(self.w, dtype=np.float64)
+        w = np.array(self.w, dtype=np.float64)
         w.setflags(write=False)
         object.__setattr__(self, "w", w)
 
@@ -273,11 +273,9 @@ def _grow(hidden, frozen_prefix, train, test, cfg: GrowthConfig, lif: LifParams,
     Growth keeps no feature table, only 8 (N + N_test) bytes a unit of Q
     and the test image: grown units lie on the pool's dyadic grid, so any
     kernel pass gives their features exactly, and the snapshot's are
-    recomputed. Both sets are read through `spike_tensor()`, which turns
-    each into its one time-major uint8 copy: every pass, test passes and
-    the returned network's included, hands the kernel views of its row
-    blocks, and no set is held twice. The lineage fingerprint is taken
-    first, from the loaded layout, which serialises faster.
+    recomputed. Every kernel pass reads the sets' time-major buffers as
+    views. No unit or winner's feature pins its pool (each is a copy), and
+    the prefix's feature rows are dropped once fitted.
     """
     _check_pair(train, test)
     fingerprint = dataset_fingerprint(train)
@@ -294,9 +292,10 @@ def _grow(hidden, frozen_prefix, train, test, cfg: GrowthConfig, lif: LifParams,
             hidden[len(hidden) - fit.pending:], test_x, lif))
         return float(np.mean(np.argmax(outputs, axis=1) == test_labels))
 
-    # Contiguous rows, not strided column views: the fit's dot products
+    # Contiguous copies, not strided column views: the fit's dot products
     # then see the same vectors as a grown unit's pool feature.
-    for h in _unit_features(hidden, train_x, lif).T.copy():
+    for h in map(np.ascontiguousarray,
+                 _unit_features(hidden, train_x, lif).T):
         fit.add(h)
     train_acc = _fitted_accuracy(F, fit.E, train_labels)
     test_acc = test_accuracy()

@@ -100,16 +100,17 @@ def _lif_raster(xt: np.ndarray, W: np.ndarray, V: np.ndarray,
     """Spike raster of P neurons over a time-major (T, N, d) batch, from the
     zero state.
 
-    `xt` is float64 or uint8, and each step `xt[t]` is a C-contiguous
-    (N, d) slice; `xt` as a whole need not be, so a row block of a
-    time-major tensor is passed as a view. `W` holds the (P, d) input
+    `xt` is a C-contiguous float64 array, or a uint8 array of any layout,
+    such as a row block of a time-major buffer, passed as a view. `W`
+    holds the (P, d) input
     weights and `V` the (P,) self-feedback weights. Returns the (T, N, P)
     bool raster. Every spike train and rate feature comes from this one loop
     over time.
 
     Step t multiplies the (N, d) slice of time t. A float64 slice goes to
-    BLAS as it is. A uint8 slice is first cast with `np.copyto` into
-    one float64 (N, d) buffer, reused at every step: matmul on a uint8
+    BLAS as it is. A uint8 slice, contiguous or strided, is first cast
+    with `np.copyto` into one float64 (N, d) buffer, reused at every step:
+    the cast reads a contiguous slice fastest. Matmul on a uint8
     operand casts it too, but measured at more than twice the cost of the
     copy and the float GEMM together (see CHANGES.md). The cast is exact,
     so BLAS multiplies the same values.
@@ -179,40 +180,35 @@ def batch_rate_features(x, w, v, params: LifParams) -> np.ndarray:
     sample.
 
     A uint8 array is read a block of `max(1, CELLS // P)` rows at a time:
-    each block runs through the kernel alone and its spike counts are
-    summed, so the kernel's memory is bounded by the block, not by N. A
-    block whose time steps are already contiguous, as in a dataset's
-    time-major `spike_tensor()`, the one copy growth keeps of its training
-    and test sets, goes to the kernel as a view; any other, such as a block
-    of a row-major `spikes`, is copied time-major once, as uint8. Anything
-    else is taken as float64 and run as one block. At the paper's pool the
-    blocked uint8 pass over a time-major tensor is faster than a float64
-    tensor as one block; a small pool on short trains pays a little for the
-    per-step cast (see CHANGES.md).
+    each block runs through the kernel alone, as a view, and its spike
+    counts are summed, so the kernel's memory is bounded by the block, not
+    by N. A dataset's `spikes`, and every block `DatasetReader` reads, are
+    views of time-major buffers, whose row blocks' time steps are
+    contiguous; the kernel casts a strided step, as of a row-major array,
+    more slowly, to the same values. Anything else is copied time-major as
+    float64 and run as one block.
 
     For weights on a pool's dyadic grid (`construct._draw`) every drive is
     exact, so no rate depends on the block size or the pass's other neurons;
     off it, BLAS may round a drive by block shape and move a spike.
     """
     bits = as_bits(x, ValueError, "input spike")
-    x = bits if isinstance(x, np.ndarray) and x.dtype == np.uint8 \
-        else bits.astype(np.float64)
-    if x.ndim != 3:
-        raise ShapeError(f"batch must be (N, d, T), got shape {x.shape}")
-    W, V = _pool_weights(w, v, x.shape[1])
-    N, _, T = x.shape
+    if bits.ndim != 3:
+        raise ShapeError(f"batch must be (N, d, T), got shape {bits.shape}")
+    W, V = _pool_weights(w, v, bits.shape[1])
+    N, _, T = bits.shape
     if T == 0:
         raise ValueError("cannot compute a firing rate over zero time steps")
-    rows = max(1, CELLS // len(W)) if x.dtype == np.uint8 else max(1, N)
+    xt = bits.transpose(2, 0, 1)
+    rows = max(1, CELLS // len(W))
+    if not (isinstance(x, np.ndarray) and x.dtype == np.uint8):
+        xt, rows = xt.astype(np.float64, order="C"), max(1, N)
     # Count in the smallest unsigned type that holds T: numpy's default
     # int64 sum of bools is several times slower.
     counts = np.empty((N, len(W)), dtype=np.min_scalar_type(T))
     for a in range(0, N, rows):
-        xt = x[a:a + rows].transpose(2, 0, 1)
-        if not xt[0].flags.c_contiguous:
-            xt = np.ascontiguousarray(xt)
-        np.sum(_lif_raster(xt, W, V, params).view(np.uint8), axis=0,
-               dtype=counts.dtype, out=counts[a:a + rows])
+        np.sum(_lif_raster(xt[:, a:a + rows], W, V, params).view(np.uint8),
+               axis=0, dtype=counts.dtype, out=counts[a:a + rows])
     rates = counts / T
     return rates[:, 0] if np.ndim(w) == 1 else rates
 

@@ -117,6 +117,24 @@ def _sample_line(label_index: int, block: np.ndarray) -> str:
     return f'{{"label_index": {label_index}, "spikes": {spikes}}}'
 
 
+def split_rows(ds: LabeledDataset, test_fraction: float, seed: int):
+    """The stratified split as the library made it before it split in
+    place: each category's test rows are the first round(fraction * count)
+    (at least 1, at most count - 1) of an rng permutation of its rows, drawn
+    category by category. Returns (train, test) as new datasets of copied
+    rows, each in the order of `ds`, which is left as it was."""
+    rng = np.random.default_rng(seed)
+    is_test = np.zeros(len(ds), dtype=bool)
+    for i in range(ds.n_categories):
+        idxs = np.flatnonzero(ds.label_index == i)
+        n_test = min(max(int(round(test_fraction * len(idxs))), 1),
+                     len(idxs) - 1)
+        is_test[rng.permutation(idxs)[:n_test]] = True
+    return tuple(LabeledDataset(np.array(ds.spikes[rows]),
+                                ds.label_index[rows], ds.categories, ds.dt_ms)
+                 for rows in (~is_test, is_test))
+
+
 def dataset_text(ds: LabeledDataset) -> str:
     """Canonical serialized form, one `_sample_line` per sample."""
     lines = [_header_line(ds.d, ds.T, ds.dt_ms, len(ds), ds.categories)]

@@ -111,12 +111,11 @@ def test_criterion_3_xi_certificate_soundness():
         else:
             assert new_sq > bound * (1 - 1e-9) - 1e-12
     # Whole-pool rejection: every candidate must individually violate sigma.
-    from spikegrow.construct import Candidate
+    from spikegrow.construct import KeptPool
     for trial in range(50):
         N, m = 6, 2
         E = rng.normal(size=(N, m))
-        pool = [(Candidate(np.zeros(1), 0.0, i), rng.normal(size=N))
-                for i in range(8)]
+        pool = KeptPool(None, np.arange(8), rng.normal(size=(8, N)), 0)
         sigma = float(rng.uniform(0.05, 0.5))
         if select_best(pool, E, sigma) is None:
             total = float(np.sum(E * E))

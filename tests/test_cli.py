@@ -511,6 +511,51 @@ class TestTrainExp:
         assert rc == 3
 
 
+def _litter(*sizes):
+    """Allocate arrays of these byte sizes full of 1s and free them, so
+    that the next arrays of about their sizes may be served the same
+    memory, 1s and all, as freed heap memory is."""
+    junk = [np.ones(size, dtype=np.uint8) for size in sizes]
+    del junk
+
+
+class TestRecycledMemory:
+    """The parser writes only a file's 1s, so every buffer it fills must
+    start zero however its memory was last used. A benchmark run repeats
+    its ops in one process and requires every pass to write the bytes of
+    the first; between passes here, freed memory is refilled with 1s."""
+
+    def test_repeated_loads_and_train_fresh_are_identical(self, workdir):
+        cfg = write_config(
+            workdir / "cfg.json",
+            generator={"d": 32, "T": 10, "separation": 0.05, "rng_seed": 1,
+                       "stages": [5]},
+            growth={"target_train_accuracy": 1.0, "max_hidden": 60,
+                    "patience": 100000, "rng_seed": 1},
+            pruning={"pool_size": 10}, split={"seed": 1})
+        assert main(["gen-data", "--config", cfg, "--out-dir", "data"]) == 0
+        path = "data/stage-5.ds"
+        with open(path, "rb") as fh:
+            lines = fh.readlines()
+        chunk = len(b"".join(lines[1:1 + spikegrow.dataset._BLOCK]))
+        first = load_dataset(path)
+        sizes = [first.spikes.nbytes, first.spikes.nbytes * 4 // 5,
+                 first.spikes.nbytes // 5, 8 * len(first), chunk, 4 * chunk,
+                 8 * chunk]
+        for _ in range(2):
+            _litter(*sizes)
+            assert load_dataset(path) == first
+        blobs = []
+        for k in range(3):
+            _litter(*sizes)
+            assert main(["train-fresh", "--config", cfg, "--dataset", path,
+                         "--out-checkpoint", f"{k}.net",
+                         "--out-trace", f"{k}.trace"]) == 0
+            blobs.append((workdir / f"{k}.net").read_bytes())
+        assert load_trace("0.trace").final_neurons == 60
+        assert blobs[1] == blobs[0] and blobs[2] == blobs[0]
+
+
 class TestEvalAndInspect:
     @pytest.fixture
     def trained(self, generated, workdir):

@@ -28,6 +28,7 @@ from spikegrow import (
 from spikegrow._util import SIZE_MAX
 from spikegrow.construct import (
     POOL_UNITS,
+    KeptPool,
     _certificates,
     _draw,
     pool_features,
@@ -267,7 +268,7 @@ class TestXiIndex:
             H[:: 50] = 0.0  # silent features
             H[1::50] *= rng.random(N) < 0.05  # mostly silent ones
             basis = None if case % 2 else np.empty((N, 0))
-            xis, _ = _certificates(list(H), E, sigma, basis)
+            xis, _ = _certificates(H, E, sigma, basis)
             for h, xi in zip(H, xis):
                 if not h.any():
                     assert np.isnan(xi)
@@ -279,32 +280,31 @@ class TestXiIndex:
 
 class TestSelectBest:
     def _pool(self, hs):
-        return [(Candidate(np.zeros(1), 0.0, i), np.asarray(h, float))
-                for i, h in enumerate(hs)]
+        return KeptPool(None, np.arange(len(hs)), np.array(hs, float), 0)
 
     def test_single_qualifier(self):
         E = np.array([[1.0], [1.0]])
         pool = self._pool([[1.0, 1.0]])
         sel = select_best(pool, E, 0.9)
-        assert sel is not None and sel.winner.pool_index == 0
+        assert sel is not None and sel.winner == 0
 
     def test_max_xi_wins(self):
         E = np.array([[1.0], [1.0]])
         pool = self._pool([[1.0, 0.0], [1.0, 1.0]])  # xi 0.8 < 1.8
         sel = select_best(pool, E, 0.9)
-        assert sel.winner.pool_index == 1
+        assert sel.winner == 1
 
     def test_tie_breaks_to_lowest_index(self):
         E = np.array([[1.0], [1.0]])
         pool = self._pool([[1.0, 1.0], [1.0, 1.0]])
         sel = select_best(pool, E, 0.9)
-        assert sel.winner.pool_index == 0
+        assert sel.winner == 0
 
     def test_silent_candidates_skipped(self):
         E = np.array([[1.0], [1.0]])
         pool = self._pool([[0.0, 0.0], [1.0, 1.0]])
         sel = select_best(pool, E, 0.9)
-        assert sel.winner.pool_index == 1
+        assert sel.winner == 1
 
     def test_no_qualifier_returns_none(self):
         E = np.array([[1.0], [1.0]])
@@ -380,9 +380,9 @@ class TestSelectBest:
             pool = self._pool(hs)
             xis = [xi_index(E, h, sigma) for h in hs]
             assert max(xis) == xis[near] >= 0.0
-            assert select_best(pool, E, sigma).winner.pool_index == near
+            assert select_best(pool, E, sigma).winner == near
             sel = select_best(pool, E, sigma, Q)
-            assert sel is None or sel.winner.pool_index != near
+            assert sel is None or sel.winner != near
 
     def test_basis_shape_checked(self):
         pool = self._pool([[1.0, 1.0]])
@@ -524,7 +524,7 @@ class TestKeptPool:
             if a.pool is None:
                 assert a.outcome.rounds_used >= 1
                 continue
-            offered = select_best(a.pool.candidates, a.E, a.cfg.sigma0, a.Q)
+            offered = select_best(a.pool, a.E, a.cfg.sigma0, a.Q)
             if a.outcome.rounds_used >= 1:
                 assert offered is None
                 continue
@@ -569,9 +569,42 @@ class TestKeptPool:
             assert np.array_equal(winner.w, pool.draw[winner.pool_index, :-1])
             rest = [(c, h) for c, h in pool_features(pool.draw, a.ds, a.params)
                     if c != winner.pool_index]
-            assert [c for c, _ in pool.candidates] == [c for c, _ in rest]
-            for (_, h), (_, h_rest) in zip(pool.candidates, rest):
+            assert [c for c, _ in pool] == [c for c, _ in rest]
+            for (_, h), (_, h_rest) in zip(pool, rest):
                 assert np.array_equal(float_bits(h), float_bits(h_rest))
+
+    def test_units_pin_no_pool_and_kept_pools_keep_one_table(
+            self, monkeypatch):
+        """A grown unit's weights and feature are copies, sharing no memory
+        with its pool's draw or feature table, so no unit pins its pool; a
+        kept pool's features are the rows of its draw's one table, moved up
+        in place over the winner's."""
+        attempts = record_attempts(monkeypatch)
+        pools = []
+        original = spikegrow.construct.pool_features
+
+        def recorded(*args):
+            pools.append(original(*args))
+            return pools[-1]
+
+        monkeypatch.setattr(spikegrow.construct, "pool_features", recorded)
+        net, _ = failed_reuse_run()
+        assert net.n_hidden > 0
+        kept = 0
+        for a in attempts:
+            sel, pool = a.outcome.selection, a.outcome.pool
+            for drawn in pools:
+                assert not np.shares_memory(sel.winner.w, drawn.draw)
+                assert not np.shares_memory(sel.feature, drawn.features)
+            if pool is not None:
+                kept += 1
+                assert any(pool.features.base is drawn.features
+                           for drawn in pools)
+                assert pool.features.flags.c_contiguous
+        assert kept > 0
+        for unit in net.hidden:
+            assert not any(np.shares_memory(unit.w, drawn.draw)
+                           for drawn in pools)
 
     @pytest.mark.parametrize("name", ["retrying"])
     def test_failed_reuse_draws_the_pool_of_no_reuse(self, name,

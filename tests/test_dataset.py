@@ -173,7 +173,9 @@ class TestGenerateFamily:
         for a, b in zip(fam.stages, fam.stages[1:]):
             assert np.array_equal(b.spikes[: len(a)], a.spikes)
             assert np.array_equal(b.label_index[: len(a)], a.label_index)
-            assert np.shares_memory(a.spikes, b.spikes)  # a view, not a copy
+            # A copy, not a view: splitting one stage in place moves no row
+            # of another.
+            assert not np.shares_memory(a.spikes, b.spikes)
 
     def test_determinism(self):
         cfg = GeneratorConfig(d=5, T=7, categories=3, samples_per_category=4,
@@ -262,18 +264,19 @@ class TestSplit:
             assert np.sum(test.label_index == i) == 2
 
     def test_deterministic(self):
-        ds = make_dataset(n_per_cat=6, n_cats=2)
-        a = split_train_test(ds, 0.3, 42)
-        b = split_train_test(ds, 0.3, 42)
+        # The split consumes its input: each call splits its own copy.
+        a = split_train_test(make_dataset(n_per_cat=6, n_cats=2), 0.3, 42)
+        b = split_train_test(make_dataset(n_per_cat=6, n_cats=2), 0.3, 42)
         assert a[0] == b[0] and a[1] == b[1]
 
     def test_union_and_disjointness(self):
         ds = make_dataset(n_per_cat=7, n_cats=3, seed=9)
-        train, test = split_train_test(ds, 0.3, 5)
         # Train and test rows, as (block, label) pairs, partition the rows.
         rows = lambda d: sorted(zip(map(bytes, d.spikes),
                                     d.label_index.tolist()))
-        assert rows(ds) == sorted(rows(train) + rows(test))
+        before = rows(ds)
+        train, test = split_train_test(ds, 0.3, 5)
+        assert before == sorted(rows(train) + rows(test))
 
     def test_small_category_rejected(self):
         ds = make_dataset(n_per_cat=1, n_cats=2)
@@ -284,6 +287,71 @@ class TestSplit:
         ds = make_dataset()
         with pytest.raises(ConfigError):
             split_train_test(ds, 1.0, 0)
+
+
+class TestSplitInPlace:
+    """The split reorders its input's own buffer into [train rows; test
+    rows] and consumes the input."""
+
+    def test_splitting_a_stage_moves_no_row_of_another(self):
+        cfg = GeneratorConfig(d=6, T=8, categories=6, samples_per_category=5,
+                              rng_seed=4)
+        stages = generate_family(cfg, [2, 4, 6]).stages
+        texts = [oracles.dataset_text(ds) for ds in stages]
+        rows = [np.array(ds.spikes) for ds in stages]
+        fingerprints = [dataset_fingerprint(ds) for ds in stages]
+        split_train_test(stages[1], 0.4, 3)
+        for k in (0, 2):
+            ds = stages[k]
+            assert np.array_equal(ds.spikes, rows[k])
+            assert oracles.dataset_text(ds) == texts[k]
+            assert dataset_fingerprint(ds) == fingerprints[k] == \
+                hashlib.sha256(texts[k].encode("ascii")).hexdigest()
+
+    def test_input_is_spent(self):
+        """The input is left with no rows, and says so: its fingerprint is
+        that of an empty dataset, and a second split finds no samples."""
+        ds = make_dataset(n_per_cat=6, n_cats=3, d=4, T=5, seed=2)
+        dataset_fingerprint(ds)
+        train, test = split_train_test(ds, 0.3, 1)
+        assert len(train) + len(test) == 18
+        assert len(ds) == 0 and ds.spikes.shape == (0, 4, 5)
+        assert ds.label_index.shape == (0,)
+        empty = LabeledDataset(np.zeros((0, 4, 5)), [], ds.categories)
+        assert ds == empty
+        assert dataset_fingerprint(ds) == dataset_fingerprint(empty)
+        with pytest.raises(ConfigError, match="0 sample"):
+            split_train_test(ds, 0.3, 1)
+
+    def test_train_and_test_are_disjoint_views_of_one_buffer(self):
+        ds = make_dataset(n_per_cat=20, n_cats=3, d=4, T=6, seed=5)
+        buffer = ds.spikes.base
+        train, test = split_train_test(ds, 0.25, 2)
+        assert train.spikes.base is buffer and test.spikes.base is buffer
+        assert buffer.nbytes == 60 * 4 * 6  # no row copied beside it
+        assert not np.shares_memory(train.spikes, test.spikes)
+        for part in (train, test):
+            assert part.spikes is part.spike_tensor()
+            assert not part.spikes.flags.writeable
+            assert all(step.flags.c_contiguous
+                       for step in part.spikes.transpose(2, 0, 1))
+
+    @pytest.mark.parametrize("fraction, seed", [(0.2, 1), (0.35, 7)])
+    def test_loaded_file_splits_as_the_copying_split(self, tmp_path,
+                                                     fraction, seed):
+        """Rows, labels and fingerprints equal those of the split that
+        copied rows out of an untouched dataset."""
+        cfg = GeneratorConfig(d=8, T=9, categories=4,
+                              samples_per_category=90, rng_seed=seed)
+        path = str(tmp_path / "s.ds")
+        save_dataset(generate_family(cfg, [4]).stages[0], path)
+        got = split_train_test(load_dataset(path), fraction, seed)
+        want = oracles.split_rows(load_dataset(path), fraction, seed)
+        for a, b in zip(got, want):
+            assert np.array_equal(a.spikes, b.spikes)
+            assert np.array_equal(a.label_index, b.label_index)
+            assert a == b
+            assert dataset_fingerprint(a) == dataset_fingerprint(b)
 
 
 class TestEncodeTargets:
@@ -440,31 +508,28 @@ class TestSerialization:
             assert part._fingerprint == hashlib.sha256(blob).hexdigest()
 
     def test_time_major_dataset_reads_as_row_major(self, tmp_path):
-        """After `spike_tensor()`, `spikes` is a strided time-major view. The
-        dataset fingerprints, saves (alone and with a row prefix), splits
-        and compares to the same bytes and rows as a row-major copy."""
+        """`spikes` is the strided (N, d, T) view of the dataset's
+        time-major buffer. The dataset fingerprints, saves (alone and with
+        a row prefix), splits and compares to the same bytes and rows as
+        the per-line oracle and the copying split of its row-major copy."""
         ds = make_dataset(n_per_cat=150, n_cats=3, d=5, T=7, seed=8)
-        rows = LabeledDataset(np.array(ds.spikes), ds.label_index,
-                              ds.categories)
+        rows = np.array(ds.spikes, order="C")
         assert ds.spike_tensor() is ds.spikes
         assert not ds.spikes.flags.c_contiguous and len(ds) > _BLOCK
-        assert rows.spikes.flags.c_contiguous
-        assert dataset_fingerprint(ds) == dataset_fingerprint(rows)
-        assert ds == rows and rows == ds
+        assert ds.spikes.transpose(2, 0, 1).flags.c_contiguous
+        copy = LabeledDataset(rows, ds.label_index, ds.categories)
+        text = oracles.dataset_text(copy).encode("ascii")
+        assert dataset_fingerprint(ds) == hashlib.sha256(text).hexdigest()
+        assert ds == copy and copy == ds
+        head = LabeledDataset(ds.spikes[:300], ds.label_index[:300],
+                              ds.categories)
+        paths = [tmp_path / f"{k}.ds" for k in range(3)]
+        save_dataset(ds, str(paths[0]))
+        save_dataset([head, ds], [str(p) for p in paths[1:]])
+        assert paths[0].read_bytes() == paths[2].read_bytes() == text
         for a, b in zip(split_train_test(ds, 0.2, 3),
-                        split_train_test(rows, 0.2, 3)):
+                        oracles.split_rows(copy, 0.2, 3)):
             assert a == b and dataset_fingerprint(a) == dataset_fingerprint(b)
-        blobs = []
-        for name, whole in (("t", ds), ("r", rows)):
-            head = LabeledDataset(whole.spikes[:300], whole.label_index[:300],
-                                  whole.categories)
-            paths = [tmp_path / f"{name}{k}.ds" for k in range(3)]
-            save_dataset(whole, str(paths[0]))
-            save_dataset([head, whole], [str(p) for p in paths[1:]])
-            blobs.append([p.read_bytes() for p in paths])
-        assert blobs[0] == blobs[1]
-        assert blobs[0][0] == blobs[0][2] \
-            == oracles.dataset_text(rows).encode("ascii")
 
     @pytest.mark.parametrize("rows", [slice(1, 5), slice(0, 301)])
     def test_not_a_row_prefix_rejected(self, tmp_path, rows):
@@ -543,11 +608,11 @@ class TestSaveMemory:
                                                  capsys, error):
         """gen-data fails on its second block, after the first went to every
         stage file: exit 2, no temp file, no manifest, and a stage file that
-        was there keeps its bytes. 64 samples per category make blocks of
-        256 and 192 rows."""
+        was there keeps its bytes. 32 samples per category make blocks of
+        128 and 96 rows."""
         cfg = tmp_path / "cfg.json"
         cfg.write_text('{"generator": {"d": 3, "T": 7, "categories": 7, '
-                       '"samples_per_category": 64, "stages": [4, 7]}}')
+                       '"samples_per_category": 32, "stages": [4, 7]}}')
         out = tmp_path / "out"
         out.mkdir()
         (out / "stage-7.ds").write_bytes(b"old")
@@ -563,7 +628,7 @@ class TestSaveMemory:
         monkeypatch.setattr(spikegrow.dataset, "_sample_lines", failing)
         assert spikegrow.cli.main(["gen-data", "--config", str(cfg),
                                    "--out-dir", str(out)]) == 2
-        assert blocks == [_BLOCK, 7 * 64 - _BLOCK]
+        assert blocks == [_BLOCK, 7 * 32 - _BLOCK]
         err = capsys.readouterr().err
         assert err.startswith(f"error: {type(error).__name__}: ")
         if isinstance(error, OSError):
@@ -590,6 +655,25 @@ class TestLoadMemory:
             tracemalloc.stop()
         assert back == ds
         assert peak < 2 * ds.spikes.nbytes
+
+    def test_lineage_stage_10_load_peak_below_1_7_spike_arrays(self,
+                                                               tmp_path):
+        """A load parses straight into the dataset's time-major buffer, a
+        block of _BLOCK lines at a time: the `lineage` stage-10 file loads
+        under 1.7 times its spike array (1.60x; 2.13x with 256-line blocks
+        parsed into a row-major array)."""
+        ds = generate_family(GeneratorConfig(rng_seed=1), [10]).stages[0]
+        p = tmp_path / "stage-10.ds"
+        save_dataset(ds, str(p))
+        nbytes = ds.spikes.nbytes
+        tracemalloc.start()
+        try:
+            back = load_dataset(str(p))
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert back == ds and nbytes == 2000 * 64 * 25
+        assert peak < 1.7 * nbytes
 
 
 # Sample lines of a (d, T, m) = (3, 12, 12) file, each loaded as the first,

@@ -177,10 +177,9 @@ class TestCompareRuns:
 
 
 class TestMemory:
-    """A pass that reads a dataset once runs the kernel on its uint8 spikes,
-    a block of rows at a time, and never holds a float64 copy of them;
-    growth turns its training and test sets each into one time-major uint8
-    copy, which its pools and eval steps re-read."""
+    """A pass runs the kernel on a dataset's uint8 spikes, a block of rows
+    at a time, and never holds a float64 copy of them; a dataset's one
+    time-major buffer is what its pools and eval steps re-read."""
 
     @staticmethod
     def evaluate_peak(N):
@@ -195,6 +194,7 @@ class TestMemory:
                   for _ in range(50)]
         net = Network(ds.d, LifParams(), hidden,
                       rng.normal(size=(50, ds.n_categories)), ds.categories)
+        spikes = ds.spikes
         tracemalloc.start()
         try:
             report = evaluate(net, ds)
@@ -202,7 +202,7 @@ class TestMemory:
         finally:
             tracemalloc.stop()
         assert report.n_hidden == 50
-        assert ds._tensor is None
+        assert ds.spikes is spikes
         return ds, peak
 
     def test_evaluate_peak_below_one_float_copy(self):
@@ -248,16 +248,19 @@ class TestMemory:
         assert peak < nbytes
 
     def test_growth_holds_one_copy_of_each_set(self, two_class_family):
-        """Growth converts both of its sets, and `spikes` is then a view of
-        the one time-major copy; evaluate converts nothing."""
+        """Growth's sets are the split's two views of one time-major
+        buffer, each time step contiguous, and growth leaves them so;
+        evaluate converts nothing."""
         net, _, train, test = trained_pair(two_class_family)
         for ds in (train, test):
-            assert ds._tensor is not None
-            assert np.shares_memory(ds.spikes, ds._tensor)
-            assert ds.spikes.transpose(2, 0, 1).flags.c_contiguous
+            assert ds.spikes is ds.spike_tensor()
+            assert ds.spikes.base is train.spikes.base
+            assert all(step.flags.c_contiguous
+                       for step in ds.spikes.transpose(2, 0, 1))
         rows = LabeledDataset(np.array(test.spikes, order="C"),
                               test.label_index, test.categories)
+        spikes = rows.spikes
         report = evaluate(net, rows)
-        assert rows._tensor is None and rows.spikes.flags.c_contiguous
+        assert rows.spikes is spikes
         assert report.predictions.tobytes() == \
             evaluate(net, test).predictions.tobytes()
