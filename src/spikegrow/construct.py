@@ -97,7 +97,7 @@ class SelectionResult:
     error_gain: float  # guaranteed squared-error reduction
 
 
-@dataclass(frozen=True)
+@dataclass
 class KeptPool:
     """A drawn pool's candidates not grown yet: (pool index, feature) pairs.
 
@@ -116,6 +116,11 @@ class KeptPool:
 
     def __iter__(self):
         return zip(self.index.tolist(), self.features)
+
+    def clear(self) -> None:
+        """Drop every candidate, and with them the pool's feature table."""
+        self.index = self.index[:0]
+        self.features = np.empty((0, self.features.shape[1]))
 
 
 @dataclass(frozen=True)
@@ -285,11 +290,13 @@ def grow_one(
     """One recruitment attempt at contraction target sigma0, scoring every
     pool against the residual E and the basis Q as `select_best` does.
 
-    `pool` is the previous outcome's kept pool. Its candidates are scored
-    first; a certifying winner is grown from it with no kernel pass and no
-    rng draw (rounds_used 0). Otherwise it is dropped, and one fresh pool is
-    drawn at weight range weight_scale (rounds_used 1). The attempt
-    saturates when that pool certifies no candidate either.
+    `pool` is the previous outcome's kept pool, which the attempt spends.
+    Its candidates are scored first; a certifying winner is grown from it
+    with no kernel pass and no rng draw (rounds_used 0). Otherwise it is
+    cleared, so that its table is freed before the fresh pool's kernel pass
+    whoever still holds the pool, and one fresh pool is drawn at weight
+    range weight_scale (rounds_used 1). The attempt saturates when that
+    pool certifies no candidate either.
 
     A pool serves at most POOL_UNITS units; the outcome keeps the winner's
     pool for the next attempt while it may serve another.
@@ -298,6 +305,7 @@ def grow_one(
         selection = select_best(pool, E, cfg.sigma0, Q)
         if selection is not None:
             return _grown(selection, pool, 0)
+        pool.clear()
     fresh = pool_features(_draw(cfg, ds.d, rng), ds, params)
     selection = select_best(fresh, E, cfg.sigma0, Q)
     if selection is None:

@@ -24,6 +24,8 @@ from __future__ import annotations
 import hashlib
 import json
 import math
+import os
+import stat
 from contextlib import ExitStack
 from dataclasses import dataclass
 from functools import lru_cache
@@ -97,6 +99,9 @@ class LabeledDataset:
         labels = np.asarray(label_index)
         self.categories = list(categories)
         self._fingerprint = None
+        # (the _LoadedFile its rows are lines of, in file order, and their
+        # line numbers, or None for every line), until it has a fingerprint.
+        self._lines = None
         # The loader's rules, so that every dataset saves to a file it loads.
         if not _categories_ok(self.categories):
             raise ConfigError("categories must be distinct ints (not bools) "
@@ -194,7 +199,7 @@ def check_stage_sizes(stage_sizes, categories: int) -> list:
     return stage_sizes
 
 
-def family_blocks(config: GeneratorConfig, categories: int, out=None):
+def family_blocks(config: GeneratorConfig, categories: int):
     """The samples of the first `categories` categories of the family of
     `config`, ordered by category, as (spikes, label_index) row blocks.
 
@@ -206,14 +211,13 @@ def family_blocks(config: GeneratorConfig, categories: int, out=None):
     _DRAW_ROWS samples of a category are one (rows, d + d * T) draw into
     one reused buffer: the same doubles as one draw per sample.
 
-    Given `out`, a zero uint8 (N, d, T) array for all N samples, `out` is
-    the one block. Otherwise blocks of at most _BLOCK rows share one
-    buffer, each valid until the next is drawn. The buffers are allocated
-    before this returns, so a size too large fails before any draw.
+    Blocks of at most _BLOCK rows share one row-major buffer, each valid
+    until the next is drawn. The buffers are allocated before this returns,
+    so a size too large fails before any draw.
     """
     d, T, n = config.d, config.T, config.samples_per_category
     rows = categories * n
-    buf = _zeros((min(_BLOCK, rows), d, T)) if out is None else out
+    buf = _zeros((min(_BLOCK, rows), d, T))
     draws = _zeros((min(_DRAW_ROWS, n), d + d * T), dtype=np.float64)
 
     def blocks():
@@ -241,15 +245,21 @@ def family_blocks(config: GeneratorConfig, categories: int, out=None):
 
 def generate_family(config: GeneratorConfig, stage_sizes) -> NestedFamily:
     """Build nested synthetic datasets, one stage per requested category
-    count: `family_blocks` draws every sample into one array, and each
-    stage copies its row prefix."""
+    count: each block `family_blocks` draws is copied into the last stage's
+    time-major buffer, and each earlier stage copies its row prefix from
+    that buffer."""
     stage_sizes = check_stage_sizes(stage_sizes, config.categories)
     n = config.samples_per_category
-    spikes = _zeros((stage_sizes[-1] * n, config.d, config.T))
-    # Drawn into `spikes` itself, the family is one block.
-    [(_, label_index)] = family_blocks(config, stage_sizes[-1], spikes)
-    stages = [LabeledDataset(spikes[:size * n], label_index[:size * n],
-                             range(size), config.dt_ms) for size in stage_sizes]
+    planes = _zeros((config.T, stage_sizes[-1] * n, config.d))
+    a = 0  # the first row of the block
+    for spikes, _ in family_blocks(config, stage_sizes[-1]):
+        planes[:, a:a + len(spikes)] = spikes.transpose(2, 0, 1)
+        a += len(spikes)
+    label_index = np.arange(planes.shape[1]) // n
+    stages = [_owning((planes if size == stage_sizes[-1]
+                       else planes[:, :size * n].copy()).transpose(1, 2, 0),
+                      label_index[:size * n], range(size), config.dt_ms)
+              for size in stage_sizes]
     return NestedFamily(tuple(stages))
 
 
@@ -273,7 +283,11 @@ def split_train_test(ds: LabeledDataset, test_fraction: float, seed: int):
     """Deterministic stratified split into disjoint train and test datasets
     in place: `ds`'s buffer is reordered, a time plane at a time, into its
     train rows, then its test rows, each in `ds` order, and train and test
-    are its two views. It consumes `ds`, which is left no rows."""
+    are its two views. It consumes `ds`, which is left no rows.
+
+    When `ds` holds the lines of a file `load_dataset` read, each half keeps
+    which of those lines its rows are, in file order, so that
+    `dataset_fingerprint` takes its digest from the file's bytes."""
     SplitConfig(test_fraction, seed)  # checks both
     rng = np.random.default_rng(seed)
     is_test = np.zeros(len(ds), dtype=bool)
@@ -292,9 +306,15 @@ def split_train_test(ds: LabeledDataset, test_fraction: float, seed: int):
     for plane in planes:
         plane[...] = plane[order]
     spikes, labels = planes.transpose(1, 2, 0), ds.label_index[order]
+    lines, ds._lines = ds._lines, None
     ds.spikes, ds.label_index, ds._fingerprint = spikes[:0], labels[:0], None
-    return tuple(_owning(spikes[rows], labels[rows], ds.categories, ds.dt_ms)
-                 for rows in (slice(n), slice(n, None)))
+    train, test = (_owning(spikes[rows], labels[rows], ds.categories, ds.dt_ms)
+                   for rows in (slice(n), slice(n, None)))
+    if lines is not None:
+        file, taken = lines
+        taken = order if taken is None else taken[order]
+        train._lines, test._lines = (file, taken[:n]), (file, taken[n:])
+    return train, test
 
 
 def encode_targets(ds: LabeledDataset) -> np.ndarray:
@@ -414,14 +434,68 @@ def _canonical_chunks(ds: LabeledDataset):
 
 
 def dataset_fingerprint(ds: LabeledDataset) -> str:
-    """sha256 of the canonical serialized form, hashed block by block;
-    computed once per dataset."""
+    """sha256 of the canonical serialized form; computed once per dataset.
+
+    A split of a loaded file hashes its header line and the file's lines of
+    its rows, read back from the file (`_file_fingerprint`); any other
+    dataset, or a split whose file changed since it was loaded, hashes its
+    serialised rows block by block. Either way the digest is the same."""
     if ds._fingerprint is None:
-        digest = hashlib.sha256()
-        for chunk in _canonical_chunks(ds):
-            digest.update(chunk)
-        ds._fingerprint = digest.hexdigest()
+        fingerprint = None if ds._lines is None else _file_fingerprint(ds)
+        if fingerprint is None:
+            digest = hashlib.sha256()
+            for chunk in _canonical_chunks(ds):
+                digest.update(chunk)
+            fingerprint = digest.hexdigest()
+        ds._fingerprint, ds._lines = fingerprint, None
     return ds._fingerprint
+
+
+@dataclass(frozen=True)
+class _LoadedFile:
+    """A regular file `load_dataset` read: its absolute path, the sha256 of
+    its bytes, and `ends`, the (N + 1,) offsets at which its header line and
+    each of its N verified sample lines end."""
+
+    path: str
+    sha256: str
+    ends: np.ndarray
+
+
+def _file_fingerprint(ds: LabeledDataset):
+    """The fingerprint of `ds`, whose rows are the sample lines `rows` of a
+    loaded file in file order (`ds._lines`): its canonical form is its own
+    header line, then those lines. The file is read back a block of _BLOCK
+    lines at a time, and each block is hashed whole as well as in the runs
+    of `ds`'s lines; None, for the serialiser to decide, unless the whole
+    file is the bytes that hashed to its sha256 at load, and so the lines
+    are the ones the loader verified."""
+    file, rows = ds._lines
+    ends = file.ends
+    take = np.zeros(len(ends) - 1, dtype=np.int8)
+    take[rows] = 1
+    digest = hashlib.sha256((_header_line(*_header(ds)) + "\n").encode("ascii"))
+    try:
+        # O_NONBLOCK: a path replaced by a FIFO must not block the open.
+        fd = os.open(file.path, os.O_RDONLY | getattr(os, "O_NONBLOCK", 0))
+        with open(fd, "rb") as fh:
+            if not stat.S_ISREG(os.fstat(fd).st_mode):
+                return None
+            whole = hashlib.sha256(fh.read(int(ends[0])))
+            for a in range(0, len(take), _BLOCK):
+                at = ends[a:a + _BLOCK + 1] - ends[a]  # the block's lines
+                data = fh.read(int(at[-1]))
+                whole.update(data)
+                edge = np.diff(take[a:a + _BLOCK], prepend=0, append=0)
+                lines = memoryview(data)
+                for start, stop in zip(np.flatnonzero(edge > 0),
+                                       np.flatnonzero(edge < 0)):
+                    digest.update(lines[at[start]:at[stop]])
+            if fh.read(1) or whole.hexdigest() != file.sha256:
+                return None
+    except OSError:  # the file is gone or unreadable
+        return None
+    return digest.hexdigest()
 
 
 def write_blocks(paths, headers, blocks) -> list:
@@ -481,7 +555,7 @@ def save_dataset(ds, path) -> None:
     digests = write_blocks(path, [_header(part) for part in ds],
                            _row_blocks(last))
     for part, digest in zip(ds, digests):
-        part._fingerprint = digest
+        part._fingerprint, part._lines = digest, None
 
 
 def _is_row_prefix(ds: LabeledDataset, of: LabeledDataset) -> bool:
@@ -588,16 +662,20 @@ def _parse_lines(buf: bytes, stops: np.ndarray, spikes: np.ndarray,
 class DatasetReader:
     """A .ds file open for reading: the header line is read and checked on
     construction, before any sample line, into `d`, `T`, `dt_ms`,
-    `n_samples` and `categories`; `blocks` reads the samples. `sha256`
-    hashes every byte read."""
+    `n_samples` and `categories`; `blocks` reads the samples."""
 
     def __init__(self, fh):
         raw = fh.readline()
-        self.sha256 = hashlib.sha256(raw)
         self.d, self.T, self.dt_ms, self.n_samples, self.categories = \
             _parse_header(raw)
-        self._fh = fh
+        self._fh, self._offset = fh, 0
+        self._verified(raw, (len(raw),))
         self._offset = len(raw)
+
+    def _verified(self, buf: bytes, stops) -> None:
+        """Called with each run of lines read and verified, `buf`, read at
+        byte `_offset`, whose lines end at the offsets `stops` within it:
+        the header line, then each parsed block. The reader keeps nothing."""
 
     def arrays(self, rows: int):
         """A zero (the parser writes only 1s) uint8 (rows, d, T) view of a
@@ -646,7 +724,6 @@ class DatasetReader:
         want = len(spikes)
         lines = list(islice(self._fh, want))
         buf = b"".join(lines)
-        self.sha256.update(buf)
         stops = np.cumsum([len(line) for line in lines], dtype=np.intp)
         del lines  # buf holds the same bytes
         k = len(stops)
@@ -655,6 +732,7 @@ class DatasetReader:
         canonical = _sample_lines(spikes[:k], label_index[:k])
         if canonical != buf or flagged.any():
             _reject_line(buf, canonical, stops, flagged, self._offset)
+        self._verified(buf, stops)
         self._offset += len(buf)
         if k < want:
             raise DataFormatError(f"truncated sample block at byte "
@@ -662,17 +740,37 @@ class DatasetReader:
                                   f"{self.n_samples} samples, found {row + k}")
 
 
+class _Loader(DatasetReader):
+    """A `DatasetReader` that hashes the bytes it verifies and, reading a
+    regular file, keeps the offset at which each verified line ends."""
+
+    def __init__(self, fh):
+        self.sha256 = hashlib.sha256()
+        self.ends = [] if stat.S_ISREG(os.fstat(fh.fileno()).st_mode) else None
+        super().__init__(fh)
+
+    def _verified(self, buf, stops):
+        self.sha256.update(buf)
+        if self.ends is not None:
+            self.ends.append(np.add(stops, self._offset))
+
+
 def load_dataset(path: str) -> LabeledDataset:
-    """Read a .ds file with `DatasetReader` straight into the time-major
-    buffer its header sizes, which the dataset then owns: only the exact
-    bytes `save_dataset` writes load. Its sha256 becomes the fingerprint."""
+    """Read a .ds file straight into the time-major buffer its header sizes,
+    which the dataset then owns: only the exact bytes `save_dataset` writes
+    load. The sha256 of the bytes read becomes the fingerprint. Of a regular
+    file, the dataset also keeps each line's end offset (N integers), which
+    `split_train_test` hands on to its halves."""
     with open(path, "rb") as fh:
-        reader = DatasetReader(fh)
+        reader = _Loader(fh)
         spikes, label_index = reader.arrays(reader.n_samples)
         for _ in reader.blocks(_BLOCK, spikes, label_index):
             pass
     ds = _owning(spikes, label_index, reader.categories, reader.dt_ms)
     ds._fingerprint = reader.sha256.hexdigest()
+    if reader.ends is not None:
+        ds._lines = (_LoadedFile(os.path.abspath(path), ds._fingerprint,
+                                 np.concatenate(reader.ends)), None)
     return ds
 
 

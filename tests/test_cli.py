@@ -5,6 +5,8 @@ import os
 import re
 import stat
 import struct
+import subprocess
+import sys
 import tracemalloc
 from contextlib import redirect_stderr, redirect_stdout
 
@@ -414,6 +416,45 @@ class TestTrainFresh:
             for r in json.loads(p.read_text())["records"]]
         assert strip(workdir / "a.trace") == strip(workdir / "b.trace")
 
+    def test_blas_thread_count_changes_no_output(self, workdir):
+        """Checkpoints and traces do not depend on the BLAS thread count:
+        `train-fresh` under OPENBLAS_NUM_THREADS 1 and 2, each in a fresh
+        process, since OpenBLAS reads it once at import. The products are
+        those of a small run (480 training rows, pools of 50), which only
+        fixes that the thread count is read, not how a product is split."""
+        cfg = write_config(
+            workdir / "blas.json",
+            generator={"d": 32, "T": 25, "categories": 4,
+                       "samples_per_category": 150, "base_rate": 0.2,
+                       "separation": 0.5, "jitter": 0.1, "rng_seed": 2,
+                       "stages": [4]},
+            pruning={"pool_size": 50})
+        assert main(["gen-data", "--config", cfg, "--out-dir", "data"]) == 0
+        src = os.path.dirname(os.path.dirname(spikegrow.cli.__file__))
+        path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
+        for threads in ("1", "2"):
+            env = dict(os.environ, OPENBLAS_NUM_THREADS=threads,
+                       PYTHONPATH=path)
+            subprocess.run(
+                [sys.executable, "-c",
+                 "import sys; from spikegrow.cli import main; "
+                 "sys.exit(main(sys.argv[1:]))",
+                 "train-fresh", "--config", cfg, "--dataset", "data/stage-4.ds",
+                 "--out-checkpoint", f"{threads}.net",
+                 "--out-trace", f"{threads}.trace"],
+                env=env, check=True, capture_output=True, timeout=300)
+
+        def untimed(name):
+            doc = json.loads((workdir / name).read_text())
+            for record in doc["records"]:
+                del record["elapsed_seconds"]
+            return doc
+
+        assert (workdir / "1.net").read_bytes() == \
+            (workdir / "2.net").read_bytes()
+        assert untimed("1.trace") == untimed("2.trace")
+        assert load_network("1.net").n_hidden > 0
+
     @pytest.mark.parametrize("threads", ["0", "-1"])
     def test_nonpositive_threads_exit_2(self, generated, workdir, capsys,
                                         threads):
@@ -740,6 +781,26 @@ class TestEvalStreamed:
             load_dataset("d.ds")
         assert (code, err) == (3, f"error: DataFormatError: {loaded.value}\n")
         assert not (workdir / "r.json").exists()
+
+    def test_eval_hashes_nothing(self, workdir, capsys, monkeypatch):
+        """Only the loader takes a file's sha256: `eval` makes no sha256
+        object, so it hashes none of the bytes it reads."""
+        made = []
+
+        class Hashlib:
+            @staticmethod
+            def sha256(*data):
+                made.append(data)
+                return hashlib.sha256(*data)
+
+        monkeypatch.setattr(spikegrow.dataset, "hashlib", Hashlib)
+        save_dataset(self.dataset(300), "ref.ds")
+        blob = (workdir / "ref.ds").read_bytes()
+        made.clear()
+        assert self.run_eval(self.network(3), blob, capsys) == (0, "")
+        assert made == []
+        load_dataset("d.ds")
+        assert len(made) == 1
 
     @pytest.mark.parametrize("claimed", [401, 10**5, 10**12])
     def test_header_longer_than_its_file_is_truncated(self, workdir, capsys,

@@ -1,7 +1,8 @@
 import copy
 import math
 import sys
-from dataclasses import dataclass
+import weakref
+from dataclasses import dataclass, replace
 from typing import Any
 
 import numpy as np
@@ -33,6 +34,7 @@ from spikegrow.construct import (
     _draw,
     pool_features,
 )
+from spikegrow.learner import save_network
 from spikegrow.lif import CELLS, batch_rate_features
 
 PARAMS = LifParams()
@@ -470,7 +472,9 @@ def test_growth_builds_one_candidate_per_accepted_unit(monkeypatch):
 class Attempt:
     """One call of the learner's `grow_one`: its arguments, with the
     residual, basis and rng state copied at the call, the rng state after
-    it, and its outcome."""
+    it, and its outcome. The pool offered and the pool kept are shallow
+    copies, which keep the arrays the pools held: the next attempt clears a
+    kept pool that certifies nothing."""
 
     E: np.ndarray
     ds: Any
@@ -489,8 +493,10 @@ def record_attempts(monkeypatch) -> list:
 
     def recorded(E, ds, cfg, params, rng, Q, pool):
         E, Q, at_call = np.array(E), np.array(Q), copy.deepcopy(rng)
+        offered = copy.copy(pool)
         outcome = original(E, ds, cfg, params, rng, Q, pool)
-        attempts.append(Attempt(E, ds, cfg, params, at_call, Q, pool, outcome,
+        attempts.append(Attempt(E, ds, cfg, params, at_call, Q, offered,
+                                replace(outcome, pool=copy.copy(outcome.pool)),
                                 copy.deepcopy(rng)))
         return outcome
 
@@ -520,10 +526,12 @@ class TestKeptPool:
         KEPT_POOL_RUNS[name]()
         reused = 0
         for prev, a in zip([None] + attempts, attempts):
-            assert a.pool is (prev and prev.outcome.pool)
+            kept = prev and prev.outcome.pool
+            assert (a.pool is None) == (kept is None)
             if a.pool is None:
                 assert a.outcome.rounds_used >= 1
                 continue
+            assert a.pool.features is kept.features
             offered = select_best(a.pool, a.E, a.cfg.sigma0, a.Q)
             if a.outcome.rounds_used >= 1:
                 assert offered is None
@@ -605,6 +613,42 @@ class TestKeptPool:
         for unit in net.hidden:
             assert not any(np.shares_memory(unit.w, drawn.draw)
                            for drawn in pools)
+
+    def test_failed_kept_pool_is_freed_before_the_next_kernel_pass(
+            self, monkeypatch, tmp_path):
+        """A kept pool that certifies nothing is cleared: its feature table
+        is gone when the fresh pool's kernel pass runs, and the run's records
+        and checkpoint are those of a run that keeps it."""
+        def run(name):
+            net, trace = failed_reuse_run()
+            save_network(net, str(tmp_path / name))
+            return (tmp_path / name).read_bytes(), [
+                replace(r, elapsed_seconds=0.0) for r in trace.records]
+
+        monkeypatch.setattr(KeptPool, "clear", lambda pool: None)
+        kept = run("kept.net")
+        monkeypatch.undo()
+        failed, passes = [], []
+        select, features = select_best, pool_features
+
+        def scored(pool, *args):
+            selection = select(pool, *args)
+            if selection is None and pool.units:
+                table = pool.features
+                failed.append(weakref.ref(
+                    table if table.base is None else table.base))
+            return selection
+
+        def drawn(*args):
+            passes.append([ref() is None for ref in failed])
+            return features(*args)
+
+        monkeypatch.setattr(spikegrow.construct, "select_best", scored)
+        monkeypatch.setattr(spikegrow.construct, "pool_features", drawn)
+        assert run("freed.net") == kept
+        # A failed kept pool is cleared, then the same attempt draws.
+        assert failed and passes[-1] == [True] * len(failed)
+        assert all(all(gone) for gone in passes)
 
     @pytest.mark.parametrize("name", ["retrying"])
     def test_failed_reuse_draws_the_pool_of_no_reuse(self, name,

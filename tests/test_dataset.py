@@ -1,6 +1,8 @@
 import errno
 import hashlib
+import os
 import re
+import threading
 import tracemalloc
 
 import numpy as np
@@ -352,6 +354,131 @@ class TestSplitInPlace:
             assert np.array_equal(a.label_index, b.label_index)
             assert a == b
             assert dataset_fingerprint(a) == dataset_fingerprint(b)
+
+
+class TestFileFingerprint:
+    """A split of a loaded file takes its fingerprint from the file's
+    verified lines, checked against the file's sha256 at load; a file that
+    changed since leaves it to the serialiser. The digest is the same."""
+
+    @staticmethod
+    def split_file(tmp_path, d, T, fraction, seed=3):
+        """A 300-row file (three _BLOCK blocks) and the halves of its load."""
+        cfg = GeneratorConfig(d=d, T=T, categories=3, samples_per_category=100,
+                              rng_seed=seed)
+        path = tmp_path / "s.ds"
+        save_dataset(generate_family(cfg, [3]).stages[0], str(path))
+        return path, split_train_test(load_dataset(str(path)), fraction, seed)
+
+    @staticmethod
+    def serialised(ds) -> str:
+        """The serialiser's digest of `ds`'s rows, which the per-line
+        oracle's text also hashes to."""
+        digest = dataset_fingerprint(LabeledDataset(
+            ds.spikes, ds.label_index, ds.categories, ds.dt_ms))
+        assert digest == hashlib.sha256(
+            oracles.dataset_text(ds).encode("ascii")).hexdigest()
+        return digest
+
+    @staticmethod
+    def serialisations(monkeypatch) -> list:
+        calls = []
+        lines = spikegrow.dataset._sample_lines
+        monkeypatch.setattr(spikegrow.dataset, "_sample_lines",
+                            lambda *block: calls.append(len(block[0]))
+                            or lines(*block))
+        return calls
+
+    @pytest.mark.parametrize("fraction", [0.2, 0.35])
+    @pytest.mark.parametrize("d, T", [(1, 1), (8, 9), (64, 25), (3, 120)])
+    def test_halves_hash_the_files_lines(self, tmp_path, monkeypatch,
+                                         fraction, d, T):
+        _, halves = self.split_file(tmp_path, d, T, fraction)
+        calls = self.serialisations(monkeypatch)
+        got = [dataset_fingerprint(half) for half in halves]
+        assert calls == []
+        monkeypatch.undo()
+        assert got == [self.serialised(half) for half in halves]
+        assert all(half._lines is None for half in halves)
+
+    def test_a_half_split_again_hashes_the_files_lines(self, tmp_path,
+                                                       monkeypatch):
+        _, (train, _) = self.split_file(tmp_path, 8, 9, 0.2)
+        quarters = split_train_test(train, 0.5, 4)
+        calls = self.serialisations(monkeypatch)
+        got = [dataset_fingerprint(part) for part in quarters]
+        assert calls == []
+        monkeypatch.undo()
+        assert got == [self.serialised(part) for part in quarters]
+
+    @pytest.mark.parametrize("change", [
+        "unchanged", "copied over", "same length", "truncated", "appended",
+        "deleted", "renamed over", "directory", "fifo"])
+    def test_a_changed_file_is_left_to_the_serialiser(self, tmp_path,
+                                                      monkeypatch, change):
+        """Between the load and the fingerprint the file is rewritten with
+        the same length (one byte of a middle line flipped), truncated,
+        extended, deleted, or replaced by another dataset's file, a
+        directory or a FIFO. Only the same bytes are read back."""
+        path, halves = self.split_file(tmp_path, 8, 9, 0.2)
+        blob = path.read_bytes()
+        other = tmp_path / "other"
+        if change == "copied over":
+            other.write_bytes(blob)
+            os.replace(other, path)
+        elif change == "same length":
+            edited = bytearray(blob)
+            edited[len(blob) // 2] ^= 1
+            path.write_bytes(bytes(edited))
+        elif change == "truncated":
+            path.write_bytes(blob[:-40])
+        elif change == "appended":
+            path.write_bytes(blob + blob[-40:])
+        elif change == "deleted":
+            path.unlink()
+        elif change == "renamed over":
+            cfg = GeneratorConfig(d=8, T=9, categories=3,
+                                  samples_per_category=100, rng_seed=4)
+            save_dataset(generate_family(cfg, [3]).stages[0], str(other))
+            os.replace(other, path)
+        elif change == "directory":
+            path.unlink()
+            path.mkdir()
+        elif change == "fifo":
+            if not hasattr(os, "mkfifo"):
+                pytest.skip("no FIFOs on this platform")
+            path.unlink()
+            os.mkfifo(path)
+        calls = self.serialisations(monkeypatch)
+        got = [dataset_fingerprint(half) for half in halves]
+        assert (calls == []) == (change in ("unchanged", "copied over"))
+        monkeypatch.undo()
+        assert got == [self.serialised(half) for half in halves]
+
+    def test_only_a_regular_file_keeps_its_line_ends(self, tmp_path):
+        """A loaded regular file keeps the offset at which each line ends;
+        a FIFO's load keeps none, and its halves serialise."""
+        path, _ = self.split_file(tmp_path, 8, 9, 0.2)
+        blob = path.read_bytes()
+        loaded = load_dataset(str(path))
+        file, rows = loaded._lines
+        assert rows is None and file.sha256 == hashlib.sha256(blob).hexdigest()
+        assert file.ends.tolist() == [m.end() for m in re.finditer(b"\n", blob)]
+        if not hasattr(os, "mkfifo"):
+            pytest.skip("no FIFOs on this platform")
+        fifo = tmp_path / "fifo"
+        os.mkfifo(fifo)
+        writer = threading.Thread(target=fifo.write_bytes, args=(blob,),
+                                  daemon=True)
+        writer.start()
+        piped = load_dataset(str(fifo))
+        writer.join(timeout=60)
+        assert not writer.is_alive()
+        assert piped == loaded and piped._lines is None
+        halves = split_train_test(piped, 0.2, 3)
+        assert all(half._lines is None for half in halves)
+        assert [dataset_fingerprint(half) for half in halves] == \
+            [self.serialised(half) for half in halves]
 
 
 class TestEncodeTargets:
