@@ -9,6 +9,7 @@ error, 4 internal invariant violation.
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import os
 import sys
@@ -39,7 +40,6 @@ from .errors import (
     SpikegrowError,
 )
 from .evaluation import (
-    block_rows,
     check_dataset,
     comparison_to_text,
     compare_runs,
@@ -58,7 +58,7 @@ from .learner import (
     train_experienced,
     train_fresh,
 )
-from .lif import LifParams
+from .lif import LifParams, block_rows
 
 EXIT_OK = 0
 EXIT_CONFIG = 2
@@ -252,7 +252,7 @@ def cmd_eval(args) -> int:
         # line is read; then each block is read, verified and scored.
         reader = DatasetReader(fh)
         check_dataset(net, reader.d, reader.categories)
-        report = evaluate_blocks(net, reader.blocks(block_rows(net)))
+        report = evaluate_blocks(net, reader.blocks(block_rows(net.n_hidden)))
     text = report_to_text(report, net.categories)
     if args.out_report:
         atomic_write_text(args.out_report, text)
@@ -357,9 +357,14 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+@functools.cache
+def _parser() -> argparse.ArgumentParser:
+    """The parser `main` reads every argv with, built once per process."""
+    return build_parser()
+
+
 def main(argv=None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
+    args = _parser().parse_args(argv)
     try:
         if getattr(args, "threads", 1) < 1:
             raise ConfigError(f"--threads must be >= 1, got {args.threads}")

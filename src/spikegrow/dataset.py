@@ -533,39 +533,13 @@ def write_blocks(paths, headers, blocks) -> list:
     return [digest.hexdigest() for digest in digests]
 
 
-def save_dataset(ds, path) -> None:
+def save_dataset(ds: LabeledDataset, path) -> None:
     """Write the canonical form of `ds` to `path` with `write_blocks`, a
     block of _BLOCK rows at a time; its sha256, taken as the bytes go out,
-    becomes the fingerprint.
-
-    `ds` may also be a list of datasets, each holding a prefix of the rows
-    of the last (the stages of a generated family), and `path` a list of as
-    many paths. Each sample line is then serialised once, from the last
-    dataset, and written to every file whose rows cover it.
-    """
-    if isinstance(ds, LabeledDataset):
-        ds, path = [ds], [path]
-    if not ds or len(ds) != len(path):
-        raise ConfigError(f"{len(ds)} datasets for {len(path)} paths")
-    last = ds[-1]
-    for part in ds[:-1]:
-        if not _is_row_prefix(part, last):
-            raise ConfigError("each dataset saved together must hold a prefix "
-                              "of the rows of the last")
-    digests = write_blocks(path, [_header(part) for part in ds],
-                           _row_blocks(last))
-    for part, digest in zip(ds, digests):
-        part._fingerprint, part._lines = digest, None
-
-
-def _is_row_prefix(ds: LabeledDataset, of: LabeledDataset) -> bool:
-    """True when the rows of `ds` are the first len(ds) rows of `of`;
-    compared a block at a time, so no temporary the size of the data."""
-    head = of.spikes[:len(ds)]
-    return (ds.spikes.shape == head.shape
-            and np.array_equal(ds.label_index, of.label_index[:len(ds)])
-            and all(np.array_equal(ds.spikes[a:a + _BLOCK], head[a:a + _BLOCK])
-                    for a in range(0, len(ds), _BLOCK)))
+    becomes the fingerprint. Several files of row prefixes of one dataset
+    are written together by `write_blocks` itself."""
+    [ds._fingerprint] = write_blocks([path], [_header(ds)], _row_blocks(ds))
+    ds._lines = None
 
 
 def _parse_header(raw: bytes):

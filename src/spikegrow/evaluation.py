@@ -16,7 +16,7 @@ import numpy as np
 
 from ._util import atomic_write_text, check_keys, is_finite_number, is_int
 from .construct import POOL_UNITS
-from .dataset import _BLOCK, LabeledDataset
+from .dataset import LabeledDataset
 from .errors import ConfigError, DataFormatError, LineageError
 from .learner import (
     STATUS_TARGET,
@@ -24,8 +24,8 @@ from .learner import (
     Network,
     TraceRecord,
     TrainingTrace,
+    unit_features,
 )
-from .lif import CELLS
 
 TRACE_VERSION = 1
 TRACE_COLUMNS = [f.name for f in fields(TraceRecord)]
@@ -67,15 +67,6 @@ def check_dataset(net: Network, d: int, categories: list) -> None:
         )
 
 
-def block_rows(net: Network) -> int:
-    """Rows per block for `evaluate_blocks` on a dataset read a block at a
-    time: the kernel's own block for n units, max(1, CELLS // n), so that
-    each kernel pass gets the rows `Network.features` gives it over the
-    whole dataset; off a pool's dyadic grid, BLAS may round a drive by
-    block shape. A network of no units runs no kernel: _BLOCK rows."""
-    return max(1, CELLS // net.n_hidden) if net.n_hidden else _BLOCK
-
-
 def evaluate_blocks(net: Network, blocks) -> EvalReport:
     """Predict a dataset given as row blocks with frozen weights and tally
     the confusion table.
@@ -83,10 +74,10 @@ def evaluate_blocks(net: Network, blocks) -> EvalReport:
     `blocks` yields the dataset's rows in order, as (spikes, label_index)
     blocks of a dataset that `check_dataset` accepts, each used before the
     next is drawn, so they may share one buffer. Their rate features fill
-    one (N, n) table, from `Network.block_features`, and one
-    `predict_batch` over it predicts every row, as over the whole dataset;
-    blocks of `block_rows(net)` rows give the kernel the row blocks of the
-    whole dataset too.
+    one (N, n) table, from `learner.unit_features`, and one `predict_batch`
+    over it predicts every row, as over the whole dataset; blocks of
+    `lif.block_rows(n)` rows give the kernel the row blocks of the whole
+    dataset too.
     """
     truth = []
 
@@ -95,7 +86,7 @@ def evaluate_blocks(net: Network, blocks) -> EvalReport:
             truth.append(label_index.copy())
             yield x
 
-    H = net.block_features(spikes())
+    H = unit_features(net.hidden, spikes(), net.lif)
     if not sum(map(len, truth)):
         raise ConfigError("cannot evaluate an empty dataset")
     predictions = net.predict(H)

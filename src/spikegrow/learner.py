@@ -169,22 +169,12 @@ class Network:
         return len(self.categories)
 
     def features(self, ds: LabeledDataset) -> np.ndarray:
-        """Rate-feature table of this network's hidden units on a dataset,
-        in one kernel pass over its uint8 spikes, a block of rows at a time:
-        no float copy is cached, and the kernel's memory is bounded by the
-        block, not by the dataset."""
+        """Rate-feature table of this network's hidden units on a dataset:
+        `unit_features` of its spikes as one block."""
         if ds.d != self.d:
             raise LineageError(
                 f"dataset has {ds.d} channels, network expects {self.d}")
-        return _unit_features(self.hidden, ds.spikes, self.lif)
-
-    def block_features(self, blocks) -> np.ndarray:
-        """Rate-feature table of this network's hidden units on a batch
-        given as (rows, d, T) uint8 spike blocks in row order, such as a
-        file read a block at a time: one kernel pass per block, with the
-        weights stacked once for all of them. Each block is used before the
-        next is drawn, so the blocks may share one buffer."""
-        return _block_features(self.hidden, blocks, self.lif)
+        return unit_features(self.hidden, [ds.spikes], self.lif)
 
     def predict(self, H: np.ndarray) -> np.ndarray:
         """Predicted category index per row of a rate-feature table of this
@@ -208,16 +198,13 @@ class Network:
         )
 
 
-def _unit_features(hidden, x: np.ndarray, lif: LifParams) -> np.ndarray:
-    """(N, n) rate features of hidden units on an (N, d, T) batch, in one
-    batched pass."""
-    return _block_features(hidden, [x], lif)
-
-
-def _block_features(hidden, blocks, lif: LifParams) -> np.ndarray:
-    """(N, n) rate features of hidden units on a batch given as row blocks,
-    one batched pass per block with the weights stacked once. The table of
-    a single block is returned as it is, not copied."""
+def unit_features(hidden, blocks, lif: LifParams) -> np.ndarray:
+    """(N, n) rate features of hidden units on a batch given as (rows, d, T)
+    uint8 spike blocks in row order, such as a file read a block at a time:
+    one kernel pass per block, with the weights stacked once for all of
+    them. Each block is used before the next is drawn, so the blocks may
+    share one buffer. The table of a single block is returned as it is,
+    not copied."""
     if not hidden:
         return np.zeros((sum(map(len, blocks)), 0))
     W = np.stack([h.w for h in hidden])
@@ -288,14 +275,14 @@ def _grow(hidden, frozen_prefix, train, test, cfg: GrowthConfig, lif: LifParams,
     fit = GrowingFit(F, len(test))
 
     def test_accuracy() -> float:
-        outputs = fit.test_outputs(_unit_features(
-            hidden[len(hidden) - fit.pending:], test_x, lif))
+        outputs = fit.test_outputs(unit_features(
+            hidden[len(hidden) - fit.pending:], [test_x], lif))
         return float(np.mean(np.argmax(outputs, axis=1) == test_labels))
 
     # Contiguous copies, not strided column views: the fit's dot products
     # then see the same vectors as a grown unit's pool feature.
     for h in map(np.ascontiguousarray,
-                 _unit_features(hidden, train_x, lif).T):
+                 unit_features(hidden, [train_x], lif).T):
         fit.add(h)
     train_acc = _fitted_accuracy(F, fit.E, train_labels)
     test_acc = test_accuracy()
@@ -379,7 +366,7 @@ def _grow(hidden, frozen_prefix, train, test, cfg: GrowthConfig, lif: LifParams,
     # held beside lstsq's copy.
     del fit
     best_hidden = hidden[:best_n]
-    best_beta = _fit(_unit_features(best_hidden, train_x, lif), F)
+    best_beta = _fit(unit_features(best_hidden, [train_x], lif), F)
     entry = {
         "kind": kind,
         "fingerprint": fingerprint,

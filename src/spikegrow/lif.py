@@ -21,8 +21,8 @@ import numpy as np
 from ._util import as_bits, check_settings, setting
 from .errors import ShapeError
 
-# A uint8 batch runs through the kernel in blocks of max(1, CELLS // P)
-# rows, P the number of neurons, so that the kernel's (N, P) states, its
+# A uint8 batch runs through the kernel in blocks of `block_rows(P)` rows,
+# P the number of neurons, so that the kernel's (N, P) states, its
 # (T, N, P) raster and its (N, d) step cast are bounded by the block, not
 # by the batch: under 1 MB at d = 64, T = 25. 8192 is the fastest size
 # measured at the paper's pool, and no slower than one block on small
@@ -31,6 +31,12 @@ from .errors import ShapeError
 # CELLS sets memory and speed only: drives are exact for weights on a
 # pool's dyadic grid (construct._draw), so no spike depends on it.
 CELLS = 8192
+
+
+def block_rows(P: int) -> int:
+    """Rows per kernel block for a pass of P neurons: max(1, CELLS // P).
+    A pass of no neurons takes one neuron's rows."""
+    return max(1, CELLS // max(P, 1))
 
 
 @dataclass(frozen=True)
@@ -97,23 +103,20 @@ def _pool_weights(w, v, d: int):
 
 def _lif_raster(xt: np.ndarray, W: np.ndarray, V: np.ndarray,
                 params: LifParams) -> np.ndarray:
-    """Spike raster of P neurons over a time-major (T, N, d) batch, from the
-    zero state.
+    """Spike raster of P neurons over a time-major (T, N, d) uint8 batch,
+    from the zero state.
 
-    `xt` is a C-contiguous float64 array, or a uint8 array of any layout,
-    such as a row block of a time-major buffer, passed as a view. `W`
-    holds the (P, d) input
-    weights and `V` the (P,) self-feedback weights. Returns the (T, N, P)
-    bool raster. Every spike train and rate feature comes from this one loop
-    over time.
+    `xt` may have any layout, such as a row block of a time-major buffer,
+    passed as a view. `W` holds the (P, d) input weights and `V` the (P,)
+    self-feedback weights. Returns the (T, N, P) bool raster. Every spike
+    train and rate feature comes from this one loop over time.
 
-    Step t multiplies the (N, d) slice of time t. A float64 slice goes to
-    BLAS as it is. A uint8 slice, contiguous or strided, is first cast
-    with `np.copyto` into one float64 (N, d) buffer, reused at every step:
-    the cast reads a contiguous slice fastest. Matmul on a uint8
-    operand casts it too, but measured at more than twice the cost of the
-    copy and the float GEMM together (see CHANGES.md). The cast is exact,
-    so BLAS multiplies the same values.
+    Step t casts the (N, d) slice of time t, contiguous or strided, with
+    `np.copyto` into one float64 (N, d) buffer, reused at every step, and
+    multiplies that: the cast reads a contiguous slice fastest. Matmul on
+    the uint8 operand casts it too, but measured at more than twice the
+    cost of the copy and the float GEMM together (see CHANGES.md). The
+    cast is exact, so BLAS multiplies the 0/1 values.
 
     The weights go to BLAS as one C-contiguous (d, P) block, copied once per
     call. `W.T` itself is Fortran-ordered, or a strided view when W is a
@@ -127,7 +130,7 @@ def _lif_raster(xt: np.ndarray, W: np.ndarray, V: np.ndarray,
     syn, mem, theta = params.syn_decay, params.mem_decay, params.theta
     WT = np.ascontiguousarray(W.T)
     VN = np.tile(V, (N, 1))
-    cast = None if xt.dtype == np.float64 else np.empty((N, d))
+    cast = np.empty((N, d))
     i = np.zeros((N, W.shape[0]))
     u = np.zeros_like(i)
     s = np.zeros_like(i)
@@ -139,11 +142,8 @@ def _lif_raster(xt: np.ndarray, W: np.ndarray, V: np.ndarray,
         u += i
         u -= s
         # i <- syn*i + drive + V*s; s holds V*s until it is reloaded below.
-        step = xt[t]
-        if cast is not None:
-            np.copyto(cast, step)
-            step = cast
-        np.matmul(step, WT, out=drive)
+        np.copyto(cast, xt[t])
+        np.matmul(cast, WT, out=drive)
         s *= VN
         i *= syn
         i += drive
@@ -179,14 +179,14 @@ def batch_rate_features(x, w, v, params: LifParams) -> np.ndarray:
     rates. Each rate equals the firing rate of `simulate_neuron` on that
     sample.
 
-    A uint8 array is read a block of `max(1, CELLS // P)` rows at a time:
-    each block runs through the kernel alone, as a view, and its spike
-    counts are summed, so the kernel's memory is bounded by the block, not
-    by N. A dataset's `spikes`, and every block `DatasetReader` reads, are
-    views of time-major buffers, whose row blocks' time steps are
-    contiguous; the kernel casts a strided step, as of a row-major array,
-    more slowly, to the same values. Anything else is copied time-major as
-    float64 and run as one block.
+    A uint8 array is read a block of `block_rows(P)` rows at a time: each
+    block runs through the kernel alone, as a view, and its spike counts
+    are summed, so the kernel's memory is bounded by the block, not by N.
+    A dataset's `spikes`, and every block `DatasetReader` reads, are views
+    of time-major buffers, whose row blocks' time steps are contiguous; the
+    kernel casts a strided step, as of a row-major array, more slowly, to
+    the same values. Any other batch is copied time-major as uint8 and run
+    as one block.
 
     For weights on a pool's dyadic grid (`construct._draw`) every drive is
     exact, so no rate depends on the block size or the pass's other neurons;
@@ -200,9 +200,9 @@ def batch_rate_features(x, w, v, params: LifParams) -> np.ndarray:
     if T == 0:
         raise ValueError("cannot compute a firing rate over zero time steps")
     xt = bits.transpose(2, 0, 1)
-    rows = max(1, CELLS // len(W))
+    rows = block_rows(len(W))
     if not (isinstance(x, np.ndarray) and x.dtype == np.uint8):
-        xt, rows = xt.astype(np.float64, order="C"), max(1, N)
+        xt, rows = np.ascontiguousarray(xt), max(1, N)
     # Count in the smallest unsigned type that holds T: numpy's default
     # int64 sum of bools is several times slower.
     counts = np.empty((N, len(W)), dtype=np.min_scalar_type(T))
@@ -211,4 +211,3 @@ def batch_rate_features(x, w, v, params: LifParams) -> np.ndarray:
                axis=0, dtype=counts.dtype, out=counts[a:a + rows])
     rates = counts / T
     return rates[:, 0] if np.ndim(w) == 1 else rates
-

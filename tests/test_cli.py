@@ -82,6 +82,24 @@ def generated(workdir):
     return cfg
 
 
+class TestParser:
+    def test_two_calls_build_one_parser(self, workdir, monkeypatch, capsys):
+        """`main` builds its argparse parser once per process and reads
+        every argv with it."""
+        built = []
+        build = spikegrow.cli.build_parser
+        monkeypatch.setattr(spikegrow.cli, "build_parser",
+                            lambda: built.append(1) or build())
+        spikegrow.cli._parser.cache_clear()
+        try:
+            for _ in range(2):
+                assert main(["inspect", "--checkpoint", "missing.net"]) == 2
+        finally:
+            spikegrow.cli._parser.cache_clear()
+        assert len(built) == 1
+        assert capsys.readouterr().err.count("missing.net") == 2
+
+
 class TestGenData:
     def test_writes_stage_files_and_manifest(self, generated, workdir):
         assert (workdir / "data" / "stage-2.ds").exists()
@@ -137,7 +155,8 @@ class TestGenData:
         family = generate_family(GeneratorConfig(**gen), stages)
         (workdir / "ref").mkdir()
         paths = [workdir / "ref" / f"stage-{size}.ds" for size in stages]
-        save_dataset(list(family.stages), [str(p) for p in paths])
+        for ds, p in zip(family.stages, paths):
+            save_dataset(ds, str(p))
         manifest = {"stages": [{
             "categories": size, "n_samples": len(ds),
             "path": f"stage-{size}.ds", "sha256": dataset_fingerprint(ds),

@@ -32,11 +32,21 @@ import spikegrow.dataset
 from spikegrow.dataset import (
     _BLOCK,
     _GROUP,
+    _header,
+    _row_blocks,
     _tokens,
     dataset_fingerprint,
+    write_blocks,
 )
 from spikegrow.evaluation import report_to_text
 from spikegrow.learner import HiddenNeuron, Network, save_network
+
+
+def write_prefixes(parts, paths) -> list:
+    """`write_blocks` of datasets that each hold a row prefix of the last,
+    from the last one's blocks of _BLOCK rows; each file's sha256."""
+    return write_blocks([str(p) for p in paths], [_header(p) for p in parts],
+                        _row_blocks(parts[-1]))
 
 
 class TestGeneratorConfig:
@@ -628,17 +638,18 @@ class TestSerialization:
         parts = [LabeledDataset(ds.spikes[:n], ds.label_index[:n], ds.categories)
                  for n in (0, 1, 255, 256, 257, 299)] + [ds]
         paths = [tmp_path / f"{i}.ds" for i in range(len(parts))]
-        save_dataset(parts, [str(p) for p in paths])
-        for part, path in zip(parts, paths):
+        digests = write_prefixes(parts, paths)
+        for part, path, digest in zip(parts, paths, digests):
             blob = path.read_bytes()
             assert blob == oracles.dataset_text(part).encode("ascii")
-            assert part._fingerprint == hashlib.sha256(blob).hexdigest()
+            assert digest == hashlib.sha256(blob).hexdigest()
 
     def test_time_major_dataset_reads_as_row_major(self, tmp_path):
         """`spikes` is the strided (N, d, T) view of the dataset's
-        time-major buffer. The dataset fingerprints, saves (alone and with
-        a row prefix), splits and compares to the same bytes and rows as
-        the per-line oracle and the copying split of its row-major copy."""
+        time-major buffer. The dataset fingerprints, saves alone, writes
+        with a row prefix, splits and compares to the same bytes and rows
+        as the per-line oracle and the copying split of its row-major
+        copy."""
         ds = make_dataset(n_per_cat=150, n_cats=3, d=5, T=7, seed=8)
         rows = np.array(ds.spikes, order="C")
         assert ds.spike_tensor() is ds.spikes
@@ -652,22 +663,11 @@ class TestSerialization:
                               ds.categories)
         paths = [tmp_path / f"{k}.ds" for k in range(3)]
         save_dataset(ds, str(paths[0]))
-        save_dataset([head, ds], [str(p) for p in paths[1:]])
+        write_prefixes([head, ds], paths[1:])
         assert paths[0].read_bytes() == paths[2].read_bytes() == text
         for a, b in zip(split_train_test(ds, 0.2, 3),
                         oracles.split_rows(copy, 0.2, 3)):
             assert a == b and dataset_fingerprint(a) == dataset_fingerprint(b)
-
-    @pytest.mark.parametrize("rows", [slice(1, 5), slice(0, 301)])
-    def test_not_a_row_prefix_rejected(self, tmp_path, rows):
-        ds = make_dataset(n_per_cat=100, n_cats=3, seed=6)
-        other = make_dataset(n_per_cat=101, n_cats=3, seed=6)
-        part = LabeledDataset(other.spikes[rows], other.label_index[rows],
-                              other.categories)
-        with pytest.raises(ConfigError, match="prefix of the rows"):
-            save_dataset([part, ds], [str(tmp_path / "a.ds"),
-                                      str(tmp_path / "b.ds")])
-        assert list(tmp_path.iterdir()) == []
 
 
 class TestSaveMemory:
@@ -722,7 +722,7 @@ class TestSaveMemory:
 
         monkeypatch.setattr(spikegrow.dataset, "_sample_lines", failing)
         with pytest.raises(type(error)) as raised:
-            save_dataset(parts, [str(p) for p in paths])
+            write_prefixes(parts, paths)
         assert blocks == [_BLOCK, _BLOCK]
         if isinstance(error, OSError):
             assert raised.value.filename in [str(p) for p in paths]

@@ -43,8 +43,8 @@ from spikegrow.learner import (
     STATUS_TARGET,
     HiddenNeuron,
     Network,
-    _unit_features,
     network_to_bytes,
+    unit_features,
 )
 from spikegrow.lif import batch_rate_features
 from spikegrow.readout import (
@@ -163,11 +163,11 @@ class TestTrainFresh:
                                                  patience=100, rng_seed=8))
         assert net.n_hidden > 10
         tensor = te5.spike_tensor()
-        one_by_one = np.column_stack([_unit_features([h], tensor, net.lif)
+        one_by_one = np.column_stack([unit_features([h], [tensor], net.lif)
                                       for h in net.hidden])
         for batch in (5, 7, net.n_hidden):
             batched = np.column_stack([
-                _unit_features(net.hidden[i:i + batch], tensor, net.lif)
+                unit_features(net.hidden[i:i + batch], [tensor], net.lif)
                 for i in range(0, net.n_hidden, batch)])
             assert batched.tobytes() == one_by_one.tobytes()
 

@@ -347,10 +347,22 @@ class TestRowBlocks:
             assert H.any()
             assert P == 1 or not H[:, P // 2].any()
 
+    @pytest.mark.parametrize("dtype", [np.uint8, np.float64])
+    @pytest.mark.parametrize("N", [0, 5])
+    def test_no_neurons_give_an_empty_table(self, N, dtype):
+        """A pass of no neurons is read in one neuron's blocks and gives
+        an (N, 0) table."""
+        x = np.ones((N, 4, 12), dtype=dtype)
+        H = batch_rate_features(x, np.zeros((0, 4)), np.zeros(0), PARAMS)
+        assert H.shape == (N, 0) and H.dtype == np.float64
+        assert spikegrow.lif.block_rows(0) == spikegrow.lif.block_rows(1) \
+            == CELLS
+
 
 class TestKernelInputs:
-    """The kernel takes uint8 batches as they are and every other input as
-    float64; which inputs it accepts and rejects does not depend on that."""
+    """The kernel takes uint8 batches as they are and copies every other
+    input as uint8; which inputs it accepts and rejects does not depend on
+    that."""
 
     def setup_method(self):
         rng = np.random.default_rng(4)

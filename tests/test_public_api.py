@@ -1,6 +1,7 @@
 """No public name exists only for the tests: every public module-level
 function or class of the package is used by the package itself, the
-benchmark, the installed console script or the acceptance criteria."""
+benchmark, the installed console script or the acceptance criteria. And
+the kernel's row blocks are decided in one module."""
 
 import ast
 from pathlib import Path
@@ -71,3 +72,12 @@ def test_definitions_found():
     names = {node.name for path in MODULES for node in _parse(path).body
              if _public(node)}
     assert {"batch_rate_features", "grow_one", "entrypoint"} <= names
+
+
+def test_only_lif_reads_cells():
+    """`lif.CELLS` sizes the kernel's row blocks, and only `lif` reads it:
+    every other module asks `lif.block_rows`, so the row blocking is
+    decided in one place."""
+    readers = [path.name for path in SRC.glob("*.py")
+               if "CELLS" in _names(_parse(path).body)]
+    assert readers == ["lif.py"]
