@@ -49,7 +49,8 @@ NEAR_DEPENDENT = 1e-6
 
 # Units one drawn pool may serve: its winner, then one of its other
 # candidates on the next step. More reuses per draw cost test accuracy and
-# grew larger networks on stage-20 (CHANGES.md holds the measurements).
+# grew larger networks on stage-20, measured at pool_size 50 (CHANGES.md
+# holds the measurements).
 POOL_UNITS = 2
 
 
@@ -72,14 +73,16 @@ class Candidate:
 class PruningConfig:
     """Knobs of the candidate sampling / pruning loop.
 
-    pool_size: candidates drawn per pool.
+    pool_size: candidates drawn per pool; the default 10 is the smallest
+        pool whose stage-20 record kept the accuracy and size of pools of 50
+        (the rule and record are in CHANGES.md).
     weight_scale: half-width of the uniform weight range; at most half the
         largest float, so the range 2*weight_scale is finite.
     sigma0: contraction target in (0, 1) that every grown unit certifies:
         its update leaves at most sigma0 times the squared residual.
     """
 
-    pool_size: int = setting(50, ge=1, le=SIZE_MAX)
+    pool_size: int = setting(10, ge=1, le=SIZE_MAX)
     weight_scale: float = setting(1.0, gt=0.0, le=sys.float_info.max / 2)
     sigma0: float = setting(0.999, gt=0.0, lt=1.0)
 

@@ -25,18 +25,23 @@ from .errors import ShapeError
 # P the number of neurons, so that the kernel's (N, P) states, its
 # (T, N, P) raster and its (N, d) step cast are bounded by the block, not
 # by the batch: under 1 MB at d = 64, T = 25. 8192 is the fastest size
-# measured at the paper's pool, and no slower than one block on small
+# measured at a pool of 50, and no slower than one block on small
 # batches (the sweeps are in CHANGES.md).
 #
 # CELLS sets memory and speed only: drives are exact for weights on a
 # pool's dyadic grid (construct._draw), so no spike depends on it.
 CELLS = 8192
 
+# A pass of fewer neurons, down to none, takes the rows of FEW_NEURONS:
+# CELLS // FEW_NEURONS = 1024, so that `eval` of a network of few units,
+# which reads the file in the kernel's blocks, holds no more rows than that.
+FEW_NEURONS = 8
+
 
 def block_rows(P: int) -> int:
-    """Rows per kernel block for a pass of P neurons: max(1, CELLS // P).
-    A pass of no neurons takes one neuron's rows."""
-    return max(1, CELLS // max(P, 1))
+    """Rows per kernel block for a pass of P neurons:
+    max(1, CELLS // max(P, FEW_NEURONS))."""
+    return max(1, CELLS // max(P, FEW_NEURONS))
 
 
 @dataclass(frozen=True)

@@ -22,6 +22,7 @@ from spikegrow import (
     GeneratorConfig,
     LabeledDataset,
     LifParams,
+    PruningConfig,
     evaluate,
     generate_family,
     load_dataset,
@@ -398,7 +399,8 @@ class TestTrainFresh:
         assert re.fullmatch(r"error: DegenerateDataError: [^\n]*\n", err), err
         assert "pruning.sigma0" in err and "sigma_relax_steps" not in err
         assert "spike" not in err
-        assert len(fired) == 50 and any(fired)  # one pool of the default size
+        # one pool of the default size
+        assert len(fired) == PruningConfig().pool_size and any(fired)
         assert not (workdir / "x.net").exists()
 
     def test_end_to_end(self, generated, workdir):

@@ -222,30 +222,34 @@ class TestMemory:
         assert abs(above[4000] - above[1000]) < block
 
     def test_eval_peak_below_one_spike_array(self, tmp_path):
-        """eval on stage-20 with a 50-unit network reads, verifies and
-        scores one block of rows at a time and never holds the dataset: the
+        """eval on stage-20 reads, verifies and scores one block of rows at
+        a time and never holds the dataset: with a 50-unit network the
         whole op peaks below one stage-20 spike array (3.8 MiB against 6.1;
-        9.9 when it loaded the file first)."""
+        9.9 when it loaded the file first). A network of fewer than
+        `lif.FEW_NEURONS` units, down to none, is read in blocks of 1024
+        rows, not of more rows than the file holds (3.5 MiB; 8.1 at no
+        units and 8.4 at one when it held the whole file)."""
         ds = generate_family(GeneratorConfig(rng_seed=1), [20]).stages[0]
         assert (len(ds), ds.d, ds.T) == (4000, 64, 25)
         save_dataset(ds, str(tmp_path / "stage-20.ds"))
-        rng = np.random.default_rng(2)
-        hidden = [HiddenNeuron(rng.uniform(-1, 1, ds.d), float(rng.uniform(-1, 1)))
-                  for _ in range(50)]
-        save_network(Network(ds.d, LifParams(), hidden,
-                             rng.normal(size=(50, ds.n_categories)),
-                             ds.categories), str(tmp_path / "n.net"))
         nbytes = ds.spikes.nbytes
-        del ds
-        tracemalloc.start()
-        try:
-            assert main(["eval", "--checkpoint", str(tmp_path / "n.net"),
-                         "--dataset", str(tmp_path / "stage-20.ds"),
-                         "--out-report", str(tmp_path / "r.json")]) == 0
-            peak = tracemalloc.get_traced_memory()[1]
-        finally:
-            tracemalloc.stop()
-        assert peak < nbytes
+        rng = np.random.default_rng(2)
+        for n_hidden in (50, 0, 1):
+            hidden = [HiddenNeuron(rng.uniform(-1, 1, ds.d),
+                                   float(rng.uniform(-1, 1)))
+                      for _ in range(n_hidden)]
+            save_network(Network(ds.d, LifParams(), hidden,
+                                 rng.normal(size=(n_hidden, ds.n_categories)),
+                                 ds.categories), str(tmp_path / "n.net"))
+            tracemalloc.start()
+            try:
+                assert main(["eval", "--checkpoint", str(tmp_path / "n.net"),
+                             "--dataset", str(tmp_path / "stage-20.ds"),
+                             "--out-report", str(tmp_path / "r.json")]) == 0
+                peak = tracemalloc.get_traced_memory()[1]
+            finally:
+                tracemalloc.stop()
+            assert peak < nbytes, n_hidden
 
     def test_growth_holds_one_copy_of_each_set(self, two_class_family):
         """Growth's sets are the split's two views of one time-major

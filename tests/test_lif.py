@@ -14,6 +14,7 @@ from spikegrow import (
 import spikegrow.lif
 from spikegrow.lif import (
     CELLS,
+    FEW_NEURONS,
     batch_rate_features,
     simulate_neuron,
 )
@@ -253,12 +254,13 @@ class TestTimeMajorLayout:
     @pytest.mark.parametrize("P", [1, 10, 50])
     def test_cached_view_blocks_equal_float_single_block(
             self, dataset, P, cells, monkeypatch):
-        """The cached tensor runs in blocks of max(1, CELLS // P) rows, each
-        handed to the kernel as a view of the cache; its rates equal, byte
-        for byte, those of a float64 copy run as one block. With 256 cells
-        every P spans at least three blocks."""
+        """The cached tensor runs in blocks of
+        max(1, CELLS // max(P, FEW_NEURONS)) rows, each handed to the kernel
+        as a view of the cache; its rates equal, byte for byte, those of a
+        float64 copy run as one block. With 256 cells every P spans at least
+        three blocks."""
         monkeypatch.setattr(spikegrow.lif, "CELLS", cells)
-        rows = max(1, cells // P)
+        rows = max(1, cells // max(P, FEW_NEURONS))
         assert cells == CELLS or len(dataset) >= 3 * rows
         rng = np.random.default_rng(400 + P)
         W = rng.uniform(-1, 1, (P, dataset.d))
@@ -320,15 +322,16 @@ class TestTimeMajorLayout:
 
 
 class TestRowBlocks:
-    """A uint8 batch runs through the kernel max(1, CELLS // P) rows at a
-    time; its rates equal those of the float64 tensor, which runs as one
-    block, byte for byte, whichever way N falls on the block edges."""
+    """A uint8 batch runs through the kernel
+    max(1, CELLS // max(P, FEW_NEURONS)) rows at a time; its rates equal
+    those of the float64 tensor, which runs as one block, byte for byte,
+    whichever way N falls on the block edges."""
 
     @pytest.mark.parametrize("P", [1, 10, CELLS + 1])
     @pytest.mark.parametrize("blocks", ["0", "1", "rows-1", "rows", "rows+1",
                                         "3rows+7"])
     def test_blocked_uint8_equals_float_tensor(self, P, blocks):
-        rows = max(1, CELLS // P)
+        rows = max(1, CELLS // max(P, FEW_NEURONS))
         N = {"0": 0, "1": 1, "rows-1": rows - 1, "rows": rows,
              "rows+1": rows + 1, "3rows+7": 3 * rows + 7}[blocks]
         d, T = 4, 12
@@ -350,13 +353,13 @@ class TestRowBlocks:
     @pytest.mark.parametrize("dtype", [np.uint8, np.float64])
     @pytest.mark.parametrize("N", [0, 5])
     def test_no_neurons_give_an_empty_table(self, N, dtype):
-        """A pass of no neurons is read in one neuron's blocks and gives
-        an (N, 0) table."""
+        """A pass of no neurons is read in the blocks of FEW_NEURONS, as a
+        pass of one neuron is, and gives an (N, 0) table."""
         x = np.ones((N, 4, 12), dtype=dtype)
         H = batch_rate_features(x, np.zeros((0, 4)), np.zeros(0), PARAMS)
         assert H.shape == (N, 0) and H.dtype == np.float64
         assert spikegrow.lif.block_rows(0) == spikegrow.lif.block_rows(1) \
-            == CELLS
+            == spikegrow.lif.block_rows(FEW_NEURONS) == CELLS // FEW_NEURONS
 
 
 class TestKernelInputs:

@@ -10,7 +10,13 @@ tie-break, contraction target, pool reuse or snapshot choice moves a pin.
 The pins are decisions, not checkpoint bytes: they survive last-bit BLAS
 differences between machines except on near-ties of the certificate. The
 benchmark's `outputs` check covers byte identity.
+
+Every run above sets its own pool_size. The default path, a run under the
+default `GrowthConfig` on default data, is pinned apart, by its checkpoint's
+sha256, and so is sigma0's part in it.
 """
+
+import hashlib
 
 import numpy as np
 import pytest
@@ -26,7 +32,12 @@ from spikegrow import (
     train_experienced,
     train_fresh,
 )
-from spikegrow.learner import _CERT_RTOL, STATUS_SATURATED, Network
+from spikegrow.learner import (
+    _CERT_RTOL,
+    STATUS_SATURATED,
+    Network,
+    network_to_bytes,
+)
 from spikegrow.readout import fit_output_weights
 
 
@@ -190,3 +201,33 @@ def test_certificate_is_tight(name, monkeypatch):
         realised = prev_sq - rec.sq_norm
         assert abs(realised - outcome.selection.error_gain) \
             <= _CERT_RTOL * prev_sq
+
+
+@pytest.fixture(scope="module")
+def default_stage5():
+    """(train, test) of stage-5 of the default generator, default split."""
+    [stage] = generate_family(GeneratorConfig(), [5]).stages
+    return split_train_test(stage, 0.2, 0)
+
+
+def test_default_path_pinned(default_stage5):
+    """train_fresh under the default GrowthConfig, seed 1, on stage-5 of the
+    default generator: the path of every run that sets no pruning section.
+    Recorded at the default pool_size 10, so a change of a default that
+    moves this run fails here by name."""
+    net, trace = train_fresh(*default_stage5, GrowthConfig(rng_seed=1))
+    assert (trace.status, net.n_hidden, trace.best_test_accuracy) \
+        == ("TargetReached", 16, 0.985)
+    assert hashlib.sha256(network_to_bytes(net)).hexdigest() == \
+        "9633792f03ab5ceb844bc9c6212ac4868a6acbcd571891db8b39da9f3121e86c"
+
+
+def test_sigma0_moves_no_unit_on_the_default_path(default_stage5):
+    """Selection is the argmax of the exact gain, so sigma0 decides only
+    whether a kept pool's best candidate certifies and when growth
+    saturates; on the default path neither is close, and sigma0 in
+    {0.99, 0.999, 0.9999} writes the same checkpoint."""
+    blobs = {network_to_bytes(train_fresh(*default_stage5, GrowthConfig(
+        pruning=PruningConfig(sigma0=sigma0), rng_seed=1))[0])
+        for sigma0 in (0.99, 0.999, 0.9999)}
+    assert len(blobs) == 1
